@@ -49,20 +49,15 @@ class SolverLog:
         return len(self.rows)
 
 
-def _metric_raw(grid, twist, t, u_arr):
+def _residual_raw(grid, u_arr, alpha, g_arr, twist, t, h_arr):
     c = 0.0 if twist is None else twist.c
     arr = u_arr
     if twist is not None and twist.psi_chi is not None and t != 0.0:
         arr = arr + t * twist.psi_chi.values
-    return geo.raw_combine(grid, 1.0 + t * c, geo.hessian_raw(grid, arr))
-
-
-def _residual_raw(grid, u_arr, alpha, g_arr, twist, t, h_arr):
-    m = _metric_raw(grid, twist, t, u_arr)
-    emin = float(geo.eigmin_raw(grid, m).min())
+    m, det, emin = geo.metric_det_eigmin(grid, geo.hessian_raw(grid, arr), 1.0 + t * c)
     if not np.isfinite(emin) or emin <= 0.0:
         return None, None, emin
-    r = np.log(geo.det_raw(grid, m))
+    r = np.log(det)
     if alpha > 0.0:
         r = r + grid.n * math.log(alpha) - alpha * u_arr
     if g_arr is not None:

@@ -15,10 +15,18 @@ beta0 = stab_factor / min_eig, for stiff high-resolution runs; its two-step
 history restarts after every snapshot, which makes restarting from a
 snapshot reproduce the subsequent series exactly.
 
+One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
+Hessian (three inverse transforms at n = 2) and turns it in place into the
+metric, its determinant and its smallest eigenvalue in one fused pointwise
+pass (``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
+including the recompute after landing on a snapshot time, reaches the
+caller as KaehlerConeViolation carrying t.
+
 A single run is sequential and deterministic; distinct runs may execute
 concurrently and trajectories are immutable once produced.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dfield
 
@@ -138,12 +146,7 @@ class FlowConfig:
         self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
 
     def replace(self, **kw):
-        base = {k: getattr(self, k) for k in (
-            "grid", "variant", "twist", "h", "T", "dt_policy", "dt_init",
-            "dt_min", "safety", "record_every", "snapshot_times", "dealias",
-            "stab_factor")}
-        base.update(kw)
-        return FlowConfig(**base)
+        return dataclasses.replace(self, **kw)
 
     def meta(self):
         g = self.grid
@@ -236,14 +239,12 @@ class _Stepper:
 
     def parts(self, t, phi_arr, spec=None):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit."""
-        hph = geo.hessian_raw(self.grid, phi_arr, spec=spec)
-        if self.hpsi is not None and t != 0.0:
-            hph = geo.raw_add(self.grid, hph, self.hpsi, s2=t)
-        m = geo.raw_combine(self.grid, 1.0 + t * self.c, hph)
-        emin = float(geo.eigmin_raw(self.grid, m).min())
+        hpsi = self.hpsi if t != 0.0 else None
+        m, det, emin = geo.metric_det_eigmin(
+            self.grid, geo.hessian_raw(self.grid, phi_arr, spec=spec),
+            1.0 + t * self.c, hpsi, t)
         if not np.isfinite(emin) or emin <= 0.0:
             raise _Reject(emin)
-        det = geo.det_raw(self.grid, m)
         r = np.log(det)
         if self.h_arr is not None:
             r = r - self.h_arr
@@ -252,14 +253,18 @@ class _Stepper:
         return self._filter(r), det, emin, m
 
 
+def _checked_parts(st, t, phi_arr, message):
+    """st.parts at (t, phi_arr), a cone exit raised as KaehlerConeViolation at t."""
+    try:
+        return st.parts(t, phi_arr)
+    except _Reject as e:
+        raise KaehlerConeViolation(message, t=t, min_eig=e.args[0]) from None
+
+
 def rhs(t, phi, config):
     """Right-hand side of the flow at (t, phi); raises KaehlerConeViolation."""
-    st = _Stepper(config)
-    try:
-        r, _, _, _ = st.parts(t, phi.values)
-    except _Reject as e:
-        raise KaehlerConeViolation(
-            f"potential left the Kaehler cone at t={t}", t=t, min_eig=e.args[0]) from None
+    r, _, _, _ = _checked_parts(_Stepper(config), t, phi.values,
+                                f"potential left the Kaehler cone at t={t}")
     return r
 
 
@@ -350,12 +355,8 @@ def _advance_sbdf2(st, state, t_bound, scratch):
 
 
 def _initial_state(st, phi0, t0):
-    try:
-        r, det, emin, m = st.parts(t0, phi0.values)
-    except _Reject as e:
-        raise KaehlerConeViolation(
-            "initial potential is not strictly inside the Kaehler cone",
-            t=t0, min_eig=e.args[0]) from None
+    r, det, emin, m = _checked_parts(
+        st, t0, phi0.values, "initial potential is not strictly inside the Kaehler cone")
     return FlowState(t0, phi0.copy(), r, emin), det, m
 
 
@@ -427,7 +428,8 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
             state.t = target   # snap exactly; paired runs share boundary times
             # recompute cached rhs at the snapped time for exact reporting
             state.phi_dot, scratch["det"], state.min_eig, scratch["metric"] = \
-                st.parts(state.t, state.phi.values)
+                _checked_parts(st, state.t, state.phi.values,
+                               f"potential left the Kaehler cone on landing at t={target:.6g}")
         if landed or since >= config.record_every:
             emit_row(dt, scratch["det"], scratch["metric"])
             since = 0

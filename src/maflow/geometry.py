@@ -146,6 +146,17 @@ class TorusGrid:
             self._cache[key] = m
         return self._cache[key]
 
+    def packed_diag_multiplier(self):
+        """Multiplier m11 + i m22 of the n = 2 diagonal pair (cached, full shape).
+
+        h11 and h22 are real, so one inverse transform of this times the
+        spectrum carries h11 + i h22.
+        """
+        key = ("hess_packed",)
+        if key not in self._cache:
+            self._cache[key] = self.hessian_multiplier(0, 0) + 1j * self.hessian_multiplier(1, 1)
+        return self._cache[key]
+
     def flat_symbol(self, rfft=False):
         """Symbol of the flat complex Laplacian tr H = sum_j d^2/dz_j dzbar_j."""
         key = ("flat", rfft)
@@ -269,6 +280,11 @@ def hessian_raw(grid, arr, spec=None):
     Returns the scalar H (real 2d array) for n = 1, and the component
     triple (h11, h22, h12) for n = 2 (h11, h22 real, h12 complex).
     ``spec`` optionally supplies the precomputed (r)fft of ``arr``.
+
+    n = 2 takes three inverse transforms: h11 + i h22 comes out of one
+    (see ``TorusGrid.packed_diag_multiplier``), h12 out of another.  The
+    returned arrays are fresh, C-contiguous and unaliased; they belong to
+    the caller, who may overwrite them (``metric_det_eigmin`` does).
     """
     if grid.n == 1:
         if spec is None:
@@ -276,10 +292,9 @@ def hessian_raw(grid, arr, spec=None):
         return sfft.irfftn(grid.hessian_multiplier(0, 0, rfft=True) * spec, s=grid.shape)
     if spec is None:
         spec = sfft.fftn(arr)
-    h11 = sfft.ifftn(grid.hessian_multiplier(0, 0) * spec).real
-    h22 = sfft.ifftn(grid.hessian_multiplier(1, 1) * spec).real
-    h12 = sfft.ifftn(grid.hessian_multiplier(0, 1) * spec)
-    return h11, h22, h12
+    diag = sfft.ifftn(grid.packed_diag_multiplier() * spec, overwrite_x=True)
+    h12 = sfft.ifftn(grid.hessian_multiplier(0, 1) * spec, overwrite_x=True)
+    return diag.real.copy(), diag.imag.copy(), h12
 
 
 def hessian_matrix(grid, raw):
@@ -345,6 +360,42 @@ def eigmin_raw(grid, m):
     tr = m11 + m22
     disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * (m12.real ** 2 + m12.imag ** 2), 0.0))
     return 0.5 * (tr - disc)
+
+
+def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0):
+    """Metric a I + hess (+ t hpsi), its determinant and smallest eigenvalue.
+
+    One fused pass that overwrites ``hess`` (a raw Hessian the caller owns,
+    as ``hessian_raw`` returns it) with the metric; ``hpsi`` is only read.
+    The floating-point operations and their order are those of raw_add,
+    raw_combine, det_raw and eigmin_raw, so the results are bit-identical
+    to that chain.  Returns (m, det, emin), emin being the grid minimum of
+    the pointwise smallest eigenvalue (a float).
+    """
+    if grid.n == 1:
+        if hpsi is not None:
+            hess += t * hpsi
+        hess += a
+        return hess, hess, float(hess.min())
+    m11, m22, m12 = hess
+    if hpsi is not None:
+        m11 += t * hpsi[0]
+        m22 += t * hpsi[1]
+        m12 += t * hpsi[2]
+    m11 += a
+    m22 += a
+    q = m12.real ** 2
+    q += m12.imag ** 2            # |m12|^2, shared by det and the discriminant
+    det = m11 * m22
+    det -= q
+    disc = m11 - m22
+    disc *= disc
+    q *= 4.0
+    disc += q
+    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    tr = m11 + m22
+    tr -= disc
+    return hess, det, 0.5 * float(tr.min())
 
 
 def matrix_from_raw(grid, m):

@@ -345,7 +345,8 @@ def verify_mean_value(traj, slope_tol=1e-3, convex_tol=1e-3):
         return _skip(name, stmt, "series too short")
     dt = np.diff(ts)
     slopes = np.diff(I) / dt
-    caps = n * np.log1p(np.maximum(ts[:-1], ts[1:]) * c)
+    # the interval's largest cap: at its earlier end when c < 0
+    caps = n * np.log1p(np.maximum(ts[:-1] * c, ts[1:] * c))
     slope_slack = float((caps - slopes).min())
     details = {"worst_slope_gap": float((slopes - caps).max())}
     slack = slope_slack / slope_tol

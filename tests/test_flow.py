@@ -1,11 +1,13 @@
 """Flow integration: fixed points, comparison, equivariance, convergence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import maflow as mf
+from maflow import flow
 from maflow.elliptic import solve_ma
 from maflow.errors import ConfigError, KaehlerConeViolation
 from maflow.flow import (FlowConfig, FlowState, TwistSpec, continue_run,
@@ -34,6 +36,20 @@ class TestTMax:
 
 
 class TestConfigValidation:
+    def test_replace_keeps_every_field(self):
+        g = mf.TorusGrid(2, 8)
+        psi = PotentialField(g, cos_mode(g, (1, 0, 0, 1), 0.01))
+        cfg = FlowConfig(grid=g, variant="cmaf", twist=TwistSpec(c=-0.5, psi_chi=psi),
+                         h=normalize_h(PotentialField(g, cos_mode(g, (0, 1, 0, 0), 0.05))),
+                         T=0.2, dt_policy="semi_implicit", dt_init=3e-3, dt_min=1e-9,
+                         safety=0.7, record_every=3, snapshot_times=(0.1, 0.05),
+                         dealias=True, stab_factor=2.0)
+        new = cfg.replace()
+        for f in dataclasses.fields(FlowConfig):
+            assert getattr(new, f.name) is getattr(cfg, f.name) or \
+                getattr(new, f.name) == getattr(cfg, f.name), f.name
+        assert cfg.replace(T=0.1).T == 0.1 and cfg.replace(T=0.1).stab_factor == 2.0
+
     def test_horizon_must_stay_nef(self):
         g = grid1()
         with pytest.raises(ConfigError):
@@ -83,6 +99,27 @@ class TestRhs:
         cfg = FlowConfig(grid=g, T=0.5)
         with pytest.raises(KaehlerConeViolation):
             rhs(0.0, mode(g, (1, 0), 0.2), cfg)
+
+
+    def test_landing_rejection_is_typed(self, monkeypatch):
+        # one fixed step lands on T: the initial state, 4 stage/next-state
+        # evaluations, then the landing recompute, which is made to reject
+        g = grid1()
+        cfg = FlowConfig(grid=g, T=0.01, dt_policy="rk4_fixed", dt_init=0.01)
+        orig = flow._Stepper.parts
+        calls = []
+
+        def parts(self, t, phi_arr, spec=None):
+            calls.append(t)
+            if len(calls) == 6:
+                raise flow._Reject(-1.0)
+            return orig(self, t, phi_arr, spec)
+
+        monkeypatch.setattr(flow._Stepper, "parts", parts)
+        with pytest.raises(KaehlerConeViolation) as exc:
+            run(mode(g, (1, 0), 0.02), cfg)
+        assert len(calls) == 6
+        assert exc.value.t == 0.01 and exc.value.min_eig == -1.0
 
 
 class TestStep:
@@ -254,6 +291,33 @@ class TestLevelsAndLimit:
         cfg = FlowConfig(grid=g, T=0.05, snapshot_times=(0.05,), record_every=50)
         rep = maximal_stretch_gap(spec, g, cfg, 0.05, J=3)
         assert "sup_gap" in rep and rep["sup_gap"] >= 0.0
+
+
+class TestTwistedN2:
+    def test_twist_caches_unchanged_after_run(self, monkeypatch):
+        # the metric is built in place on the Hessian; the cached twist
+        # Hessian and psi_chi itself must only be read
+        g = mf.TorusGrid(2, 8)
+        psi = PotentialField(g, cos_mode(g, (1, 0, 0, 1), 0.01, 0.3))
+        psi_before = psi.values.copy()
+        hpsi_before = hessian_raw(g, psi.values)
+        phi0 = PotentialField(g, cos_mode(g, (1, 0, 0, 0), 0.03)
+                              + cos_mode(g, (0, 0, 0, 1), 0.015, 1.1))
+        cfg = FlowConfig(grid=g, twist=TwistSpec(c=-0.5, psi_chi=psi), T=0.01,
+                         snapshot_times=(0.005,), record_every=5)
+        made = []
+        orig_init = flow._Stepper.__init__
+
+        def init(self, config):
+            orig_init(self, config)
+            made.append(self)
+
+        monkeypatch.setattr(flow._Stepper, "__init__", init)
+        tr = run(phi0, cfg)
+        assert len(made) == 1 and tr.snapshots[-1].t == 0.01
+        assert np.array_equal(psi.values, psi_before)
+        for got, want in zip(made[0].hpsi, hpsi_before):
+            assert np.array_equal(got, want)
 
 
 class TestDealias:

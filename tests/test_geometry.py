@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.linalg as la
 import pytest
+from scipy import fft as sfft
 
 import maflow as mf
 from maflow import geometry as geo
@@ -89,6 +90,68 @@ class TestComplexHessian:
         g = grid2()
         H = mf.complex_hessian(random_bandlimited(g, 0)).values
         assert np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max() < 1e-13
+
+
+def four_transform_hessian(grid, arr):
+    # the n = 2 Hessian one inverse transform per component, as a reference
+    spec = sfft.fftn(arr)
+    return (sfft.ifftn(grid.hessian_multiplier(0, 0) * spec).real,
+            sfft.ifftn(grid.hessian_multiplier(1, 1) * spec).real,
+            sfft.ifftn(grid.hessian_multiplier(0, 1) * spec))
+
+
+def old_metric_chain(grid, hess, a, hpsi=None, t=0.0):
+    # the separate pointwise passes the fused kernel replaces
+    if hpsi is not None:
+        hess = geo.raw_add(grid, hess, hpsi, s2=t)
+    m = geo.raw_combine(grid, a, hess)
+    return m, geo.det_raw(grid, m), geo.eigmin_raw(grid, m).min()
+
+
+class TestPackedHessian:
+    @pytest.mark.parametrize("res", [8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_four_transform_form(self, res, seed):
+        g = grid2(res)
+        arr = random_bandlimited(g, seed, kmax=res // 2 - 1).values
+        ref = four_transform_hessian(g, arr)
+        scale = max(np.abs(r).max() for r in ref)
+        for got, want in zip(geo.hessian_raw(g, arr), ref):
+            assert np.abs(got - want).max() <= 1e-13 * scale
+
+    def test_components_owned_by_the_caller(self):
+        g = grid2(16)
+        h11, h22, h12 = geo.hessian_raw(g, random_bandlimited(g, 3).values)
+        for h in (h11, h22):
+            assert h.dtype == np.float64
+            assert h.flags.c_contiguous and h.flags.writeable
+        assert h12.dtype == np.complex128 and h12.flags.writeable
+        assert not np.shares_memory(h11, h22)
+        assert not np.shares_memory(h11, h12) and not np.shares_memory(h22, h12)
+
+
+def components(grid, raw):
+    return list(raw) if grid.n == 2 else [raw]
+
+
+class TestFusedMetric:
+    @pytest.mark.parametrize("n,res", [(1, 32), (2, 8), (2, 16)])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_bit_identical_to_pointwise_chain(self, n, res, twisted):
+        g = mf.TorusGrid(n, res)
+        hess = geo.hessian_raw(g, random_bandlimited(g, 4).values)
+        hpsi = geo.hessian_raw(g, random_bandlimited(g, 5).values) if twisted else None
+        hpsi_before = [x.copy() for x in components(g, hpsi)] if twisted else []
+        a, t = 1.0 - 0.5 * 0.07, 0.07
+        m_old, det_old, emin_old = old_metric_chain(g, hess, a, hpsi, t)
+        m, det, emin = geo.metric_det_eigmin(g, hess, a, hpsi, t)
+        assert np.array_equal(det, det_old)
+        assert np.array_equal(emin, emin_old)
+        for got, want in zip(components(g, m), components(g, m_old)):
+            assert np.array_equal(got, want)
+        if twisted:   # the twist Hessian is only read
+            for got, want in zip(components(g, hpsi), hpsi_before):
+                assert np.array_equal(got, want)
 
 
 class TestMetricAndRatio:

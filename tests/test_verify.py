@@ -8,7 +8,8 @@ import pytest
 import maflow as mf
 from maflow.elliptic import solve_ma
 from maflow.errors import ConfigMismatch
-from maflow.flow import FlowConfig, TwistSpec, continue_run, normalize_h, run
+from maflow.flow import (FlowConfig, Trajectory, TwistSpec, continue_run, normalize_h,
+                         run)
 from maflow.geometry import PotentialField, mollify_raw
 from maflow.initial import (PotentialSpec, approximation_sequence, cos_mode,
                             default_center, sample_potential)
@@ -262,6 +263,25 @@ class TestEnergyAndMeanValue:
         rep = ver.verify_mean_value(tr)
         assert rep.status == "pass"
         assert "worst_second_difference" in rep.details
+
+
+    @staticmethod
+    def _series(c, slopes, ts):
+        # a bare trajectory carrying the mean value I(t) with given slopes
+        I = np.concatenate([[0.0], np.cumsum(np.diff(ts) * slopes)])
+        meta = {"variant": "cmaf", "n": 2, "c": c, "sign_class": "nonpos"}
+        return Trajectory(mf.TorusGrid(2, 8), meta, ts, {"t": ts, "I": I}, [])
+
+    def test_mean_value_cap_is_the_intervals_largest_when_c_negative(self):
+        # slopes on the caps at each interval's earlier end: within
+        # n log(1 + t c) on every interval, but above the later-end cap
+        c, n = -0.5, 2
+        ts = np.linspace(0.0, 0.1, 6)
+        slopes = n * np.log1p(ts[:-1] * c)
+        assert np.all(slopes > n * np.log1p(ts[1:] * c) + 10 * 1e-3)
+        assert ver.verify_mean_value(self._series(c, slopes, ts)).status == "pass"
+        over = slopes + 2e-3
+        assert ver.verify_mean_value(self._series(c, over, ts)).status == "fail"
 
 
 class TestMinodot:
