@@ -56,7 +56,7 @@ def _residual_raw(grid, u_arr, alpha, g_arr, twist, t, h_arr):
         arr = arr + t * twist.psi_chi.values
     m, det, emin = geo.metric_det_eigmin(grid, geo.hessian_raw(grid, arr), 1.0 + t * c)
     if not np.isfinite(emin) or emin <= 0.0:
-        return None, None, emin
+        return None, None, None, emin
     r = np.log(det)
     if alpha > 0.0:
         r = r + grid.n * math.log(alpha) - alpha * u_arr
@@ -64,7 +64,39 @@ def _residual_raw(grid, u_arr, alpha, g_arr, twist, t, h_arr):
         r = r - g_arr
     if h_arr is not None:
         r = r - h_arr
-    return r, m, emin
+    return r, m, det, emin
+
+
+def _linearization(grid, m, det, alpha):
+    """(raw M^{-1}, apply) at the metric m with determinant det.
+
+    apply(delta) = tr_M(dd^c delta) - alpha delta.  The inverse is built
+    from m directly (1/m at n = 1, (m22, m11, -m12) * (1/det) at n = 2),
+    bit-identical to inverting the (..., n, n) matrix field.
+    """
+    bad = np.abs(det).min()
+    if not np.isfinite(bad) or bad < 1e-300:
+        raise SingularMetric(f"matrix inversion failed (|det| down to {bad:.3e})")
+    if grid.n == 1:
+        inv = 1.0 / m
+    else:
+        s = 1.0 / det
+        inv = (m[1] * s, m[0] * s, -m[2] * s)
+
+    def apply(delta):
+        delta = np.asarray(delta)
+        hd = geo.hessian_raw(grid, delta)
+        if grid.n == 1:
+            out = inv * hd
+        else:
+            i11, i22, i12 = inv
+            h11, h22, h12 = hd
+            out = i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
+        if alpha > 0.0:
+            out = out - alpha * delta
+        return out
+
+    return inv, apply
 
 
 def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=None):
@@ -75,24 +107,10 @@ def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=Non
     grid = u.grid
     g_arr = None if g is None else g.values
     h_arr = None if h is None else h.values
-    r, m, emin = _residual_raw(grid, u.values, alpha, g_arr, twist, t, h_arr)
+    r, m, det, emin = _residual_raw(grid, u.values, alpha, g_arr, twist, t, h_arr)
     if r is None:
         raise SingularMetric(f"metric at u not positive definite (min eig {emin:.3e})")
-    minv = geo.inverse_hermitian(grid, geo.matrix_from_raw(grid, m))
-    inv_raw = geo.raw_from_matrix(grid, minv)
-
-    def apply(delta):
-        hd = geo.hessian_raw(grid, np.asarray(delta))
-        if grid.n == 1:
-            out = inv_raw * hd
-        else:
-            i11, i22, i12 = inv_raw
-            h11, h22, h12 = hd
-            out = i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
-        if alpha > 0.0:
-            out = out - alpha * np.asarray(delta)
-        return out
-
+    _, apply = _linearization(grid, m, det, alpha)
     return r, apply
 
 
@@ -171,7 +189,7 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
     if alpha == 0.0:
         u -= mu_mean(u)
 
-    r, m, emin = _residual_raw(grid, u, alpha, g_arr, twist, t, h_arr)
+    r, m, det, emin = _residual_raw(grid, u, alpha, g_arr, twist, t, h_arr)
     if r is None:
         raise NewtonDiverged("initial guess lies outside the Kaehler cone")
     rnorm = float(np.abs(r).max())
@@ -180,28 +198,13 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
             break
-        minv = geo.inverse_hermitian(grid, geo.matrix_from_raw(grid, m))
-        inv_raw = geo.raw_from_matrix(grid, minv)
+        inv_raw, apply = _linearization(grid, m, det, alpha)
         if grid.n == 1:
             mbar = float(inv_raw.mean())
         else:
             mbar = float((0.5 * (inv_raw[0] + inv_raw[1])).mean())
-
-        def apply(delta, _inv=inv_raw):
-            hd = geo.hessian_raw(grid, delta)
-            if grid.n == 1:
-                out = _inv * hd
-            else:
-                i11, i22, i12 = _inv
-                h11, h22, h12 = hd
-                out = i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
-            if alpha > 0.0:
-                out = out - alpha * delta
-            return out
-
         rhs_arr = -r
         if alpha == 0.0:
-            det = geo.det_raw(grid, m)
             rhs_arr = rhs_arr - (rhs_arr * det).mean() / det.mean()
         delta = _inner_solve(grid, apply, rhs_arr, alpha, mbar,
                              mean_zero=(alpha == 0.0),
@@ -212,7 +215,8 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
             cand = u + s * delta
             if alpha == 0.0:
                 cand = cand - mu_mean(cand)
-            r_new, m_new, emin = _residual_raw(grid, cand, alpha, g_arr, twist, t, h_arr)
+            r_new, m_new, det_new, emin = _residual_raw(grid, cand, alpha, g_arr, twist, t,
+                                                        h_arr)
             if r_new is not None:
                 rn = float(np.abs(r_new).max())
                 if rn <= (1.0 - 0.25 * s) * rnorm or rn <= tol:
@@ -221,7 +225,7 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
             if s < DAMPING_FLOOR:
                 raise NewtonDiverged(
                     f"damping underflow at iteration {it} (residual {rnorm:.3e})")
-        u, r, m, rnorm = cand, r_new, m_new, rn
+        u, r, m, det, rnorm = cand, r_new, m_new, det_new, rn
         log.append(it, rnorm, s)
     if rnorm > tol:
         raise NewtonDiverged(f"no convergence in {max_iter} iterations "

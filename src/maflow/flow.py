@@ -13,7 +13,10 @@ cone.  A linearly-stabilized SBDF2 variant ("semi_implicit", fixed dt)
 treats beta0 * (flat complex Laplacian) implicitly with
 beta0 = stab_factor / min_eig, for stiff high-resolution runs; its two-step
 history restarts after every snapshot, which makes restarting from a
-snapshot reproduce the subsequent series exactly.
+snapshot reproduce the subsequent series exactly.  One in-place spectral
+kernel (``_sbdf2_spectrum``) carries the SBDF2 / backward-Euler algebra and
+its history for this flow and for the density form in ``logdiff``; an
+n = 1 potential step takes three transforms.
 
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
 Hessian (three inverse transforms at n = 2) and turns it in place into the
@@ -48,19 +51,31 @@ class TwistSpec:
 
     c: float = 0.0
     psi_chi: PotentialField = None
+    _hpsi: tuple = dfield(default=None, init=False, repr=False, compare=False)
 
     def hessian_raw(self, grid):
+        """H(psi_chi) on ``grid`` (None without psi_chi), read-only.
+
+        Computed once per psi_chi object (whose grid must equal ``grid``)
+        and cached: FlowConfig's checks, its meta and every stepper of the
+        configuration share it.  psi_chi's values are never changed.
+        """
         if self.psi_chi is None:
             return None
         if self.psi_chi.grid != grid:
             raise ConfigError("psi_chi lives on a different grid")
-        return geo.hessian_raw(grid, self.psi_chi.values)
+        if self._hpsi is None or self._hpsi[0] is not self.psi_chi:
+            raw = geo.hessian_raw(grid, self.psi_chi.values)
+            for arr in (raw,) if grid.n == 1 else raw:
+                arr.flags.writeable = False
+            self._hpsi = (self.psi_chi, raw)
+        return self._hpsi[1]
 
     def eig_range(self, grid):
         """(min, max) over the grid of the eigenvalues of c I + H(psi_chi)."""
         if self.psi_chi is None:
             return self.c, self.c
-        raw = geo.raw_combine(grid, self.c, geo.hessian_raw(grid, self.psi_chi.values))
+        raw = geo.raw_combine(grid, self.c, self.hessian_raw(grid))
         emin = float(geo.eigmin_raw(grid, raw).min())
         if grid.n == 1:
             emax = float(raw.max())
@@ -307,39 +322,65 @@ def _advance(st, state, t_bound, scratch):
                      state.step_count + 1), dt
 
 
+def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
+    """One linearly stabilized SBDF2 step in spectral space: (new_spec, new_hist).
+
+    Solves for the spectrum of u at t + dt given the spectra of the state
+    ``u_spec`` and of the explicit term ``n_spec`` at t, with
+    beta0 * ``sym`` (the flat symbol) taken implicitly.  The potential
+    form and the density form share it.  ``hist`` is the dict this returned
+    for the previous step, or {} after a reset; its "spec" is the new
+    spectrum, which the caller passes back as the next ``u_spec``.  A step
+    shorter than ``dt_full`` and the first step after a reset take
+    stabilized backward Euler, which restarts the two-step history.
+
+    Built in place with the operations, and in the order, of the textbook
+    expressions (4u - u_1 + 2dt(2N - N_1) + a(u_1 - 2u)) / (3 - a) with
+    a = 2 dt beta0 sym, and (u + dt N) / (1 - dt beta0 sym), so the result
+    is bit-identical to them.  ``u_spec`` and ``n_spec`` are only read.
+    """
+    full = dt >= dt_full * (1.0 - 1e-12)
+    if full and hist.get("ok"):
+        a = np.multiply(2.0 * dt * beta0, sym)
+        num = np.multiply(4.0, u_spec)
+        num -= hist["u_spec"]
+        scr = np.multiply(2.0, n_spec)
+        scr -= hist["n_spec"]
+        scr *= 2.0 * dt
+        num += scr
+        np.multiply(2.0, u_spec, out=scr)
+        np.subtract(hist["u_spec"], scr, out=scr)
+        scr *= a
+        num += scr
+        np.subtract(3.0, a, out=a)
+    else:
+        a = np.multiply(dt * beta0, sym)
+        num = np.multiply(dt, n_spec)
+        num += u_spec
+        np.subtract(1.0, a, out=a)
+    num /= a
+    return num, {"ok": full, "u_spec": u_spec, "n_spec": n_spec, "spec": num}
+
+
 def _advance_sbdf2(st, state, t_bound, scratch):
     """Stabilized SBDF2 step around the flat complex Laplacian.
 
-    Boundary-shortened steps and the step after any history reset fall back
-    to stabilized backward Euler, which restarts the two-step history.
+    At n = 1, once the history holds the phi spectrum, a step takes three
+    transforms: the spectrum of phi_dot, the new potential, and the
+    Hessian of the next right-hand side (taken from the new spectrum).
     """
     cfg = st.cfg
     grid = st.grid
     use_rfft = grid.n == 1
-    sym = grid.flat_symbol(rfft=use_rfft)
     fwd = sfft.rfftn if use_rfft else sfft.fftn
-
-    def bwd(spec):
-        return sfft.irfftn(spec, s=grid.shape) if use_rfft else sfft.ifftn(spec).real
-
     dt = min(cfg.dt_init, t_bound - state.t)
-    full = dt >= cfg.dt_init * (1.0 - 1e-12)
-    phi = state.phi.values
-    n_cur = state.phi_dot
     beta0 = cfg.stab_factor / max(state.min_eig, 1e-12)
-    phi_spec = st.hist.get("next_phi_spec")
+    phi_spec = st.hist.get("spec")
     if phi_spec is None:
-        phi_spec = fwd(phi)
-    n_spec = fwd(n_cur)
-    if full and st.hist.get("ok"):
-        lhs = 3.0 - 2.0 * dt * beta0 * sym
-        num = (4.0 * phi_spec - st.hist["phi_spec"]
-               + 2.0 * dt * (2.0 * n_spec - st.hist["n_spec"])
-               + 2.0 * dt * beta0 * sym * (st.hist["phi_spec"] - 2.0 * phi_spec))
-        new_spec = num / lhs
-    else:
-        new_spec = (phi_spec + dt * n_spec) / (1.0 - dt * beta0 * sym)
-    new = bwd(new_spec)
+        phi_spec = fwd(state.phi.values)
+    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(rfft=use_rfft), phi_spec,
+                                     fwd(state.phi_dot), st.hist, dt, cfg.dt_init, beta0)
+    new = sfft.irfftn(new_spec, s=grid.shape) if use_rfft else sfft.ifftn(new_spec).real
     try:
         r_new, det, emin, m = st.parts(state.t + dt, new,
                                        spec=new_spec if use_rfft else None)
@@ -347,8 +388,7 @@ def _advance_sbdf2(st, state, t_bound, scratch):
         raise KaehlerConeViolation(
             f"semi-implicit step left the Kaehler cone at t={state.t:.6g}",
             t=state.t, min_eig=e.args[0]) from None
-    st.hist = {"ok": full, "phi_spec": phi_spec, "n_spec": n_spec,
-               "next_phi_spec": new_spec}
+    st.hist = hist
     scratch["det"], scratch["metric"] = det, m
     return FlowState(state.t + dt, PotentialField(grid, new), r_new, emin,
                      state.step_count + 1), dt

@@ -9,7 +9,10 @@ where H is the flat complex Hessian (kappa = 1/4 is the module's
 normalization constant: a cos(2 pi k x / L) perturbation of f = 1 decays
 at rate pi^2 k^2 / L^2 = 4 pi^2 kappa k^2 / L^2).  The right-hand side is
 a pure Fourier multiplier applied to log f, so every stage has exactly
-zero mean and the stepping conserves mass to round-off.
+zero mean and the stepping conserves mass to round-off.  The semi-implicit
+policy hands that multiplier's spectrum sym * rfftn(log f) straight to
+the SBDF2 kernel it shares with the potential form (``flow``), so a step
+takes two transforms: rfftn(log f) and the inverse of the new density.
 
 The flow is kept on the torus rather than a chart of the sphere so the
 spectral stack is shared; the PDE is identical.
@@ -23,7 +26,7 @@ from scipy import fft as sfft
 from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, MassMismatch, PositivityLoss
-from .flow import Snapshot, Trajectory
+from .flow import Snapshot, Trajectory, _sbdf2_spectrum
 from .geometry import PotentialField
 
 KAPPA = 0.25
@@ -95,21 +98,26 @@ def _rk4(grid, f, dt):
     return new
 
 
-def step_logfd(f, dt, dt_min=1e-12):
-    """Advance by exactly dt, sub-stepping by halving to keep f > 0."""
+def step_logfd(f, dt, dt_min=1e-12, t=0.0):
+    """Advance by exactly dt, sub-stepping by halving to keep f > 0.
+
+    ``t`` is the time of ``f``; a PositivityLoss carries the start time of
+    the sub-step that underflowed.
+    """
     grid = f.grid
     arr = f.values
 
-    def advance(a, span):
+    def advance(a, start, span):
         if span < dt_min:
-            raise PositivityLoss("dt underflow while preserving positivity")
+            raise PositivityLoss(
+                f"dt underflow while preserving positivity at t={start:.6g}", t=start)
         new = _rk4(grid, a, span)
         if new is not None:
             return new
-        half = advance(a, 0.5 * span)
-        return advance(half, 0.5 * span)
+        half = advance(a, start, 0.5 * span)
+        return advance(half, start + 0.5 * span, 0.5 * span)
 
-    return DensityField(grid, advance(arr, float(dt)))
+    return DensityField(grid, advance(arr, float(t), float(dt)))
 
 
 def _cfl(grid, fmin, safety):
@@ -151,11 +159,11 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
         target = boundaries[bi]
         if dt_policy == "rk4":
             dt = min(_cfl(grid, float(f.min()), safety), dt_init, target - t)
-            f = step_logfd(DensityField(grid, f), dt, dt_min).values
+            f = step_logfd(DensityField(grid, f), dt, dt_min, t).values
             hist = {}
         elif dt_policy == "semi_implicit":
             dt = min(dt_init, target - t)
-            f, hist = _sbdf2_density(grid, f, dt, dt_init, stab_factor, hist)
+            f, hist = _sbdf2_density(grid, f, dt, dt_init, stab_factor, hist, t)
         else:
             raise ConfigError(f"unknown dt policy {dt_policy!r}")
         t += dt
@@ -180,25 +188,22 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
     return Trajectory(grid, meta, times, series, snaps)
 
 
-def _sbdf2_density(grid, f, dt, dt_full, stab_factor, hist):
+def _sbdf2_density(grid, f, dt, dt_full, stab_factor, hist, t):
+    """One semi-implicit step of the density form from time t: (new f, new hist).
+
+    Two transforms: the explicit term's spectrum sym * rfftn(log f) goes
+    straight to the shared SBDF2 kernel, and one inverse transform returns
+    the new density (f's own spectrum comes from the history).
+    """
     sym = grid.flat_symbol(rfft=True)
-    n_cur = _rhs(grid, f)
-    n_spec = sfft.rfftn(n_cur)
-    f_spec = hist.get("next_f_spec")
+    f_spec = hist.get("spec")
     if f_spec is None:
         f_spec = sfft.rfftn(f)
     beta0 = stab_factor / max(float(f.min()), 1e-12)
-    full = dt >= dt_full * (1.0 - 1e-12)
-    if full and hist.get("ok"):
-        lhs = 3.0 - 2.0 * dt * beta0 * sym
-        num = (4.0 * f_spec - hist["f_spec"]
-               + 2.0 * dt * (2.0 * n_spec - hist["n_spec"])
-               + 2.0 * dt * beta0 * sym * (hist["f_spec"] - 2.0 * f_spec))
-        new_spec = num / lhs
-    else:
-        new_spec = (f_spec + dt * n_spec) / (1.0 - dt * beta0 * sym)
+    new_spec, hist = _sbdf2_spectrum(sym, f_spec, sym * sfft.rfftn(np.log(f)), hist,
+                                     dt, dt_full, beta0)
     new = sfft.irfftn(new_spec, s=grid.shape)
     if new.min() <= 0.0 or not np.all(np.isfinite(new)):
-        raise PositivityLoss("semi-implicit density step lost positivity")
-    return new, {"ok": full, "f_spec": f_spec, "n_spec": n_spec,
-                 "next_f_spec": new_spec}
+        raise PositivityLoss(f"semi-implicit density step lost positivity at t={t:.6g}",
+                             t=t)
+    return new, hist

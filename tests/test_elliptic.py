@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import maflow as mf
+from maflow import elliptic
+from maflow import geometry as geo
 from maflow.elliptic import SolverLog, newton_residual_and_linearization, solve_ma
-from maflow.errors import IncompatibleData
+from maflow.errors import IncompatibleData, SingularMetric
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
 from maflow.geometry import PotentialField
 from maflow.initial import cos_mode
@@ -125,6 +127,24 @@ class TestLinearization:
         d = cos_mode(g, (1, 0), 1.0)
         expected = -np.pi ** 2 * d - alpha * d
         assert np.abs(lin(d) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_raw_inverse_matches_matrix_inverse(self, n):
+        g = mf.TorusGrid(n, 16)
+        rng = np.random.default_rng(n)
+        hess = geo.hessian_raw(g, 0.02 * rng.standard_normal(g.shape))
+        m, det, _ = geo.metric_det_eigmin(g, hess, 1.0)
+        inv, _ = elliptic._linearization(g, m, det, 0.0)
+        want = geo.raw_from_matrix(g, geo.inverse_hermitian(g, geo.matrix_from_raw(g, m)))
+        for got, ref in zip((inv,) if n == 1 else inv, (want,) if n == 1 else want):
+            assert np.array_equal(got, ref)
+
+    def test_singular_metric_rejected(self):
+        g = grid1(16)
+        m = np.ones(g.shape)
+        m[3, 5] = 0.0
+        with pytest.raises(SingularMetric):
+            elliptic._linearization(g, m, m, 1.0)
 
 
 class TestFixedPointHandoff:

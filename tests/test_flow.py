@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 import maflow as mf
 from maflow import flow
@@ -318,6 +319,82 @@ class TestTwistedN2:
         assert np.array_equal(psi.values, psi_before)
         for got, want in zip(made[0].hpsi, hpsi_before):
             assert np.array_equal(got, want)
+
+    def test_twist_hessian_cached_once_and_read_only(self, monkeypatch):
+        g = mf.TorusGrid(2, 8)
+        psi = PotentialField(g, cos_mode(g, (1, 0, 0, 1), 0.01, 0.3))
+        phi0 = PotentialField(g, cos_mode(g, (1, 0, 0, 0), 0.03))
+        fresh = FlowConfig(grid=g, twist=TwistSpec(c=-0.5, psi_chi=psi), T=0.01,
+                           snapshot_times=(0.005,), record_every=5)
+        want = run(phi0, fresh)
+        orig = flow.geo.hessian_raw
+        seen = []
+
+        def counting(grid, arr, spec=None):
+            seen.append(arr is psi.values)
+            return orig(grid, arr, spec=spec)
+
+        monkeypatch.setattr(flow.geo, "hessian_raw", counting)
+        cfg = FlowConfig(grid=g, twist=TwistSpec(c=-0.5, psi_chi=psi), T=0.01,
+                         snapshot_times=(0.005,), record_every=5)
+        runs = [run(phi0, cfg), run(phi0, cfg.replace(record_every=3))]
+        assert sum(seen) == 1
+        for tr in runs:
+            for a, b in zip(tr.snapshots, want.snapshots):
+                assert np.array_equal(a.phi, b.phi) and np.array_equal(a.phi_dot, b.phi_dot)
+        cached = cfg.twist.hessian_raw(g)
+        for got, ref in zip(cached, orig(g, psi.values)):
+            assert np.array_equal(got, ref) and not got.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0][0, 0, 0, 0] = 1.0
+
+
+class TestSBDF2Kernel:
+    @staticmethod
+    def textbook(sym, u, n, hist, dt, dt_full, beta0):
+        if dt >= dt_full * (1.0 - 1e-12) and hist.get("ok"):
+            lhs = 3.0 - 2.0 * dt * beta0 * sym
+            num = (4.0 * u - hist["u_spec"]
+                   + 2.0 * dt * (2.0 * n - hist["n_spec"])
+                   + 2.0 * dt * beta0 * sym * (hist["u_spec"] - 2.0 * u))
+            return num / lhs
+        return (u + dt * n) / (1.0 - dt * beta0 * sym)
+
+    def test_bit_identical_to_textbook_expressions(self):
+        g = mf.TorusGrid(1, 256)
+        sym = g.flat_symbol(rfft=True)
+        rng = np.random.default_rng(3)
+
+        def spectrum():
+            return rng.normal(size=sym.shape) + 1j * rng.normal(size=sym.shape)
+
+        dt, beta0 = 4e-4, 1.7
+        hist = {}
+        # backward Euler (empty history), SBDF2, a shortened step (backward Euler again)
+        for step_dt in (dt, dt, dt, 0.3 * dt):
+            u, n = spectrum(), spectrum()
+            u0, n0 = u.copy(), n.copy()
+            want = self.textbook(sym, u, n, hist, step_dt, dt, beta0)
+            got, new_hist = flow._sbdf2_spectrum(sym, u, n, hist, step_dt, dt, beta0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(u, u0) and np.array_equal(n, n0)
+            assert new_hist["ok"] == (step_dt == dt) and new_hist["spec"] is got
+            hist = new_hist
+
+    def test_potential_step_takes_three_transforms(self, monkeypatch):
+        g = grid1(64)
+        cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
+        st = flow._Stepper(cfg)
+        state, _, _ = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
+        state, _ = flow._advance(st, state, 1.0, {})      # restart step
+        counts = []
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+            orig = getattr(sfft, name)
+            monkeypatch.setattr(sfft, name,
+                                lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
+        for _ in range(4):
+            state, _ = flow._advance(st, state, 1.0, {})
+        assert len(counts) == 3 * 4
 
 
 class TestDealias:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 import maflow as mf
+from maflow import logdiff
 from maflow.errors import MassMismatch, PositivityLoss
 from maflow.flow import FlowConfig, run
 from maflow.geometry import PotentialField, hessian_raw
@@ -118,3 +120,86 @@ class TestEquivalenceWithPotentialForm:
         from maflow.functionals import SERIES_COLUMNS
         assert set(tr.series) == set(SERIES_COLUMNS)
         assert np.allclose(tr.column("vol"), g.volume)
+
+
+def _four_transform_step(grid, f, dt, beta0, hist):
+    """The density SBDF2 step with its explicit term taken to real space and back."""
+    sym = grid.flat_symbol(rfft=True)
+    n_spec = sfft.rfftn(sfft.irfftn(sym * sfft.rfftn(np.log(f)), s=grid.shape))
+    f_spec = hist.get("spec")
+    if f_spec is None:
+        f_spec = sfft.rfftn(f)
+    if hist.get("ok"):
+        lhs = 3.0 - 2.0 * dt * beta0 * sym
+        num = (4.0 * f_spec - hist["f_spec"]
+               + 2.0 * dt * (2.0 * n_spec - hist["n_spec"])
+               + 2.0 * dt * beta0 * sym * (hist["f_spec"] - 2.0 * f_spec))
+        new_spec = num / lhs
+    else:
+        new_spec = (f_spec + dt * n_spec) / (1.0 - dt * beta0 * sym)
+    return (sfft.irfftn(new_spec, s=grid.shape),
+            {"ok": True, "f_spec": f_spec, "n_spec": n_spec, "spec": new_spec})
+
+
+class TestSemiImplicitDensityStep:
+    dt = 4e-4
+
+    def start(self):
+        g = grid1(256)
+        return g, potential_to_density(mode_potential(g)).values
+
+    def test_matches_four_transform_step(self):
+        g, f = self.start()
+        ref, hist, ref_hist = f, {}, {}
+        for _ in range(50):
+            beta0 = 1.0 / max(float(ref.min()), 1e-12)
+            ref, ref_hist = _four_transform_step(g, ref, self.dt, beta0, ref_hist)
+            f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, hist, 0.0)
+        assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_full_step_takes_two_transforms(self, monkeypatch):
+        g, f = self.start()
+        f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, {}, 0.0)
+        counts = []
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+            orig = getattr(sfft, name)
+            monkeypatch.setattr(sfft, name,
+                                lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
+        for _ in range(4):
+            f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, hist, 0.0)
+        assert len(counts) == 2 * 4
+
+
+class TestFailureTime:
+    def test_semi_implicit_positivity_loss_carries_t(self, monkeypatch):
+        g = grid1()
+        kernel = logdiff._sbdf2_spectrum
+        calls = []
+
+        def failing_fourth(*args):
+            spec, hist = kernel(*args)
+            calls.append(1)
+            return (-spec if len(calls) == 4 else spec), hist
+
+        monkeypatch.setattr(logdiff, "_sbdf2_spectrum", failing_fourth)
+        with pytest.raises(PositivityLoss) as err:
+            evolve_density(potential_to_density(mode_potential(g)), 0.01,
+                           dt_policy="semi_implicit", dt_init=1e-3)
+        assert err.value.t == pytest.approx(3e-3, abs=1e-15)
+
+    def test_rk4_underflow_carries_substep_start(self, monkeypatch):
+        g = grid1()
+        rk4 = logdiff._rk4
+        calls = []
+
+        def fail_first_and_third(grid, f, dt):
+            calls.append(dt)
+            return None if len(calls) in (1, 3) else rk4(grid, f, dt)
+
+        monkeypatch.setattr(logdiff, "_rk4", fail_first_and_third)
+        f = potential_to_density(mode_potential(g))
+        with pytest.raises(PositivityLoss) as err:
+            step_logfd(f, 1e-3, dt_min=4e-4, t=0.25)
+        # whole step fails, its first half passes, the second half cannot be split
+        assert calls == [1e-3, 5e-4, 5e-4]
+        assert err.value.t == pytest.approx(0.25 + 5e-4, abs=1e-15)
