@@ -5,10 +5,10 @@ Solves, in log form,
     n log(alpha) + log det(M_t(u)) - alpha u - g - h = 0        (alpha > 0)
               log det(M_t(u)) - g - h = 0,  int u dmu = 0        (alpha = 0)
 
-with M_t(u) = (1+tc) I + H(t psi_chi + u).  For alpha > 0 the problem is
-monotone and the solution unique; for alpha = 0 the data must satisfy the
-compatibility int e^{g+h} omega^n = (1+tc)^n V and the solution is fixed by
-the mu-mean normalization.
+with M_t(u) = (1+tc) I + H(u) + t H(psi_chi) (``geometry.metric_raw``).  For
+alpha > 0 the problem is monotone and the solution unique; for alpha = 0
+the data must satisfy the compatibility int e^{g+h} omega^n = (1+tc)^n V
+and the solution is fixed by the mu-mean normalization.
 
 The Newton linearization is delta -> tr_{M}(dd^c delta) - alpha delta; the
 inner solve is GMRES with a spectral preconditioner (flat inverse Laplacian
@@ -50,11 +50,7 @@ class SolverLog:
 
 
 def _residual_raw(grid, u_arr, alpha, g_arr, twist, t, h_arr):
-    c = 0.0 if twist is None else twist.c
-    arr = u_arr
-    if twist is not None and twist.psi_chi is not None and t != 0.0:
-        arr = arr + t * twist.psi_chi.values
-    m, det, emin = geo.metric_det_eigmin(grid, geo.hessian_raw(grid, arr), 1.0 + t * c)
+    m, det, emin = geo.metric_raw(grid, u_arr, twist, t)
     if not np.isfinite(emin) or emin <= 0.0:
         return None, None, None, emin
     r = np.log(det)

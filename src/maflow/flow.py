@@ -75,15 +75,10 @@ class TwistSpec:
         """(min, max) over the grid of the eigenvalues of c I + H(psi_chi)."""
         if self.psi_chi is None:
             return self.c, self.c
-        raw = geo.raw_combine(grid, self.c, self.hessian_raw(grid))
-        emin = float(geo.eigmin_raw(grid, raw).min())
-        if grid.n == 1:
-            emax = float(raw.max())
-        else:
-            m11, m22, m12 = raw
-            disc = np.sqrt(np.maximum((m11 - m22) ** 2
-                                      + 4.0 * (m12.real ** 2 + m12.imag ** 2), 0.0))
-            emax = float((0.5 * (m11 + m22 + disc)).max())
+        hpsi = self.hessian_raw(grid)
+        emin = float(geo.eigmin_raw(grid, geo.raw_combine(grid, self.c, hpsi)).min())
+        # the largest eigenvalue of A is minus the smallest of -A, exactly
+        emax = -float(geo.eigmin_raw(grid, geo.raw_combine(grid, -self.c, hpsi, -1.0)).min())
         return emin, emax
 
     def sign_class(self, grid):
@@ -203,6 +198,7 @@ class Trajectory:
     times: np.ndarray
     series: dict
     snapshots: list
+    twist: TwistSpec = None    # the run's twist; None: a bare c from meta (density form)
 
     def column(self, name):
         return np.asarray(self.series[name])
@@ -246,11 +242,6 @@ class _Stepper:
         if self.grid.n == 1:
             return sfft.irfftn(self.mask * sfft.rfftn(arr), s=self.grid.shape)
         return sfft.ifftn(self.mask * sfft.fftn(arr)).real
-
-    def theta_raw(self, t):
-        if self.hpsi is None:
-            return geo.raw_combine(self.grid, 1.0 + t * self.c, geo.raw_zero(self.grid))
-        return geo.raw_combine(self.grid, 1.0 + t * self.c, self.hpsi, scale=t)
 
     def parts(self, t, phi_arr, spec=None):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit."""
@@ -447,7 +438,8 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
 
     def emit_row(dt_used, det_, m_):
         rows.append(fnl.series_row(
-            config.grid, state.t, state.phi.values, m_, st.theta_raw(state.t),
+            config.grid, state.t, state.phi.values, m_,
+            geo.theta_raw(config.grid, config.twist, state.t),
             det_, state.min_eig, dt_used, exp_h=st.exp_h))
 
     def emit_snapshot():
@@ -479,7 +471,7 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
             bi += 1
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
-    return Trajectory(config.grid, meta, times, series, snaps)
+    return Trajectory(config.grid, meta, times, series, snaps, config.twist)
 
 
 def continue_run(traj, from_t, config, T=None, meta_extra=None):

@@ -5,22 +5,14 @@ The energy is the mixed-wedge functional
     E(phi) = 1/((n+1) V) * sum_{j=0..n} int phi (theta_t + dd^c phi)^j wedge theta_t^(n-j),
 
 evaluated for n <= 2 through closed-form mixed determinants of the local
-matrices Theta = (1+tc) I + H(t psi_chi) and M = Theta + H(phi).  All
-integrals share the spectral quadrature of :func:`maflow.geometry.integrate`.
+matrices Theta = (1+tc) I + t H(psi_chi) (``geometry.theta_raw``, with
+H(psi_chi) from the twist's cache) and M = Theta + H(phi).  All integrals
+share the spectral quadrature of :func:`maflow.geometry.integrate`.
 """
 
 import numpy as np
 
 from . import geometry as geo
-
-
-def _theta_raw(grid, twist, t):
-    c = 0.0 if twist is None else twist.c
-    a = 1.0 + t * c
-    if twist is not None and twist.psi_chi is not None and t != 0.0:
-        hpsi = geo.hessian_raw(grid, twist.psi_chi.values)
-        return geo.raw_combine(grid, a, hpsi, scale=t)
-    return geo.raw_combine(grid, a, geo.raw_zero(grid))
 
 
 def mixed_det(grid, m, th):
@@ -45,7 +37,7 @@ def energy_from_raws(grid, phi_arr, m_raw, th_raw):
 def energy(phi, twist=None, t=0.0):
     """Aubin-Yau type energy of phi with respect to theta_t."""
     grid = phi.grid
-    th = _theta_raw(grid, twist, t)
+    th = geo.theta_raw(grid, twist, t)
     m = geo.raw_add(grid, th, geo.hessian_raw(grid, phi.values))
     return energy_from_raws(grid, phi.values, m, th)
 

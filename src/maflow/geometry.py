@@ -9,9 +9,12 @@ Conventions, fixed once and used by every module:
 
 * d/dz = (d/dx - i d/dy)/2, so the complex Hessian is
   H(phi)[j, k] = d^2 phi / dz_j dzbar_k and for n = 1 it equals Delta/4.
-* The reference form omega has matrix I in these coordinates, the
-  Monge-Ampere ratio (theta_t + dd^c phi)^n / omega^n is
-  det((1 + t*c) I + H(t*psi_chi + phi)), and vol(X) = period^(2n).
+* The reference form omega has matrix I in these coordinates, theta_t =
+  omega + t(c omega + dd^c psi_chi) has matrix (1 + t*c) I + t H(psi_chi)
+  (``theta_raw``), M_t = theta_t + dd^c phi has (1 + t*c) I + H(phi) +
+  t H(psi_chi) (``metric_raw``, the fused ``metric_det_eigmin`` pass), the
+  Monge-Ampere ratio (theta_t + dd^c phi)^n / omega^n is det(M_t), and
+  vol(X) = period^(2n).
   The customary 1/pi in dd^c is absorbed into this normalization, which
   makes gamma * log|z - z0| carry Lelong mass exactly gamma.
 * Nyquist modes are dropped from the derivative multipliers.  This keeps
@@ -266,7 +269,7 @@ class MetricField(HermitianField):
     def __init__(self, grid, values, min_eig=None):
         super().__init__(grid, values)
         if min_eig is None:
-            min_eig = float(eigmin_hermitian(grid, values).min())
+            min_eig = min_eigenvalue(self)
         self.min_eig = float(min_eig)
 
 
@@ -297,20 +300,6 @@ def hessian_raw(grid, arr, spec=None):
     return diag.real.copy(), diag.imag.copy(), h12
 
 
-def hessian_matrix(grid, raw):
-    """Pack a raw Hessian into the (*grid, n, n) complex layout."""
-    out = np.zeros(grid.shape + (grid.n, grid.n), dtype=np.complex128)
-    if grid.n == 1:
-        out[..., 0, 0] = raw
-    else:
-        h11, h22, h12 = raw
-        out[..., 0, 0] = h11
-        out[..., 1, 1] = h22
-        out[..., 0, 1] = h12
-        out[..., 1, 0] = np.conj(h12)
-    return out
-
-
 def raw_from_matrix(grid, values):
     if grid.n == 1:
         return values[..., 0, 0].real
@@ -329,13 +318,6 @@ def raw_add(grid, r1, r2, s1=1.0, s2=1.0):
     if grid.n == 1:
         return s1 * r1 + s2 * r2
     return (s1 * r1[0] + s2 * r2[0], s1 * r1[1] + s2 * r2[1], s1 * r1[2] + s2 * r2[2])
-
-
-def raw_zero(grid):
-    z = np.zeros(grid.shape)
-    if grid.n == 1:
-        return z
-    return z, z.copy(), np.zeros(grid.shape, dtype=np.complex128)
 
 
 def det_raw(grid, m):
@@ -398,6 +380,31 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0):
     return hess, det, 0.5 * float(tr.min())
 
 
+def _twist_terms(grid, twist, t):
+    """(1 + t c, the twist's cached H(psi_chi)), the latter None at t = 0 or without it."""
+    if twist is None:
+        return 1.0, None
+    return 1.0 + t * twist.c, twist.hessian_raw(grid) if t != 0.0 else None
+
+
+def theta_raw(grid, twist=None, t=0.0):
+    """theta_t = (1+tc) I + t H(psi_chi) in the raw layout (fresh arrays)."""
+    a, hpsi = _twist_terms(grid, twist, t)
+    if hpsi is not None:
+        return raw_combine(grid, a, hpsi, scale=t)
+    diag = np.full(grid.shape, a)
+    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(grid.shape, complex))
+
+
+def metric_raw(grid, arr, twist=None, t=0.0):
+    """(M_t, det M_t, grid min of its smallest eigenvalue), M_t = theta_t + H(arr), raw.
+
+    ``twist`` is duck-typed: ``c`` and ``hessian_raw(grid)``, as on a TwistSpec.
+    """
+    a, hpsi = _twist_terms(grid, twist, t)
+    return metric_det_eigmin(grid, hessian_raw(grid, arr), a, hpsi, t)
+
+
 def matrix_from_raw(grid, m):
     if grid.n == 1:
         out = np.zeros(grid.shape + (1, 1), dtype=np.complex128)
@@ -430,33 +437,31 @@ def mollify_raw(grid, arr, delta):
 def complex_hessian(phi):
     """H(phi)[j,k] = d^2 phi / dz_j dzbar_k, spectrally exact for band-limited phi."""
     raw = hessian_raw(phi.grid, phi.values)
-    return HermitianField(phi.grid, hessian_matrix(phi.grid, raw))
+    return HermitianField(phi.grid, matrix_from_raw(phi.grid, raw))
 
 
-def metric_matrix(phi, twist=None, t=0.0, check=True):
-    """Local matrix of theta_t + dd^c phi, i.e. (1+tc) I + H(t psi_chi + phi).
-
-    Raises KaehlerConeViolation when the smallest eigenvalue over the grid
-    is <= 0 (unless check=False).
-    """
-    grid = phi.grid
-    c = 0.0 if twist is None else twist.c
-    arr = phi.values
-    if twist is not None and twist.psi_chi is not None and t != 0.0:
-        arr = arr + t * twist.psi_chi.values
-    raw = raw_combine(grid, 1.0 + t * c, hessian_raw(grid, arr))
-    min_eig = float(eigmin_raw(grid, raw).min())
+def _checked_metric(phi, twist, t, check=True):
+    m, det, min_eig = metric_raw(phi.grid, phi.values, twist, t)
     if check and not (min_eig > 0.0):
         raise KaehlerConeViolation(
             f"metric not positive definite (min eigenvalue {min_eig:.3e})",
             t=t, min_eig=min_eig)
-    return MetricField(grid, matrix_from_raw(grid, raw), min_eig=min_eig)
+    return m, det, min_eig
+
+
+def metric_matrix(phi, twist=None, t=0.0, check=True):
+    """Local matrix of theta_t + dd^c phi, (1+tc) I + H(phi) + t H(psi_chi) (``metric_raw``).
+
+    Raises KaehlerConeViolation when the smallest eigenvalue over the grid
+    is <= 0 (unless check=False).
+    """
+    m, _, min_eig = _checked_metric(phi, twist, t, check)
+    return MetricField(phi.grid, matrix_from_raw(phi.grid, m), min_eig=min_eig)
 
 
 def ma_ratio(phi, twist=None, t=0.0):
-    """(theta_t + dd^c phi)^n / omega^n = det of the metric matrix."""
-    M = metric_matrix(phi, twist, t)
-    return det_raw(phi.grid, raw_from_matrix(phi.grid, M.values))
+    """(theta_t + dd^c phi)^n / omega^n = det M_t; KaehlerConeViolation outside the cone."""
+    return _checked_metric(phi, twist, t)[1]
 
 
 def inverse_hermitian(grid, values):
@@ -487,13 +492,9 @@ def laplacian_wrt(M, psi):
     return trace_wrt(M, complex_hessian(psi))
 
 
-def eigmin_hermitian(grid, values):
-    return eigmin_raw(grid, raw_from_matrix(grid, values))
-
-
 def min_eigenvalue(M):
     """Global minimum over gridpoints of the smallest eigenvalue."""
-    return float(eigmin_hermitian(M.grid, M.values).min())
+    return float(eigmin_raw(M.grid, raw_from_matrix(M.grid, M.values)).min())
 
 
 def integrate(field, grid=None):

@@ -165,8 +165,7 @@ def sample_potential(spec, grid, validate=True):
     vals = np.maximum(vals, spec.clip_floor)
     if validate:
         smooth = geo.mollify_raw(grid, vals, 2.0 * grid.h)
-        emin = float(geo.eigmin_raw(
-            grid, geo.raw_combine(grid, 1.0, geo.hessian_raw(grid, smooth))).min())
+        emin = geo.metric_raw(grid, smooth)[2]
         if emin < -1e-6:
             raise InvalidSpec(
                 f"sampled potential is not omega-psh at grid scale "
@@ -219,8 +218,7 @@ def approximation_sequence(spec, grid, J, K=1.0, delta0=None, ratio=0.7,
         trunc = np.maximum(phi0.values, -j * K)
         psi = geo.mollify_raw(grid, trunc, delta)
         vals = (1.0 - s) * psi + s * psi.max() + C * delta ** 2
-        eps = float(geo.eigmin_raw(
-            grid, geo.raw_combine(grid, 1.0, geo.hessian_raw(grid, vals))).min())
+        eps = geo.metric_raw(grid, vals)[2]
         if eps <= 0.0:
             raise InvalidSpec(
                 f"level {j} is not strictly omega-psh (min eig {eps:.3e})")

@@ -14,7 +14,6 @@ the fixed column schema, meta.json, the h / psi_chi fields when present,
 and one phi / phidot snapshot pair per recorded snapshot time.
 """
 
-import hashlib
 import json
 import os
 import struct
@@ -49,13 +48,6 @@ def read_field(path):
         if data.size != grid.npoints:
             raise ConfigError(f"{path}: truncated snapshot")
         return PotentialField(grid, data.reshape(grid.shape).copy()), t
-
-
-def field_hash(field):
-    if field is None:
-        return ""
-    return hashlib.sha256(
-        np.ascontiguousarray(field.values, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
 def write_series_csv(path, times, series):
@@ -103,7 +95,14 @@ def save_run(traj, dirpath, config=None):
     return dirpath
 
 
+def _optional_field(dirpath, name):
+    """The field saved as ``name`` in dirpath, or None when there is no such file."""
+    path = os.path.join(dirpath, name)
+    return read_field(path)[0] if os.path.exists(path) else None
+
+
 def load_trajectory(dirpath):
+    """A saved trajectory; it carries its twist when psi_chi.mafl was saved."""
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
     grid = TorusGrid(meta["n"], meta["res"], meta["period"])
@@ -114,7 +113,9 @@ def load_trajectory(dirpath):
         phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
         dot, _ = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
         snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
-    return Trajectory(grid, meta, times, series, snaps)
+    psi = _optional_field(dirpath, "psi_chi.mafl")
+    twist = None if psi is None else TwistSpec(meta["c"], psi)
+    return Trajectory(grid, meta, times, series, snaps, twist)
 
 
 def load_run_config(dirpath):
@@ -122,16 +123,10 @@ def load_run_config(dirpath):
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
     grid = TorusGrid(meta["n"], meta["res"], meta["period"])
-    h = None
-    hpath = os.path.join(dirpath, "h.mafl")
-    if os.path.exists(hpath):
-        h, _ = read_field(hpath)
-    psi = None
-    ppath = os.path.join(dirpath, "psi_chi.mafl")
-    if os.path.exists(ppath):
-        psi, _ = read_field(ppath)
+    twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
     return FlowConfig(
-        grid=grid, variant=meta["variant"], twist=TwistSpec(meta["c"], psi), h=h,
+        grid=grid, variant=meta["variant"], twist=twist,
+        h=_optional_field(dirpath, "h.mafl"),
         T=meta["T"], dt_policy=meta["dt_policy"], dt_init=meta["dt_init"],
         dt_min=meta.get("dt_min", 1e-12), safety=meta["safety"],
         record_every=meta["record_every"],

@@ -133,6 +133,8 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
     recovered exactly as 1 + H(phi)), so the result is a plain Trajectory
     with variant "logfd".
     """
+    if dt_policy not in ("rk4", "semi_implicit"):
+        raise ConfigError(f"unknown dt policy {dt_policy!r}")
     grid = f0.grid
     f = f0.values.copy()
     t = 0.0
@@ -161,11 +163,9 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
             dt = min(_cfl(grid, float(f.min()), safety), dt_init, target - t)
             f = step_logfd(DensityField(grid, f), dt, dt_min, t).values
             hist = {}
-        elif dt_policy == "semi_implicit":
+        else:
             dt = min(dt_init, target - t)
             f, hist = _sbdf2_density(grid, f, dt, dt_init, stab_factor, hist, t)
-        else:
-            raise ConfigError(f"unknown dt policy {dt_policy!r}")
         t += dt
         since += 1
         landed = t >= target - 1e-12 * max(1.0, abs(target))

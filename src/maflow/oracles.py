@@ -1,16 +1,15 @@
 """Independent reference solutions used by the test suite and `maflow oracle`.
 
 These deliberately avoid the production code paths they are checked
-against: the heat propagator is an exact Fourier multiplier (no time
-stepping), the mode fields are closed-form, and the model log-pole field
-comes straight from the Green's function.
+against: the heat decay of a mode is a closed-form factor (no time
+stepping), and the model log-pole field comes straight from the Green's
+function.
 """
 
 import numpy as np
-from scipy import fft as sfft
 
 from .geometry import PotentialField
-from .initial import cos_mode, default_center, green_function
+from .initial import default_center, green_function
 
 KAPPA = 0.25  # heat constant of the linearized flow: rate 4 pi^2 kappa |k|^2 / L^2
 
@@ -19,18 +18,6 @@ def heat_decay_factor(grid, kvec, t):
     """Exact decay of one cosine mode under dphi/dt = tr H(phi)."""
     ksq = sum((2.0 * np.pi * k / grid.period) ** 2 for k in kvec)
     return float(np.exp(-KAPPA * ksq * t))
-
-
-def heat_propagate(field, t):
-    """Exact heat semigroup e^{t tr H} of a potential (spectral multiplier)."""
-    grid = field.grid
-    mult = np.exp(t * grid.flat_symbol(rfft=True))
-    return PotentialField(grid, sfft.irfftn(mult * sfft.rfftn(field.values),
-                                            s=grid.shape))
-
-
-def mode_field(grid, kvec, amp, phase=0.0):
-    return PotentialField(grid, cos_mode(grid, kvec, amp, phase))
 
 
 def lelong_model_field(grid, gamma, center=None, clip_floor=-1e6):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigMismatch
-from .flow import continue_run
+from .flow import TwistSpec
 from .geometry import PotentialField
 from .initial import lelong_estimate
 
@@ -90,6 +90,23 @@ def _argmin_loc(arr):
     return np.unravel_index(idx, arr.shape)
 
 
+def _worst_margin(traj, name, stmt, margin, tol, details=None):
+    """Verdict on the minimum of margin(snap, tau) over the positive-time snapshots.
+
+    margin is >= 0 where the inequality holds; the location is its first argmin."""
+    slack, loc = math.inf, ()
+    for snap, tau in _elapsed(traj):
+        if tau <= 0.0:
+            continue
+        field = margin(snap, tau)
+        m = float(field.min())
+        if m < slack:
+            slack, loc = m, (snap.t,) + _argmin_loc(field)
+    if not math.isfinite(slack):
+        return _skip(name, stmt, "no positive-time snapshots recorded")
+    return _verdict(name, stmt, slack, tol, location=loc, details=details or {})
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -156,62 +173,40 @@ def verify_minoinf(traj, tol=1e-5):
     C = traj.meta.get("sup_h", 0.0) + _minoinf_cn(n, Te)
     phi0 = traj.snapshots[0].phi
     m0 = float(phi0.min())
-    slack, loc = math.inf, ()
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue
-        bound = (1.0 - math.sqrt(tau)) * (phi0 - m0 + 1.0) - C * tau + m0 - 1.0
-        diff = snap.phi - bound
-        worst = float(diff.min())
-        if worst < slack:
-            slack, loc = worst, (snap.t,) + _argmin_loc(diff)
-    if not math.isfinite(slack):
-        return _skip(name, stmt, "no positive-time snapshots recorded")
-    return _verdict(name, stmt, slack, tol, location=loc, details={"C": C})
+
+    def margin(snap, tau):
+        return snap.phi - ((1.0 - math.sqrt(tau)) * (phi0 - m0 + 1.0) - C * tau + m0 - 1.0)
+
+    return _worst_margin(traj, name, stmt, margin, tol, details={"C": C})
+
+
+def _dot_upper(traj, name, stmt, weight, tol):
+    """H = weight(t) phidot - (phi - phi0) - n t <= 0 (H(0, .) = 0 identically).
+
+    The margin is the exact negation -H: slack and location are those of max H."""
+    n = traj.meta["n"]
+    phi0 = traj.snapshots[0].phi
+
+    def margin(snap, tau):
+        return -(weight(tau) * snap.phi_dot - (snap.phi - phi0) - n * tau)
+
+    return _worst_margin(traj, name, stmt, margin, tol)
 
 
 def verify_clef(traj, tol=1e-5):
     """Sharp form of the dot upper bound: t phidot - (phi - phi0) - n t <= 0."""
     stmt = "t * phidot_t - (phi_t - phi_0) - n t <= 0"
-    name = "clef"
     if traj.meta["variant"] != "cmaf":
-        return _skip(name, stmt, "cmaf-only check (see ncmaf_bound)")
-    n = traj.meta["n"]
-    phi0 = traj.snapshots[0].phi
-    worst, loc = -math.inf, ()
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue   # H(0, .) = 0 identically
-        H = tau * snap.phi_dot - (snap.phi - phi0) - n * tau
-        m = float(H.max())
-        if m > worst:
-            idx = int(np.argmax(H))
-            worst, loc = m, (snap.t,) + np.unravel_index(idx, H.shape)
-    if not math.isfinite(worst):
-        return _skip(name, stmt, "no positive-time snapshots recorded")
-    return _verdict(name, stmt, -worst, tol, location=loc)
+        return _skip("clef", stmt, "cmaf-only check (see ncmaf_bound)")
+    return _dot_upper(traj, "clef", stmt, lambda tau: tau, tol)
 
 
 def verify_ncmaf_bound(traj, tol=1e-5):
     """Normalized-flow analogue: (1-e^-t) phidot - (phi - phi0) - n t <= 0."""
     stmt = "(1 - e^{-t}) phidot_t - (phi_t - phi_0) - n t <= 0"
-    name = "ncmaf_bound"
     if traj.meta["variant"] != "ncmaf":
-        return _skip(name, stmt, "ncmaf-only check")
-    n = traj.meta["n"]
-    phi0 = traj.snapshots[0].phi
-    worst, loc = -math.inf, ()
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue
-        H = (1.0 - math.exp(-tau)) * snap.phi_dot - (snap.phi - phi0) - n * tau
-        m = float(H.max())
-        if m > worst:
-            idx = int(np.argmax(H))
-            worst, loc = m, (snap.t,) + np.unravel_index(idx, H.shape)
-    if not math.isfinite(worst):
-        return _skip(name, stmt, "no positive-time snapshots recorded")
-    return _verdict(name, stmt, -worst, tol, location=loc)
+        return _skip("ncmaf_bound", stmt, "ncmaf-only check")
+    return _dot_upper(traj, "ncmaf_bound", stmt, lambda tau: 1.0 - math.exp(-tau), tol)
 
 
 def default_stbelow_A(traj):
@@ -251,18 +246,12 @@ def verify_stbelow(traj, A=None, C=STBELOW_C, tol=1e-5):
     n = traj.meta["n"]
     phi0 = traj.snapshots[0].phi
     osc0 = float(phi0.max() - phi0.min())
-    slack, loc = math.inf, ()
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue
-        margin = snap.phi_dot - (n * math.log(tau) - A * osc0 - C)
-        m = float(margin.min())
-        if m < slack:
-            slack, loc = m, (snap.t,) + _argmin_loc(margin)
-    if not math.isfinite(slack):
-        return _skip(name, stmt, "no positive-time snapshots recorded")
-    return _verdict(name, stmt, slack, tol, location=loc,
-                    details={"A": A, "C": C, "osc0": osc0})
+
+    def margin(snap, tau):
+        return snap.phi_dot - (n * math.log(tau) - A * osc0 - C)
+
+    return _worst_margin(traj, name, stmt, margin, tol,
+                         details={"A": A, "C": C, "osc0": osc0})
 
 
 def verify_density_monotone(traj, tol=1e-5):
@@ -435,9 +424,14 @@ def verify_minodot(original, restarted, A=None, C=STBELOW_C,
 
 
 def verify_c2_diagnostic(traj, tol=1e-6):
-    """Advisory: t log tr(M_t) against Osc(phi_{t/2}), free-constant ratio."""
+    """Advisory: t log tr(M_t) against Osc(phi_{t/2}), free-constant ratio.
+
+    M_t = (1+tc) I + H(phi_t) + t H(psi_chi) with the trajectory's own
+    twist (a bare c from its meta when it carries none).
+    """
     stmt = "0 <= t log Tr(omega_t) <= 2A Osc(phi_{t/2}) + C' (constants free)"
     name = "c2_diagnostic"
+    twist = traj.twist if traj.twist is not None else TwistSpec(traj.meta["c"])
     snaps = {round(s.t - traj.t0, 12): s for s in traj.snapshots}
     ratios = {}
     lower = math.inf
@@ -445,11 +439,8 @@ def verify_c2_diagnostic(traj, tol=1e-6):
         half = round(tau / 2.0, 12)
         if tau <= 0.0 or half not in snaps:
             continue
-        grid = traj.grid
-        m = geo.raw_combine(
-            grid, 1.0 + snap.t * traj.meta["c"],
-            geo.hessian_raw(grid, snap.phi))
-        trmax = float(geo.trace_raw(grid, m).max())
+        m, _, _ = geo.metric_raw(traj.grid, snap.phi, twist, snap.t)
+        trmax = float(geo.trace_raw(traj.grid, m).max())
         osc_half = float(snaps[half].phi.max() - snaps[half].phi.min())
         val = tau * math.log(max(trmax, 1e-300))
         ratios[tau] = val / (osc_half + 1.0)
@@ -524,8 +515,3 @@ def run_checks(traj, names=None):
             raise KeyError(f"unknown check {name!r}")
         out.append(SINGLE_RUN_CHECKS[name](traj))
     return out
-
-
-def make_restart(traj, config, from_t):
-    """Produce the restarted companion trajectory used by verify_minodot."""
-    return continue_run(traj, from_t, config)

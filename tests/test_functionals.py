@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import maflow as mf
+from maflow import geometry as geo
 from maflow.functionals import (density, energy, lp_norm, mean_value,
                                 orlicz_integral, oscillation, w_xlog1px)
 from maflow.flow import TwistSpec, normalize_h
@@ -74,6 +75,25 @@ class TestEnergy:
         mixed = 0.5 * (det(M + Th) - det(M) - det(Th)).real
         oracle = float((phi.values * (det(Th).real + mixed + det(M).real)).mean()) / 3.0
         assert energy(phi, tw, t) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_twisted_energy_takes_one_hessian(self, n, monkeypatch):
+        # theta_t reads the twist's cached H(psi_chi); only H(phi) is taken afresh
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        kvec = (1,) + (0,) * (2 * n - 1)
+        phi, psi = mode(g, kvec, 0.02), mode(g, kvec[::-1], 0.01)
+        tw = TwistSpec(c=0.2, psi_chi=psi)
+        before = energy(phi, tw, 0.5)   # warms the cache
+        calls = []
+        hess = geo.hessian_raw
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return hess(*args, **kw)
+
+        monkeypatch.setattr(geo, "hessian_raw", counted)
+        assert energy(phi, tw, 0.5) == before
+        assert len(calls) == 1
 
 
 class TestMeanValue:

@@ -154,6 +154,85 @@ class TestFusedMetric:
                 assert np.array_equal(got, want)
 
 
+class TestOneMetricConstruction:
+    """theta_raw and metric_raw against the expressions they replaced."""
+
+    @staticmethod
+    def twist(grid, with_psi):
+        psi = random_bandlimited(grid, 9) if with_psi else None
+        return TwistSpec(-0.4, psi)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("with_psi", [False, True])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_theta_bit_identical(self, n, with_psi, t):
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        tw = self.twist(g, with_psi)
+        a = 1.0 + t * tw.c
+        if with_psi and t != 0.0:
+            want = geo.raw_combine(g, a, geo.hessian_raw(g, tw.psi_chi.values), scale=t)
+        else:   # a I + 0, the former raw_zero route
+            zero = (np.zeros(g.shape) if n == 1 else
+                    (np.zeros(g.shape), np.zeros(g.shape), np.zeros(g.shape, complex)))
+            want = geo.raw_combine(g, a, zero)
+        got = geo.theta_raw(g, tw, t)
+        for x, y in zip(components(g, got), components(g, want)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_untwisted_metric_bit_identical(self, n, t):
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        arr = random_bandlimited(g, 4).values
+        tw = self.twist(g, False)
+        want = geo.raw_combine(g, 1.0 + t * tw.c, geo.hessian_raw(g, arr))
+        m, det, emin = geo.metric_raw(g, arr, tw, t)
+        for x, y in zip(components(g, m), components(g, want)):
+            assert np.array_equal(x, y)
+        assert np.array_equal(det, geo.det_raw(g, want))
+        assert emin == float(geo.eigmin_raw(g, want).min())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_psi_chi_dropped_at_time_zero(self, n):
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        arr = random_bandlimited(g, 4).values
+        m, _, _ = geo.metric_raw(g, arr, self.twist(g, True), 0.0)
+        for x, y in zip(components(g, m), components(g, geo.metric_raw(g, arr)[0])):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_twisted_metric_matches_combined_potential(self, n):
+        # H(phi) + t H(psi_chi) against the former H(phi + t psi_chi) route
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        arr = random_bandlimited(g, 4).values
+        tw, t = self.twist(g, True), 0.3
+        want = geo.raw_combine(g, 1.0 + t * tw.c,
+                               geo.hessian_raw(g, arr + t * tw.psi_chi.values))
+        m, _, _ = geo.metric_raw(g, arr, tw, t)
+        scale = max(np.abs(y).max() for y in components(g, want))
+        for x, y in zip(components(g, m), components(g, want)):
+            assert np.abs(x - y).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_eig_range_matches_discriminant_and_eigvalsh(self, n):
+        g = mf.TorusGrid(n, 16 if n == 1 else 8)
+        tw = self.twist(g, True)
+        raw = geo.raw_combine(g, tw.c, geo.hessian_raw(g, tw.psi_chi.values))
+        if n == 1:
+            emax_old = float(raw.max())
+        else:   # the former closed-form largest eigenvalue
+            m11, m22, m12 = raw
+            disc = np.sqrt(np.maximum((m11 - m22) ** 2
+                                      + 4.0 * (m12.real ** 2 + m12.imag ** 2), 0.0))
+            emax_old = float((0.5 * (m11 + m22 + disc)).max())
+        emin, emax = tw.eig_range(g)
+        assert emax == emax_old
+        assert emin == float(geo.eigmin_raw(g, raw).min())
+        eigs = la.eigvalsh(geo.matrix_from_raw(g, raw))
+        assert emin == pytest.approx(eigs.min(), abs=1e-14)
+        assert emax == pytest.approx(eigs.max(), abs=1e-14)
+
+
 class TestMetricAndRatio:
     def test_flat_reference(self):
         g = grid1()

@@ -6,7 +6,7 @@ from scipy import fft as sfft
 
 import maflow as mf
 from maflow import logdiff
-from maflow.errors import MassMismatch, PositivityLoss
+from maflow.errors import ConfigError, MassMismatch, PositivityLoss
 from maflow.flow import FlowConfig, run
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import cos_mode
@@ -94,6 +94,18 @@ class TestStepping:
         fmax = tr.column("fmax")
         assert (fmin[1:] - fmin[:-1]).min() >= -1e-8
         assert (fmax[:-1] - fmax[1:]).min() >= -1e-8
+
+
+class TestDtPolicy:
+    @pytest.mark.parametrize("T", [0.0, 0.01])
+    def test_unknown_policy_rejected_before_any_work(self, T, monkeypatch):
+        calls = []
+        monkeypatch.setattr(logdiff, "density_to_potential",
+                            lambda f: calls.append(1) or density_to_potential(f))
+        with pytest.raises(ConfigError, match="bogus"):
+            evolve_density(potential_to_density(mode_potential(grid1())), T,
+                           dt_policy="bogus")
+        assert calls == []
 
 
 class TestEquivalenceWithPotentialForm:

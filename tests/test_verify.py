@@ -325,6 +325,52 @@ class TestC2Diagnostic:
         assert rep.status == "pass" and math.isfinite(rep.details["max_ratio"])
 
 
+class TestC2DiagnosticTwist:
+    """c2 builds M_t = (1+tc) I + H(phi_t) + t H(psi_chi) with the run's own twist."""
+
+    @pytest.fixture(scope="class")
+    def twisted(self):
+        g = grid1(32)
+        psi = PotentialField(g, 0.01 * np.cos(2 * np.pi * g.coord(1)) + 0.0 * g.coord(0))
+        cfg = FlowConfig(grid=g, twist=TwistSpec(0.0, psi), T=0.2,
+                         snapshot_times=(0.1, 0.2), record_every=10)
+        return run(mode(g, (1, 0), 0.02), cfg), cfg
+
+    @staticmethod
+    def expected(tr, psi):
+        # the one (t, t/2) pair is t = 0.2; trace of I + H(phi_t + t psi_chi)
+        snap = tr.snapshot_at(0.2)
+        H = mf.complex_hessian(PotentialField(tr.grid, snap.phi + 0.2 * psi.values))
+        return 0.2 * math.log(float((1.0 + H.scalar()).max()))
+
+    def test_in_memory_run(self, twisted):
+        tr, cfg = twisted
+        rep = ver.verify_c2_diagnostic(tr)
+        want = self.expected(tr, cfg.twist.psi_chi)
+        assert rep.details["min_t_log_trace"] == pytest.approx(want, rel=1e-12)
+        assert tr.twist is cfg.twist
+
+    def test_saved_then_loaded_run(self, twisted, tmp_path):
+        from maflow import io as mio
+        tr, cfg = twisted
+        mio.save_run(tr, tmp_path / "run", cfg)
+        back = mio.load_trajectory(tmp_path / "run")
+        rep = ver.verify_c2_diagnostic(back)
+        want = self.expected(tr, cfg.twist.psi_chi)
+        assert rep.details["min_t_log_trace"] == pytest.approx(want, rel=1e-12)
+        assert back.twist.c == cfg.twist.c
+        assert np.array_equal(back.twist.psi_chi.values, cfg.twist.psi_chi.values)
+
+    def test_untwisted_saved_run_unchanged(self, smooth_run, tmp_path):
+        from maflow import io as mio
+        tr, cfg = smooth_run
+        mio.save_run(tr, tmp_path / "run", cfg)
+        back = mio.load_trajectory(tmp_path / "run")
+        assert back.twist is None
+        assert (ver.verify_c2_diagnostic(back).to_dict()
+                == ver.verify_c2_diagnostic(tr).to_dict())
+
+
 class TestOscillationLevels:
     def test_zero_lelong_deep_levels_agree(self):
         g = grid1(64, period=2.0)
