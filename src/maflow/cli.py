@@ -181,7 +181,7 @@ def cmd_compare(args):
 
 def cmd_restart(args):
     traj = mio.load_trajectory(args.rundir)
-    config = mio.load_run_config(args.rundir)
+    config = mio.load_run_config(args.rundir, traj.twist)
     out = continue_run(traj, args.at, config, T=args.to)
     dest = args.out or os.path.join(os.path.dirname(args.rundir.rstrip("/")) or ".",
                                     "restart")

@@ -25,6 +25,12 @@ pass (``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
 including the recompute after landing on a snapshot time, reaches the
 caller as KaehlerConeViolation carrying t.
 
+``_march`` is the one time loop of both flow forms: it owns the snapshot
+boundaries, the exact landing on each, the record cadence, the snapshots
+and the history reset.  It drives a ``_Stepper``, which holds the run's
+state and advances it one step; the density form in ``logdiff`` is a
+subclass.
+
 A single run is sequential and deterministic; distinct runs may execute
 concurrently and trajectories are immutable once produced.
 """
@@ -223,7 +229,7 @@ class _Reject(Exception):
 
 
 class _Stepper:
-    """Caches everything reusable across the steps of one run."""
+    """One run's state, and everything reusable across its steps, cached."""
 
     def __init__(self, config):
         self.cfg = config
@@ -235,6 +241,7 @@ class _Stepper:
         self.ncmaf = config.variant == "ncmaf"
         self.mask = self.grid.dealias_mask(rfft=self.grid.n == 1) if config.dealias else None
         self.hist = {}   # semi-implicit two-step history; cleared at snapshots
+        self.state, self.scratch = None, {}   # the FlowState reached; its det and metric
 
     def _filter(self, arr):
         if self.mask is None:
@@ -257,6 +264,27 @@ class _Stepper:
         if self.ncmaf:
             r = r + phi_arr
         return self._filter(r), det, emin, m
+
+    def advance(self, target, floor):
+        """One step towards ``target``, snapped to it from ``floor`` on: (dt, landed)."""
+        self.state, dt = _advance(self, self.state, target, self.scratch)
+        s = self.state
+        if s.t >= floor:
+            s.t = target   # and the cached right-hand side recomputed there
+            s.phi_dot, self.scratch["det"], s.min_eig, self.scratch["metric"] = \
+                _checked_parts(self, target, s.phi.values,
+                               f"potential left the Kaehler cone on landing at t={target:.6g}")
+        return dt, s.t == target
+
+    def row(self, dt):
+        s = self.state
+        return fnl.series_row(self.grid, s.t, s.phi.values, self.scratch["metric"],
+                              geo.theta_raw(self.grid, self.cfg.twist, s.t),
+                              self.scratch["det"], s.min_eig, dt, exp_h=self.exp_h)
+
+    def snapshot(self):
+        s = self.state
+        return Snapshot(s.t, s.phi.values.copy(), s.phi_dot.copy(), s.min_eig)
 
 
 def _checked_parts(st, t, phi_arr, message):
@@ -423,7 +451,7 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
         raise ConfigError(f"horizon T={config.T} lies before t0={t0}")
 
     st = _Stepper(config)
-    state, det, m = _initial_state(st, phi0, t0)
+    st.state, st.scratch["det"], st.scratch["metric"] = _initial_state(st, phi0, t0)
 
     meta = config.meta()
     meta.update({"t0": t0, "data_class": data_class,
@@ -431,47 +459,36 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
     meta.update(level_meta)
     if meta_extra:
         meta.update(meta_extra)
+    times, series, snaps = _march(st, t0)
+    return Trajectory(config.grid, meta, times, series, snaps, config.twist)
 
-    boundaries = sorted({float(s) for s in config.snapshot_times
-                         if t0 < s <= config.T} | ({config.T} if config.T > t0 else set()))
-    rows, snaps = [], []
 
-    def emit_row(dt_used, det_, m_):
-        rows.append(fnl.series_row(
-            config.grid, state.t, state.phi.values, m_,
-            geo.theta_raw(config.grid, config.twist, state.t),
-            det_, state.min_eig, dt_used, exp_h=st.exp_h))
+def _march(st, t0):
+    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T].
 
-    def emit_snapshot():
-        snaps.append(Snapshot(state.t, state.phi.values.copy(),
-                              state.phi_dot.copy(), state.min_eig))
-
-    emit_row(0.0, det, m)
-    emit_snapshot()
-    scratch = {}
-    since = 0
-    bi = 0
-    while bi < len(boundaries):
-        target = boundaries[bi]
-        state, dt = _advance(st, state, target, scratch)
-        since += 1
-        landed = state.t >= target - 1e-12 * max(1.0, abs(target))
-        if landed:
-            state.t = target   # snap exactly; paired runs share boundary times
-            # recompute cached rhs at the snapped time for exact reporting
-            state.phi_dot, scratch["det"], state.min_eig, scratch["metric"] = \
-                _checked_parts(st, state.t, state.phi.values,
-                               f"potential left the Kaehler cone on landing at t={target:.6g}")
-        if landed or since >= config.record_every:
-            emit_row(dt, scratch["det"], scratch["metric"])
-            since = 0
-        if landed:
-            emit_snapshot()
-            st.hist = {}
-            bi += 1
+    Steps ``st`` to each boundary (the snapshot times in (t0, T], and T),
+    landing on it exactly.  A series row is recorded at t0, every
+    ``record_every`` steps and at each boundary, where a snapshot is taken
+    and the SBDF2 history cleared, so restarts reproduce the later series.
+    """
+    cfg = st.cfg
+    boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
+                        | ({cfg.T} if cfg.T > t0 else set()))
+    rows, snaps, since = [st.row(0.0)], [st.snapshot()], 0
+    for target in boundaries:
+        floor = target - 1e-12 * max(1.0, abs(target))
+        landed = False
+        while not landed:
+            dt, landed = st.advance(target, floor)
+            since += 1
+            if landed or since >= cfg.record_every:
+                rows.append(st.row(dt))
+                since = 0
+        snaps.append(st.snapshot())
+        st.hist = {}
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
-    return Trajectory(config.grid, meta, times, series, snaps, config.twist)
+    return times, series, snaps
 
 
 def continue_run(traj, from_t, config, T=None, meta_extra=None):

@@ -62,6 +62,8 @@ def read_series_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ConfigError(f"{path}: no series rows")
     data = np.array([[float(x) for x in row] for row in rows])
     series = {name: data[:, i] for i, name in enumerate(header)}
     return series["t"], series
@@ -111,19 +113,27 @@ def load_trajectory(dirpath):
     for rec in meta.pop("snapshot_index", []):
         i = rec["i"]
         phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
-        dot, _ = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
+        dot, t_dot = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
+        if t != rec["t"] or t_dot != rec["t"]:
+            raise ConfigError(f"{dirpath}: snapshot {i} is stamped t={t}, t={t_dot}; "
+                              f"meta.json says t={rec['t']}")
         snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
     psi = _optional_field(dirpath, "psi_chi.mafl")
     twist = None if psi is None else TwistSpec(meta["c"], psi)
     return Trajectory(grid, meta, times, series, snaps, twist)
 
 
-def load_run_config(dirpath):
-    """Rebuild the FlowConfig of a saved run (for restarts and verifiers)."""
+def load_run_config(dirpath, twist=None):
+    """Rebuild the FlowConfig of a saved run (for restarts and verifiers).
+
+    ``twist`` is the run's twist when already loaded (a loaded trajectory's),
+    so psi_chi.mafl is not read again; by default it is rebuilt from dirpath.
+    """
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
     grid = TorusGrid(meta["n"], meta["res"], meta["period"])
-    twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
+    if twist is None:
+        twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
     return FlowConfig(
         grid=grid, variant=meta["variant"], twist=twist,
         h=_optional_field(dirpath, "h.mafl"),

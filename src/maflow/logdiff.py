@@ -13,6 +13,9 @@ zero mean and the stepping conserves mass to round-off.  The semi-implicit
 policy hands that multiplier's spectrum sym * rfftn(log f) straight to
 the SBDF2 kernel it shares with the potential form (``flow``), so a step
 takes two transforms: rfftn(log f) and the inverse of the new density.
+The density form is a ``flow._Stepper`` (``_DensityStepper``) built from a
+FlowConfig, so it runs on flow's one time loop (``flow._march``) with the
+potential form's landing, record cadence, snapshots and setting checks.
 
 The flow is kept on the torus rather than a chart of the sphere so the
 spectral stack is shared; the PDE is identical.
@@ -26,7 +29,7 @@ from scipy import fft as sfft
 from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, MassMismatch, PositivityLoss
-from .flow import Snapshot, Trajectory, _sbdf2_spectrum
+from .flow import FlowConfig, Snapshot, Trajectory, _Stepper, _cfl_dt, _march, _sbdf2_spectrum
 from .geometry import PotentialField
 
 KAPPA = 0.25
@@ -120,8 +123,39 @@ def step_logfd(f, dt, dt_min=1e-12, t=0.0):
     return DensityField(grid, advance(arr, float(t), float(dt)))
 
 
-def _cfl(grid, fmin, safety):
-    return safety * grid.h ** 2 * fmin / 4.0
+class _DensityStepper(_Stepper):
+    """The density f at time t as a stepper of ``flow._march`` (no FlowState).
+
+    RK4 takes the potential form's CFL step, whose min_eig is min f.
+    """
+
+    def __init__(self, config, f0):
+        super().__init__(config)
+        self.f, self.t = f0.values.copy(), 0.0
+        self.phi = None   # the potential of the last series row
+
+    def advance(self, target, floor):
+        cfg, t = self.cfg, self.t
+        if cfg.dt_policy == "rk4":
+            dt = min(_cfl_dt(cfg, float(self.f.min())), cfg.dt_init, target - t)
+            self.f = step_logfd(DensityField(self.grid, self.f), dt, cfg.dt_min, t).values
+        else:
+            dt = min(cfg.dt_init, target - t)
+            self.f, self.hist = _sbdf2_density(self.grid, self.f, dt, cfg.dt_init,
+                                               cfg.stab_factor, self.hist, t)
+        self.t = t + dt
+        if self.t >= floor:
+            self.t = target
+        return dt, self.t == target
+
+    def row(self, dt):
+        f = self.f
+        self.phi = density_to_potential(DensityField(self.grid, f))
+        return fnl.series_row(self.grid, self.t, self.phi.values, f, np.ones_like(f), f,
+                              float(f.min()), dt)
+
+    def snapshot(self):
+        return Snapshot(self.t, self.phi.values.copy(), np.log(self.f), float(self.f.min()))
 
 
 def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
@@ -129,62 +163,22 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
                    stab_factor=1.0):
     """Run the density flow on [0, T]; shares the trajectory CSV schema.
 
-    Snapshots store the equivalent mean-zero potential (the density is
-    recovered exactly as 1 + H(phi)), so the result is a plain Trajectory
-    with variant "logfd".
+    The settings pass FlowConfig's checks first.  Snapshots store the
+    equivalent mean-zero potential (the density is recovered exactly as
+    1 + H(phi)), so the result is a plain Trajectory with variant "logfd".
     """
     if dt_policy not in ("rk4", "semi_implicit"):
         raise ConfigError(f"unknown dt policy {dt_policy!r}")
     grid = f0.grid
-    f = f0.values.copy()
-    t = 0.0
-    boundaries = sorted({float(s) for s in snapshot_times if 0.0 < s <= T}
-                        | ({T} if T > 0 else set()))
-    rows, snaps = [], []
-
-    def record(dt_used):
-        phi = density_to_potential(DensityField(grid, f))
-        m_raw = f
-        th_raw = np.ones_like(f)
-        rows.append(fnl.series_row(grid, t, phi.values, m_raw, th_raw, f,
-                                   float(f.min()), dt_used))
-        return phi
-
-    def snapshot(phi):
-        snaps.append(Snapshot(t, phi.values.copy(), np.log(f), float(f.min())))
-
-    snapshot(record(0.0))
-    hist = {}
-    since = 0
-    bi = 0
-    while bi < len(boundaries):
-        target = boundaries[bi]
-        if dt_policy == "rk4":
-            dt = min(_cfl(grid, float(f.min()), safety), dt_init, target - t)
-            f = step_logfd(DensityField(grid, f), dt, dt_min, t).values
-            hist = {}
-        else:
-            dt = min(dt_init, target - t)
-            f, hist = _sbdf2_density(grid, f, dt, dt_init, stab_factor, hist, t)
-        t += dt
-        since += 1
-        landed = t >= target - 1e-12 * max(1.0, abs(target))
-        if landed:
-            t = target
-        if landed or since >= record_every:
-            phi = record(dt)
-            since = 0
-        if landed:
-            snapshot(phi)
-            hist = {}
-            bi += 1
-    times = np.array([r["t"] for r in rows])
-    series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
+    cfg = FlowConfig(grid=grid, T=T, dt_policy=dt_policy, dt_init=dt_init, dt_min=dt_min,
+                     safety=safety, record_every=record_every,
+                     snapshot_times=snapshot_times, stab_factor=stab_factor)
+    times, series, snaps = _march(_DensityStepper(cfg, f0), 0.0)
     meta = {"variant": "logfd", "n": 1, "res": grid.res, "period": grid.period,
             "c": 0.0, "T": T, "t0": 0.0, "dt_policy": dt_policy,
             "dt_init": dt_init, "safety": safety, "sign_class": "zero",
             "sup_h": 0.0, "inf_h": 0.0, "data_class": "smooth",
-            "snapshot_times": list(boundaries), "kappa": KAPPA}
+            "snapshot_times": [s.t for s in snaps[1:]], "kappa": KAPPA}
     return Trajectory(grid, meta, times, series, snaps)
 
 

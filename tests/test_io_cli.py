@@ -355,3 +355,55 @@ snapshots = 0.025, 0.05
         from maflow.initial import default_center, lelong_estimate
         nu = lelong_estimate(fld, default_center(fld.grid))
         assert abs(nu - 0.7) <= 0.05
+
+
+class TestLoaderValidation:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        g = mf.TorusGrid(1, 16)
+        cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01,), record_every=5)
+        d = tmp_path / "level_00"
+        mio.save_run(run(mode(g, (1, 0), 0.02), cfg), d, cfg)
+        return d
+
+    def test_header_only_series_is_config_error(self, saved, capsys):
+        csv = saved / "series.csv"
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ConfigError, match="no series rows"):
+            mio.read_series_csv(csv)
+        assert main(["verify", str(saved.parent)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["phi", "phidot"])
+    def test_snapshot_time_must_match_meta(self, saved, kind):
+        path = saved / f"snap_001_{kind}.mafl"
+        field, t = mio.read_field(path)
+        assert t == 0.01
+        mio.write_field(path, field, 0.011)
+        with pytest.raises(ConfigError, match="snapshot 1"):
+            mio.load_trajectory(saved)
+
+
+class TestTwistedRestart:
+    def test_restart_reads_psi_chi_once(self, tmp_path, monkeypatch):
+        g = mf.TorusGrid(1, 16)
+        psi = PotentialField(g, cos_mode(g, (1, 1), 0.01, 0.3))
+        cfg = FlowConfig(grid=g, twist=mf.TwistSpec(-0.5, psi), T=0.02,
+                         snapshot_times=(0.01,), record_every=5)
+        src = tmp_path / "run"
+        mio.save_run(run(mode(g, (1, 0), 0.02), cfg), src, cfg)
+        reads = []
+        orig = mio.read_field
+
+        def counting(path):
+            reads.append(str(path))
+            return orig(path)
+
+        monkeypatch.setattr(mio, "read_field", counting)
+        dest = tmp_path / "restart"
+        assert main(["restart", str(src), "--at", "0.01", "--out", str(dest)]) == 0
+        assert sum(p.endswith("psi_chi.mafl") for p in reads) == 1
+        monkeypatch.undo()
+        tail = mio.load_trajectory(dest)
+        assert np.array_equal(tail.twist.psi_chi.values, psi.values)
+        assert tail.snapshots[-1].t == 0.02

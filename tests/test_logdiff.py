@@ -108,6 +108,25 @@ class TestDtPolicy:
         assert calls == []
 
 
+class TestSettings:
+    @pytest.mark.parametrize("kw,match", [
+        ({"safety": 1.5}, "safety"),
+        ({"T": -1.0}, "horizon"),
+        ({"dt_init": -1e-3}, "positive"),
+        ({"dt_min": 0.0}, "positive"),
+        ({"dt_policy": "rk4_fixed"}, "rk4_fixed"),
+    ])
+    def test_bad_setting_rejected_before_any_step(self, kw, match, monkeypatch):
+        taken = []
+        monkeypatch.setattr(logdiff, "_rk4", lambda *a: taken.append(1))
+        monkeypatch.setattr(logdiff, "_sbdf2_density", lambda *a: taken.append(1))
+        monkeypatch.setattr(logdiff, "density_to_potential", lambda f: taken.append(1))
+        args = {"T": 0.01, **kw}
+        with pytest.raises(ConfigError, match=match):
+            evolve_density(potential_to_density(mode_potential(grid1())), **args)
+        assert taken == []
+
+
 class TestEquivalenceWithPotentialForm:
     @pytest.mark.parametrize("policy,dt", [("rk4", 1e-2), ("semi_implicit", 2e-4)])
     def test_matched_runs_agree_in_density(self, policy, dt):
