@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import geometry as geo
@@ -67,27 +66,14 @@ def _linearization(grid, m, det, alpha):
     """(raw M^{-1}, apply) at the metric m with determinant det.
 
     apply(delta) = tr_M(dd^c delta) - alpha delta.  The inverse is built
-    from m directly (1/m at n = 1, (m22, m11, -m12) * (1/det) at n = 2),
-    bit-identical to inverting the (..., n, n) matrix field.
+    from m directly (``geometry.inverse_raw``, SingularMetric when det
+    vanishes), bit-identical to inverting the (..., n, n) matrix field.
     """
-    bad = np.abs(det).min()
-    if not np.isfinite(bad) or bad < 1e-300:
-        raise SingularMetric(f"matrix inversion failed (|det| down to {bad:.3e})")
-    if grid.n == 1:
-        inv = 1.0 / m
-    else:
-        s = 1.0 / det
-        inv = (m[1] * s, m[0] * s, -m[2] * s)
+    inv = geo.inverse_raw(grid, m, det)
 
     def apply(delta):
         delta = np.asarray(delta)
-        hd = geo.hessian_raw(grid, delta)
-        if grid.n == 1:
-            out = inv * hd
-        else:
-            i11, i22, i12 = inv
-            h11, h22, h12 = hd
-            out = i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
+        out = geo.contract_raw(grid, inv, geo.hessian_raw(grid, delta))
         if alpha > 0.0:
             out = out - alpha * delta
         return out
@@ -112,15 +98,10 @@ def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=Non
 
 def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=None):
     """Preconditioned GMRES for apply(delta) = rhs."""
-    use_rfft = grid.n == 1
-    sym = grid.flat_symbol(rfft=use_rfft)       # <= 0
+    sym = grid.flat_symbol()   # <= 0
     pre = mbar * sym - max(alpha, 0.0)
     if alpha == 0.0:
         pre = np.where(pre == 0.0, -1.0, pre)
-    fwd = sfft.rfftn if use_rfft else sfft.fftn
-
-    def bwd(spec):
-        return sfft.irfftn(spec, s=grid.shape) if use_rfft else sfft.ifftn(spec).real
 
     def proj(arr):
         return arr - arr.mean() if mean_zero else arr
@@ -134,7 +115,7 @@ def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=Non
         return proj(apply(proj(x.reshape(shape)))).ravel()
 
     def pc(x):
-        return proj(bwd(fwd(x.reshape(shape)) / pre)).ravel()
+        return proj(grid.ifft(grid.fft(x.reshape(shape)) / pre)).ravel()
 
     A = LinearOperator((size, size), matvec=mv)
     M = LinearOperator((size, size), matvec=pc)
@@ -195,10 +176,7 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
         if rnorm <= tol:
             break
         inv_raw, apply = _linearization(grid, m, det, alpha)
-        if grid.n == 1:
-            mbar = float(inv_raw.mean())
-        else:
-            mbar = float((0.5 * (inv_raw[0] + inv_raw[1])).mean())
+        mbar = float(geo.trace_raw(grid, inv_raw).mean() / grid.n)
         rhs_arr = -r
         if alpha == 0.0:
             rhs_arr = rhs_arr - (rhs_arr * det).mean() / det.mean()

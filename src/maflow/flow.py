@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import functionals as fnl
 from . import geometry as geo
@@ -160,6 +159,12 @@ class FlowConfig:
                     f"|t chi| up to {bound:.3f} exceeds 1/2 on [0, T]; shrink T or the twist")
         self.h = normalize_h(self.h)
         self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
+        # _march steps from boundary to boundary, so no step may be shorter than dt_min
+        bounds = sorted({s for s in self.snapshot_times if s <= self.T} | {float(self.T)})
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a < self.dt_min:
+                raise ConfigError(f"boundaries t={a!r} and t={b!r} (snapshot times, T) "
+                                  f"lie closer than dt_min={self.dt_min}")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
@@ -239,16 +244,14 @@ class _Stepper:
         self.h_arr = None if config.h is None else config.h.values
         self.exp_h = None if config.h is None else np.exp(self.h_arr)
         self.ncmaf = config.variant == "ncmaf"
-        self.mask = self.grid.dealias_mask(rfft=self.grid.n == 1) if config.dealias else None
+        self.mask = self.grid.dealias_mask() if config.dealias else None
         self.hist = {}   # semi-implicit two-step history; cleared at snapshots
         self.state, self.scratch = None, {}   # the FlowState reached; its det and metric
 
     def _filter(self, arr):
         if self.mask is None:
             return arr
-        if self.grid.n == 1:
-            return sfft.irfftn(self.mask * sfft.rfftn(arr), s=self.grid.shape)
-        return sfft.ifftn(self.mask * sfft.fftn(arr)).real
+        return self.grid.ifft(self.mask * self.grid.fft(arr))
 
     def parts(self, t, phi_arr, spec=None):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit."""
@@ -390,19 +393,17 @@ def _advance_sbdf2(st, state, t_bound, scratch):
     """
     cfg = st.cfg
     grid = st.grid
-    use_rfft = grid.n == 1
-    fwd = sfft.rfftn if use_rfft else sfft.fftn
     dt = min(cfg.dt_init, t_bound - state.t)
     beta0 = cfg.stab_factor / max(state.min_eig, 1e-12)
     phi_spec = st.hist.get("spec")
     if phi_spec is None:
-        phi_spec = fwd(state.phi.values)
-    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(rfft=use_rfft), phi_spec,
-                                     fwd(state.phi_dot), st.hist, dt, cfg.dt_init, beta0)
-    new = sfft.irfftn(new_spec, s=grid.shape) if use_rfft else sfft.ifftn(new_spec).real
+        phi_spec = grid.fft(state.phi.values)
+    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec, grid.fft(state.phi_dot),
+                                     st.hist, dt, cfg.dt_init, beta0)
+    new = grid.ifft(new_spec)
     try:
         r_new, det, emin, m = st.parts(state.t + dt, new,
-                                       spec=new_spec if use_rfft else None)
+                                       spec=new_spec if grid.n == 1 else None)
     except _Reject as e:
         raise KaehlerConeViolation(
             f"semi-implicit step left the Kaehler cone at t={state.t:.6g}",

@@ -6,7 +6,8 @@ The energy is the mixed-wedge functional
 
 evaluated for n <= 2 through closed-form mixed determinants of the local
 matrices Theta = (1+tc) I + t H(psi_chi) (``geometry.theta_raw``, with
-H(psi_chi) from the twist's cache) and M = Theta + H(phi).  All integrals
+H(psi_chi) from the twist's cache) and M = Theta + H(phi), summed
+pointwise by ``geometry.wedge_sum``.  All integrals
 share the spectral quadrature of :func:`maflow.geometry.integrate`.
 """
 
@@ -15,23 +16,8 @@ import numpy as np
 from . import geometry as geo
 
 
-def mixed_det(grid, m, th):
-    """Polarization of det: alpha wedge beta / omega^2 for n=2 matrices."""
-    m11, m22, m12 = m
-    t11, t22, t12 = th
-    cross = (m12 * np.conj(t12)).real
-    return 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross)
-
-
 def energy_from_raws(grid, phi_arr, m_raw, th_raw):
-    if grid.n == 1:
-        integrand = phi_arr * (th_raw + m_raw)
-    else:
-        total = (geo.det_raw(grid, th_raw)
-                 + mixed_det(grid, m_raw, th_raw)
-                 + geo.det_raw(grid, m_raw))
-        integrand = phi_arr * total
-    return float(integrand.mean() / (grid.n + 1))
+    return float((phi_arr * geo.wedge_sum(grid, m_raw, th_raw)).mean() / (grid.n + 1))
 
 
 def energy(phi, twist=None, t=0.0):

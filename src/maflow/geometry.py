@@ -21,6 +21,14 @@ Conventions, fixed once and used by every module:
   H(phi) exactly Hermitian for real phi and makes the discrete volume
   identity integrate(det M) = (1+tc)^n V hold to round-off.
 
+This module owns the two per-n layouts, so no other module branches on
+them.  The raw layout of a Hermitian field is a real array at n = 1 and the
+triple (m11, m22, m12) at n = 2; its algebra (``det_raw``, ``eigmin_raw``,
+``trace_raw``, ``inverse_raw``, the contraction tr_M(H) ``contract_raw``
+and the wedge sum ``wedge_sum``) lives here.  The spectral layout is the
+rfft at n = 1 and the c2c transform at n = 2 (``TorusGrid.fft`` /
+``TorusGrid.ifft``); the grid's symbols and masks use it by default.
+
 All operations here are pure functions of immutable snapshots and are
 safe to call concurrently.
 """
@@ -160,8 +168,17 @@ class TorusGrid:
             self._cache[key] = self.hessian_multiplier(0, 0) + 1j * self.hessian_multiplier(1, 1)
         return self._cache[key]
 
-    def flat_symbol(self, rfft=False):
-        """Symbol of the flat complex Laplacian tr H = sum_j d^2/dz_j dzbar_j."""
+    def fft(self, arr):
+        """Spectrum of a real field in the grid's layout: rfft at n = 1, c2c at n = 2."""
+        return sfft.rfftn(arr) if self.n == 1 else sfft.fftn(arr)
+
+    def ifft(self, spec):
+        """The real field whose spectrum in the grid's layout is ``spec``."""
+        return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real
+
+    def flat_symbol(self, rfft=None):
+        """Symbol of tr H = sum_j d^2/dz_j dzbar_j, by default in the grid's layout."""
+        rfft = self.n == 1 if rfft is None else rfft
         key = ("flat", rfft)
         if key not in self._cache:
             s = sum(self.hessian_multiplier(j, j, rfft) for j in range(self.n))
@@ -184,8 +201,9 @@ class TorusGrid:
             self._cache[key] = np.broadcast_to(tot, self._spec_shape(rfft)).copy()
         return self._cache[key]
 
-    def dealias_mask(self, rfft=False):
-        """2/3-rule mask (True = keep)."""
+    def dealias_mask(self):
+        """2/3-rule mask (True = keep) in the grid's layout."""
+        rfft = self.n == 1
         key = ("dealias", rfft)
         if key not in self._cache:
             cut = self.res // 3
@@ -282,19 +300,17 @@ def hessian_raw(grid, arr, spec=None):
 
     Returns the scalar H (real 2d array) for n = 1, and the component
     triple (h11, h22, h12) for n = 2 (h11, h22 real, h12 complex).
-    ``spec`` optionally supplies the precomputed (r)fft of ``arr``.
+    ``spec`` optionally supplies ``grid.fft(arr)``, precomputed.
 
     n = 2 takes three inverse transforms: h11 + i h22 comes out of one
     (see ``TorusGrid.packed_diag_multiplier``), h12 out of another.  The
     returned arrays are fresh, C-contiguous and unaliased; they belong to
     the caller, who may overwrite them (``metric_det_eigmin`` does).
     """
-    if grid.n == 1:
-        if spec is None:
-            spec = sfft.rfftn(arr)
-        return sfft.irfftn(grid.hessian_multiplier(0, 0, rfft=True) * spec, s=grid.shape)
     if spec is None:
-        spec = sfft.fftn(arr)
+        spec = grid.fft(arr)
+    if grid.n == 1:
+        return grid.ifft(grid.hessian_multiplier(0, 0, rfft=True) * spec)
     diag = sfft.ifftn(grid.packed_diag_multiplier() * spec, overwrite_x=True)
     h12 = sfft.ifftn(grid.hessian_multiplier(0, 1) * spec, overwrite_x=True)
     return diag.real.copy(), diag.imag.copy(), h12
@@ -332,6 +348,36 @@ def trace_raw(grid, m):
     if grid.n == 1:
         return m
     return m[0] + m[1]
+
+
+def inverse_raw(grid, m, det):
+    """Raw M^{-1} of raw M with determinant det: 1/m, or (m22, m11, -m12) * (1/det)."""
+    bad = np.abs(det).min()
+    if not np.isfinite(bad) or bad < 1e-300:
+        raise SingularMetric(f"matrix inversion failed (|det| down to {bad:.3e})")
+    if grid.n == 1:
+        return 1.0 / m
+    s = 1.0 / det
+    return m[1] * s, m[0] * s, -m[2] * s
+
+
+def contract_raw(grid, inv, h):
+    """tr_M(H) = sum_{jk} (M^{-1})_{jk} H_{kj} from raw M^{-1} and a raw Hermitian H."""
+    if grid.n == 1:
+        return inv * h
+    i11, i22, i12 = inv
+    h11, h22, h12 = h
+    return i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
+
+
+def wedge_sum(grid, m, th):
+    """sum_{j=0..n} M^j wedge Theta^(n-j) / omega^n of raw M and Theta, pointwise."""
+    if grid.n == 1:
+        return th + m
+    m11, m22, m12 = m
+    t11, t22, t12 = th
+    cross = (m12 * np.conj(t12)).real
+    return det_raw(grid, th) + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross) + det_raw(grid, m)
 
 
 def eigmin_raw(grid, m):
@@ -482,9 +528,11 @@ def inverse_hermitian(grid, values):
 
 
 def trace_wrt(M, N):
-    """tr_M(N) = sum_{jk} (M^{-1})_{jk} N_{kj}, a real scalar field."""
-    inv = inverse_hermitian(M.grid, M.values)
-    return np.einsum("...jk,...kj->...", inv, N.values).real
+    """tr_M(N) = sum_{jk} (M^{-1})_{jk} N_{kj}, a real scalar field (``contract_raw``)."""
+    grid = M.grid
+    m = raw_from_matrix(grid, M.values)
+    return contract_raw(grid, inverse_raw(grid, m, det_raw(grid, m)),
+                        raw_from_matrix(grid, N.values))
 
 
 def laplacian_wrt(M, psi):

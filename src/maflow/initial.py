@@ -124,18 +124,21 @@ def cos_mode(grid, kvec, amp, phase=0.0):
     return amp * np.cos(np.broadcast_to(arg, grid.shape))
 
 
+def log_pole(grid, z0):
+    """Periodized log|z - z0|, of Lelong mass 1 at z0 (shared by the oracle)."""
+    if grid.n == 1:
+        return green_function(grid, z0[:2])
+    g1 = green_function(grid, z0[:2], axis_pair=0)
+    g2 = green_function(grid, z0[2:], axis_pair=1)
+    # (1/2) log(e^{2G1} + e^{2G2}) ~ log|z - z0| near the pole
+    return 0.5 * np.logaddexp(2.0 * g1, 2.0 * g2)
+
+
 def _pole_potential(spec, grid):
     z0 = spec.center if spec.center is not None else default_center(grid)
     if len(z0) != 2 * grid.n:
         raise InvalidSpec(f"center needs {2 * grid.n} coordinates, got {len(z0)}")
-    if grid.n == 1:
-        g = green_function(grid, z0[:2])
-    else:
-        g1 = green_function(grid, z0[:2], axis_pair=0)
-        g2 = green_function(grid, z0[2:], axis_pair=1)
-        # (1/2) log(e^{2G1} + e^{2G2}) ~ log|z - z0| near the pole
-        g = 0.5 * np.logaddexp(2.0 * g1, 2.0 * g2)
-    return g, z0
+    return log_pole(grid, z0), z0
 
 
 def sample_potential(spec, grid, validate=True):

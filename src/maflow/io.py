@@ -131,6 +131,9 @@ def load_run_config(dirpath, twist=None):
     """
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
+    if meta["variant"] not in ("cmaf", "ncmaf"):
+        raise ConfigError(f"{dirpath}: a {meta['variant']!r} run has no FlowConfig "
+                          f"to restart from (only cmaf and ncmaf potential-form runs)")
     grid = TorusGrid(meta["n"], meta["res"], meta["period"])
     if twist is None:
         twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))

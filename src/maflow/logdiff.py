@@ -24,7 +24,6 @@ spectral stack is shared; the PDE is identical.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import functionals as fnl
 from . import geometry as geo
@@ -69,16 +68,15 @@ def density_to_potential(f):
     grid = f.grid
     if abs(f.mass() - grid.volume) > 1e-8 * grid.volume:
         raise MassMismatch(f"density mass {f.mass():.12g} != V = {grid.volume}")
-    sym = grid.flat_symbol(rfft=True)
-    spec = sfft.rfftn(f.values - 1.0)
+    sym = grid.flat_symbol()
+    spec = grid.fft(f.values - 1.0)
     out = np.zeros_like(spec)
     np.divide(spec, sym, out=out, where=sym != 0.0)
-    return PotentialField(grid, sfft.irfftn(out, s=grid.shape))
+    return PotentialField(grid, grid.ifft(out))
 
 
 def _rhs(grid, f):
-    return sfft.irfftn(grid.flat_symbol(rfft=True) * sfft.rfftn(np.log(f)),
-                       s=grid.shape)
+    return grid.ifft(grid.flat_symbol() * grid.fft(np.log(f)))
 
 
 def _rk4(grid, f, dt):
@@ -189,14 +187,14 @@ def _sbdf2_density(grid, f, dt, dt_full, stab_factor, hist, t):
     straight to the shared SBDF2 kernel, and one inverse transform returns
     the new density (f's own spectrum comes from the history).
     """
-    sym = grid.flat_symbol(rfft=True)
+    sym = grid.flat_symbol()
     f_spec = hist.get("spec")
     if f_spec is None:
-        f_spec = sfft.rfftn(f)
+        f_spec = grid.fft(f)
     beta0 = stab_factor / max(float(f.min()), 1e-12)
-    new_spec, hist = _sbdf2_spectrum(sym, f_spec, sym * sfft.rfftn(np.log(f)), hist,
+    new_spec, hist = _sbdf2_spectrum(sym, f_spec, sym * grid.fft(np.log(f)), hist,
                                      dt, dt_full, beta0)
-    new = sfft.irfftn(new_spec, s=grid.shape)
+    new = grid.ifft(new_spec)
     if new.min() <= 0.0 or not np.all(np.isfinite(new)):
         raise PositivityLoss(f"semi-implicit density step lost positivity at t={t:.6g}",
                              t=t)

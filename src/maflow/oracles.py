@@ -9,7 +9,7 @@ function.
 import numpy as np
 
 from .geometry import PotentialField
-from .initial import default_center, green_function
+from .initial import default_center, log_pole
 
 KAPPA = 0.25  # heat constant of the linearized flow: rate 4 pi^2 kappa |k|^2 / L^2
 
@@ -24,13 +24,7 @@ def lelong_model_field(grid, gamma, center=None, clip_floor=-1e6):
     """gamma * log(periodized distance to the center), the closed-form pole."""
     if center is None:
         center = default_center(grid)
-    if grid.n == 1:
-        g = green_function(grid, center[:2])
-    else:
-        g1 = green_function(grid, center[:2], axis_pair=0)
-        g2 = green_function(grid, center[2:], axis_pair=1)
-        g = 0.5 * np.logaddexp(2.0 * g1, 2.0 * g2)
-    return PotentialField(grid, np.maximum(gamma * g, clip_floor)), center
+    return PotentialField(grid, np.maximum(gamma * log_pole(grid, center), clip_floor)), center
 
 
 def heat_mode_series(grid, kvec, amp, T, samples=50):

@@ -66,6 +66,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FlowConfig(grid=g, variant="ncmaf", twist=TwistSpec(c=0.1), T=0.5)
 
+    @pytest.mark.parametrize("snaps", [(0.01, 0.01 + 1e-13), (0.02 - 1e-13,)])
+    def test_boundaries_closer_than_dt_min_rejected(self, snaps):
+        # two snapshot times, or a snapshot time and T, less than dt_min apart
+        # would end a valid run in StepSizeUnderflow
+        with pytest.raises(ConfigError, match="dt_min"):
+            FlowConfig(grid=mf.TorusGrid(1, 16), T=0.02, snapshot_times=snaps)
+
+    def test_duplicate_snapshot_times_still_merge(self):
+        g = mf.TorusGrid(1, 16)
+        cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01, 0.01, 0.02, 0.05))
+        tr = run(mode(g, (1, 0), 0.02), cfg)
+        assert tr.snapshot_times == [0.0, 0.01, 0.02]
+
     def test_h_renormalized(self):
         g = grid1()
         cfg = FlowConfig(grid=g, h=PotentialField(g, np.full(g.shape, 0.7)), T=0.1)

@@ -13,6 +13,7 @@ from maflow.errors import ConfigError
 from maflow.flow import FlowConfig, run
 from maflow.geometry import PotentialField
 from maflow.initial import cos_mode
+from maflow.logdiff import evolve_density, potential_to_density
 
 
 def mode(grid, kvec, amp, phase=0.0):
@@ -407,3 +408,15 @@ class TestTwistedRestart:
         tail = mio.load_trajectory(dest)
         assert np.array_equal(tail.twist.psi_chi.values, psi.values)
         assert tail.snapshots[-1].t == 0.02
+
+
+class TestDensityRunRestart:
+    def test_restart_of_density_run_is_a_config_error(self, tmp_path, capsys):
+        g = mf.TorusGrid(1, 16)
+        f0 = potential_to_density(mode(g, (1, 0), 0.02))
+        src = tmp_path / "density"
+        mio.save_trajectory(evolve_density(f0, 0.02, snapshot_times=(0.01,)), src)
+        with pytest.raises(ConfigError, match="logfd"):
+            mio.load_run_config(src)
+        assert main(["restart", str(src), "--at", "0.01", "--out", str(tmp_path / "r")]) == 2
+        assert "logfd" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Property tests of the one time loop (``flow._march``) on generated inputs.
+"""Property tests on generated inputs: the one time loop (``flow._march``),
+the raw metric algebra of ``geometry`` and the discrete volume identity.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic and writes nothing.
@@ -8,7 +9,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import maflow as mf
-from maflow.flow import FlowConfig, continue_run, run
+from maflow import geometry as geo
+from maflow.flow import FlowConfig, TwistSpec, continue_run, run
 from maflow.functionals import SERIES_COLUMNS
 from maflow.geometry import PotentialField
 from maflow.initial import cos_mode
@@ -69,3 +71,79 @@ def test_both_forms_share_the_cadence(snaps, record_every, dt_init, a1, a2):
     assert np.array_equal(tr.column("t"), trd.column("t"))
     assert np.array_equal(tr.column("dt"), trd.column("dt"))
     assert tr.snapshot_times == trd.snapshot_times == [0.0, *sorted(snaps), T]
+
+
+# -- the raw metric algebra against numpy.linalg ---------------------------
+
+ALGEBRA_GRIDS = {1: mf.TorusGrid(1, 8), 2: mf.TorusGrid(2, 8)}
+
+
+def hermitian_field(rng, n, shape, lam_min, lam_max):
+    """Hermitian matrices U diag(lam) U^* per point, lam drawn in [lam_min, lam_max]."""
+    lam = rng.uniform(lam_min, lam_max, shape + (n,))
+    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    u, _ = np.linalg.qr(z)
+    return np.einsum("...jk,...k,...lk->...jl", u, lam, u.conj())
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+       lam_min=st.floats(1e-3, 1.0), spread=st.floats(1.0, 1e3))
+def test_raw_algebra_matches_numpy_linalg(n, seed, lam_min, spread):
+    grid = ALGEBRA_GRIDS[n]
+    rng = np.random.default_rng(seed)
+    lam_max = lam_min * spread
+    mat = hermitian_field(rng, n, grid.shape, lam_min, lam_max)
+    hmat = hermitian_field(rng, n, grid.shape, -1.0, 1.0)
+    m, h = geo.raw_from_matrix(grid, mat), geo.raw_from_matrix(grid, hmat)
+    eps = 1e-12
+
+    det = geo.det_raw(grid, m)
+    assert np.abs(det - np.linalg.det(mat).real).max() <= eps * lam_max ** n
+    emin = geo.eigmin_raw(grid, m)
+    assert np.abs(emin - np.linalg.eigvalsh(mat)[..., 0]).max() <= eps * lam_max
+    inv = geo.inverse_raw(grid, m, det)
+    want = geo.raw_from_matrix(grid, np.linalg.inv(mat))
+    for got, ref in zip((inv,) if n == 1 else inv, (want,) if n == 1 else want):
+        assert np.abs(got - ref).max() <= eps * spread / lam_min
+    # tr_M(H) as the (..., n, n) einsum that trace_wrt used before contract_raw
+    tr = np.einsum("...jk,...kj->...", np.linalg.inv(mat), hmat).real
+    assert np.abs(geo.contract_raw(grid, inv, h) - tr).max() <= eps * n * spread / lam_min
+
+
+# -- the discrete volume identity ------------------------------------------
+
+VOLUME_GRIDS = {1: mf.TorusGrid(1, 16), 2: mf.TorusGrid(2, 8)}
+
+
+def bandlimited(grid, draw_modes, bound):
+    """sum of cos modes, scaled so every eigenvalue of H has |.| <= bound.
+
+    Frequencies reach the Nyquist index and beyond (grid aliases of lower
+    ones); the bound from |k| covers the aliases, whose |k| is smaller.
+    """
+    vals, weight = np.zeros(grid.shape), 0.0
+    for k, amp, phase in draw_modes:
+        k = tuple(k[: 2 * grid.n])
+        vals += cos_mode(grid, k, amp, phase)
+        # a mode's Hessian has rank one and eigenvalue -amp cos(.) pi^2 |k|^2 / L^2
+        weight += abs(amp) * np.pi ** 2 * sum(q * q for q in k) / grid.period ** 2
+    return PotentialField(grid, vals * (bound / weight if weight > bound else 1.0))
+
+
+mode_lists = st.lists(
+    st.tuples(st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+              st.floats(-1.0, 1.0), st.floats(0.0, 6.3)),
+    min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), phi_modes=mode_lists, psi_modes=mode_lists,
+       with_psi=st.booleans(), c=st.floats(-0.5, 0.5), t=st.floats(0.0, 0.5))
+def test_volume_identity_inside_the_cone(n, phi_modes, psi_modes, with_psi, c, t):
+    # |H(phi)|, |H(psi_chi)| <= 0.4 and |t c| <= 0.25 keep theta_t + dd^c phi >= 0.15
+    grid = VOLUME_GRIDS[n]
+    phi = bandlimited(grid, phi_modes, 0.4)
+    twist = TwistSpec(c, bandlimited(grid, psi_modes, 0.4) if with_psi else None)
+    vol = mf.integrate(mf.ma_ratio(phi, twist, t), grid)
+    assert abs(vol - (1.0 + t * c) ** n * grid.volume) <= 1e-13 * grid.volume

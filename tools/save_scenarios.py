@@ -1,0 +1,122 @@
+"""Save a fixed set of maflow scenarios, so two code versions compare by `diff -r`.
+
+Usage:
+
+    PYTHONPATH=src python tools/save_scenarios.py OUTDIR
+
+Every scenario is seeded and deterministic, and writes only its results:
+trajectory directories (``series.csv``, snapshot ``.mafl`` files,
+``meta.json``) as ``io.save_run`` writes them, ``solve_ma`` fields with
+their Newton log and inner-iteration counts, and oracle fields.  Run it
+once against each version (``PYTHONPATH`` pointing at that version's
+``src``) into two directories; a refactor that leaves the numerics alone
+shows no difference in
+
+    diff -r OUTDIR_A OUTDIR_B
+
+The set: at n = 1 res 32 and n = 2 res 8, a smooth run, a twisted run
+(psi_chi and h, c = -0.5), the normalized flow (ncmaf, with h), the
+semi-implicit and fixed-step policies and a dealiased run, and
+``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
+``error.txt``, not raised); three Lelong approximation levels at n = 1
+res 64; the density form under rk4 and semi_implicit with snapshot times
+off the step grid; and the ``lelong_field`` oracle at n = 1 and n = 2.
+Takes about a minute on one core.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+
+from maflow import io as mio
+from maflow import oracles
+from maflow.elliptic import SolverLog, solve_ma
+from maflow.errors import NewtonDiverged
+from maflow.flow import FlowConfig, TwistSpec, normalize_h, run, run_levels
+from maflow.geometry import PotentialField, TorusGrid
+from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
+from maflow.logdiff import evolve_density, potential_to_density
+
+GRIDS = {"n1": TorusGrid(1, 32), "n2": TorusGrid(2, 8)}
+
+
+def modes(grid, terms):
+    """sum of amp * cos(k.x + phase) over (k, amp, phase), k padded to 2n entries."""
+    vals = np.zeros(grid.shape)
+    for k, amp, phase in terms:
+        kvec = tuple(k) + (0,) * (2 * grid.n - len(k))
+        vals += cos_mode(grid, kvec, amp, phase)
+    return PotentialField(grid, vals)
+
+
+def initial(grid):
+    return modes(grid, [((1, 0), 0.02, 0.0), ((0, 1), 0.015, 0.3), ((1, 1), 0.01, 1.1)]
+                 + ([((0, 0, 1, 0), 0.012, 0.7), ((1, 0, 0, 1), 0.008, 0.2)]
+                    if grid.n == 2 else []))
+
+
+def flow_configs(grid):
+    """name -> FlowConfig of the run scenarios on one grid."""
+    h = normalize_h(modes(grid, [((1, 0), 0.1, 0.2), ((0, 1), 0.05, 0.0)]))
+    twist = TwistSpec(-0.5, modes(grid, [((0, 1), 0.004, 0.5), ((1, 1), 0.003, 0.0)]))
+    base = dict(grid=grid, T=0.02, record_every=3, snapshot_times=(0.0071, 0.0133))
+    return {
+        "smooth": FlowConfig(**base),
+        "twisted": FlowConfig(twist=twist, h=h, **base),
+        "ncmaf": FlowConfig(variant="ncmaf", h=h, **base),
+        "semi_implicit": FlowConfig(dt_policy="semi_implicit", dt_init=1e-3, **base),
+        "rk4_fixed": FlowConfig(dt_policy="rk4_fixed", dt_init=2e-4, **base),
+        "dealiased": FlowConfig(dealias=True, **base),
+    }
+
+
+def save_solve(outdir, alpha, grid):
+    """solve_ma at alpha with smooth g and h; the field, the Newton log, the inner counts."""
+    os.makedirs(outdir, exist_ok=True)
+    h = normalize_h(modes(grid, [((1, 0), 0.2, 0.0), ((0, 1), 0.2, 0.4), ((1, 1), 0.2, 0.9)]))
+    g = None if alpha == 0.0 else modes(grid, [((0, 1), 0.1, 0.0)])
+    log = SolverLog()
+    try:
+        u, _ = solve_ma(alpha, g=g, h=h, grid=grid, log=log)
+        mio.write_field(os.path.join(outdir, "u.mafl"), u)
+    except NewtonDiverged as e:
+        with open(os.path.join(outdir, "error.txt"), "w") as fh:
+            fh.write(f"NewtonDiverged: {e}\n")
+    log.write_csv(os.path.join(outdir, "newton_log.csv"))
+    with open(os.path.join(outdir, "inner_iterations.json"), "w") as fh:
+        json.dump([int(k) for k in log.inner_iterations], fh)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out = argv[0]
+    for tag, grid in GRIDS.items():
+        phi0 = initial(grid)
+        for name, cfg in flow_configs(grid).items():
+            mio.save_run(run(phi0, cfg), os.path.join(out, f"{tag}_{name}"), cfg)
+        for alpha in (0.0, 1.5):
+            save_solve(os.path.join(out, f"{tag}_solve_ma_alpha{alpha:g}"), alpha, grid)
+        fld, _ = oracles.lelong_model_field(grid, 0.5)
+        os.makedirs(os.path.join(out, "lelong_field"), exist_ok=True)
+        mio.write_field(os.path.join(out, "lelong_field", f"{tag}.mafl"), fld)
+
+    grid = TorusGrid(1, 64, 2.0)
+    seq = approximation_sequence(PotentialSpec("lelong", gamma=1.0), grid, 3, K=2.0)
+    cfg = FlowConfig(grid=grid, T=0.01, record_every=50, snapshot_times=(0.005,))
+    for k, traj in enumerate(run_levels(seq, cfg)):
+        mio.save_run(traj, os.path.join(out, "lelong", f"level_{k + 1:02d}"), cfg)
+
+    f0 = potential_to_density(initial(GRIDS["n1"]))
+    for policy in ("rk4", "semi_implicit"):
+        traj = evolve_density(f0, 0.02, dt_policy=policy, dt_init=1e-3, record_every=4,
+                              snapshot_times=(0.00731, 0.0171))
+        mio.save_trajectory(traj, os.path.join(out, f"density_{policy}"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
