@@ -79,24 +79,31 @@ def _load_levels(rundir):
 
 def cmd_verify(args):
     trajs = _load_levels(args.rundir)
-    checks = args.checks.replace(",", " ").split() if args.checks else None
+    checks, tol = None, {}
+    echo = os.path.join(args.rundir, "config_echo.ini")
+    if os.path.exists(echo):   # the run's [verify] checks and tol.<check> keys
+        setup = load_config(echo)
+        checks = setup.checks or None
+        tol = {name: {"tol": v} for name, v in setup.tolerances.items()}
+    if args.checks:
+        checks = args.checks.replace(",", " ").split()
     reports = []
     deep = trajs[-1]
     single = checks or list(ver.SINGLE_RUN_CHECKS)
     for name in single:
         if name in ver.SINGLE_RUN_CHECKS:
-            reports.append(ver.SINGLE_RUN_CHECKS[name](deep))
-        elif name not in ("comparison", "oscillation_levels"):
+            reports.append(ver.SINGLE_RUN_CHECKS[name](deep, **tol.get(name, {})))
+        elif name not in ver.CHECK_NAMES:
             print(f"unknown check {name!r}", file=sys.stderr)
             return 2
     if len(trajs) >= 2 and (checks is None or "comparison" in checks):
         for lo, hi in zip(trajs[1:], trajs[:-1]):
-            reports.append(ver.verify_comparison(lo, hi))
+            reports.append(ver.verify_comparison(lo, hi, **tol.get("comparison", {})))
     if len(trajs) >= 2 and (checks is None or "oscillation_levels" in checks):
         reports.append(ver.verify_oscillation_levels(trajs))
     if args.restart_dir:
         restarted = mio.load_trajectory(args.restart_dir)
-        reports.append(ver.verify_minodot(deep, restarted))
+        reports.append(ver.verify_minodot(deep, restarted, **tol.get("minodot", {})))
     out = args.out or os.path.join(args.rundir, "verdicts.json")
     mio.write_verdicts(out, reports)
     failed = [r for r in reports if r.status == "fail" and not r.advisory]

@@ -5,16 +5,21 @@ rejected):
 
   [schema]   version (1)
   [grid]     n (1) | res (128) | period (1.0)
-  [initial]  kind (smooth) | modes ("") | gamma (1.0) | a (0.5) |
-             floor (-1.0) | s0 (1.0) | center ("") | clip_floor (-1e6) |
-             path ("") | levels (1) | trunc_depth (1.0) | delta0 ("") |
-             ratio (0.7)
-  [flow]     variant (cmaf) | c (0.0) | psi_chi_modes ("") | h_modes ("") |
-             T (1.0) | dt_policy (rk4) | dt_init (1e-2) | dt_min (1e-12) |
-             safety (0.9) | record_every (25) | dealias (false) |
-             stab_factor (1.0)
+  [initial]  kind (smooth) | modes ("") | center ("") | levels (1) |
+             trunc_depth (1.0) | delta0 ("") | ratio (0.7), and the
+             scalar fields of initial.PotentialSpec (gamma, a, floor, s0,
+             path, clip_floor), typed and defaulted by the dataclass
+  [flow]     c (0.0) | psi_chi_modes ("") | h_modes (""), and the run
+             settings flow.SETTINGS, FlowConfig's scalar fields (variant,
+             T, dt_policy, dt_init, dt_min, safety, record_every, dealias,
+             stab_factor), typed and defaulted by the dataclass
   [output]   dir (out) | snapshots ("")
-  [verify]   checks ("") | tol.<check> (per-check override)
+  [verify]   checks ("": all) | tol.<check> (that check's tol)
+
+``maflow verify RUNDIR`` runs the [verify] checks of RUNDIR/config_echo.ini
+(``--checks`` replaces the list) and passes each tol.<check> to its check
+as ``tol``.  A check outside verify.CHECK_NAMES, or a tol.<check> for a
+check without a ``tol`` parameter, is a ConfigError.
 
 A mode list is semicolon-separated entries "k1 k2 ... : amp : phase", one
 integer frequency per real axis, e.g. "1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2".
@@ -22,27 +27,30 @@ The environment variable MAFLOW_OUTPUT_ROOT prefixes relative output dirs.
 """
 
 import configparser
+import inspect
 import os
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 
 import numpy as np
 
+from . import verify as ver
 from .errors import ConfigError
-from .flow import FlowConfig, TwistSpec
+from .flow import SETTINGS, FlowConfig, TwistSpec
 from .geometry import PotentialField, TorusGrid
 from .initial import PotentialSpec, cos_mode
 
 SCHEMA_VERSION = 1
 
+# PotentialSpec's scalars: its fields but the kind and the structured ones
+_SPEC_SCALARS = tuple(f for f in fields(PotentialSpec)
+                      if f.name not in ("kind", "center", "modes"))
+
 _KNOWN = {
     "schema": {"version"},
     "grid": {"n", "res", "period"},
-    "initial": {"kind", "modes", "gamma", "a", "floor", "s0", "center",
-                "clip_floor", "path", "levels", "trunc_depth", "delta0",
-                "ratio"},
-    "flow": {"variant", "c", "psi_chi_modes", "h_modes", "T", "dt_policy",
-             "dt_init", "dt_min", "safety", "record_every", "dealias",
-             "stab_factor"},
+    "initial": {"kind", "modes", "center", "levels", "trunc_depth", "delta0",
+                "ratio", *(f.name for f in _SPEC_SCALARS)},
+    "flow": {"c", "psi_chi_modes", "h_modes", *(f.name for f in SETTINGS)},
     "output": {"dir", "snapshots"},
     "verify": set(),   # checks + tol.<name> keys, validated separately
 }
@@ -104,6 +112,11 @@ def _get(cp, section, key, default, cast):
     return default
 
 
+def _read_fields(cp, section, dataclass_fields):
+    """{name: value} of the fields in [section], each typed and defaulted by its field."""
+    return {f.name: _get(cp, section, f.name, f.default, f.type) for f in dataclass_fields}
+
+
 def load_config(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -141,48 +154,35 @@ def load_config(path):
         if center_text else None
     if center is not None and len(center) != 2 * grid.n:
         raise ConfigError(f"center needs {2 * grid.n} coordinates")
-    spec = PotentialSpec(
-        kind=kind,
-        gamma=_get(cp, "initial", "gamma", 1.0, float),
-        a=_get(cp, "initial", "a", 0.5, float),
-        center=center,
-        floor=_get(cp, "initial", "floor", -1.0, float),
-        s0=_get(cp, "initial", "s0", 1.0, float),
-        modes=parse_modes(_get(cp, "initial", "modes", "", str)),
-        path=_get(cp, "initial", "path", "", str),
-        clip_floor=_get(cp, "initial", "clip_floor", -1e6, float))
+    spec = PotentialSpec(kind=kind, center=center,
+                         modes=parse_modes(_get(cp, "initial", "modes", "", str)),
+                         **_read_fields(cp, "initial", _SPEC_SCALARS))
 
     snap_text = _get(cp, "output", "snapshots", "", str).strip()
     snapshots = tuple(float(s) for s in snap_text.replace(",", " ").split()) \
         if snap_text else ()
     flow = FlowConfig(
         grid=grid,
-        variant=_get(cp, "flow", "variant", "cmaf", str),
         twist=TwistSpec(_get(cp, "flow", "c", 0.0, float),
                         _mode_field(grid, _get(cp, "flow", "psi_chi_modes", "", str))),
         h=_mode_field(grid, _get(cp, "flow", "h_modes", "", str)),
-        T=_get(cp, "flow", "T", 1.0, float),
-        dt_policy=_get(cp, "flow", "dt_policy", "rk4", str),
-        dt_init=_get(cp, "flow", "dt_init", 1e-2, float),
-        dt_min=_get(cp, "flow", "dt_min", 1e-12, float),
-        safety=_get(cp, "flow", "safety", 0.9, float),
-        record_every=_get(cp, "flow", "record_every", 25, int),
-        snapshot_times=snapshots,
-        dealias=_get(cp, "flow", "dealias", False, bool),
-        stab_factor=_get(cp, "flow", "stab_factor", 1.0, float))
+        snapshot_times=snapshots, **_read_fields(cp, "flow", SETTINGS))
 
     outdir = _get(cp, "output", "dir", "out", str)
     root = os.environ.get("MAFLOW_OUTPUT_ROOT", "")
     if root and not os.path.isabs(outdir):
         outdir = os.path.join(root, outdir)
 
-    checks_text = _get(cp, "verify", "checks", "", str)
-    checks = [c.strip() for c in checks_text.replace(",", " ").split() if c.strip()]
-    tolerances = {}
-    if cp.has_section("verify"):
-        for key in cp.options("verify"):
-            if key.startswith("tol."):
-                tolerances[key[4:]] = float(cp.get("verify", key))
+    checks = _get(cp, "verify", "checks", "", str).replace(",", " ").split()
+    tolerances = {key[4:]: _get(cp, "verify", key, None, float)
+                  for key in (cp.options("verify") if cp.has_section("verify") else ())
+                  if key.startswith("tol.")}
+    for name in checks + list(tolerances):
+        if name not in ver.CHECK_NAMES:
+            raise ConfigError(f"[verify] unknown check {name!r}")
+    for name in tolerances:
+        if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
+            raise ConfigError(f"[verify] check {name!r} takes no tol")
 
     delta0_text = _get(cp, "initial", "delta0", "", str).strip()
     return RunSetup(

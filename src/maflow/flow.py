@@ -169,20 +169,25 @@ class FlowConfig:
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
 
+    def settings(self):
+        """{name: value} of the scalar settings (``SETTINGS``)."""
+        return {f.name: getattr(self, f.name) for f in SETTINGS}
+
     def meta(self):
         g = self.grid
         return {
-            "variant": self.variant, "n": g.n, "res": g.res, "period": g.period,
-            "c": self.twist.c, "T": self.T, "dt_policy": self.dt_policy,
-            "dt_init": self.dt_init, "dt_min": self.dt_min, "safety": self.safety,
-            "record_every": self.record_every, "dealias": self.dealias,
-            "stab_factor": self.stab_factor,
-            "sign_class": self.twist.sign_class(g),
+            **self.settings(), "n": g.n, "res": g.res, "period": g.period,
+            "c": self.twist.c, "sign_class": self.twist.sign_class(g),
             "sup_h": 0.0 if self.h is None else self.h.sup,
             "inf_h": 0.0 if self.h is None else self.h.inf,
             "t_max": t_max(self.twist) if self.variant == "cmaf" else math.inf,
             "snapshot_times": list(self.snapshot_times),
         }
+
+
+# FlowConfig's scalar fields: the one list the INI, meta.json and restarts read
+SETTINGS = tuple(f for f in dataclasses.fields(FlowConfig)
+                 if f.name not in ("grid", "twist", "h", "snapshot_times"))
 
 
 @dataclass
@@ -475,6 +480,9 @@ def _march(st, t0):
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
                         | ({cfg.T} if cfg.T > t0 else set()))
+    if boundaries and boundaries[0] - t0 < cfg.dt_min:
+        raise ConfigError(f"boundary t={boundaries[0]!r} (a snapshot time or T) lies "
+                          f"closer than dt_min={cfg.dt_min} to the start t0={t0!r}")
     rows, snaps, since = [st.row(0.0)], [st.snapshot()], 0
     for target in boundaries:
         floor = target - 1e-12 * max(1.0, abs(target))

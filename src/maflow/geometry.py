@@ -18,8 +18,10 @@ Conventions, fixed once and used by every module:
   The customary 1/pi in dd^c is absorbed into this normalization, which
   makes gamma * log|z - z0| carry Lelong mass exactly gamma.
 * Nyquist modes are dropped from the derivative multipliers.  This keeps
-  H(phi) exactly Hermitian for real phi and makes the discrete volume
-  identity integrate(det M) = (1+tc)^n V hold to round-off.
+  H(phi) exactly Hermitian for real phi: the Nyquist frequency has no
+  partner of opposite sign, so with it d^2 phi / dz_2 dzbar_1 would not be
+  the conjugate of d^2 phi / dz_1 dzbar_2, which the raw layout stores
+  alone.
 
 This module owns the two per-n layouts, so no other module branches on
 them.  The raw layout of a Hermitian field is a real array at n = 1 and the

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import functionals as fnl
 from .errors import ConfigError
-from .flow import FlowConfig, Snapshot, Trajectory, TwistSpec
+from .flow import SETTINGS, FlowConfig, Snapshot, Trajectory, TwistSpec
 from .geometry import PotentialField, TorusGrid
 
 MAGIC = b"MAFL"
@@ -131,21 +131,16 @@ def load_run_config(dirpath, twist=None):
     """
     with open(os.path.join(dirpath, "meta.json")) as fh:
         meta = json.load(fh)
-    if meta["variant"] not in ("cmaf", "ncmaf"):
-        raise ConfigError(f"{dirpath}: a {meta['variant']!r} run has no FlowConfig "
-                          f"to restart from (only cmaf and ncmaf potential-form runs)")
-    grid = TorusGrid(meta["n"], meta["res"], meta["period"])
+    try:
+        settings = {f.name: meta[f.name] for f in SETTINGS}
+        grid = TorusGrid(meta["n"], meta["res"], meta["period"])
+        c, snapshot_times = meta["c"], tuple(meta["snapshot_times"])
+    except KeyError as e:
+        raise ConfigError(f"{dirpath}: meta.json lacks {e.args[0]!r}") from None
     if twist is None:
-        twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
-    return FlowConfig(
-        grid=grid, variant=meta["variant"], twist=twist,
-        h=_optional_field(dirpath, "h.mafl"),
-        T=meta["T"], dt_policy=meta["dt_policy"], dt_init=meta["dt_init"],
-        dt_min=meta.get("dt_min", 1e-12), safety=meta["safety"],
-        record_every=meta["record_every"],
-        snapshot_times=tuple(meta.get("snapshot_times", ())),
-        dealias=meta.get("dealias", False),
-        stab_factor=meta.get("stab_factor", 1.0))
+        twist = TwistSpec(c, _optional_field(dirpath, "psi_chi.mafl"))
+    return FlowConfig(grid=grid, twist=twist, h=_optional_field(dirpath, "h.mafl"),
+                      snapshot_times=snapshot_times, **settings)
 
 
 def write_verdicts(path, reports):

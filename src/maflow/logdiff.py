@@ -161,9 +161,10 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
                    stab_factor=1.0):
     """Run the density flow on [0, T]; shares the trajectory CSV schema.
 
-    The settings pass FlowConfig's checks first.  Snapshots store the
-    equivalent mean-zero potential (the density is recovered exactly as
-    1 + H(phi)), so the result is a plain Trajectory with variant "logfd".
+    The settings pass FlowConfig's checks first, and the meta records them
+    all.  Snapshots store the equivalent mean-zero potential (the density
+    is recovered exactly as 1 + H(phi)), so the result is a plain
+    Trajectory with variant "logfd".
     """
     if dt_policy not in ("rk4", "semi_implicit"):
         raise ConfigError(f"unknown dt policy {dt_policy!r}")
@@ -172,9 +173,8 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
                      safety=safety, record_every=record_every,
                      snapshot_times=snapshot_times, stab_factor=stab_factor)
     times, series, snaps = _march(_DensityStepper(cfg, f0), 0.0)
-    meta = {"variant": "logfd", "n": 1, "res": grid.res, "period": grid.period,
-            "c": 0.0, "T": T, "t0": 0.0, "dt_policy": dt_policy,
-            "dt_init": dt_init, "safety": safety, "sign_class": "zero",
+    meta = {**cfg.settings(), "variant": "logfd", "n": 1, "res": grid.res,
+            "period": grid.period, "c": 0.0, "t0": 0.0, "sign_class": "zero",
             "sup_h": 0.0, "inf_h": 0.0, "data_class": "smooth",
             "snapshot_times": [s.t for s in snaps[1:]], "kappa": KAPPA}
     return Trajectory(grid, meta, times, series, snaps)

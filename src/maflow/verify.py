@@ -506,6 +506,11 @@ SINGLE_RUN_CHECKS = {
     "c2_diagnostic": verify_c2_diagnostic,
 }
 
+# every check `maflow verify` runs by name, each ``verify_<name>``: the
+# single-run checks on the deepest level, two across the levels, and
+# minodot against a restart
+CHECK_NAMES = (*SINGLE_RUN_CHECKS, "comparison", "oscillation_levels", "minodot")
+
 
 def run_checks(traj, names=None):
     names = list(SINGLE_RUN_CHECKS) if names is None else names

@@ -16,6 +16,7 @@ from maflow.flow import (FlowConfig, FlowState, TwistSpec, continue_run,
                          rhs, run, run_levels, step, t_max)
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
+from maflow.logdiff import evolve_density, potential_to_density
 from maflow.oracles import heat_decay_factor
 
 
@@ -78,6 +79,18 @@ class TestConfigValidation:
         cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01, 0.01, 0.02, 0.05))
         tr = run(mode(g, (1, 0), 0.02), cfg)
         assert tr.snapshot_times == [0.0, 0.01, 0.02]
+
+    def test_first_boundary_closer_than_dt_min_to_t0_rejected(self):
+        # FlowConfig cannot see t0, so the time loop rejects a first boundary
+        # (snapshot time or T) less than dt_min after it, for both flow forms
+        g = mf.TorusGrid(1, 16)
+        phi = mode(g, (1, 0), 0.02)
+        with pytest.raises(ConfigError, match="dt_min"):
+            run(phi, FlowConfig(grid=g, T=0.02, snapshot_times=(1e-13,)))
+        with pytest.raises(ConfigError, match="dt_min"):
+            run(phi, FlowConfig(grid=g, T=0.02), t0=0.02 - 1e-13)
+        with pytest.raises(ConfigError, match="dt_min"):
+            evolve_density(potential_to_density(phi), 0.02, snapshot_times=(1e-13,))
 
     def test_h_renormalized(self):
         g = grid1()

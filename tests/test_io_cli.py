@@ -420,3 +420,77 @@ class TestDensityRunRestart:
             mio.load_run_config(src)
         assert main(["restart", str(src), "--at", "0.01", "--out", str(tmp_path / "r")]) == 2
         assert "logfd" in capsys.readouterr().err
+
+
+class TestRunSettingsInMeta:
+    def test_density_run_records_every_setting(self, tmp_path):
+        g = mf.TorusGrid(1, 16)
+        f0 = potential_to_density(mode(g, (1, 0), 0.02))
+        traj = evolve_density(f0, 0.02, dt_policy="semi_implicit", dt_init=1e-3,
+                              dt_min=1e-11, record_every=3, stab_factor=1.5,
+                              snapshot_times=(0.01,))
+        mio.save_trajectory(traj, tmp_path / "density")
+        meta = json.loads((tmp_path / "density" / "meta.json").read_text())
+        assert (meta["dt_min"], meta["record_every"], meta["stab_factor"]) == (1e-11, 3, 1.5)
+        assert meta["dealias"] is False
+
+    def test_meta_without_a_setting_is_a_config_error(self, tmp_path, capsys):
+        g = mf.TorusGrid(1, 16)
+        cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01,))
+        src = tmp_path / "run"
+        mio.save_run(run(mode(g, (1, 0), 0.02), cfg), src, cfg)
+        meta = json.loads((src / "meta.json").read_text())
+        del meta["safety"]
+        (src / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match="safety"):
+            mio.load_run_config(src)
+        assert main(["restart", str(src), "--at", "0.01", "--out", str(tmp_path / "r")]) == 2
+        assert "safety" in capsys.readouterr().err
+
+
+class TestVerifySection:
+    def _write_config(self, tmp_path, verify):
+        p = tmp_path / "run.ini"
+        p.write_text(f"""
+[grid]
+n = 1
+res = 16
+[initial]
+kind = smooth
+modes = 1 0 : 0.02 : 0.0
+[flow]
+T = 0.05
+record_every = 10
+[output]
+dir = {tmp_path / 'out'}
+snapshots = 0.025, 0.05
+[verify]
+{verify}
+""")
+        return p
+
+    def _verdicts(self, tmp_path):
+        verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+        return [(v["name"], v["tolerance"]) for v in verdicts]
+
+    def test_verify_runs_the_configured_checks_with_their_tolerances(self, tmp_path):
+        p = self._write_config(tmp_path, "checks = sup_bound, clef\ntol.clef = 0.5")
+        assert main(["run", str(p)]) == 0
+        assert main(["verify", str(tmp_path / "out")]) == 0
+        assert self._verdicts(tmp_path) == [("sup_bound", 1e-6), ("clef", 0.5)]
+        # --checks replaces the configured list; the tolerances still apply
+        assert main(["verify", str(tmp_path / "out"), "--checks", "clef"]) == 0
+        assert self._verdicts(tmp_path) == [("clef", 0.5)]
+
+    @pytest.mark.parametrize("verify, name", [
+        ("checks = sup_bound, no_such_check", "no_such_check"),
+        ("tol.no_such_check = 1e-3", "no_such_check"),
+        ("tol.volume_identity = 1e-3", "volume_identity"),
+        ("tol.mean_value = 1e-3", "mean_value"),
+        ("tol.oscillation_levels = 1e-3", "oscillation_levels"),
+    ])
+    def test_unknown_check_or_tol_of_a_tol_less_check_rejected(self, tmp_path, verify, name):
+        p = self._write_config(tmp_path, verify)
+        with pytest.raises(ConfigError, match=name):
+            load_config(p)
+        assert main(["run", str(p)]) == 2

@@ -1,16 +1,24 @@
 """Property tests on generated inputs: the one time loop (``flow._march``),
-the raw metric algebra of ``geometry`` and the discrete volume identity.
+the raw metric algebra of ``geometry``, the discrete volume identity,
+bit-exact MAFL round trips and the run settings' round trips through the
+INI and ``meta.json``.
 
 Hypothesis runs derandomized and without an example database, so the
-suite stays deterministic and writes nothing.
+suite stays deterministic; files go to temporary directories only.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import maflow as mf
 from maflow import geometry as geo
-from maflow.flow import FlowConfig, TwistSpec, continue_run, run
+from maflow import io as mio
+from maflow.config import load_config
+from maflow.flow import SETTINGS, FlowConfig, Trajectory, TwistSpec, continue_run, run
 from maflow.functionals import SERIES_COLUMNS
 from maflow.geometry import PotentialField
 from maflow.initial import cos_mode
@@ -147,3 +155,74 @@ def test_volume_identity_inside_the_cone(n, phi_modes, psi_modes, with_psi, c, t
     twist = TwistSpec(c, bandlimited(grid, psi_modes, 0.4) if with_psi else None)
     vol = mf.integrate(mf.ma_ratio(phi, twist, t), grid)
     assert abs(vol - (1.0 + t * c) ** n * grid.volume) <= 1e-13 * grid.volume
+
+
+# -- bit-exact MAFL round trips --------------------------------------------
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+finite_or_special = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(n=st.sampled_from([1, 2]), period=st.floats(1e-3, 1e3),
+       t=st.floats(allow_nan=False), data=st.data())
+def test_mafl_round_trip_is_bit_exact(n, period, t, data):
+    grid = mf.TorusGrid(n, 8, period)
+    values = data.draw(arrays(np.float64, grid.shape, elements=finite_or_special))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.mafl")
+        mio.write_field(path, PotentialField(grid, values), t)
+        back, t_back = mio.read_field(path)
+    assert back.grid == grid and bits(back.grid.period) == bits(period)
+    assert bits(t_back) == bits(t)
+    assert np.array_equal(bits(back.values), bits(values))
+
+
+# -- every run setting survives the INI and meta.json ----------------------
+
+# off-default values of the str settings; a new str setting needs an entry
+OFF_DEFAULT_STR = {"variant": ["ncmaf"], "dt_policy": ["rk4_fixed", "semi_implicit"]}
+
+
+def off_default(f):
+    """Values of the setting ``f`` off its default, drawn by its type."""
+    if f.type is bool:
+        return st.just(not f.default)
+    if f.type is int:
+        return st.integers(f.default + 1, f.default + 100)
+    if f.type is float:
+        # a factor in [1/4, 1) keeps every positive setting positive, safety in (0, 1)
+        return st.floats(0.25, 0.99).map(lambda x: f.default * x if f.default else x)
+    return st.sampled_from(OFF_DEFAULT_STR[f.name])
+
+
+def ini_text(value):
+    return str(value).lower() if isinstance(value, bool) else repr(value) \
+        if isinstance(value, float) else str(value)
+
+
+def assert_settings(cfg, values):
+    for f in SETTINGS:
+        got = getattr(cfg, f.name)
+        assert type(got) is f.type and got == values[f.name], f.name
+
+
+@PROPERTY
+@given(values=st.fixed_dictionaries({f.name: off_default(f) for f in SETTINGS}))
+def test_every_setting_survives_the_ini_and_meta_json(values):
+    with tempfile.TemporaryDirectory() as d:
+        ini = os.path.join(d, "run.ini")
+        with open(ini, "w") as fh:
+            fh.write("[grid]\nres = 16\n[flow]\n"
+                     + "".join(f"{k} = {ini_text(v)}\n" for k, v in values.items()))
+        cfg = load_config(ini).flow
+        assert_settings(cfg, values)
+        one_row = {k: np.zeros(1) for k in SERIES_COLUMNS}
+        traj = Trajectory(cfg.grid, {**cfg.meta(), "t0": 0.0}, np.zeros(1), one_row, [])
+        mio.save_run(traj, os.path.join(d, "run"), cfg)
+        assert_settings(mio.load_run_config(os.path.join(d, "run")), values)

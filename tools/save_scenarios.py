@@ -20,8 +20,12 @@ semi-implicit and fixed-step policies and a dealiased run, and
 ``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
 ``error.txt``, not raised); three Lelong approximation levels at n = 1
 res 64; the density form under rk4 and semi_implicit with snapshot times
-off the step grid; and the ``lelong_field`` oracle at n = 1 and n = 2.
-Takes about a minute on one core.
+off the step grid; the ``lelong_field`` oracle at n = 1 and n = 2; and
+the command line on an INI whose [flow] and [initial] values are off
+their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
+with psi_chi and h), ``maflow restart --at`` of the deepest level and
+``maflow verify`` with that restart, whose exit codes go to
+``cli/exit_codes.json``.  Takes about a minute on one core.
 """
 
 import json
@@ -30,6 +34,7 @@ import sys
 
 import numpy as np
 
+from maflow import cli
 from maflow import io as mio
 from maflow import oracles
 from maflow.elliptic import SolverLog, solve_ma
@@ -89,6 +94,59 @@ def save_solve(outdir, alpha, grid):
         json.dump([int(k) for k in log.inner_iterations], fh)
 
 
+CLI_CONFIG = """\
+[grid]
+n = 1
+res = 32
+period = 2.0
+
+[initial]
+kind = bounded_discontinuous
+gamma = 0.8
+floor = -0.6
+center = 1.03 0.97
+clip_floor = -1e5
+levels = 3
+trunc_depth = 1.5
+ratio = 0.6
+
+[flow]
+variant = cmaf
+c = -0.5
+psi_chi_modes = 0 1 : 0.004 : 0.5; 1 1 : 0.003 : 0.0
+h_modes = 1 0 : 0.1 : 0.2; 0 1 : 0.05 : 0.0
+T = 0.01
+dt_init = 5e-3
+dt_min = 1e-11
+safety = 0.8
+record_every = 5
+dealias = true
+stab_factor = 1.5
+
+[output]
+dir = run
+snapshots = 0.0025, 0.005, 0.01
+"""
+
+
+def save_cli(outdir):
+    """maflow run, restart --at and verify on CLI_CONFIG, all under outdir."""
+    os.makedirs(outdir, exist_ok=True)
+    config = os.path.join(outdir, "config.ini")
+    with open(config, "w") as fh:
+        fh.write(CLI_CONFIG)
+    os.environ["MAFLOW_OUTPUT_ROOT"] = outdir   # [output] dir is relative
+    run_dir, restart_dir = os.path.join(outdir, "run"), os.path.join(outdir, "restart")
+    codes = {
+        "run": cli.main(["run", config]),
+        "restart": cli.main(["restart", os.path.join(run_dir, "level_02"), "--at", "0.005",
+                             "--out", restart_dir]),
+        "verify": cli.main(["verify", run_dir, "--restart-dir", restart_dir]),
+    }
+    with open(os.path.join(outdir, "exit_codes.json"), "w") as fh:
+        json.dump(codes, fh, indent=1, sort_keys=True)
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -115,6 +173,8 @@ def main(argv):
         traj = evolve_density(f0, 0.02, dt_policy=policy, dt_init=1e-3, record_every=4,
                               snapshot_times=(0.00731, 0.0171))
         mio.save_trajectory(traj, os.path.join(out, f"density_{policy}"))
+
+    save_cli(os.path.join(out, "cli"))
     return 0
 
 
