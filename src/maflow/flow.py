@@ -143,6 +143,8 @@ class FlowConfig:
             raise ConfigError("safety factor must lie in (0, 1)")
         if self.dt_min <= 0.0 or self.dt_init <= 0.0:
             raise ConfigError("dt_init and dt_min must be positive")
+        if self.dt_init < self.dt_min:
+            raise ConfigError(f"dt_init={self.dt_init} lies below dt_min={self.dt_min}")
         if self.T < 0.0:
             raise ConfigError("horizon T must be >= 0")
         if self.variant == "ncmaf" and not self.twist.is_trivial:
@@ -315,37 +317,43 @@ def _cfl_dt(config, min_eig):
 
 
 def _advance(st, state, t_bound, scratch):
+    """One step of the configured policy towards ``t_bound``: (FlowState, dt).
+
+    A cone exit halves the step under rk4 and is fatal under the fixed-dt
+    policies; dt_min bounds the policy's step and each halving only.
+    """
     cfg = st.cfg
-    if cfg.dt_policy == "semi_implicit":
-        return _advance_sbdf2(st, state, t_bound, scratch)
-    dt = cfg.dt_init if cfg.dt_policy == "rk4_fixed" else min(
-        _cfl_dt(cfg, state.min_eig), cfg.dt_init)
-    dt = min(dt, t_bound - state.t)
-    phi = state.phi.values
+    adaptive = cfg.dt_policy == "rk4"
+    dt = min(_cfl_dt(cfg, state.min_eig), cfg.dt_init) if adaptive else cfg.dt_init
+    t, phi, r1 = state.t, state.phi.values, state.phi_dot
+    spec, hist = None, st.hist
     while True:
         if dt < cfg.dt_min:
             raise StepSizeUnderflow(
-                f"dt underflow at t={state.t:.6g} (min_eig={state.min_eig:.3e})",
-                t=state.t)
+                f"dt underflow at t={t:.6g} (min_eig={state.min_eig:.3e})", t=t)
+        dt = min(dt, t_bound - t)
         try:
-            r1 = state.phi_dot
-            r2, _, _, _ = st.parts(state.t + 0.5 * dt, phi + (0.5 * dt) * r1)
-            r3, _, _, _ = st.parts(state.t + 0.5 * dt, phi + (0.5 * dt) * r2)
-            r4, _, _, _ = st.parts(state.t + dt, phi + dt * r3)
-            new = phi + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            if not np.all(np.isfinite(new)):
-                raise _Reject(float("nan"))
-            r_new, det, emin, m = st.parts(state.t + dt, new)
-        except _Reject:
-            if cfg.dt_policy == "rk4_fixed":
+            if cfg.dt_policy == "semi_implicit":
+                new, spec, hist = _sbdf2_candidate(st, state, dt)
+            else:
+                r2, _, _, _ = st.parts(t + 0.5 * dt, phi + (0.5 * dt) * r1)
+                r3, _, _, _ = st.parts(t + 0.5 * dt, phi + (0.5 * dt) * r2)
+                r4, _, _, _ = st.parts(t + dt, phi + dt * r3)
+                new = phi + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                if not np.all(np.isfinite(new)):
+                    raise _Reject(float("nan"))
+            r_new, det, emin, m = st.parts(t + dt, new, spec=spec)
+        except _Reject as e:
+            if not adaptive:
                 raise KaehlerConeViolation(
-                    f"fixed-dt step left the Kaehler cone at t={state.t:.6g}",
-                    t=state.t) from None
+                    f"{cfg.dt_policy} step left the Kaehler cone at t={t:.6g}",
+                    t=t, min_eig=e.args[0]) from None
             dt *= 0.5
             continue
         break
+    st.hist = hist
     scratch["det"], scratch["metric"] = det, m
-    return FlowState(state.t + dt, PotentialField(st.grid, new), r_new, emin,
+    return FlowState(t + dt, PotentialField(st.grid, new), r_new, emin,
                      state.step_count + 1), dt
 
 
@@ -389,34 +397,20 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
     return num, {"ok": full, "u_spec": u_spec, "n_spec": n_spec, "spec": num}
 
 
-def _advance_sbdf2(st, state, t_bound, scratch):
-    """Stabilized SBDF2 step around the flat complex Laplacian.
+def _sbdf2_candidate(st, state, dt):
+    """Stabilized SBDF2 around the flat complex Laplacian: (phi, spectrum, history).
 
-    At n = 1, once the history holds the phi spectrum, a step takes three
-    transforms: the spectrum of phi_dot, the new potential, and the
-    Hessian of the next right-hand side (taken from the new spectrum).
+    At n = 1 the spectrum goes on to the next right-hand side's Hessian, so
+    once the history holds the phi spectrum a step takes three transforms.
     """
-    cfg = st.cfg
     grid = st.grid
-    dt = min(cfg.dt_init, t_bound - state.t)
-    beta0 = cfg.stab_factor / max(state.min_eig, 1e-12)
+    beta0 = st.cfg.stab_factor / max(state.min_eig, 1e-12)
     phi_spec = st.hist.get("spec")
     if phi_spec is None:
         phi_spec = grid.fft(state.phi.values)
     new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec, grid.fft(state.phi_dot),
-                                     st.hist, dt, cfg.dt_init, beta0)
-    new = grid.ifft(new_spec)
-    try:
-        r_new, det, emin, m = st.parts(state.t + dt, new,
-                                       spec=new_spec if grid.n == 1 else None)
-    except _Reject as e:
-        raise KaehlerConeViolation(
-            f"semi-implicit step left the Kaehler cone at t={state.t:.6g}",
-            t=state.t, min_eig=e.args[0]) from None
-    st.hist = hist
-    scratch["det"], scratch["metric"] = det, m
-    return FlowState(state.t + dt, PotentialField(grid, new), r_new, emin,
-                     state.step_count + 1), dt
+                                     st.hist, dt, st.cfg.dt_init, beta0)
+    return grid.ifft(new_spec), new_spec if grid.n == 1 else None, hist
 
 
 def _initial_state(st, phi0, t0):

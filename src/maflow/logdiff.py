@@ -27,7 +27,7 @@ import numpy as np
 
 from . import functionals as fnl
 from . import geometry as geo
-from .errors import ConfigError, MassMismatch, PositivityLoss
+from .errors import ConfigError, MassMismatch, PositivityLoss, StepSizeUnderflow
 from .flow import FlowConfig, Snapshot, Trajectory, _Stepper, _cfl_dt, _march, _sbdf2_spectrum
 from .geometry import PotentialField
 
@@ -109,12 +109,12 @@ def step_logfd(f, dt, dt_min=1e-12, t=0.0):
     arr = f.values
 
     def advance(a, start, span):
-        if span < dt_min:
-            raise PositivityLoss(
-                f"dt underflow while preserving positivity at t={start:.6g}", t=start)
         new = _rk4(grid, a, span)
         if new is not None:
             return new
+        if 0.5 * span < dt_min:
+            raise PositivityLoss(
+                f"dt underflow while preserving positivity at t={start:.6g}", t=start)
         half = advance(a, start, 0.5 * span)
         return advance(half, start + 0.5 * span, 0.5 * span)
 
@@ -135,7 +135,10 @@ class _DensityStepper(_Stepper):
     def advance(self, target, floor):
         cfg, t = self.cfg, self.t
         if cfg.dt_policy == "rk4":
-            dt = min(_cfl_dt(cfg, float(self.f.min())), cfg.dt_init, target - t)
+            dt = min(_cfl_dt(cfg, float(self.f.min())), cfg.dt_init)
+            if dt < cfg.dt_min:
+                raise StepSizeUnderflow(f"dt underflow at t={t:.6g}", t=t)
+            dt = min(dt, target - t)
             self.f = step_logfd(DensityField(self.grid, self.f), dt, cfg.dt_min, t).values
         else:
             dt = min(cfg.dt_init, target - t)

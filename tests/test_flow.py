@@ -149,6 +149,40 @@ class TestRhs:
         assert exc.value.t == 0.01 and exc.value.min_eig == -1.0
 
 
+class TestStepDriver:
+    """One driver for every dt policy; dt_min bounds the policy's step and each halving."""
+
+    # a boundary 1e-10 past the 20th step end, closer than dt_min = 1e-9
+    REMAINDER = dict(T=0.0100000001, dt_init=5e-4, dt_min=1e-9)
+
+    @pytest.mark.parametrize("policy", ["rk4", "rk4_fixed", "semi_implicit"])
+    def test_last_step_to_a_boundary_may_be_shorter_than_dt_min(self, policy):
+        g = grid1(16)
+        tr = run(mode(g, (1, 0), 0.02), FlowConfig(grid=g, dt_policy=policy, **self.REMAINDER))
+        assert tr.times[-1] == self.REMAINDER["T"]
+        assert 0.0 < tr.column("dt")[-1] < self.REMAINDER["dt_min"]
+
+    @pytest.mark.parametrize("policy", ["rk4", "semi_implicit"])
+    def test_density_form_lands_the_same_remainder(self, policy):
+        g = grid1(16)
+        tr = evolve_density(potential_to_density(mode(g, (1, 0), 0.02)),
+                            dt_policy=policy, **self.REMAINDER)
+        assert tr.times[-1] == self.REMAINDER["T"]
+
+    def test_dt_init_below_dt_min_rejected(self):
+        with pytest.raises(ConfigError, match="dt_min"):
+            FlowConfig(grid=grid1(16), dt_init=1e-10, dt_min=1e-9)
+
+    def test_fixed_dt_cone_exit_carries_t_and_min_eig(self):
+        # dt_init far above the CFL step: the second fixed step leaves the cone
+        g = grid1(16)
+        cfg = FlowConfig(grid=g, T=0.1, dt_policy="rk4_fixed", dt_init=2e-2)
+        with pytest.raises(KaehlerConeViolation) as exc:
+            run(mode(g, (1, 0), 0.02), cfg)
+        assert exc.value.t == pytest.approx(0.04)
+        assert exc.value.min_eig < 0.0
+
+
 class TestStep:
     def test_fixed_point_is_stationary(self):
         g = grid1()

@@ -6,7 +6,7 @@ from scipy import fft as sfft
 
 import maflow as mf
 from maflow import logdiff
-from maflow.errors import ConfigError, MassMismatch, PositivityLoss
+from maflow.errors import ConfigError, MassMismatch, PositivityLoss, StepSizeUnderflow
 from maflow.flow import FlowConfig, run
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import cos_mode
@@ -234,3 +234,11 @@ class TestFailureTime:
         # whole step fails, its first half passes, the second half cannot be split
         assert calls == [1e-3, 5e-4, 5e-4]
         assert err.value.t == pytest.approx(0.25 + 5e-4, abs=1e-15)
+
+    def test_cfl_step_below_dt_min_is_step_size_underflow(self):
+        # as in the potential form, dt_min bounds the CFL step: one below it
+        # is StepSizeUnderflow carrying t, not a loss of positivity
+        f = potential_to_density(mode_potential(grid1()))
+        with pytest.raises(StepSizeUnderflow) as err:
+            evolve_density(f, 0.05, dt_min=1e-2)
+        assert err.value.t == 0.0
