@@ -96,13 +96,16 @@ def cmd_verify(args):
         elif name not in ver.CHECK_NAMES:
             print(f"unknown check {name!r}", file=sys.stderr)
             return 2
+    named = checks or ()   # a named check whose input is missing reports skip
     if len(trajs) >= 2 and (checks is None or "comparison" in checks):
         for lo, hi in zip(trajs[1:], trajs[:-1]):
             reports.append(ver.verify_comparison(lo, hi, **tol.get("comparison", {})))
-    if len(trajs) >= 2 and (checks is None or "oscillation_levels" in checks):
+    elif "comparison" in named:
+        reports.append(ver.verify_comparison(deep, None))
+    if (len(trajs) >= 2 and checks is None) or "oscillation_levels" in named:
         reports.append(ver.verify_oscillation_levels(trajs))
-    if args.restart_dir:
-        restarted = mio.load_trajectory(args.restart_dir)
+    restarted = mio.load_trajectory(args.restart_dir) if args.restart_dir else None
+    if restarted is not None or "minodot" in named:
         reports.append(ver.verify_minodot(deep, restarted, **tol.get("minodot", {})))
     out = args.out or os.path.join(args.rundir, "verdicts.json")
     mio.write_verdicts(out, reports)

@@ -104,12 +104,17 @@ def _get(cp, section, key, default, cast):
     if cp.has_option(section, key):
         raw = cp.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+            if cast is bool:   # 1/true/yes/on or 0/false/no/off, else ValueError
+                return cp.getboolean(section, key)
             return cast(raw)
         except ValueError as e:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from None
     return default
+
+
+def _floats(text):
+    """A list of floats separated by commas or blanks: 'a, b c' -> (a, b, c)."""
+    return tuple(float(s) for s in text.replace(",", " ").split())
 
 
 def _read_fields(cp, section, dataclass_fields):
@@ -149,18 +154,14 @@ def load_config(path):
         raise ConfigError(f"[grid] {e}") from None
 
     kind = _get(cp, "initial", "kind", "smooth", str)
-    center_text = _get(cp, "initial", "center", "", str).strip()
-    center = tuple(float(c) for c in center_text.replace(",", " ").split()) \
-        if center_text else None
+    center = _get(cp, "initial", "center", (), _floats) or None
     if center is not None and len(center) != 2 * grid.n:
         raise ConfigError(f"center needs {2 * grid.n} coordinates")
     spec = PotentialSpec(kind=kind, center=center,
                          modes=parse_modes(_get(cp, "initial", "modes", "", str)),
                          **_read_fields(cp, "initial", _SPEC_SCALARS))
 
-    snap_text = _get(cp, "output", "snapshots", "", str).strip()
-    snapshots = tuple(float(s) for s in snap_text.replace(",", " ").split()) \
-        if snap_text else ()
+    snapshots = _get(cp, "output", "snapshots", (), _floats)
     flow = FlowConfig(
         grid=grid,
         twist=TwistSpec(_get(cp, "flow", "c", 0.0, float),
@@ -184,11 +185,13 @@ def load_config(path):
         if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
             raise ConfigError(f"[verify] check {name!r} takes no tol")
 
-    delta0_text = _get(cp, "initial", "delta0", "", str).strip()
+    delta0 = _get(cp, "initial", "delta0", (), _floats)
+    if len(delta0) > 1:
+        raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
     return RunSetup(
         grid=grid, spec=spec,
         levels=_get(cp, "initial", "levels", 1, int),
         trunc_depth=_get(cp, "initial", "trunc_depth", 1.0, float),
-        delta0=float(delta0_text) if delta0_text else None,
+        delta0=delta0[0] if delta0 else None,
         ratio=_get(cp, "initial", "ratio", 0.7, float),
         flow=flow, outdir=outdir, checks=checks, tolerances=tolerances)

@@ -111,8 +111,13 @@ def _worst_margin(traj, name, stmt, margin, tol, details=None):
 
 
 def verify_comparison(run_low, run_high, tol=1e-6):
-    """phi0 <= psi0 pointwise implies phi_t <= psi_t at every snapshot time."""
+    """phi0 <= psi0 pointwise implies phi_t <= psi_t at every snapshot time.
+
+    Without a second run (``run_high`` None) the check reports skip.
+    """
     stmt = "phi0 <= psi0  =>  phi_t <= psi_t for all t"
+    if run_high is None:
+        return _skip("comparison", stmt, "needs two or more levels")
     for key in ("n", "res", "period", "variant", "c", "T", "dt_policy",
                 "sup_h", "inf_h"):
         if run_low.meta.get(key) != run_high.meta.get(key):
@@ -401,11 +406,14 @@ def verify_minodot(original, restarted, A=None, C=STBELOW_C,
     """Semigroup property + dot lower bound from the restart time.
 
     The restarted run must reproduce the original at the shared snapshot
-    times, after which the stbelow bound applies with Osc(phi_s).
+    times, after which the stbelow bound applies with Osc(phi_s).  Without
+    a restarted run (None) the check reports skip.
     """
     stmt = ("restart reproduces the flow;  "
             "phidot_{t+s} >= n log t - A Osc(phi_s) - C")
     name = "minodot"
+    if restarted is None:
+        return _skip(name, stmt, "needs a restarted run (--restart-dir)")
     s = restarted.t0
     common = sorted(set(round(t, 12) for t in original.snapshot_times)
                     & set(round(t, 12) for t in restarted.snapshot_times))
@@ -465,6 +473,8 @@ def verify_oscillation_levels(level_trajs, t_min=None, spread_tol=0.10, tail=3):
     """
     stmt = "Osc(phi_t) spread across the deepest approximation levels <= 10%"
     name = "oscillation_levels"
+    if len(level_trajs) < 2:
+        return _skip(name, stmt, "needs two or more levels")
     dc = level_trajs[-1].meta.get("data_class", "unknown")
     if dc == "lelong":
         return _skip(name, stmt, "positive Lelong mass: oscillation may depend "

@@ -126,6 +126,45 @@ tol.sup_bound = 1e-6
         setup = load_config(p)
         assert setup.outdir == str(tmp_path / "root" / "sub")
 
+    @pytest.mark.parametrize("value, want", [("on", True), ("Yes", True), ("1", True),
+                                             ("off", False), ("no", False), ("0", False)])
+    def test_boolean_values(self, tmp_path, value, want):
+        p = tmp_path / "run.ini"
+        p.write_text(f"[grid]\nres = 16\n[flow]\ndealias = {value}\n")
+        assert load_config(p).flow.dealias is want
+
+    def test_misspelt_boolean_rejected(self, tmp_path):
+        # read as False before, which silently switched dealiasing off
+        p = tmp_path / "run.ini"
+        p.write_text("[grid]\nres = 16\n[flow]\ndealias = ture\n")
+        with pytest.raises(ConfigError, match=r"\[flow\] dealias"):
+            load_config(p)
+
+    def test_float_lists(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[grid]\nres = 16\n[initial]\ncenter = 0.5, 0.25\ndelta0 =\n"
+                     "[output]\nsnapshots = 0.01 0.02\n")
+        setup = load_config(p)
+        assert setup.spec.center == (0.5, 0.25) and setup.delta0 is None
+        assert setup.flow.snapshot_times == (0.01, 0.02)
+        p.write_text("[grid]\nres = 16\n[initial]\ndelta0 = 0.1\n")
+        assert load_config(p).delta0 == 0.1
+
+    @pytest.mark.parametrize("section, line", [
+        ("output", "snapshots = 0.005x"),
+        ("initial", "center = 0.5 x"),
+        ("initial", "delta0 = 0.1y"),
+        ("initial", "delta0 = 0.1 0.2"),
+    ])
+    def test_malformed_float_list_is_config_error(self, tmp_path, monkeypatch, section, line):
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        p = tmp_path / "run.ini"
+        p.write_text(f"[grid]\nres = 16\n[{section}]\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(p)
+        assert main(["run", str(p)]) == 2
+
 
 class TestCli:
     def _write_config(self, tmp_path, extra_verify=""):
@@ -494,3 +533,18 @@ snapshots = 0.025, 0.05
         with pytest.raises(ConfigError, match=name):
             load_config(p)
         assert main(["run", str(p)]) == 2
+
+    def test_named_check_without_its_input_reports_skip(self, tmp_path):
+        # one level and no restart: these checks were dropped from verdicts.json
+        p = self._write_config(tmp_path, "checks = sup_bound, comparison, "
+                                         "oscillation_levels, minodot")
+        assert main(["run", str(p)]) == 0
+        assert main(["verify", str(tmp_path / "out")]) == 0
+        verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+        assert [(v["name"], v["status"]) for v in verdicts] == [
+            ("sup_bound", "pass"), ("comparison", "skip"),
+            ("oscillation_levels", "skip"), ("minodot", "skip")]
+        assert "levels" in verdicts[1]["gated_on"] and "levels" in verdicts[2]["gated_on"]
+        assert "--restart-dir" in verdicts[3]["gated_on"]
+        assert main(["verify", str(tmp_path / "out"), "--checks", "minodot"]) == 0
+        assert self._verdicts(tmp_path) == [("minodot", 0.0)]
