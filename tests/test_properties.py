@@ -1,7 +1,8 @@
-"""Property tests on generated inputs: the one time loop (``flow._march``),
-the raw metric algebra of ``geometry``, the discrete volume identity,
-bit-exact MAFL round trips and the run settings' round trips through the
-INI and ``meta.json``.
+"""Property tests on generated inputs: the one time loop (``flow._march``)
+and its boundary landing under every dt policy, the raw metric algebra of
+``geometry``, the discrete volume identity, the comparison principle and
+constant-shift equivariance, bit-exact MAFL round trips and the run
+settings' round trips through the INI and ``meta.json``.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic; files go to temporary directories only.
@@ -18,6 +19,7 @@ import maflow as mf
 from maflow import geometry as geo
 from maflow import io as mio
 from maflow.config import load_config
+from maflow.verify import verify_comparison
 from maflow.flow import SETTINGS, FlowConfig, Trajectory, TwistSpec, continue_run, run
 from maflow.functionals import SERIES_COLUMNS
 from maflow.geometry import PotentialField
@@ -79,6 +81,31 @@ def test_both_forms_share_the_cadence(snaps, record_every, dt_init, a1, a2):
     assert np.array_equal(tr.column("t"), trd.column("t"))
     assert np.array_equal(tr.column("dt"), trd.column("dt"))
     assert tr.snapshot_times == trd.snapshot_times == [0.0, *sorted(snaps), T]
+
+
+# dt_init below the CFL step of every start() (min_eig >= 1 - 0.06 pi^2), so
+# the step ends before a boundary are the multiples of dt_init
+REMAINDER_DT = 2.5e-4
+REMAINDER_T = 20 * REMAINDER_DT
+FORMS = [("potential", "rk4"), ("potential", "rk4_fixed"), ("potential", "semi_implicit"),
+         ("density", "rk4"), ("density", "semi_implicit")]
+
+
+@PROPERTY
+@given(form=st.sampled_from(FORMS), k=st.integers(1, 18), dt_min=st.floats(1e-11, 1e-9),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       a1=amplitudes, a2=amplitudes)
+def test_boundary_a_remainder_past_a_step_end_is_landed(form, k, dt_min, frac, a1, a2):
+    # the last step to the snapshot, r in (1e-12, dt_min), is shorter than dt_min
+    snap = k * REMAINDER_DT + (1e-12 + frac * (dt_min - 1e-12))
+    kw = dict(dt_policy=form[1], dt_init=REMAINDER_DT, dt_min=dt_min,
+              snapshot_times=(snap,), record_every=1)
+    if form[0] == "potential":
+        tr = run(start(a1, a2), FlowConfig(grid=GRID, T=REMAINDER_T, **kw))
+    else:
+        tr = evolve_density(potential_to_density(start(a1, a2)), REMAINDER_T, **kw)
+    assert tr.snapshot_times == [0.0, snap, REMAINDER_T]
+    assert tr.times[-1] == REMAINDER_T
 
 
 # -- the raw metric algebra against numpy.linalg ---------------------------
@@ -155,6 +182,39 @@ def test_volume_identity_inside_the_cone(n, phi_modes, psi_modes, with_psi, c, t
     twist = TwistSpec(c, bandlimited(grid, psi_modes, 0.4) if with_psi else None)
     vol = mf.integrate(mf.ma_ratio(phi, twist, t), grid)
     assert abs(vol - (1.0 + t * c) ** n * grid.volume) <= 1e-13 * grid.volume
+
+
+# -- the comparison principle and constant-shift equivariance --------------
+
+ORDER_T = 0.01
+
+
+def runs_from(policy, phi0, offset):
+    """Runs under ``policy`` from phi0 and from phi0 + offset (an array or a constant)."""
+    cfg = FlowConfig(grid=phi0.grid, T=ORDER_T, dt_policy=policy, dt_init=1e-3,
+                     snapshot_times=(ORDER_T / 2,))
+    return run(phi0, cfg), run(PotentialField(phi0.grid, phi0.values + offset), cfg)
+
+
+# |H(phi0)|, |H(gap)| <= 0.3 keep both runs' metrics above 0.4
+@PROPERTY
+@given(policy=st.sampled_from(["rk4", "semi_implicit"]), n=st.sampled_from([1, 2]),
+       phi_modes=mode_lists, gap_modes=mode_lists, gap=st.floats(0.0, 0.1))
+def test_comparison_principle(policy, n, phi_modes, gap_modes, gap):
+    grid = VOLUME_GRIDS[n]
+    bump = bandlimited(grid, gap_modes, 0.3).values
+    lo, hi = runs_from(policy, bandlimited(grid, phi_modes, 0.3), bump - bump.min() + gap)
+    assert verify_comparison(lo, hi).status == "pass"
+
+
+@PROPERTY
+@given(policy=st.sampled_from(["rk4", "semi_implicit"]), n=st.sampled_from([1, 2]),
+       phi_modes=mode_lists, shift=st.floats(-5.0, 5.0))
+def test_constant_shift_equivariance(policy, n, phi_modes, shift):
+    lo, hi = runs_from(policy, bandlimited(VOLUME_GRIDS[n], phi_modes, 0.3), shift)
+    for a, b in zip(lo.snapshots, hi.snapshots):
+        assert a.t == b.t
+        assert np.abs(b.phi - a.phi - shift).max() <= 1e-10 * max(1.0, abs(shift))
 
 
 # -- bit-exact MAFL round trips --------------------------------------------

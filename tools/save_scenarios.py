@@ -20,7 +20,10 @@ semi-implicit and fixed-step policies and a dealiased run, and
 ``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
 ``error.txt``, not raised); three Lelong approximation levels at n = 1
 res 64; the density form under rk4 and semi_implicit with snapshot times
-off the step grid; the ``lelong_field`` oracle at n = 1 and n = 2; and
+off the step grid; a snapshot 1e-10 past a step end with dt_min = 1e-9
+(``boundary_remainder/``) under rk4, rk4_fixed and semi_implicit and in
+the density form under rk4 (a failure is recorded in ``error.txt``); the
+``lelong_field`` oracle at n = 1 and n = 2; and
 the command line on an INI whose [flow] and [initial] values are off
 their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
 with psi_chi and h), ``maflow restart --at`` of the deepest level and
@@ -38,7 +41,7 @@ from maflow import cli
 from maflow import io as mio
 from maflow import oracles
 from maflow.elliptic import SolverLog, solve_ma
-from maflow.errors import NewtonDiverged
+from maflow.errors import MaflowError, NewtonDiverged
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run, run_levels
 from maflow.geometry import PotentialField, TorusGrid
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
@@ -92,6 +95,27 @@ def save_solve(outdir, alpha, grid):
     log.write_csv(os.path.join(outdir, "newton_log.csv"))
     with open(os.path.join(outdir, "inner_iterations.json"), "w") as fh:
         json.dump([int(k) for k in log.inner_iterations], fh)
+
+
+def save_boundary_remainder(outdir):
+    """Runs whose last step to a snapshot, 1e-10, is shorter than dt_min."""
+    grid = TorusGrid(1, 16)
+    phi0 = modes(grid, [((1, 0), 0.02, 0.0)])
+    # ten steps of dt_init (below the CFL step) end 1e-10 before the snapshot
+    kw = dict(T=0.01, dt_init=5e-4, dt_min=1e-9, record_every=4,
+              snapshot_times=(10 * 5e-4 + 1e-10,))
+    for name in ("rk4", "rk4_fixed", "semi_implicit", "density_rk4"):
+        path = os.path.join(outdir, name)
+        try:
+            if name == "density_rk4":
+                mio.save_trajectory(evolve_density(potential_to_density(phi0), **kw), path)
+            else:
+                cfg = FlowConfig(grid=grid, dt_policy=name, **kw)
+                mio.save_run(run(phi0, cfg), path, cfg)
+        except MaflowError as e:
+            os.makedirs(path, exist_ok=True)
+            with open(os.path.join(path, "error.txt"), "w") as fh:
+                fh.write(f"{type(e).__name__}: {e}\n")
 
 
 CLI_CONFIG = """\
@@ -174,6 +198,7 @@ def main(argv):
                               snapshot_times=(0.00731, 0.0171))
         mio.save_trajectory(traj, os.path.join(out, f"density_{policy}"))
 
+    save_boundary_remainder(os.path.join(out, "boundary_remainder"))
     save_cli(os.path.join(out, "cli"))
     return 0
 
