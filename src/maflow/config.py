@@ -12,14 +12,22 @@ rejected):
   [flow]     c (0.0) | psi_chi_modes ("") | h_modes (""), and the run
              settings flow.SETTINGS, FlowConfig's scalar fields (variant,
              T, dt_policy, dt_init, dt_min, safety, record_every, dealias,
-             stab_factor), typed and defaulted by the dataclass
+             stab_factor), typed and defaulted by the dataclass; dt_min
+             (<= dt_init) bounds the policy's step and each halving, never
+             the last step to a snapshot time or T
   [output]   dir (out) | snapshots ("")
   [verify]   checks ("": all) | tol.<check> (that check's tol)
 
 ``maflow verify RUNDIR`` runs the [verify] checks of RUNDIR/config_echo.ini
 (``--checks`` replaces the list) and passes each tol.<check> to its check
 as ``tol``.  A check outside verify.CHECK_NAMES, or a tol.<check> for a
-check without a ``tol`` parameter, is a ConfigError.
+check without a ``tol`` parameter, is a ConfigError.  A listed check whose
+input is missing (comparison or oscillation_levels on a one-level run,
+minodot without ``--restart-dir``) reports skip.
+
+A boolean is 1/true/yes/on or 0/false/no/off; snapshots, center and delta0
+(one value) are floats separated by commas or blanks.  Anything else is a
+ConfigError naming the section and key.
 
 A mode list is semicolon-separated entries "k1 k2 ... : amp : phase", one
 integer frequency per real axis, e.g. "1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2".

@@ -9,14 +9,25 @@ Method of lines: pseudospectral space, explicit RK4 in time with the
 parabolic CFL dt = safety * h_grid^2 * min_eig / (4n) (the effective
 diffusivity is the inverse metric, so dt shrinks as the metric degenerates)
 and a positivity guard that rejects and halves any step leaving the Kaehler
-cone.  A linearly-stabilized SBDF2 variant ("semi_implicit", fixed dt)
-treats beta0 * (flat complex Laplacian) implicitly with
-beta0 = stab_factor / min_eig, for stiff high-resolution runs; its two-step
-history restarts after every snapshot, which makes restarting from a
-snapshot reproduce the subsequent series exactly.  One in-place spectral
-kernel (``_sbdf2_spectrum``) carries the SBDF2 / backward-Euler algebra and
-its history for this flow and for the density form in ``logdiff``; an
-n = 1 potential step takes three transforms.
+cone ("rk4"); RK4 at a fixed dt_init ("rk4_fixed"); and a linearly-stabilized
+SBDF2 variant ("semi_implicit", fixed dt) that treats beta0 * (flat complex
+Laplacian) implicitly with beta0 = stab_factor / min_eig, for stiff
+high-resolution runs; its two-step history restarts after every snapshot,
+which makes restarting from a snapshot reproduce the subsequent series
+exactly.  One in-place spectral kernel (``_sbdf2_spectrum``) carries the
+SBDF2 / backward-Euler algebra and its history for this flow and for the
+density form in ``logdiff``; an n = 1 potential step takes three
+transforms.
+
+One step driver (``_advance``) serves the three policies: it takes the
+policy's step, clips it to the next boundary, builds the RK4 or SBDF2
+candidate and evaluates the right-hand side there.  Only rk4 halves on a
+cone exit; under the fixed-dt policies the step is their contract (the
+rk4_fixed convergence order and SBDF2's two-step history assume dt_init),
+so a cone exit is fatal.  dt_min means one thing in both flow forms: it
+bounds the policy's step and each halving (StepSizeUnderflow below it),
+never the last step to a boundary, which is as short as the boundary
+leaves it.
 
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
 Hessian (three inverse transforms at n = 2) and turns it in place into the
@@ -161,7 +172,7 @@ class FlowConfig:
                     f"|t chi| up to {bound:.3f} exceeds 1/2 on [0, T]; shrink T or the twist")
         self.h = normalize_h(self.h)
         self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
-        # _march steps from boundary to boundary, so no step may be shorter than dt_min
+        # boundaries closer than dt_min are near-duplicates: a configuration error
         bounds = sorted({s for s in self.snapshot_times if s <= self.T} | {float(self.T)})
         for a, b in zip(bounds, bounds[1:]):
             if b - a < self.dt_min:
@@ -319,8 +330,16 @@ def _cfl_dt(config, min_eig):
 def _advance(st, state, t_bound, scratch):
     """One step of the configured policy towards ``t_bound``: (FlowState, dt).
 
-    A cone exit halves the step under rk4 and is fatal under the fixed-dt
-    policies; dt_min bounds the policy's step and each halving only.
+    The policy's step is the CFL step capped by dt_init under rk4 and
+    dt_init under rk4_fixed and semi_implicit; it is clipped to t_bound.
+    The candidate is the RK4 update or the SBDF2 one (``_sbdf2_candidate``),
+    and ``_Stepper.parts`` is evaluated at it.  A cone exit halves the step
+    under rk4 and raises KaehlerConeViolation (t, min_eig) under the
+    fixed-dt policies, whose step the SBDF2 history and the rk4_fixed
+    convergence order assume; letting them halve would be one condition
+    here.  dt_min bounds the policy's step and each halving, never the
+    clipped last step to a boundary.  Commits the SBDF2 history, ``scratch``
+    (the new det and metric) and one FlowState.
     """
     cfg = st.cfg
     adaptive = cfg.dt_policy == "rk4"

@@ -102,8 +102,9 @@ def _rk4(grid, f, dt):
 def step_logfd(f, dt, dt_min=1e-12, t=0.0):
     """Advance by exactly dt, sub-stepping by halving to keep f > 0.
 
-    ``t`` is the time of ``f``; a PositivityLoss carries the start time of
-    the sub-step that underflowed.
+    dt_min bounds each halved span, not dt itself, which may be the short
+    last step to a boundary.  ``t`` is the time of ``f``; a PositivityLoss
+    carries the start time of the sub-step that could not be halved.
     """
     grid = f.grid
     arr = f.values
@@ -124,7 +125,9 @@ def step_logfd(f, dt, dt_min=1e-12, t=0.0):
 class _DensityStepper(_Stepper):
     """The density f at time t as a stepper of ``flow._march`` (no FlowState).
 
-    RK4 takes the potential form's CFL step, whose min_eig is min f.
+    RK4 takes the potential form's CFL step, whose min_eig is min f, and
+    the potential form's dt_min rule: a CFL step below dt_min is
+    StepSizeUnderflow, the last step to a boundary is never checked.
     """
 
     def __init__(self, config, f0):
