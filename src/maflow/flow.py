@@ -330,16 +330,13 @@ def _cfl_dt(config, min_eig):
 def _advance(st, state, t_bound, scratch):
     """One step of the configured policy towards ``t_bound``: (FlowState, dt).
 
-    The policy's step is the CFL step capped by dt_init under rk4 and
-    dt_init under rk4_fixed and semi_implicit; it is clipped to t_bound.
-    The candidate is the RK4 update or the SBDF2 one (``_sbdf2_candidate``),
-    and ``_Stepper.parts`` is evaluated at it.  A cone exit halves the step
-    under rk4 and raises KaehlerConeViolation (t, min_eig) under the
-    fixed-dt policies, whose step the SBDF2 history and the rk4_fixed
-    convergence order assume; letting them halve would be one condition
-    here.  dt_min bounds the policy's step and each halving, never the
-    clipped last step to a boundary.  Commits the SBDF2 history, ``scratch``
-    (the new det and metric) and one FlowState.
+    The policy's step (the CFL step capped by dt_init under rk4, dt_init
+    otherwise) is clipped to t_bound; the RK4 or SBDF2 candidate is built
+    and ``_Stepper.parts`` evaluated there.  A cone exit halves the step
+    under rk4 only; under the fixed-dt policies it is fatal (see the module
+    docstring), so allowing them to halve is one condition here.  dt_min
+    bounds the policy's step and each halving, never the clipped last step.
+    Commits the SBDF2 history, ``scratch`` (det, metric) and one FlowState.
     """
     cfg = st.cfg
     adaptive = cfg.dt_policy == "rk4"
