@@ -17,42 +17,30 @@ from . import oracles, verify as ver
 from .config import load_config
 from .elliptic import solve_ma
 from .errors import ConfigError, InvalidSpec, MaflowError
-from .flow import continue_run, limit_potential, run
+from .flow import continue_run, limit_potential, run_levels
 from .geometry import TorusGrid
-from .initial import approximation_sequence, default_center, sample_potential
+from .initial import (ApproximationSequence, approximation_sequence, default_center,
+                      sample_potential)
 
 
 def _build_levels(setup):
+    """The run's levels: a smooth or file potential is the one level."""
     spec = setup.spec
     if spec.kind == "smooth" or spec.kind == "from_file":
-        phi0 = sample_potential(spec, setup.grid)
-        return [("level_00", phi0, spec.data_class)], None
-    seq = approximation_sequence(spec, setup.grid, max(setup.levels, 1),
-                                 K=setup.trunc_depth, delta0=setup.delta0,
-                                 ratio=setup.ratio)
-    return [(f"level_{lev.j - 1:02d}", lev, spec.data_class) for lev in seq.levels], seq
-
-
-def _run_one(task):
-    source, flow, data_class, center = task
-    return run(source, flow, data_class=data_class,
-               meta_extra={"center": list(center)})
+        return ApproximationSequence(spec, setup.grid, [sample_potential(spec, setup.grid)])
+    return approximation_sequence(spec, setup.grid, max(setup.levels, 1),
+                                  K=setup.trunc_depth, delta0=setup.delta0,
+                                  ratio=setup.ratio)
 
 
 def cmd_run(args):
     setup = load_config(args.config)
     os.makedirs(setup.outdir, exist_ok=True)
-    entries, _ = _build_levels(setup)
     center = setup.spec.center or default_center(setup.grid)
-    tasks = [(source, setup.flow, data_class, center)
-             for _, source, data_class in entries]
-    if args.workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            trajs = list(pool.map(_run_one, tasks))
-    else:
-        trajs = [_run_one(t) for t in tasks]
-    for (name, _, _), traj in zip(entries, trajs):
+    trajs = run_levels(_build_levels(setup), setup.flow,
+                       meta_extra={"center": list(center)}, workers=args.workers)
+    for j, traj in enumerate(trajs):
+        name = f"level_{j:02d}"
         mio.save_run(traj, os.path.join(setup.outdir, name), setup.flow)
         print(f"{name}: {len(traj.times)} rows, "
               f"min_eig {traj.column('min_eig').min():.4g}")
@@ -207,8 +195,9 @@ def build_parser():
 
     pr = sub.add_parser("run", help="run a configured flow (all levels)")
     pr.add_argument("config")
-    pr.add_argument("--workers", type=int, default=1,
-                    help="level runs in parallel, one process per run")
+    pr.add_argument("--workers", type=int, default=None,
+                    help="cap on the levels run at a time, one thread each "
+                         "(default: the usable CPUs); the output does not depend on it")
     pr.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("verify", help="check the a priori estimates on a run dir")

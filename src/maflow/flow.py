@@ -42,12 +42,23 @@ and the history reset.  It drives a ``_Stepper``, which holds the run's
 state and advances it one step; the density form in ``logdiff`` is a
 subclass.
 
-A single run is sequential and deterministic; distinct runs may execute
-concurrently and trajectories are immutable once produced.
+A single run is sequential and deterministic; trajectories are immutable
+once produced.  ``run_levels`` runs the approximation levels concurrently
+on threads, one per usable CPU: each level is its own ``run`` with its
+own ``_Stepper``, the FFTs and ufunc loops that dominate a step release
+the GIL, and the only state the levels share is read-only or a lazily
+filled cache of a deterministic value (``TorusGrid._cache``,
+``TwistSpec._hpsi``), so every trajectory is bit-identical to a
+sequential run of its level.  The calling thread runs
+levels too: each allocating thread gets its own malloc arena, which keeps
+its freed working set resident, so an idle caller would cost one arena
+more of peak memory.
 """
 
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -74,7 +85,8 @@ class TwistSpec:
 
         Computed once per psi_chi object (whose grid must equal ``grid``)
         and cached: FlowConfig's checks, its meta and every stepper of the
-        configuration share it.  psi_chi's values are never changed.
+        configuration share it.  psi_chi's values are never changed, so
+        levels racing on an empty cache compute bit-identical copies.
         """
         if self.psi_chi is None:
             return None
@@ -338,6 +350,10 @@ def _advance(st, state, t_bound, scratch):
     bounds the policy's step and each halving, never the clipped last step.
     Commits the SBDF2 history, ``scratch`` (det, metric) and one FlowState.
     """
+    if t_bound <= state.t:
+        raise StepSizeUnderflow(
+            f"no step left at t={state.t:.6g}: the boundary t={t_bound:.6g} is not ahead",
+            t=state.t)
     cfg = st.cfg
     adaptive = cfg.dt_policy == "rk4"
     dt = min(_cfl_dt(cfg, state.min_eig), cfg.dt_init) if adaptive else cfg.dt_init
@@ -522,12 +538,49 @@ def continue_run(traj, from_t, config, T=None, meta_extra=None):
                data_class=traj.meta.get("data_class", "smooth"), meta_extra=extra)
 
 
-def run_levels(seq, config, meta_extra=None):
-    """Run every approximation level under the same configuration."""
-    out = []
-    for lev in seq.levels:
-        out.append(run(lev, config, data_class=seq.spec.data_class,
-                       meta_extra=meta_extra))
+def run_levels(seq, config, meta_extra=None, workers=None):
+    """Run the levels of ``seq`` under ``config`` concurrently; trajectories in level order.
+
+    min(level count, usable CPUs) runners take the levels (ApproximationLevels,
+    or a PotentialField) in level order; ``workers`` (>= 1) only lowers that
+    cap.  The calling thread is one runner, so a cap of one starts no thread,
+    and no level thread outlives the call.  Each trajectory is bit-identical
+    to a sequential ``run`` (see the module docstring).  After a failure no
+    further level starts, and the error of the earliest failing level in level
+    order is raised, as a sequential run raises it.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers={workers}: at least one level must run at a time")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    todo, lock, stop = iter(range(len(seq.levels))), threading.Lock(), threading.Event()
+    out, failed = [None] * len(seq.levels), {}
+
+    def runner():
+        while not stop.is_set():
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                out[k] = run(seq.levels[k], config, data_class=seq.spec.data_class,
+                             meta_extra=meta_extra)
+            except Exception as e:   # raised below, in level order
+                failed[k] = e
+                stop.set()
+
+    helpers = [threading.Thread(target=runner, name="maflow-level")
+               for _ in range(min(len(seq.levels), cpus, workers or cpus) - 1)]
+    for th in helpers:
+        th.start()
+    try:
+        runner()
+    finally:
+        stop.set()
+        for th in helpers:
+            th.join()
+    if failed:
+        raise failed[min(failed)]
     return out
 
 

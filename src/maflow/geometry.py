@@ -32,7 +32,11 @@ rfft at n = 1 and the c2c transform at n = 2 (``TorusGrid.fft`` /
 ``TorusGrid.ifft``); the grid's symbols and masks use it by default.
 
 All operations here are pure functions of immutable snapshots and are
-safe to call concurrently.
+safe to call concurrently.  The one mutable state is a lazily filled cache
+of a deterministic value: ``TorusGrid._cache`` (multipliers, symbols,
+masks), and, in ``flow``, ``TwistSpec._hpsi`` (H(psi_chi)).  Each entry is
+built in full before it is stored, so two threads racing on an empty entry
+at most compute the same value twice, and either copy is bit-identical.
 """
 
 import numpy as np

@@ -10,7 +10,7 @@ from scipy import fft as sfft
 import maflow as mf
 from maflow import flow
 from maflow.elliptic import solve_ma
-from maflow.errors import ConfigError, KaehlerConeViolation
+from maflow.errors import ConfigError, KaehlerConeViolation, StepSizeUnderflow
 from maflow.flow import (FlowConfig, FlowState, TwistSpec, continue_run,
                          limit_potential, maximal_stretch_gap, normalize_h,
                          rhs, run, run_levels, step, t_max)
@@ -499,3 +499,17 @@ class TestSmoothLevelClosenessAlongFlow:
         for j, (hi, lo) in enumerate(zip(trajs[:-1], trajs[1:])):
             gap = np.abs(hi.snapshot_at(0.1).phi - lo.snapshot_at(0.1).phi).max()
             assert gap <= 8.0 * seq.levels[j].delta ** 2
+
+
+class TestNoZeroLengthStep:
+    def test_step_at_or_past_the_boundary_is_an_underflow(self):
+        g = grid1(16)
+        st = flow._Stepper(FlowConfig(grid=g, T=1.0))
+        state, _, _ = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
+        while state.t < 1.0:
+            state, _ = flow._advance(st, state, 1.0, {})
+        assert state.t == 1.0
+        for bound in (1.0, 0.5):
+            with pytest.raises(StepSizeUnderflow) as err:
+                flow._advance(st, state, bound, {})
+            assert err.value.t == 1.0
