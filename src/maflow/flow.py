@@ -14,33 +14,33 @@ SBDF2 variant ("semi_implicit", fixed dt) that treats beta0 * (flat complex
 Laplacian) implicitly with beta0 = stab_factor / min_eig, for stiff
 high-resolution runs; its two-step history restarts after every snapshot,
 which makes restarting from a snapshot reproduce the subsequent series
-exactly.  One in-place spectral kernel (``_sbdf2_spectrum``) carries the
-SBDF2 / backward-Euler algebra and its history for this flow and for the
-density form in ``logdiff``; an n = 1 potential step takes three
-transforms.
+exactly.
 
-One step driver (``_advance``) serves the three policies: it takes the
-policy's step, clips it to the next boundary, builds the RK4 or SBDF2
-candidate and evaluates the right-hand side there.  Only rk4 halves on a
-cone exit; under the fixed-dt policies the step is their contract (the
-rk4_fixed convergence order and SBDF2's two-step history assume dt_init),
-so a cone exit is fatal.  dt_min means one thing in both flow forms: it
-bounds the policy's step and each halving (StepSizeUnderflow below it),
-never the last step to a boundary, which is as short as the boundary
-leaves it.
+One step driver (``_advance``) serves both flow forms and all three
+policies: it takes the policy's step, clips it to the next boundary, builds
+the RK4 (``_rk4_candidate``) or SBDF2 (``_sbdf2_candidate``) candidate and
+evaluates the right-hand side there.  Only rk4 halves a rejected step;
+under the fixed-dt policies the step is their contract (the rk4_fixed
+convergence order and SBDF2's two-step history assume dt_init), so a
+rejection is fatal.  dt_min bounds the policy's step (StepSizeUnderflow
+below it) and each halving, never the last step to a boundary, which is
+as short as the boundary leaves it.  A flow form is a ``_Stepper`` that
+supplies the right-hand side (``parts``, which rejects a state outside the
+form's domain), its real-space and SBDF2 forms, and the error for a
+rejection that may not be halved past (``failure``): KaehlerConeViolation
+for a fixed-dt step and StepSizeUnderflow below dt_min here, PositivityLoss
+for both in the density form (``logdiff``).
 
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
 Hessian (three inverse transforms at n = 2) and turns it in place into the
 metric, its determinant and its smallest eigenvalue in one fused pointwise
 pass (``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
 including the recompute after landing on a snapshot time, reaches the
-caller as KaehlerConeViolation carrying t.
+caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the exact landing on each, the record cadence, the snapshots
-and the history reset.  It drives a ``_Stepper``, which holds the run's
-state and advances it one step; the density form in ``logdiff`` is a
-subclass.
+and the history reset.
 
 A single run is sequential and deterministic; trajectories are immutable
 once produced.  ``run_levels`` runs the approximation levels concurrently
@@ -158,6 +158,12 @@ class FlowConfig:
     stab_factor: float = 1.0
 
     def __post_init__(self):
+        self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
+        values = [(f.name, getattr(self, f.name)) for f in SETTINGS if f.type is float]
+        values += [("c", self.twist.c)] + [("snapshot_times", s) for s in self.snapshot_times]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}={value!r} is not finite")
         if self.variant not in ("cmaf", "ncmaf"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.dt_policy not in ("rk4", "rk4_fixed", "semi_implicit"):
@@ -183,7 +189,6 @@ class FlowConfig:
                 raise ConfigError(
                     f"|t chi| up to {bound:.3f} exceeds 1/2 on [0, T]; shrink T or the twist")
         self.h = normalize_h(self.h)
-        self.snapshot_times = tuple(sorted(float(s) for s in self.snapshot_times))
         # boundaries closer than dt_min are near-duplicates: a configuration error
         bounds = sorted({s for s in self.snapshot_times if s <= self.T} | {float(self.T)})
         for a, b in zip(bounds, bounds[1:]):
@@ -266,6 +271,8 @@ class _Reject(Exception):
 class _Stepper:
     """One run's state, and everything reusable across its steps, cached."""
 
+    autonomous = False   # the right-hand side does not depend on t
+
     def __init__(self, config):
         self.cfg = config
         self.grid = config.grid
@@ -298,15 +305,32 @@ class _Stepper:
             r = r + phi_arr
         return self._filter(r), det, emin, m
 
+    def rate(self, rhs):
+        """``rhs`` as ``parts`` returns it, in real space (what an RK4 stage adds)."""
+        return rhs
+
+    def explicit_spec(self, rhs):
+        """The spectrum of the SBDF2 explicit term, from ``rhs`` as ``parts`` returns it."""
+        return self.grid.fft(rhs)
+
+    def failure(self, t, halved, min_eig):
+        """The error for a step from t rejected at a fixed dt, or ``halved`` below dt_min."""
+        if halved:
+            return StepSizeUnderflow(f"dt underflow at t={t:.6g}: the halved step still left "
+                                     f"the Kaehler cone (min_eig={min_eig:.3e})", t=t)
+        return KaehlerConeViolation(f"{self.cfg.dt_policy} step left the Kaehler cone at "
+                                    f"t={t:.6g}", t=t, min_eig=min_eig)
+
     def advance(self, target, floor):
         """One step towards ``target``, snapped to it from ``floor`` on: (dt, landed)."""
         self.state, dt = _advance(self, self.state, target, self.scratch)
         s = self.state
         if s.t >= floor:
-            s.t = target   # and the cached right-hand side recomputed there
-            s.phi_dot, self.scratch["det"], s.min_eig, self.scratch["metric"] = \
-                _checked_parts(self, target, s.phi.values,
-                               f"potential left the Kaehler cone on landing at t={target:.6g}")
+            s.t = target   # and the right-hand side recomputed there, if it depends on t
+            if not self.autonomous:
+                msg = f"potential left the Kaehler cone on landing at t={target:.6g}"
+                s.phi_dot, self.scratch["det"], s.min_eig, self.scratch["metric"] = \
+                    _checked_parts(self, target, s.phi.values, msg)
         return dt, s.t == target
 
     def row(self, dt):
@@ -343,50 +367,51 @@ def _advance(st, state, t_bound, scratch):
     """One step of the configured policy towards ``t_bound``: (FlowState, dt).
 
     The policy's step (the CFL step capped by dt_init under rk4, dt_init
-    otherwise) is clipped to t_bound; the RK4 or SBDF2 candidate is built
-    and ``_Stepper.parts`` evaluated there.  A cone exit halves the step
-    under rk4 only; under the fixed-dt policies it is fatal (see the module
-    docstring), so allowing them to halve is one condition here.  dt_min
-    bounds the policy's step and each halving, never the clipped last step.
-    Commits the SBDF2 history, ``scratch`` (det, metric) and one FlowState.
+    otherwise) is clipped to t_bound, and ``st.parts`` evaluated at its
+    candidate.  Rejections and dt_min as in the module docstring.  Commits
+    the SBDF2 history (before ``parts``, freeing the old one), ``scratch``
+    (det, metric) and one FlowState.
     """
-    if t_bound <= state.t:
+    cfg, t, y = st.cfg, state.t, state.phi.values
+    if t_bound <= t:
         raise StepSizeUnderflow(
-            f"no step left at t={state.t:.6g}: the boundary t={t_bound:.6g} is not ahead",
-            t=state.t)
-    cfg = st.cfg
+            f"no step left at t={t:.6g}: the boundary t={t_bound:.6g} is not ahead", t=t)
     adaptive = cfg.dt_policy == "rk4"
     dt = min(_cfl_dt(cfg, state.min_eig), cfg.dt_init) if adaptive else cfg.dt_init
-    t, phi, r1 = state.t, state.phi.values, state.phi_dot
-    spec, hist = None, st.hist
+    if dt < cfg.dt_min:
+        raise StepSizeUnderflow(f"dt underflow at t={t:.6g} (min_eig={state.min_eig:.3e})",
+                                t=t)
+    dt, spec = min(dt, t_bound - t), None
     while True:
-        if dt < cfg.dt_min:
-            raise StepSizeUnderflow(
-                f"dt underflow at t={t:.6g} (min_eig={state.min_eig:.3e})", t=t)
-        dt = min(dt, t_bound - t)
         try:
-            if cfg.dt_policy == "semi_implicit":
-                new, spec, hist = _sbdf2_candidate(st, state, dt)
+            if cfg.dt_policy == "semi_implicit":   # its rejection is fatal: commit now
+                new, spec, st.hist = _sbdf2_candidate(st, state, dt)
             else:
-                r2, _, _, _ = st.parts(t + 0.5 * dt, phi + (0.5 * dt) * r1)
-                r3, _, _, _ = st.parts(t + 0.5 * dt, phi + (0.5 * dt) * r2)
-                r4, _, _, _ = st.parts(t + dt, phi + dt * r3)
-                new = phi + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                if not np.all(np.isfinite(new)):
-                    raise _Reject(float("nan"))
+                new = _rk4_candidate(st, t, y, state.phi_dot, dt)
             r_new, det, emin, m = st.parts(t + dt, new, spec=spec)
+            break
         except _Reject as e:
-            if not adaptive:
-                raise KaehlerConeViolation(
-                    f"{cfg.dt_policy} step left the Kaehler cone at t={t:.6g}",
-                    t=t, min_eig=e.args[0]) from None
             dt *= 0.5
-            continue
-        break
-    st.hist = hist
+            if not adaptive or dt < cfg.dt_min:
+                raise st.failure(t, adaptive, e.args[0]) from None
     scratch["det"], scratch["metric"] = det, m
     return FlowState(t + dt, PotentialField(st.grid, new), r_new, emin,
                      state.step_count + 1), dt
+
+
+def _rk4_candidate(st, t, y, rhs, dt):
+    """RK4 from (t, y) with right-hand side ``rhs``: y at t + dt, not yet checked by parts.
+
+    Raises _Reject where a stage's ``st.parts`` does, or on a non-finite result.
+    """
+    r1 = st.rate(rhs)
+    r2 = st.rate(st.parts(t + 0.5 * dt, y + (0.5 * dt) * r1)[0])
+    r3 = st.rate(st.parts(t + 0.5 * dt, y + (0.5 * dt) * r2)[0])
+    r4 = st.rate(st.parts(t + dt, y + dt * r3)[0])
+    new = y + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    if not np.all(np.isfinite(new)):
+        raise _Reject(float("nan"))
+    return new
 
 
 def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
@@ -430,18 +455,20 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
 
 
 def _sbdf2_candidate(st, state, dt):
-    """Stabilized SBDF2 around the flat complex Laplacian: (phi, spectrum, history).
+    """Stabilized SBDF2 around the flat complex Laplacian: (state, spectrum, history).
 
-    At n = 1 the spectrum goes on to the next right-hand side's Hessian, so
-    once the history holds the phi spectrum a step takes three transforms.
+    The explicit term comes from ``st.explicit_spec``.  At n = 1 the potential
+    form's next right-hand side takes its Hessian from the spectrum, so once
+    the history holds the phi spectrum a potential step takes three transforms.
     """
     grid = st.grid
     beta0 = st.cfg.stab_factor / max(state.min_eig, 1e-12)
     phi_spec = st.hist.get("spec")
     if phi_spec is None:
         phi_spec = grid.fft(state.phi.values)
-    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec, grid.fft(state.phi_dot),
-                                     st.hist, dt, st.cfg.dt_init, beta0)
+    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec,
+                                     st.explicit_spec(state.phi_dot), st.hist, dt,
+                                     st.cfg.dt_init, beta0)
     return grid.ifft(new_spec), new_spec if grid.n == 1 else None, hist
 
 

@@ -9,26 +9,30 @@ where H is the flat complex Hessian (kappa = 1/4 is the module's
 normalization constant: a cos(2 pi k x / L) perturbation of f = 1 decays
 at rate pi^2 k^2 / L^2 = 4 pi^2 kappa k^2 / L^2).  The right-hand side is
 a pure Fourier multiplier applied to log f, so every stage has exactly
-zero mean and the stepping conserves mass to round-off.  The semi-implicit
-policy hands that multiplier's spectrum sym * rfftn(log f) straight to
-the SBDF2 kernel it shares with the potential form (``flow``), so a step
-takes two transforms: rfftn(log f) and the inverse of the new density.
-The density form is a ``flow._Stepper`` (``_DensityStepper``) built from a
-FlowConfig, so it runs on flow's one time loop (``flow._march``) with the
-potential form's landing, record cadence, snapshots and setting checks.
+zero mean and the stepping conserves mass to round-off.  The density form
+is a ``flow._Stepper`` (``_DensityStepper``) built from a FlowConfig, so
+flow's one step driver (``flow._advance``) and one time loop
+(``flow._march``) run it under the potential form's policies, landing,
+record cadence, snapshots and setting checks.  Its right-hand side is the
+spectrum sym * rfftn(log f), which is the SBDF2 explicit term as it
+stands, so a semi-implicit step takes two transforms: rfftn(log f) and the
+inverse of the new density.  A step that loses positivity is rejected, and
+one that may not be halved past is a PositivityLoss carrying t.
 
 The flow is kept on the torus rather than a chart of the sphere so the
 spectral stack is shared; the PDE is identical.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import functionals as fnl
 from . import geometry as geo
-from .errors import ConfigError, MassMismatch, PositivityLoss, StepSizeUnderflow
-from .flow import FlowConfig, Snapshot, Trajectory, _Stepper, _cfl_dt, _march, _sbdf2_spectrum
+from .errors import ConfigError, MassMismatch, PositivityLoss
+from .flow import (FlowConfig, Snapshot, Trajectory, _Reject, _Stepper, _initial_state, _march,
+                   _rk4_candidate)
 from .geometry import PotentialField
 
 KAPPA = 0.25
@@ -45,8 +49,8 @@ class DensityField:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.grid.shape:
             raise ValueError("density shape does not match the grid")
-        if not np.all(self.values > 0.0):
-            raise PositivityLoss("density must be strictly positive")
+        if not (np.all(self.values > 0.0) and np.all(np.isfinite(self.values))):
+            raise PositivityLoss("density must be finite and strictly positive")
 
     def mass(self):
         return float(self.values.mean() * self.grid.volume)
@@ -75,91 +79,79 @@ def density_to_potential(f):
     return PotentialField(grid, grid.ifft(out))
 
 
-def _rhs(grid, f):
-    return grid.ifft(grid.flat_symbol() * grid.fft(np.log(f)))
-
-
-def _rk4(grid, f, dt):
-    k1 = _rhs(grid, f)
-    f2 = f + (0.5 * dt) * k1
-    if f2.min() <= 0.0:
-        return None
-    k2 = _rhs(grid, f2)
-    f3 = f + (0.5 * dt) * k2
-    if f3.min() <= 0.0:
-        return None
-    k3 = _rhs(grid, f3)
-    f4 = f + dt * k3
-    if f4.min() <= 0.0:
-        return None
-    k4 = _rhs(grid, f4)
-    new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if new.min() <= 0.0 or not np.all(np.isfinite(new)):
-        return None
-    return new
-
-
 def step_logfd(f, dt, dt_min=1e-12, t=0.0):
     """Advance by exactly dt, sub-stepping by halving to keep f > 0.
 
-    dt_min bounds each halved span, not dt itself, which may be the short
-    last step to a boundary.  ``t`` is the time of ``f``; a PositivityLoss
-    carries the start time of the sub-step that could not be halved.
+    Each (sub-)step is flow's RK4 candidate.  dt_min bounds each halved
+    span, not dt itself, which may be the short last step to a boundary.
+    ``t`` is the time of ``f``; a PositivityLoss carries the start time of
+    the sub-step that could not be halved.
     """
-    grid = f.grid
-    arr = f.values
+    if not (math.isfinite(dt) and dt >= 0.0):
+        raise ConfigError(f"step dt={dt!r} must be finite and >= 0")
+    if not (math.isfinite(dt_min) and dt_min > 0.0):
+        raise ConfigError(f"dt_min={dt_min!r} must be finite and positive")
+    st = _DensityStepper(FlowConfig(grid=f.grid), f)
 
-    def advance(a, start, span):
-        new = _rk4(grid, a, span)
-        if new is not None:
+    def advance(a, rhs, start, span):
+        try:
+            new = _rk4_candidate(st, start, a, rhs, span)
+            _positive_min(new)
             return new
-        if 0.5 * span < dt_min:
-            raise PositivityLoss(
-                f"dt underflow while preserving positivity at t={start:.6g}", t=start)
-        half = advance(a, start, 0.5 * span)
-        return advance(half, start + 0.5 * span, 0.5 * span)
+        except _Reject:
+            if 0.5 * span < dt_min:
+                raise st.failure(start, True) from None
+            half, mid = advance(a, rhs, start, 0.5 * span), start + 0.5 * span
+            return advance(half, st.parts(mid, half)[0], mid, 0.5 * span)
 
-    return DensityField(grid, advance(arr, float(t), float(dt)))
+    s = st.state
+    return DensityField(f.grid, advance(s.phi.values, s.phi_dot, float(t), float(dt)))
+
+
+def _positive_min(f):
+    """min f; raises _Reject unless f is finite and positive."""
+    fmin = float(f.min())
+    if not fmin > 0.0 or not np.all(np.isfinite(f)):
+        raise _Reject(fmin)
+    return fmin
 
 
 class _DensityStepper(_Stepper):
-    """The density f at time t as a stepper of ``flow._march`` (no FlowState).
+    """The density f as a ``flow._Stepper`` (see the module docstring)."""
 
-    RK4 takes the potential form's CFL step, whose min_eig is min f, and
-    the potential form's dt_min rule: a CFL step below dt_min is
-    StepSizeUnderflow, the last step to a boundary is never checked.
-    """
+    autonomous = True
 
     def __init__(self, config, f0):
         super().__init__(config)
-        self.f, self.t = f0.values.copy(), 0.0
+        self.sym = self.grid.flat_symbol()
+        # the FlowState holds f as phi, its rhs spectrum as phi_dot and min f as min_eig
+        self.state, _, _ = _initial_state(self, PotentialField(self.grid, f0.values), 0.0)
         self.phi = None   # the potential of the last series row
 
-    def advance(self, target, floor):
-        cfg, t = self.cfg, self.t
-        if cfg.dt_policy == "rk4":
-            dt = min(_cfl_dt(cfg, float(self.f.min())), cfg.dt_init)
-            if dt < cfg.dt_min:
-                raise StepSizeUnderflow(f"dt underflow at t={t:.6g}", t=t)
-            dt = min(dt, target - t)
-            self.f = step_logfd(DensityField(self.grid, self.f), dt, cfg.dt_min, t).values
-        else:
-            dt = min(cfg.dt_init, target - t)
-            self.f, self.hist = _sbdf2_density(self.grid, self.f, dt, cfg.dt_init,
-                                               cfg.stab_factor, self.hist, t)
-        self.t = t + dt
-        if self.t >= floor:
-            self.t = target
-        return dt, self.t == target
+    def parts(self, t, f, spec=None):
+        """(rhs spectrum, None, min f, None); raises _Reject unless f is finite and > 0."""
+        fmin = _positive_min(f)
+        return self.sym * self.grid.fft(np.log(f)), None, fmin, None
+
+    def rate(self, rhs):
+        return self.grid.ifft(rhs)
+
+    def explicit_spec(self, rhs):
+        return rhs
+
+    def failure(self, t, halved, min_eig=None):
+        why = "no step above dt_min keeps" if halved else f"the {self.cfg.dt_policy} step lost"
+        return PositivityLoss(f"{why} the density positive at t={t:.6g}", t=t)
 
     def row(self, dt):
-        f = self.f
+        s, f = self.state, self.state.phi.values
         self.phi = density_to_potential(DensityField(self.grid, f))
-        return fnl.series_row(self.grid, self.t, self.phi.values, f, np.ones_like(f), f,
-                              float(f.min()), dt)
+        return fnl.series_row(self.grid, s.t, self.phi.values, f, np.ones_like(f), f,
+                              s.min_eig, dt)
 
     def snapshot(self):
-        return Snapshot(self.t, self.phi.values.copy(), np.log(self.f), float(self.f.min()))
+        s = self.state
+        return Snapshot(s.t, self.phi.values.copy(), np.log(s.phi.values), s.min_eig)
 
 
 def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
@@ -184,24 +176,3 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
             "sup_h": 0.0, "inf_h": 0.0, "data_class": "smooth",
             "snapshot_times": [s.t for s in snaps[1:]], "kappa": KAPPA}
     return Trajectory(grid, meta, times, series, snaps)
-
-
-def _sbdf2_density(grid, f, dt, dt_full, stab_factor, hist, t):
-    """One semi-implicit step of the density form from time t: (new f, new hist).
-
-    Two transforms: the explicit term's spectrum sym * rfftn(log f) goes
-    straight to the shared SBDF2 kernel, and one inverse transform returns
-    the new density (f's own spectrum comes from the history).
-    """
-    sym = grid.flat_symbol()
-    f_spec = hist.get("spec")
-    if f_spec is None:
-        f_spec = grid.fft(f)
-    beta0 = stab_factor / max(float(f.min()), 1e-12)
-    new_spec, hist = _sbdf2_spectrum(sym, f_spec, sym * grid.fft(np.log(f)), hist,
-                                     dt, dt_full, beta0)
-    new = grid.ifft(new_spec)
-    if new.min() <= 0.0 or not np.all(np.isfinite(new)):
-        raise PositivityLoss(f"semi-implicit density step lost positivity at t={t:.6g}",
-                             t=t)
-    return new, hist

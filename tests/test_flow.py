@@ -92,6 +92,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dt_min"):
             evolve_density(potential_to_density(phi), 0.02, snapshot_times=(1e-13,))
 
+    @pytest.mark.parametrize("kw", [
+        {"T": math.nan}, {"dt_init": math.nan}, {"dt_min": math.nan}, {"safety": math.nan},
+        {"stab_factor": math.nan}, {"stab_factor": math.inf},
+        {"snapshot_times": (0.01, math.nan)}, {"twist": TwistSpec(c=math.nan)},
+        {"variant": "ncmaf", "T": math.inf},   # built only: this run would never end
+    ])
+    def test_non_finite_setting_rejected(self, kw):
+        with pytest.raises(ConfigError, match="not finite"):
+            FlowConfig(grid=grid1(16), **kw)
+
     def test_h_renormalized(self):
         g = grid1()
         cfg = FlowConfig(grid=g, h=PotentialField(g, np.full(g.shape, 0.7)), T=0.1)

@@ -165,6 +165,12 @@ tol.sup_bound = 1e-6
             load_config(p)
         assert main(["run", str(p)]) == 2
 
+    def test_non_finite_horizon_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        p = tmp_path / "run.ini"
+        p.write_text("[grid]\nres = 16\n[flow]\nT = nan\n")
+        assert main(["run", str(p)]) == 2
+
 
 class TestCli:
     def _write_config(self, tmp_path, extra_verify=""):
@@ -330,7 +336,7 @@ snapshots = 0.05
 
     def test_parallel_levels_match_sequential(self, tmp_path):
         cfgp = self._singular_config(tmp_path)
-        assert main(["run", str(cfgp)]) == 0
+        assert main(["run", str(cfgp), "--workers", "1"]) == 0
         seq_csv = [(tmp_path / "out" / f"level_{j:02d}" / "series.csv").read_bytes()
                    for j in range(3)]
         assert main(["run", str(cfgp), "--workers", "2"]) == 0

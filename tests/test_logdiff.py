@@ -1,13 +1,16 @@
 """Density form of the n=1 flow and its equivalence with the potential form."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
 import maflow as mf
-from maflow import logdiff
-from maflow.errors import ConfigError, MassMismatch, PositivityLoss, StepSizeUnderflow
-from maflow.flow import FlowConfig, run
+from maflow import flow, logdiff
+from maflow.errors import (ConfigError, KaehlerConeViolation, MassMismatch, PositivityLoss,
+                           StepSizeUnderflow)
+from maflow.flow import FlowConfig, _Reject, run
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import cos_mode
 from maflow.logdiff import (KAPPA, DensityField, density_to_potential,
@@ -55,6 +58,14 @@ class TestConversions:
         g = grid1()
         vals = np.ones(g.shape)
         vals[0, 0] = -0.1
+        with pytest.raises(PositivityLoss):
+            DensityField(g, vals)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_density_rejected(self, bad):
+        g = grid1()
+        vals = np.ones(g.shape)
+        vals[3, 5] = bad
         with pytest.raises(PositivityLoss):
             DensityField(g, vals)
 
@@ -118,8 +129,8 @@ class TestSettings:
     ])
     def test_bad_setting_rejected_before_any_step(self, kw, match, monkeypatch):
         taken = []
-        monkeypatch.setattr(logdiff, "_rk4", lambda *a: taken.append(1))
-        monkeypatch.setattr(logdiff, "_sbdf2_density", lambda *a: taken.append(1))
+        monkeypatch.setattr(flow, "_advance", lambda *a: taken.append(1))
+        monkeypatch.setattr(logdiff._DensityStepper, "parts", lambda *a, **k: taken.append(1))
         monkeypatch.setattr(logdiff, "density_to_potential", lambda f: taken.append(1))
         args = {"T": 0.01, **kw}
         with pytest.raises(ConfigError, match=match):
@@ -176,35 +187,44 @@ class TestSemiImplicitDensityStep:
     dt = 4e-4
 
     def start(self):
+        """A semi-implicit density stepper at res 256, unbounded in time."""
         g = grid1(256)
-        return g, potential_to_density(mode_potential(g)).values
+        cfg = FlowConfig(grid=g, dt_policy="semi_implicit", dt_init=self.dt)
+        return logdiff._DensityStepper(cfg, potential_to_density(mode_potential(g)))
 
     def test_matches_four_transform_step(self):
-        g, f = self.start()
-        ref, hist, ref_hist = f, {}, {}
+        st = self.start()
+        ref, ref_hist = st.state.phi.values, {}
         for _ in range(50):
             beta0 = 1.0 / max(float(ref.min()), 1e-12)
-            ref, ref_hist = _four_transform_step(g, ref, self.dt, beta0, ref_hist)
-            f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, hist, 0.0)
+            ref, ref_hist = _four_transform_step(st.grid, ref, self.dt, beta0, ref_hist)
+            st.advance(math.inf, math.inf)
+        f = st.state.phi.values
         assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_full_step_takes_two_transforms(self, monkeypatch):
-        g, f = self.start()
-        f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, {}, 0.0)
-        counts = []
-        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
-            orig = getattr(sfft, name)
-            monkeypatch.setattr(sfft, name,
-                                lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
+        st = self.start()
+        st.advance(math.inf, math.inf)
+        counts = count_transforms(monkeypatch)
         for _ in range(4):
-            f, hist = logdiff._sbdf2_density(g, f, self.dt, self.dt, 1.0, hist, 0.0)
+            st.advance(math.inf, math.inf)
         assert len(counts) == 2 * 4
+
+
+def count_transforms(monkeypatch):
+    """A list that gains one entry per scipy.fft transform from now on."""
+    counts = []
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        orig = getattr(sfft, name)
+        monkeypatch.setattr(sfft, name,
+                            lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
+    return counts
 
 
 class TestFailureTime:
     def test_semi_implicit_positivity_loss_carries_t(self, monkeypatch):
         g = grid1()
-        kernel = logdiff._sbdf2_spectrum
+        kernel = flow._sbdf2_spectrum
         calls = []
 
         def failing_fourth(*args):
@@ -212,7 +232,7 @@ class TestFailureTime:
             calls.append(1)
             return (-spec if len(calls) == 4 else spec), hist
 
-        monkeypatch.setattr(logdiff, "_sbdf2_spectrum", failing_fourth)
+        monkeypatch.setattr(flow, "_sbdf2_spectrum", failing_fourth)
         with pytest.raises(PositivityLoss) as err:
             evolve_density(potential_to_density(mode_potential(g)), 0.01,
                            dt_policy="semi_implicit", dt_init=1e-3)
@@ -220,20 +240,32 @@ class TestFailureTime:
 
     def test_rk4_underflow_carries_substep_start(self, monkeypatch):
         g = grid1()
-        rk4 = logdiff._rk4
+        rk4 = logdiff._rk4_candidate
         calls = []
 
-        def fail_first_and_third(grid, f, dt):
+        def fail_first_and_third(st, t, f, rhs, dt):
             calls.append(dt)
-            return None if len(calls) in (1, 3) else rk4(grid, f, dt)
+            if len(calls) in (1, 3):
+                raise _Reject(-1.0)
+            return rk4(st, t, f, rhs, dt)
 
-        monkeypatch.setattr(logdiff, "_rk4", fail_first_and_third)
+        monkeypatch.setattr(logdiff, "_rk4_candidate", fail_first_and_third)
         f = potential_to_density(mode_potential(g))
         with pytest.raises(PositivityLoss) as err:
             step_logfd(f, 1e-3, dt_min=4e-4, t=0.25)
         # whole step fails, its first half passes, the second half cannot be split
         assert calls == [1e-3, 5e-4, 5e-4]
         assert err.value.t == pytest.approx(0.25 + 5e-4, abs=1e-15)
+
+    @pytest.mark.parametrize("kw", [
+        {"dt": math.nan}, {"dt": math.inf}, {"dt": -1e-3},
+        {"dt": 1e-3, "dt_min": 0.0}, {"dt": 1e-3, "dt_min": -1e-9},
+        {"dt": 1e-3, "dt_min": math.nan},
+    ])
+    def test_step_logfd_rejects_bad_spans(self, kw):
+        # a non-finite dt would recurse without end, a negative one integrate backward
+        with pytest.raises(ConfigError):
+            step_logfd(potential_to_density(mode_potential(grid1())), **kw)
 
     def test_cfl_step_below_dt_min_is_step_size_underflow(self):
         # as in the potential form, dt_min bounds the CFL step: one below it
@@ -242,3 +274,50 @@ class TestFailureTime:
         with pytest.raises(StepSizeUnderflow) as err:
             evolve_density(f, 0.05, dt_min=1e-2)
         assert err.value.t == 0.0
+
+
+class TestSharedDriver:
+    """The density form steps through flow._advance, with the potential form's rules."""
+
+    def reject_at(self, monkeypatch, when):
+        """Make the density right-hand side reject where when(call number, t) holds."""
+        parts, calls = logdiff._DensityStepper.parts, []
+
+        def patched(st, t, f, spec=None):
+            calls.append(t)
+            if when(len(calls), t):
+                raise _Reject(-1.0)
+            return parts(st, t, f, spec)
+
+        monkeypatch.setattr(logdiff._DensityStepper, "parts", patched)
+
+    def test_rk4_rejection_halves_once_and_moves_on(self, monkeypatch):
+        # call 1 is the initial state, call 2 the first stage of the first step
+        self.reject_at(monkeypatch, lambda k, t: k == 2)
+        f0 = potential_to_density(mode_potential(grid1(32)))
+        tr = evolve_density(f0, 3.5e-4, dt_init=1e-4, record_every=1)
+        assert np.allclose(tr.times, [0.0, 5e-5, 1.5e-4, 2.5e-4, 3.5e-4], rtol=0.0, atol=1e-15)
+
+    def test_halving_below_dt_min_is_positivity_loss(self, monkeypatch):
+        self.reject_at(monkeypatch, lambda k, t: t > 0.0)
+        f0 = potential_to_density(mode_potential(grid1(32)))
+        with pytest.raises(PositivityLoss) as err:
+            evolve_density(f0, 1e-3, dt_init=1e-4, dt_min=6e-5)
+        assert not isinstance(err.value, (StepSizeUnderflow, KaehlerConeViolation))
+        assert err.value.t == 0.0
+
+    @pytest.mark.parametrize("policy, per_step", [("rk4", [8, 8, 8]),
+                                                  ("semi_implicit", [3, 2, 2])])
+    def test_landing_takes_no_transform(self, policy, per_step, monkeypatch):
+        # steps of 1e-4, 1e-4 and the 5e-5 that lands on the boundary; the
+        # right-hand side does not depend on t, so landing recomputes nothing
+        target = 2.5e-4
+        cfg = FlowConfig(grid=grid1(32), T=target, dt_policy=policy, dt_init=1e-4)
+        st = logdiff._DensityStepper(cfg, potential_to_density(mode_potential(cfg.grid)))
+        counts, taken, landed = count_transforms(monkeypatch), [], False
+        while not landed:
+            before = len(counts)
+            _, landed = st.advance(target, target - 1e-12)
+            taken.append(len(counts) - before)
+        assert taken == per_step
+        assert st.state.t == target

@@ -22,9 +22,9 @@ semi-implicit and fixed-step policies and a dealiased run, and
 res 64; the density form under rk4 and semi_implicit with snapshot times
 off the step grid; a snapshot 1e-10 past a step end with dt_min = 1e-9
 (``boundary_remainder/``) under rk4, rk4_fixed and semi_implicit and in
-the density form under rk4 (a failure is recorded in ``error.txt``); the
-``lelong_field`` oracle at n = 1 and n = 2; and
-the command line on an INI whose [flow] and [initial] values are off
+the density form under rk4 and semi_implicit (a failure is recorded in
+``error.txt``); the ``lelong_field`` oracle at n = 1 and n = 2; and the
+command line on an INI whose [flow] and [initial] values are off
 their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
 with psi_chi and h), ``maflow restart --at`` of the deepest level and
 ``maflow verify`` with that restart, whose exit codes go to
@@ -104,11 +104,13 @@ def save_boundary_remainder(outdir):
     # ten steps of dt_init (below the CFL step) end 1e-10 before the snapshot
     kw = dict(T=0.01, dt_init=5e-4, dt_min=1e-9, record_every=4,
               snapshot_times=(10 * 5e-4 + 1e-10,))
-    for name in ("rk4", "rk4_fixed", "semi_implicit", "density_rk4"):
+    for name in ("rk4", "rk4_fixed", "semi_implicit", "density_rk4", "density_semi_implicit"):
         path = os.path.join(outdir, name)
         try:
-            if name == "density_rk4":
-                mio.save_trajectory(evolve_density(potential_to_density(phi0), **kw), path)
+            if name.startswith("density_"):
+                policy = name[len("density_"):]
+                traj = evolve_density(potential_to_density(phi0), dt_policy=policy, **kw)
+                mio.save_trajectory(traj, path)
             else:
                 cfg = FlowConfig(grid=grid, dt_policy=name, **kw)
                 mio.save_run(run(phi0, cfg), path, cfg)
