@@ -11,7 +11,7 @@ monotonicity, Lelong-number attenuation) as quantified inequalities.
 from .errors import (ConfigError, ConfigMismatch, IncompatibleData,
                      InsufficientResolution, InvalidSpec,
                      KaehlerConeViolation, MassMismatch, MonotonicityFailure,
-                     NewtonDiverged, PositivityLoss, SingularMetric,
+                     NewtonDiverged, PositivityLoss, RunStopped, SingularMetric,
                      StepSizeUnderflow)
 from .geometry import (HermitianField, MetricField, PotentialField, TorusGrid,
                        complex_hessian, integrate, laplacian_wrt, ma_ratio,

@@ -196,8 +196,11 @@ def build_parser():
     pr = sub.add_parser("run", help="run a configured flow (all levels)")
     pr.add_argument("config")
     pr.add_argument("--workers", type=int, default=None,
-                    help="cap on the levels run at a time, one thread each "
-                         "(default: the usable CPUs); the output does not depend on it")
+                    help="cap on the threads of the run (default: the usable CPUs): "
+                         "the levels run at a time, one thread each, and a helper "
+                         "thread for an n = 2 level at res >= 16 where the cap leaves "
+                         "two per level; 1 starts no thread; the output does not "
+                         "depend on it")
     pr.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("verify", help="check the a priori estimates on a run dir")

@@ -38,6 +38,14 @@ class StepSizeUnderflow(MaflowError):
         self.t = t
 
 
+class RunStopped(MaflowError):
+    """A run ended early at an accepted step because its stop event was set."""
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
+
+
 class NewtonDiverged(MaflowError):
     """Damped Newton iteration exhausted its backtracking budget."""
 

@@ -32,40 +32,50 @@ for a fixed-dt step and StepSizeUnderflow below dt_min here, PositivityLoss
 for both in the density form (``logdiff``).
 
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
-Hessian (three inverse transforms at n = 2) and turns it in place into the
-metric, its determinant and its smallest eigenvalue in one fused pointwise
-pass (``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
-including the recompute after landing on a snapshot time, reaches the
-caller as a typed error carrying t.
+Hessian (three transforms at n = 2) and turns it in place into the
+metric, its determinant, its smallest eigenvalue and log det - h (+ phi)
+in one fused pointwise pass (``geometry.metric_det_eigmin``).  A cone
+exit anywhere in a run, including the recompute after landing on a
+snapshot time, reaches the caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the exact landing on each, the record cadence, the snapshots
 and the history reset.
 
-A single run is sequential and deterministic; trajectories are immutable
-once produced.  ``run_levels`` runs the approximation levels concurrently
-on threads, one per usable CPU: each level is its own ``run`` with its
-own ``_Stepper``, the FFTs and ufunc loops that dominate a step release
-the GIL, and the only state the levels share is read-only or a lazily
-filled cache of a deterministic value (``TorusGrid._cache``,
+A run is deterministic, and its output does not depend on the threads
+it is given; trajectories are immutable once produced.  Where a CPU is
+free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run`` gives its
+``_Stepper`` one helper thread, a lane: it runs one of the Hessian's two
+inverse transforms and half of the pointwise pass of every right-hand
+side (see ``geometry``), and is joined before ``run`` returns or raises.
+``run_levels`` runs the approximation levels concurrently on threads,
+one per usable CPU: each level is its own ``run`` with its own
+``_Stepper``, the FFTs and ufunc loops that dominate a step release the
+GIL, and the only state the levels share is read-only or a lazily filled
+cache of a deterministic value (``TorusGrid._cache``,
 ``TwistSpec._hpsi``), so every trajectory is bit-identical to a
-sequential run of its level.  The calling thread runs
-levels too: each allocating thread gets its own malloc arena, which keeps
-its freed working set resident, so an idle caller would cost one arena
-more of peak memory.
+sequential run of its level.  ``workers`` caps every thread of a call:
+the levels get the CPUs first, and a level has its lane only where the cap
+leaves two CPUs per runner.  The calling thread runs levels too: each
+allocating thread gets its own malloc arena, which keeps its freed
+working set resident, so an idle caller would cost one arena more of
+peak memory.  A run stops at its next accepted step once its stop event
+is set: ``run_levels`` sets it for the levels after a failing one and for
+all on an error or KeyboardInterrupt in the calling thread.
 """
 
 import dataclasses
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
 from . import functionals as fnl
 from . import geometry as geo
-from .errors import ConfigError, KaehlerConeViolation, StepSizeUnderflow
+from .errors import ConfigError, KaehlerConeViolation, RunStopped, StepSizeUnderflow
 from .geometry import PotentialField
 from .initial import ApproximationLevel, ApproximationSequence, approximation_sequence
 
@@ -164,6 +174,8 @@ class FlowConfig:
         for name, value in values:
             if not math.isfinite(value):
                 raise ConfigError(f"{name}={value!r} is not finite")
+        if self.stab_factor < 0.0:   # beta0 < 0 would anti-damp the SBDF2 step
+            raise ConfigError(f"stab_factor={self.stab_factor!r} must be >= 0")
         if self.variant not in ("cmaf", "ncmaf"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.dt_policy not in ("rk4", "rk4_fixed", "semi_implicit"):
@@ -276,6 +288,8 @@ class _Stepper:
     def __init__(self, config):
         self.cfg = config
         self.grid = config.grid
+        self.lane = None   # a helper thread for the right-hand side (``run`` starts it)
+        self.stop = None   # an Event: _march ends the run at the next accepted step
         self.c = config.twist.c
         self.hpsi = config.twist.hessian_raw(self.grid)
         self.h_arr = None if config.h is None else config.h.values
@@ -290,19 +304,29 @@ class _Stepper:
             return arr
         return self.grid.ifft(self.mask * self.grid.fft(arr))
 
+    def close(self):
+        """Join the helper thread, if any; the stepper takes no further step."""
+        if self.lane is not None:
+            self.lane.shutdown()
+
     def parts(self, t, phi_arr, spec=None):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit."""
+        r = np.empty(self.grid.shape)
+
+        def rhs_rows(rows, det):   # log det - h (+ phi) on the metric pass's rows
+            out = r[rows]
+            np.log(det, out=out)
+            if self.h_arr is not None:
+                out -= self.h_arr[rows]
+            if self.ncmaf:
+                out += phi_arr[rows]
+
         hpsi = self.hpsi if t != 0.0 else None
         m, det, emin = geo.metric_det_eigmin(
-            self.grid, geo.hessian_raw(self.grid, phi_arr, spec=spec),
-            1.0 + t * self.c, hpsi, t)
+            self.grid, geo.hessian_raw(self.grid, phi_arr, spec=spec, lane=self.lane),
+            1.0 + t * self.c, hpsi, t, lane=self.lane, then=rhs_rows)
         if not np.isfinite(emin) or emin <= 0.0:
             raise _Reject(emin)
-        r = np.log(det)
-        if self.h_arr is not None:
-            r = r - self.h_arr
-        if self.ncmaf:
-            r = r + phi_arr
         return self._filter(r), det, emin, m
 
     def rate(self, rhs):
@@ -487,7 +511,8 @@ def step(state, config):
     return new
 
 
-def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
+def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=None,
+        stop=None):
     """Integrate the flow on [t0, T], recording series and snapshots.
 
     ``source`` is a PotentialField or an ApproximationLevel (singular data
@@ -495,7 +520,14 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
     Snapshot times are landed on exactly and reset the record cadence and
     the integrator history, so restarting from any snapshot reproduces the
     subsequent series.
+
+    ``workers`` (>= 1; default: the usable CPUs) caps the threads the run
+    keeps busy.  From two on, a grid where ``geometry.lane_pays`` gets one
+    helper thread for the right-hand side, joined before the call returns;
+    the output does not depend on it.  ``stop``, a ``threading.Event``,
+    ends the run with RunStopped at the first accepted step after it is set.
     """
+    cap = _cpu_cap(workers)
     level_meta = {}
     if isinstance(source, ApproximationLevel):
         level_meta = {"level": source.j, "delta": source.delta, "level_eps": source.eps}
@@ -510,15 +542,20 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None):
         raise ConfigError(f"horizon T={config.T} lies before t0={t0}")
 
     st = _Stepper(config)
-    st.state, st.scratch["det"], st.scratch["metric"] = _initial_state(st, phi0, t0)
-
-    meta = config.meta()
-    meta.update({"t0": t0, "data_class": data_class,
-                 "phi0_sup": phi0.sup, "phi0_inf": phi0.inf})
-    meta.update(level_meta)
-    if meta_extra:
-        meta.update(meta_extra)
-    times, series, snaps = _march(st, t0)
+    st.stop = stop
+    if cap > 1 and geo.lane_pays(config.grid):
+        st.lane = ThreadPoolExecutor(1, thread_name_prefix="maflow-lane")
+    try:
+        st.state, st.scratch["det"], st.scratch["metric"] = _initial_state(st, phi0, t0)
+        meta = config.meta()
+        meta.update({"t0": t0, "data_class": data_class,
+                     "phi0_sup": phi0.sup, "phi0_inf": phi0.inf})
+        meta.update(level_meta)
+        if meta_extra:
+            meta.update(meta_extra)
+        times, series, snaps = _march(st, t0)
+    finally:
+        st.close()
     return Trajectory(config.grid, meta, times, series, snaps, config.twist)
 
 
@@ -529,6 +566,7 @@ def _march(st, t0):
     landing on it exactly.  A series row is recorded at t0, every
     ``record_every`` steps and at each boundary, where a snapshot is taken
     and the SBDF2 history cleared, so restarts reproduce the later series.
+    Raises RunStopped after the first accepted step once ``st.stop`` is set.
     """
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
@@ -542,6 +580,8 @@ def _march(st, t0):
         landed = False
         while not landed:
             dt, landed = st.advance(target, floor)
+            if st.stop is not None and st.stop.is_set():
+                raise RunStopped(f"run stopped at t={st.state.t:.6g}", t=st.state.t)
             since += 1
             if landed or since >= cfg.record_every:
                 rows.append(st.row(dt))
@@ -565,45 +605,63 @@ def continue_run(traj, from_t, config, T=None, meta_extra=None):
                data_class=traj.meta.get("data_class", "smooth"), meta_extra=extra)
 
 
+def _cpu_cap(workers):
+    """min(usable CPUs, ``workers``): the threads a call may keep busy."""
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers={workers}: at least one thread must run")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, workers or cpus)
+
+
 def run_levels(seq, config, meta_extra=None, workers=None):
     """Run the levels of ``seq`` under ``config`` concurrently; trajectories in level order.
 
-    min(level count, usable CPUs) runners take the levels (ApproximationLevels,
-    or a PotentialField) in level order; ``workers`` (>= 1) only lowers that
-    cap.  The calling thread is one runner, so a cap of one starts no thread,
-    and no level thread outlives the call.  Each trajectory is bit-identical
-    to a sequential ``run`` (see the module docstring).  After a failure no
-    further level starts, and the error of the earliest failing level in level
-    order is raised, as a sequential run raises it.
+    min(level count, cap) runners take the levels (ApproximationLevels, or a
+    PotentialField) in level order, the cap being min(usable CPUs,
+    ``workers``).  The calling thread is one runner, so a cap of one starts no
+    thread.  Each ``run`` gets cap // runners as its ``workers``, so a level
+    has a helper thread only where the cap is at least twice the runners.
+    Each trajectory is bit-identical to a sequential ``run`` (see the module
+    docstring).  After a failure no further level starts, the later levels
+    still running stop at their next accepted step (they cannot change the
+    outcome), and the error of the earliest failing level in level order is
+    raised, as a sequential run raises it.  An error or KeyboardInterrupt in
+    the calling thread stops every level at its next accepted step.  No
+    thread outlives the call.
     """
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers={workers}: at least one level must run at a time")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    todo, lock, stop = iter(range(len(seq.levels))), threading.Lock(), threading.Event()
-    out, failed = [None] * len(seq.levels), {}
+    cap = _cpu_cap(workers)
+    count = len(seq.levels)
+    runners = min(count, cap)
+    todo, lock = iter(range(count)), threading.Lock()
+    stops = [threading.Event() for _ in range(count)]
+    out, failed = [None] * count, {}
 
     def runner():
-        while not stop.is_set():
+        while True:
             with lock:
                 k = next(todo, None)
-            if k is None:
+            if k is None or stops[k].is_set():
                 return
             try:
                 out[k] = run(seq.levels[k], config, data_class=seq.spec.data_class,
-                             meta_extra=meta_extra)
+                             meta_extra=meta_extra, workers=cap // runners, stop=stops[k])
             except Exception as e:   # raised below, in level order
                 failed[k] = e
-                stop.set()
+                for later in stops[k + 1:]:
+                    later.set()
 
     helpers = [threading.Thread(target=runner, name="maflow-level")
-               for _ in range(min(len(seq.levels), cpus, workers or cpus) - 1)]
+               for _ in range(runners - 1)]
     for th in helpers:
         th.start()
     try:
         runner()
+    except BaseException:   # e.g. KeyboardInterrupt: stop the helpers' levels too
+        for ev in stops:
+            ev.set()
+        raise
     finally:
-        stop.set()
         for th in helpers:
             th.join()
     if failed:

@@ -37,6 +37,15 @@ of a deterministic value: ``TorusGrid._cache`` (multipliers, symbols,
 masks), and, in ``flow``, ``TwistSpec._hpsi`` (H(psi_chi)).  Each entry is
 built in full before it is stored, so two threads racing on an empty entry
 at most compute the same value twice, and either copy is bit-identical.
+
+``hessian_raw`` and ``metric_det_eigmin`` take an optional ``lane``: a
+helper thread (anything with ``submit(fn, *args)`` returning a future, such
+as a one-worker ``concurrent.futures.ThreadPoolExecutor``).  At n = 2 the
+helper runs the h12 inverse transform while the caller runs the diagonal
+one, and then the pointwise pass on the second half of the first axis while
+the caller runs the first half.  Both splits keep every floating-point
+operation of the sequential path on the same operands, so the results are
+bit-identical; ``lane_pays`` says where the helper is worth its cost.
 """
 
 import numpy as np
@@ -301,24 +310,62 @@ class MetricField(HermitianField):
 # raw spectral kernels (ndarray in, ndarray out; hot path of the stepper)
 
 
-def hessian_raw(grid, arr, spec=None):
+# One _Stepper.parts at n = 2 (twisted, with h), sequential -> with a lane, quartiles
+# of 8 alternating rounds on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
+# res 8 0.43-0.48 -> 0.83-1.05 ms (the hand-off costs more than it saves),
+# res 16 6.5-7.9 -> 5.6-6.4 ms, res 32 161-177 -> 97-117 ms.  Output bit-identical.
+LANE_MIN_RES = 16
+
+
+def lane_pays(grid):
+    """Whether a helper thread (``lane``) speeds up one right-hand side on ``grid``.
+
+    n = 1 has one inverse transform per Hessian and nothing to overlap.
+    """
+    return grid.n == 2 and grid.res >= LANE_MIN_RES
+
+
+def _pair(lane, first, second):
+    """(first(), second()), ``second`` on ``lane`` while ``first`` runs here.
+
+    Without a lane both run here, in order.  An error raised on the lane
+    reaches the caller, and the lane's task has ended when this returns or
+    raises.
+    """
+    if lane is None:
+        return first(), second()
+    other = lane.submit(second)
+    try:
+        mine = first()
+    finally:
+        theirs = other.result()
+    return mine, theirs
+
+
+def _ifftn_times(mult, spec):
+    return sfft.ifftn(mult * spec, overwrite_x=True)
+
+
+def hessian_raw(grid, arr, spec=None, lane=None):
     """Complex Hessian of a real array.
 
     Returns the scalar H (real 2d array) for n = 1, and the component
     triple (h11, h22, h12) for n = 2 (h11, h22 real, h12 complex).
     ``spec`` optionally supplies ``grid.fft(arr)``, precomputed.
 
-    n = 2 takes three inverse transforms: h11 + i h22 comes out of one
-    (see ``TorusGrid.packed_diag_multiplier``), h12 out of another.  The
-    returned arrays are fresh, C-contiguous and unaliased; they belong to
-    the caller, who may overwrite them (``metric_det_eigmin`` does).
+    n = 2 takes two inverse transforms: h11 + i h22 comes out of one
+    (see ``TorusGrid.packed_diag_multiplier``), h12 out of the other, which
+    runs on ``lane`` when one is given.  The returned arrays are fresh,
+    C-contiguous and unaliased; they belong to the caller, who may
+    overwrite them (``metric_det_eigmin`` does).
     """
     if spec is None:
         spec = grid.fft(arr)
     if grid.n == 1:
         return grid.ifft(grid.hessian_multiplier(0, 0, rfft=True) * spec)
-    diag = sfft.ifftn(grid.packed_diag_multiplier() * spec, overwrite_x=True)
-    h12 = sfft.ifftn(grid.hessian_multiplier(0, 1) * spec, overwrite_x=True)
+    diag_mult, off_mult = grid.packed_diag_multiplier(), grid.hessian_multiplier(0, 1)
+    diag, h12 = _pair(lane, lambda: _ifftn_times(diag_mult, spec),
+                      lambda: _ifftn_times(off_mult, spec))
     return diag.real.copy(), diag.imag.copy(), h12
 
 
@@ -396,7 +443,7 @@ def eigmin_raw(grid, m):
     return 0.5 * (tr - disc)
 
 
-def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0):
+def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0, lane=None, then=None):
     """Metric a I + hess (+ t hpsi), its determinant and smallest eigenvalue.
 
     One fused pass that overwrites ``hess`` (a raw Hessian the caller owns,
@@ -405,31 +452,56 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0):
     raw_combine, det_raw and eigmin_raw, so the results are bit-identical
     to that chain.  Returns (m, det, emin), emin being the grid minimum of
     the pointwise smallest eigenvalue (a float).
+
+    ``then(rows, det_rows)``, when given, continues the pass on the same
+    rows (a slice of the first axis) and thread, once their smallest
+    eigenvalue is known to be positive; rows outside the cone skip it, and
+    the caller rejects the state.  At n = 2 with a ``lane`` the pass runs
+    on two halves of the first axis, the second on the lane.
     """
     if grid.n == 1:
         if hpsi is not None:
             hess += t * hpsi
         hess += a
-        return hess, hess, float(hess.min())
-    m11, m22, m12 = hess
-    if hpsi is not None:
-        m11 += t * hpsi[0]
-        m22 += t * hpsi[1]
-        m12 += t * hpsi[2]
-    m11 += a
-    m22 += a
-    q = m12.real ** 2
-    q += m12.imag ** 2            # |m12|^2, shared by det and the discriminant
-    det = m11 * m22
-    det -= q
-    disc = m11 - m22
-    disc *= disc
-    q *= 4.0
-    disc += q
-    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-    tr = m11 + m22
-    tr -= disc
-    return hess, det, 0.5 * float(tr.min())
+        emin = float(hess.min())
+        if then is not None and emin > 0.0:
+            then(slice(None), hess)
+        return hess, hess, emin
+    det = np.empty(grid.shape)
+
+    def rows_pass(rows):
+        m11, m22, m12 = (x[rows] for x in hess)
+        if hpsi is not None:
+            m11 += t * hpsi[0][rows]
+            m22 += t * hpsi[1][rows]
+            m12 += t * hpsi[2][rows]
+        m11 += a
+        m22 += a
+        q = m12.real ** 2
+        q += m12.imag ** 2            # |m12|^2, shared by det and the discriminant
+        d = det[rows]
+        np.multiply(m11, m22, out=d)
+        d -= q
+        disc = m11 - m22
+        disc *= disc
+        q *= 4.0
+        disc += q
+        np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+        tr = m11 + m22
+        tr -= disc
+        low = tr.min()
+        if then is not None and low > 0.0:
+            then(rows, d)
+        return low
+
+    if lane is None:
+        low = rows_pass(slice(None))
+    else:
+        half = grid.res // 2
+        # np.min, not min(): min(x, nan) is x, and would pass a NaN block as inside the cone
+        low = np.min(_pair(lane, lambda: rows_pass(slice(None, half)),
+                           lambda: rows_pass(slice(half, None))))
+    return hess, det, 0.5 * float(low)
 
 
 def _twist_terms(grid, twist, t):

@@ -102,6 +102,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not finite"):
             FlowConfig(grid=grid1(16), **kw)
 
+    @pytest.mark.parametrize("value", [-1.0, -0.25, -5e-324])
+    def test_negative_stab_factor_rejected(self, value):
+        # beta0 = stab_factor / min_eig < 0 anti-damps the SBDF2 step: at n = 1 res 32,
+        # dt 1e-3, -1.0 used to end in a KaehlerConeViolation at t = 0.005
+        with pytest.raises(ConfigError, match="stab_factor"):
+            FlowConfig(grid=grid1(32), T=0.02, dt_policy="semi_implicit", dt_init=1e-3,
+                       stab_factor=value)
+
+    def test_zero_stab_factor_allowed(self):
+        g = grid1(32)
+        cfg = FlowConfig(grid=g, T=0.02, dt_policy="semi_implicit", dt_init=1e-3,
+                         stab_factor=0.0)
+        assert run(mode(g, (1, 0), 0.02), cfg).times[-1] == 0.02
+
     def test_h_renormalized(self):
         g = grid1()
         cfg = FlowConfig(grid=g, h=PotentialField(g, np.full(g.shape, 0.7)), T=0.1)
@@ -400,9 +414,9 @@ class TestTwistedN2:
         orig = flow.geo.hessian_raw
         seen = []
 
-        def counting(grid, arr, spec=None):
+        def counting(grid, arr, spec=None, **kw):
             seen.append(arr is psi.values)
-            return orig(grid, arr, spec=spec)
+            return orig(grid, arr, spec=spec, **kw)
 
         monkeypatch.setattr(flow.geo, "hessian_raw", counting)
         cfg = FlowConfig(grid=g, twist=TwistSpec(c=-0.5, psi_chi=psi), T=0.01,

@@ -171,6 +171,16 @@ tol.sup_bound = 1e-6
         p.write_text("[grid]\nres = 16\n[flow]\nT = nan\n")
         assert main(["run", str(p)]) == 2
 
+    def test_negative_stab_factor_exits_2(self, tmp_path, monkeypatch, capsys):
+        # it used to run, anti-damped, into a KaehlerConeViolation at t = 0.005 (exit 3)
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        p = tmp_path / "run.ini"
+        p.write_text("[grid]\nres = 32\n[initial]\nmodes = 1 0 : 0.02 : 0.0\n"
+                     "[flow]\nT = 0.02\ndt_policy = semi_implicit\ndt_init = 1e-3\n"
+                     "stab_factor = -1.0\n")
+        assert main(["run", str(p)]) == 2
+        assert "stab_factor" in capsys.readouterr().err
+
 
 class TestCli:
     def _write_config(self, tmp_path, extra_verify=""):

@@ -18,8 +18,10 @@ The set: at n = 1 res 32 and n = 2 res 8, a smooth run, a twisted run
 (psi_chi and h, c = -0.5), the normalized flow (ncmaf, with h), the
 semi-implicit and fixed-step policies and a dealiased run, and
 ``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
-``error.txt``, not raised); three Lelong approximation levels at n = 1
-res 64; the density form under rk4 and semi_implicit with snapshot times
+``error.txt``, not raised); a short twisted run at n = 2 res 16
+(``n2_res16_twisted/``), the smallest size at which a run with a CPU to
+spare takes a helper thread (``geometry.lane_pays``); three Lelong
+approximation levels at n = 1 res 64; the density form under rk4 and semi_implicit with snapshot times
 off the step grid; a snapshot 1e-10 past a step end with dt_min = 1e-9
 (``boundary_remainder/``) under rk4, rk4_fixed and semi_implicit and in
 the density form under rk4 and semi_implicit (a failure is recorded in
@@ -187,6 +189,10 @@ def main(argv):
         fld, _ = oracles.lelong_model_field(grid, 0.5)
         os.makedirs(os.path.join(out, "lelong_field"), exist_ok=True)
         mio.write_field(os.path.join(out, "lelong_field", f"{tag}.mafl"), fld)
+
+    grid = TorusGrid(2, 16)
+    cfg = flow_configs(grid)["twisted"].replace(T=0.004, snapshot_times=(0.0017,))
+    mio.save_run(run(initial(grid), cfg), os.path.join(out, "n2_res16_twisted"), cfg)
 
     grid = TorusGrid(1, 64, 2.0)
     seq = approximation_sequence(PotentialSpec("lelong", gamma=1.0), grid, 3, K=2.0)
