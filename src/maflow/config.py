@@ -186,9 +186,7 @@ def load_config(path):
     tolerances = {key[4:]: _get(cp, "verify", key, None, float)
                   for key in (cp.options("verify") if cp.has_section("verify") else ())
                   if key.startswith("tol.")}
-    for name in checks + list(tolerances):
-        if name not in ver.CHECK_NAMES:
-            raise ConfigError(f"[verify] unknown check {name!r}")
+    ver.validate_check_names(checks + list(tolerances))
     for name in tolerances:
         if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
             raise ConfigError(f"[verify] check {name!r} takes no tol")

@@ -17,19 +17,23 @@ which makes restarting from a snapshot reproduce the subsequent series
 exactly.
 
 One step driver (``_advance``) serves both flow forms and all three
-policies: it takes the policy's step, clips it to the next boundary, builds
-the RK4 (``_rk4_candidate``) or SBDF2 (``_sbdf2_candidate``) candidate and
-evaluates the right-hand side there.  Only rk4 halves a rejected step;
-under the fixed-dt policies the step is their contract (the rk4_fixed
-convergence order and SBDF2's two-step history assume dt_init), so a
-rejection is fatal.  dt_min bounds the policy's step (StepSizeUnderflow
-below it) and each halving, never the last step to a boundary, which is
-as short as the boundary leaves it.  A flow form is a ``_Stepper`` that
-supplies the right-hand side (``parts``, which rejects a state outside the
-form's domain), its real-space and SBDF2 forms, and the error for a
-rejection that may not be halved past (``failure``): KaehlerConeViolation
-for a fixed-dt step and StepSizeUnderflow below dt_min here, PositivityLoss
-for both in the density form (``logdiff``).
+policies: it takes the policy's step, clips it to the next boundary,
+builds the RK4 (``_rk4_candidate``) or SBDF2 (``_sbdf2_candidate``)
+candidate and evaluates the right-hand side there.  It is the one place a
+run meets a boundary: a step that ends within 1e-12 (relative) of it lands
+on it exactly, restarts the SBDF2 history and, where the right-hand side
+depends on t, recomputes it there; boundaries may lie any distance apart.
+Only rk4 halves a rejected step; under the fixed-dt policies the step is
+their contract (the rk4_fixed convergence order and SBDF2's two-step
+history assume dt_init), so a rejection is fatal.  dt_min bounds the
+policy's step (StepSizeUnderflow below it) and each halving, never the
+last step to a boundary, which is as short as the boundary leaves it.  A
+flow form is a ``_Stepper`` that supplies the right-hand side (``parts``,
+which rejects a state outside the form's domain), its real-space and SBDF2
+forms, and the error for a rejection that may not be halved past
+(``failure``): KaehlerConeViolation for a fixed-dt step and
+StepSizeUnderflow below dt_min here, PositivityLoss for both in the
+density form (``logdiff``).
 
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
 Hessian (three transforms at n = 2) and turns it in place into the
@@ -39,8 +43,8 @@ exit anywhere in a run, including the recompute after landing on a
 snapshot time, reaches the caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
-boundaries, the exact landing on each, the record cadence, the snapshots
-and the history reset.
+boundaries, the stop check, the record cadence and the snapshots, and
+steps to each boundary until ``_advance`` has landed on it.
 
 A run is deterministic, and its output does not depend on the threads
 it is given; trajectories are immutable once produced.  Where a CPU is
@@ -201,12 +205,6 @@ class FlowConfig:
                 raise ConfigError(
                     f"|t chi| up to {bound:.3f} exceeds 1/2 on [0, T]; shrink T or the twist")
         self.h = normalize_h(self.h)
-        # boundaries closer than dt_min are near-duplicates: a configuration error
-        bounds = sorted({s for s in self.snapshot_times if s <= self.T} | {float(self.T)})
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a < self.dt_min:
-                raise ConfigError(f"boundaries t={a!r} and t={b!r} (snapshot times, T) "
-                                  f"lie closer than dt_min={self.dt_min}")
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
@@ -239,6 +237,8 @@ class FlowState:
     phi_dot: np.ndarray
     min_eig: float
     step_count: int = 0
+    det: np.ndarray = None      # det and raw metric at t, for series rows (set by the driver)
+    metric: np.ndarray = None
 
 
 @dataclass
@@ -296,8 +296,8 @@ class _Stepper:
         self.exp_h = None if config.h is None else np.exp(self.h_arr)
         self.ncmaf = config.variant == "ncmaf"
         self.mask = self.grid.dealias_mask() if config.dealias else None
-        self.hist = {}   # semi-implicit two-step history; cleared at snapshots
-        self.state, self.scratch = None, {}   # the FlowState reached; its det and metric
+        self.hist = {}   # semi-implicit two-step history; cleared on landing
+        self.state = None   # the FlowState reached
 
     def _filter(self, arr):
         if self.mask is None:
@@ -345,23 +345,11 @@ class _Stepper:
         return KaehlerConeViolation(f"{self.cfg.dt_policy} step left the Kaehler cone at "
                                     f"t={t:.6g}", t=t, min_eig=min_eig)
 
-    def advance(self, target, floor):
-        """One step towards ``target``, snapped to it from ``floor`` on: (dt, landed)."""
-        self.state, dt = _advance(self, self.state, target, self.scratch)
-        s = self.state
-        if s.t >= floor:
-            s.t = target   # and the right-hand side recomputed there, if it depends on t
-            if not self.autonomous:
-                msg = f"potential left the Kaehler cone on landing at t={target:.6g}"
-                s.phi_dot, self.scratch["det"], s.min_eig, self.scratch["metric"] = \
-                    _checked_parts(self, target, s.phi.values, msg)
-        return dt, s.t == target
-
     def row(self, dt):
         s = self.state
-        return fnl.series_row(self.grid, s.t, s.phi.values, self.scratch["metric"],
+        return fnl.series_row(self.grid, s.t, s.phi.values, s.metric,
                               geo.theta_raw(self.grid, self.cfg.twist, s.t),
-                              self.scratch["det"], s.min_eig, dt, exp_h=self.exp_h)
+                              s.det, s.min_eig, dt, exp_h=self.exp_h)
 
     def snapshot(self):
         s = self.state
@@ -387,14 +375,15 @@ def _cfl_dt(config, min_eig):
     return config.safety * config.grid.h ** 2 * min_eig / (4.0 * config.grid.n)
 
 
-def _advance(st, state, t_bound, scratch):
+def _advance(st, state, t_bound):
     """One step of the configured policy towards ``t_bound``: (FlowState, dt).
 
     The policy's step (the CFL step capped by dt_init under rk4, dt_init
     otherwise) is clipped to t_bound, and ``st.parts`` evaluated at its
-    candidate.  Rejections and dt_min as in the module docstring.  Commits
-    the SBDF2 history (before ``parts``, freeing the old one), ``scratch``
-    (det, metric) and one FlowState.
+    candidate.  Rejections, dt_min and landing on t_bound as in the module
+    docstring; an infinite t_bound is never landed on.  Commits the SBDF2
+    history (before ``parts``, freeing the old one) and returns one
+    FlowState, with its det and metric.
     """
     cfg, t, y = st.cfg, state.t, state.phi.values
     if t_bound <= t:
@@ -418,9 +407,18 @@ def _advance(st, state, t_bound, scratch):
             dt *= 0.5
             if not adaptive or dt < cfg.dt_min:
                 raise st.failure(t, adaptive, e.args[0]) from None
-    scratch["det"], scratch["metric"] = det, m
-    return FlowState(t + dt, PotentialField(st.grid, new), r_new, emin,
-                     state.step_count + 1), dt
+    out = FlowState(t + dt, PotentialField(st.grid, new), r_new, emin,
+                    state.step_count + 1, det=det, metric=m)
+    if out.t >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
+        out.t, st.hist = t_bound, {}
+        if not st.autonomous:
+            # drop the step's det and metric before the recompute: the caller
+            # still holds the previous state's, and three metrics raise the peak
+            out.det = out.metric = det = m = None
+            msg = f"potential left the Kaehler cone on landing at t={t_bound:.6g}"
+            out.phi_dot, out.det, out.min_eig, out.metric = \
+                _checked_parts(st, t_bound, out.phi.values, msg)
+    return out, dt
 
 
 def _rk4_candidate(st, t, y, rhs, dt):
@@ -499,15 +497,15 @@ def _sbdf2_candidate(st, state, dt):
 def _initial_state(st, phi0, t0):
     r, det, emin, m = _checked_parts(
         st, t0, phi0.values, "initial potential is not strictly inside the Kaehler cone")
-    return FlowState(t0, phi0.copy(), r, emin), det, m
+    return FlowState(t0, phi0.copy(), r, emin, det=det, metric=m)
 
 
 def step(state, config):
     """One adaptive step of the configured flow from the given state."""
     st = _Stepper(config)
     if state.phi_dot is None:
-        state, _, _ = _initial_state(st, state.phi, state.t)
-    new, _ = _advance(st, state, math.inf, {})
+        state = _initial_state(st, state.phi, state.t)
+    new, _ = _advance(st, state, math.inf)
     return new
 
 
@@ -546,7 +544,7 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
     if cap > 1 and geo.lane_pays(config.grid):
         st.lane = ThreadPoolExecutor(1, thread_name_prefix="maflow-lane")
     try:
-        st.state, st.scratch["det"], st.scratch["metric"] = _initial_state(st, phi0, t0)
+        st.state = _initial_state(st, phi0, t0)
         meta = config.meta()
         meta.update({"t0": t0, "data_class": data_class,
                      "phi0_sup": phi0.sup, "phi0_inf": phi0.inf})
@@ -562,32 +560,26 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
 def _march(st, t0):
     """The one time loop of both flow forms: (times, series, snapshots) on [t0, T].
 
-    Steps ``st`` to each boundary (the snapshot times in (t0, T], and T),
-    landing on it exactly.  A series row is recorded at t0, every
-    ``record_every`` steps and at each boundary, where a snapshot is taken
-    and the SBDF2 history cleared, so restarts reproduce the later series.
-    Raises RunStopped after the first accepted step once ``st.stop`` is set.
+    Steps ``st`` with ``_advance`` to each boundary (the snapshot times in
+    (t0, T], and T), which lands on it.  A series row is recorded at t0,
+    every ``record_every`` steps and at each boundary, where a snapshot is
+    taken.  Raises RunStopped after the first accepted step once
+    ``st.stop`` is set.
     """
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
                         | ({cfg.T} if cfg.T > t0 else set()))
-    if boundaries and boundaries[0] - t0 < cfg.dt_min:
-        raise ConfigError(f"boundary t={boundaries[0]!r} (a snapshot time or T) lies "
-                          f"closer than dt_min={cfg.dt_min} to the start t0={t0!r}")
     rows, snaps, since = [st.row(0.0)], [st.snapshot()], 0
     for target in boundaries:
-        floor = target - 1e-12 * max(1.0, abs(target))
-        landed = False
-        while not landed:
-            dt, landed = st.advance(target, floor)
+        while st.state.t != target:
+            st.state, dt = _advance(st, st.state, target)
             if st.stop is not None and st.stop.is_set():
                 raise RunStopped(f"run stopped at t={st.state.t:.6g}", t=st.state.t)
             since += 1
-            if landed or since >= cfg.record_every:
+            if st.state.t == target or since >= cfg.record_every:
                 rows.append(st.row(dt))
                 since = 0
         snaps.append(st.snapshot())
-        st.hist = {}
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
     return times, series, snaps

@@ -125,7 +125,7 @@ class _DensityStepper(_Stepper):
         super().__init__(config)
         self.sym = self.grid.flat_symbol()
         # the FlowState holds f as phi, its rhs spectrum as phi_dot and min f as min_eig
-        self.state, _, _ = _initial_state(self, PotentialField(self.grid, f0.values), 0.0)
+        self.state = _initial_state(self, PotentialField(self.grid, f0.values), 0.0)
         self.phi = None   # the potential of the last series row
 
     def parts(self, t, f, spec=None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigMismatch
+from .errors import ConfigError, ConfigMismatch
 from .flow import TwistSpec
 from .geometry import PotentialField
 from .initial import lelong_estimate
@@ -522,11 +522,14 @@ SINGLE_RUN_CHECKS = {
 CHECK_NAMES = (*SINGLE_RUN_CHECKS, "comparison", "oscillation_levels", "minodot")
 
 
+def validate_check_names(names, known=CHECK_NAMES):
+    """Raise ConfigError naming the first of ``names`` that is not in ``known``."""
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown check {name!r}; the checks are {', '.join(known)}")
+
+
 def run_checks(traj, names=None):
     names = list(SINGLE_RUN_CHECKS) if names is None else names
-    out = []
-    for name in names:
-        if name not in SINGLE_RUN_CHECKS:
-            raise KeyError(f"unknown check {name!r}")
-        out.append(SINGLE_RUN_CHECKS[name](traj))
-    return out
+    validate_check_names(names, SINGLE_RUN_CHECKS)
+    return [SINGLE_RUN_CHECKS[name](traj) for name in names]

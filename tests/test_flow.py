@@ -68,11 +68,20 @@ class TestConfigValidation:
             FlowConfig(grid=g, variant="ncmaf", twist=TwistSpec(c=0.1), T=0.5)
 
     @pytest.mark.parametrize("snaps", [(0.01, 0.01 + 1e-13), (0.02 - 1e-13,)])
-    def test_boundaries_closer_than_dt_min_rejected(self, snaps):
+    def test_boundaries_closer_than_dt_min_are_landed(self, snaps):
         # two snapshot times, or a snapshot time and T, less than dt_min apart
-        # would end a valid run in StepSizeUnderflow
-        with pytest.raises(ConfigError, match="dt_min"):
-            FlowConfig(grid=mf.TorusGrid(1, 16), T=0.02, snapshot_times=snaps)
+        # are each landed exactly, under every policy of both flow forms
+        g = mf.TorusGrid(1, 16)
+        phi = mode(g, (1, 0), 0.02)
+        kw = dict(T=0.02, dt_init=1e-3, snapshot_times=snaps)
+        for policy in ("rk4", "rk4_fixed", "semi_implicit"):
+            tr = run(phi, FlowConfig(grid=g, dt_policy=policy, **kw))
+            assert tr.snapshot_times == [0.0, *snaps, 0.02], policy
+            assert tr.times[-1] == 0.02
+        for policy in ("rk4", "semi_implicit"):
+            tr = evolve_density(potential_to_density(phi), dt_policy=policy, **kw)
+            assert tr.snapshot_times == [0.0, *snaps, 0.02], policy
+            assert tr.times[-1] == 0.02
 
     def test_duplicate_snapshot_times_still_merge(self):
         g = mf.TorusGrid(1, 16)
@@ -80,17 +89,23 @@ class TestConfigValidation:
         tr = run(mode(g, (1, 0), 0.02), cfg)
         assert tr.snapshot_times == [0.0, 0.01, 0.02]
 
-    def test_first_boundary_closer_than_dt_min_to_t0_rejected(self):
-        # FlowConfig cannot see t0, so the time loop rejects a first boundary
-        # (snapshot time or T) less than dt_min after it, for both flow forms
+    def test_first_boundary_closer_than_dt_min_to_t0_is_landed(self):
+        # a first boundary (snapshot time or T) less than dt_min after t0 is
+        # landed exactly, under every policy of both flow forms
         g = mf.TorusGrid(1, 16)
         phi = mode(g, (1, 0), 0.02)
-        with pytest.raises(ConfigError, match="dt_min"):
-            run(phi, FlowConfig(grid=g, T=0.02, snapshot_times=(1e-13,)))
-        with pytest.raises(ConfigError, match="dt_min"):
-            run(phi, FlowConfig(grid=g, T=0.02), t0=0.02 - 1e-13)
-        with pytest.raises(ConfigError, match="dt_min"):
-            evolve_density(potential_to_density(phi), 0.02, snapshot_times=(1e-13,))
+        kw = dict(T=0.02, dt_init=1e-3)
+        for policy in ("rk4", "rk4_fixed", "semi_implicit"):
+            cfg = FlowConfig(grid=g, dt_policy=policy, snapshot_times=(1e-13,), **kw)
+            tr = run(phi, cfg)
+            assert tr.snapshot_times == [0.0, 1e-13, 0.02] and tr.times[-1] == 0.02, policy
+            tr = run(phi, cfg.replace(snapshot_times=()), t0=0.02 - 1e-13)
+            assert tr.snapshot_times == [0.02 - 1e-13, 0.02], policy
+            assert tr.times[-1] == 0.02
+        for policy in ("rk4", "semi_implicit"):
+            tr = evolve_density(potential_to_density(phi), dt_policy=policy,
+                                snapshot_times=(1e-13,), **kw)
+            assert tr.snapshot_times == [0.0, 1e-13, 0.02] and tr.times[-1] == 0.02, policy
 
     @pytest.mark.parametrize("kw", [
         {"T": math.nan}, {"dt_init": math.nan}, {"dt_min": math.nan}, {"safety": math.nan},
@@ -469,15 +484,15 @@ class TestSBDF2Kernel:
         g = grid1(64)
         cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
         st = flow._Stepper(cfg)
-        state, _, _ = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
-        state, _ = flow._advance(st, state, 1.0, {})      # restart step
+        state = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
+        state, _ = flow._advance(st, state, 1.0)      # restart step
         counts = []
         for name in ("rfftn", "irfftn", "fftn", "ifftn"):
             orig = getattr(sfft, name)
             monkeypatch.setattr(sfft, name,
                                 lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
         for _ in range(4):
-            state, _ = flow._advance(st, state, 1.0, {})
+            state, _ = flow._advance(st, state, 1.0)
         assert len(counts) == 3 * 4
 
 
@@ -529,11 +544,11 @@ class TestNoZeroLengthStep:
     def test_step_at_or_past_the_boundary_is_an_underflow(self):
         g = grid1(16)
         st = flow._Stepper(FlowConfig(grid=g, T=1.0))
-        state, _, _ = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
+        state = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
         while state.t < 1.0:
-            state, _ = flow._advance(st, state, 1.0, {})
+            state, _ = flow._advance(st, state, 1.0)
         assert state.t == 1.0
         for bound in (1.0, 0.5):
             with pytest.raises(StepSizeUnderflow) as err:
-                flow._advance(st, state, bound, {})
+                flow._advance(st, state, bound)
             assert err.value.t == 1.0

@@ -7,6 +7,7 @@ import pytest
 
 import maflow as mf
 from maflow import io as mio
+from maflow import verify as ver
 from maflow.cli import main
 from maflow.config import load_config, parse_modes
 from maflow.errors import ConfigError
@@ -549,6 +550,15 @@ snapshots = 0.025, 0.05
         with pytest.raises(ConfigError, match=name):
             load_config(p)
         assert main(["run", str(p)]) == 2
+
+    def test_unknown_check_exits_2_before_any_check_runs(self, tmp_path, monkeypatch, capsys):
+        p = self._write_config(tmp_path, "")
+        assert main(["run", str(p)]) == 0
+        called = []
+        monkeypatch.setitem(ver.SINGLE_RUN_CHECKS, "sup_bound",
+                            lambda *a, **k: called.append(a))
+        assert main(["verify", str(tmp_path / "out"), "--checks", "sup_bound,bogus"]) == 2
+        assert called == [] and "bogus" in capsys.readouterr().err
 
     def test_named_check_without_its_input_reports_skip(self, tmp_path):
         # one level and no restart: these checks were dropped from verdicts.json

@@ -342,19 +342,19 @@ class TestStop:
         seq = approximation_sequence(spec, g, 2, ratio=0.8)
         cfg = FlowConfig(grid=g, T=0.01, record_every=50)
         after, reached = {}, {}   # per thread: steps taken with the stop set, last t
-        orig = flow._Stepper.advance
+        orig = flow._advance
 
-        def advance(self, target, floor):
-            out = orig(self, target, floor)
+        def advance(st, state, t_bound):
+            out = orig(st, state, t_bound)
             me = threading.current_thread()
-            reached[me.name] = self.state.t
-            if self.stop.is_set():
+            reached[me.name] = out[0].t
+            if st.stop.is_set():
                 after[me.name] = after.get(me.name, 0) + 1
-            elif me is threading.main_thread() and self.state.step_count == 5:
+            elif me is threading.main_thread() and out[0].step_count == 5:
                 raise KeyboardInterrupt
             return out
 
-        monkeypatch.setattr(flow._Stepper, "advance", advance)
+        monkeypatch.setattr(flow, "_advance", advance)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             run_levels(seq, cfg)

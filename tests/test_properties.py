@@ -1,8 +1,9 @@
 """Property tests on generated inputs: the one time loop (``flow._march``)
-and its boundary landing under every dt policy, the raw metric algebra of
-``geometry``, the discrete volume identity, the comparison principle and
-constant-shift equivariance, bit-exact MAFL round trips and the run
-settings' round trips through the INI and ``meta.json``.
+and boundary landing (``flow._advance``) under every dt policy, at any
+boundary spacing, the raw metric algebra of ``geometry``, the discrete
+volume identity, the comparison principle and constant-shift equivariance,
+bit-exact MAFL round trips and the run settings' round trips through the
+INI and ``meta.json``.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic; files go to temporary directories only.
@@ -91,6 +92,14 @@ FORMS = [("potential", "rk4"), ("potential", "rk4_fixed"), ("potential", "semi_i
          ("density", "rk4"), ("density", "semi_implicit")]
 
 
+def run_form(form, phi0, **kw):
+    """A run of phi0 to REMAINDER_T in the flow form and dt policy of ``form``."""
+    kw = dict(dt_policy=form[1], dt_init=REMAINDER_DT, record_every=1, **kw)
+    if form[0] == "potential":
+        return run(phi0, FlowConfig(grid=GRID, T=REMAINDER_T, **kw))
+    return evolve_density(potential_to_density(phi0), REMAINDER_T, **kw)
+
+
 @PROPERTY
 @given(form=st.sampled_from(FORMS), k=st.integers(1, 18), dt_min=st.floats(1e-11, 1e-9),
        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -98,13 +107,43 @@ FORMS = [("potential", "rk4"), ("potential", "rk4_fixed"), ("potential", "semi_i
 def test_boundary_a_remainder_past_a_step_end_is_landed(form, k, dt_min, frac, a1, a2):
     # the last step to the snapshot, r in (1e-12, dt_min), is shorter than dt_min
     snap = k * REMAINDER_DT + (1e-12 + frac * (dt_min - 1e-12))
-    kw = dict(dt_policy=form[1], dt_init=REMAINDER_DT, dt_min=dt_min,
-              snapshot_times=(snap,), record_every=1)
-    if form[0] == "potential":
-        tr = run(start(a1, a2), FlowConfig(grid=GRID, T=REMAINDER_T, **kw))
-    else:
-        tr = evolve_density(potential_to_density(start(a1, a2)), REMAINDER_T, **kw)
+    tr = run_form(form, start(a1, a2), dt_min=dt_min, snapshot_times=(snap,))
     assert tr.snapshot_times == [0.0, snap, REMAINDER_T]
+    assert tr.times[-1] == REMAINDER_T
+
+
+def within_dt_min(dt_min, frac):
+    """A gap in (1e-13, dt_min)."""
+    return 1e-13 + frac * (dt_min - 1e-13)
+
+
+@PROPERTY
+@given(form=st.sampled_from(FORMS), k=st.integers(1, 21), dt_min=st.floats(1e-11, 1e-9),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       a1=amplitudes, a2=amplitudes)
+def test_snapshot_times_closer_than_dt_min_are_landed(form, k, dt_min, frac, a1, a2):
+    snaps = (REMAINDER_T * k / 23, REMAINDER_T * k / 23 + within_dt_min(dt_min, frac))
+    tr = run_form(form, start(a1, a2), dt_min=dt_min, snapshot_times=snaps)
+    assert tr.snapshot_times == [0.0, *snaps, REMAINDER_T]
+    assert tr.times[-1] == REMAINDER_T
+
+
+@PROPERTY
+@given(form=st.sampled_from(FORMS), k=st.integers(1, 21), dt_min=st.floats(1e-11, 1e-9),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       a1=amplitudes, a2=amplitudes)
+def test_first_boundary_within_dt_min_of_t0_is_landed(form, k, dt_min, frac, a1, a2):
+    # a restart from the snapshot t0 (the density form: a run from 0) whose
+    # first snapshot time lies less than dt_min after t0
+    t0 = REMAINDER_T * k / 23 if form[0] == "potential" else 0.0
+    first = t0 + within_dt_min(dt_min, frac)
+    if form[0] == "potential":
+        cfg = FlowConfig(grid=GRID, T=REMAINDER_T, dt_policy=form[1], dt_init=REMAINDER_DT,
+                         dt_min=dt_min, record_every=1, snapshot_times=(t0,))
+        tr = continue_run(run(start(a1, a2), cfg), t0, cfg.replace(snapshot_times=(first,)))
+    else:
+        tr = run_form(form, start(a1, a2), dt_min=dt_min, snapshot_times=(first,))
+    assert tr.snapshot_times == [t0, first, REMAINDER_T]
     assert tr.times[-1] == REMAINDER_T
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import maflow as mf
 from maflow.elliptic import solve_ma
-from maflow.errors import ConfigMismatch
+from maflow.errors import ConfigError, ConfigMismatch
 from maflow.flow import (FlowConfig, Trajectory, TwistSpec, continue_run, normalize_h,
                          run)
 from maflow.geometry import PotentialField, mollify_raw
@@ -442,6 +442,16 @@ class TestDeterminism:
         for tr in (smooth_run[0], ncmaf_run[0]):
             for rep in ver.run_checks(tr):
                 assert rep.status in ("pass", "skip")
+
+    @pytest.mark.parametrize("names", [["sup_bound", "bogus"], ["sup_bound", "comparison"]])
+    def test_unknown_check_is_a_config_error_before_any_check_runs(self, smooth_run,
+                                                                     monkeypatch, names):
+        # comparison is a check of two runs, not one run_checks can run
+        called = []
+        monkeypatch.setitem(ver.SINGLE_RUN_CHECKS, "sup_bound", lambda tr: called.append(tr))
+        with pytest.raises(ConfigError, match=names[1]):
+            ver.run_checks(smooth_run[0], names)
+        assert called == []
 
 
 @pytest.fixture(scope="module")

@@ -22,9 +22,10 @@ semi-implicit and fixed-step policies and a dealiased run, and
 (``n2_res16_twisted/``), the smallest size at which a run with a CPU to
 spare takes a helper thread (``geometry.lane_pays``); three Lelong
 approximation levels at n = 1 res 64; the density form under rk4 and semi_implicit with snapshot times
-off the step grid; a snapshot 1e-10 past a step end with dt_min = 1e-9
-(``boundary_remainder/``) under rk4, rk4_fixed and semi_implicit and in
-the density form under rk4 and semi_implicit (a failure is recorded in
+off the step grid; under rk4, rk4_fixed and semi_implicit and in the
+density form under rk4 and semi_implicit, with dt_min = 1e-9, a snapshot
+1e-10 past a step end (``boundary_remainder/``) and two snapshot times
+5e-10 apart (``boundary_close/``) (a failure is recorded in
 ``error.txt``); the ``lelong_field`` oracle at n = 1 and n = 2; and the
 command line on an INI whose [flow] and [initial] values are off
 their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
@@ -99,13 +100,14 @@ def save_solve(outdir, alpha, grid):
         json.dump([int(k) for k in log.inner_iterations], fh)
 
 
-def save_boundary_remainder(outdir):
-    """Runs whose last step to a snapshot, 1e-10, is shorter than dt_min."""
+def save_boundary_runs(outdir, **kw):
+    """One run of a smooth n = 1 res 16 potential per policy and flow form under ``kw``.
+
+    The potential form runs under rk4, rk4_fixed and semi_implicit, the
+    density form under rk4 and semi_implicit; a failure goes to ``error.txt``.
+    """
     grid = TorusGrid(1, 16)
     phi0 = modes(grid, [((1, 0), 0.02, 0.0)])
-    # ten steps of dt_init (below the CFL step) end 1e-10 before the snapshot
-    kw = dict(T=0.01, dt_init=5e-4, dt_min=1e-9, record_every=4,
-              snapshot_times=(10 * 5e-4 + 1e-10,))
     for name in ("rk4", "rk4_fixed", "semi_implicit", "density_rk4", "density_semi_implicit"):
         path = os.path.join(outdir, name)
         try:
@@ -206,7 +208,13 @@ def main(argv):
                               snapshot_times=(0.00731, 0.0171))
         mio.save_trajectory(traj, os.path.join(out, f"density_{policy}"))
 
-    save_boundary_remainder(os.path.join(out, "boundary_remainder"))
+    # ten steps of dt_init (below the CFL step) end 1e-10 before the snapshot,
+    # so the last step to it is shorter than dt_min
+    save_boundary_runs(os.path.join(out, "boundary_remainder"), T=0.01, dt_init=5e-4,
+                       dt_min=1e-9, record_every=4, snapshot_times=(10 * 5e-4 + 1e-10,))
+    # two snapshot times closer together than dt_min
+    save_boundary_runs(os.path.join(out, "boundary_close"), T=0.02, dt_init=5e-4,
+                       dt_min=1e-9, record_every=4, snapshot_times=(0.01, 0.01 + 5e-10))
     save_cli(os.path.join(out, "cli"))
     return 0
 
