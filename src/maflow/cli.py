@@ -178,12 +178,18 @@ def cmd_compare(args):
 def cmd_restart(args):
     traj = mio.load_trajectory(args.rundir)
     config = mio.load_run_config(args.rundir, traj.twist)
-    out = continue_run(traj, args.at, config, T=args.to)
+    out = continue_run(traj, args.at, config, T=args.to, workers=args.workers)
     dest = args.out or os.path.join(os.path.dirname(args.rundir.rstrip("/")) or ".",
                                     "restart")
     mio.save_run(out, dest, config if args.to is None else config.replace(T=args.to))
     print(f"restarted at t={args.at} to T={out.meta['T']}; saved to {dest}")
     return 0
+
+
+WORKERS_HELP = ("cap on the threads of the run (default: the usable CPUs): the levels run "
+                "at a time, one thread each, and a helper thread for an n = 2 level at "
+                "res >= 16 where the cap leaves two per level; 1 starts no thread; the "
+                "output does not depend on it")
 
 
 def build_parser():
@@ -193,12 +199,7 @@ def build_parser():
 
     pr = sub.add_parser("run", help="run a configured flow (all levels)")
     pr.add_argument("config")
-    pr.add_argument("--workers", type=int, default=None,
-                    help="cap on the threads of the run (default: the usable CPUs): "
-                         "the levels run at a time, one thread each, and a helper "
-                         "thread for an n = 2 level at res >= 16 where the cap leaves "
-                         "two per level; 1 starts no thread; the output does not "
-                         "depend on it")
+    pr.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     pr.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("verify", help="check the a priori estimates on a run dir")
@@ -232,6 +233,7 @@ def build_parser():
     ps.add_argument("--at", type=float, required=True)
     ps.add_argument("--to", type=float, default=None)
     ps.add_argument("--out", default="")
+    ps.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     ps.set_defaults(func=cmd_restart)
     return p
 

@@ -102,6 +102,8 @@ def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=Non
     pre = mbar * sym - max(alpha, 0.0)
     if alpha == 0.0:
         pre = np.where(pre == 0.0, -1.0, pre)
+    # dividing a spectrum by the real pre multiplies by 1 / pre (see flow._sbdf2_spectrum)
+    inv_pre = np.divide(1.0, pre)
 
     def proj(arr):
         return arr - arr.mean() if mean_zero else arr
@@ -115,7 +117,7 @@ def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=Non
         return proj(apply(proj(x.reshape(shape)))).ravel()
 
     def pc(x):
-        return proj(grid.ifft(grid.fft(x.reshape(shape)) / pre)).ravel()
+        return proj(grid.ifft(grid.fft(x.reshape(shape)) * inv_pre)).ravel()
 
     A = LinearOperator((size, size), matvec=mv)
     M = LinearOperator((size, size), matvec=pc)

@@ -35,6 +35,12 @@ forms, and the error for a rejection that may not be halved past
 StepSizeUnderflow below dt_min here, PositivityLoss for both in the
 density form (``logdiff``).
 
+At n = 1 an SBDF2 step in the potential form (cmaf) keeps its state as a
+spectrum, from which the next right-hand side takes its Hessian, so a step
+takes two transforms.  The real phi is formed once, where it is first
+read: a series row, a snapshot, the recompute on landing, a restart of
+the SBDF2 history, or a caller of ``step``.
+
 One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
 Hessian (three transforms at n = 2) and turns it in place into the
 metric, its determinant, its smallest eigenvalue and log det - h (+ phi)
@@ -241,6 +247,26 @@ class FlowState:
     metric: np.ndarray = None
 
 
+class _SpectralPotential(PotentialField):
+    """A PotentialField held as its spectrum ``spec``; its values are formed on first read.
+
+    The values are ``grid.ifft(spec)``, bit-identical to forming them at
+    once: ``spec`` is never written (the SBDF2 history only reads it).  The
+    property shadows PotentialField's ``values`` slot, which stays empty.
+    """
+
+    __slots__ = ("spec", "_values")
+
+    def __init__(self, grid, spec):
+        self.grid, self.spec, self._values = grid, spec, None
+
+    @property
+    def values(self):
+        if self._values is None:
+            self._values = self.grid.ifft(self.spec)
+        return self._values
+
+
 @dataclass
 class Snapshot:
     t: float
@@ -304,13 +330,22 @@ class _Stepper:
             return arr
         return self.grid.ifft(self.mask * self.grid.fft(arr))
 
+    @property
+    def spectral_rhs(self):
+        """``parts`` reads phi only through its ``spec``: n = 1, without ncmaf's phi term."""
+        return self.grid.n == 1 and not self.ncmaf
+
     def close(self):
         """Join the helper thread, if any; the stepper takes no further step."""
         if self.lane is not None:
             self.lane.shutdown()
 
     def parts(self, t, phi_arr, spec=None):
-        """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit."""
+        """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit.
+
+        ``spec``, if given, is phi's spectrum, from which the Hessian is
+        taken; ``phi_arr`` may then be None where ``spectral_rhs``.
+        """
         r = np.empty(self.grid.shape)
 
         def rhs_rows(rows, det):   # log det - h (+ phi) on the metric pass's rows
@@ -383,9 +418,10 @@ def _advance(st, state, t_bound):
     candidate.  Rejections, dt_min and landing on t_bound as in the module
     docstring; an infinite t_bound is never landed on.  Commits the SBDF2
     history (before ``parts``, freeing the old one) and returns one
-    FlowState, with its det and metric.
+    FlowState, with its det and metric; where the SBDF2 candidate is only a
+    spectrum, the state's phi is formed from it on first read.
     """
-    cfg, t, y = st.cfg, state.t, state.phi.values
+    cfg, t = st.cfg, state.t
     if t_bound <= t:
         raise StepSizeUnderflow(
             f"no step left at t={t:.6g}: the boundary t={t_bound:.6g} is not ahead", t=t)
@@ -400,15 +436,15 @@ def _advance(st, state, t_bound):
             if cfg.dt_policy == "semi_implicit":   # its rejection is fatal: commit now
                 new, spec, st.hist = _sbdf2_candidate(st, state, dt)
             else:
-                new = _rk4_candidate(st, t, y, state.phi_dot, dt)
+                new = _rk4_candidate(st, t, state.phi.values, state.phi_dot, dt)
             r_new, det, emin, m = st.parts(t + dt, new, spec=spec)
             break
         except _Reject as e:
             dt *= 0.5
             if not adaptive or dt < cfg.dt_min:
                 raise st.failure(t, adaptive, e.args[0]) from None
-    out = FlowState(t + dt, PotentialField(st.grid, new), r_new, emin,
-                    state.step_count + 1, det=det, metric=m)
+    phi = _SpectralPotential(st.grid, spec) if new is None else PotentialField(st.grid, new)
+    out = FlowState(t + dt, phi, r_new, emin, state.step_count + 1, det=det, metric=m)
     if out.t >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
         out.t, st.hist = t_bound, {}
         if not st.autonomous:
@@ -452,6 +488,11 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
     expressions (4u - u_1 + 2dt(2N - N_1) + a(u_1 - 2u)) / (3 - a) with
     a = 2 dt beta0 sym, and (u + dt N) / (1 - dt beta0 sym), so the result
     is bit-identical to them.  ``u_spec`` and ``n_spec`` are only read.
+    The division by the real denominator is a multiply by its reciprocal,
+    which costs less: numpy divides complex by real with Smith's formula,
+    which for a zero imaginary part multiplies by 1 / denominator, so every
+    nonzero part of the quotient is the same to the bit (a part that is
+    exactly zero may differ in the sign of that zero).
     """
     full = dt >= dt_full * (1.0 - 1e-12)
     if full and hist.get("ok"):
@@ -472,16 +513,22 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
         num = np.multiply(dt, n_spec)
         num += u_spec
         np.subtract(1.0, a, out=a)
-    num /= a
+    np.divide(1.0, a, out=a)
+    num *= a
     return num, {"ok": full, "u_spec": u_spec, "n_spec": n_spec, "spec": num}
 
 
 def _sbdf2_candidate(st, state, dt):
     """Stabilized SBDF2 around the flat complex Laplacian: (state, spectrum, history).
 
-    The explicit term comes from ``st.explicit_spec``.  At n = 1 the potential
-    form's next right-hand side takes its Hessian from the spectrum, so once
-    the history holds the phi spectrum a potential step takes three transforms.
+    The explicit term comes from ``st.explicit_spec``.  At n = 1 the new
+    spectrum goes on to ``parts``, whose Hessian takes it, and where
+    ``st.spectral_rhs`` the state is None: once the history holds the phi
+    spectrum a potential step then takes two transforms, rfftn of the
+    right-hand side and the Hessian's inverse, and ``_advance`` keeps phi
+    as a ``_SpectralPotential``, formed where it is read.  At n = 2, under
+    ncmaf and in the density form the right-hand side reads the state,
+    which is formed here.
     """
     grid = st.grid
     beta0 = st.cfg.stab_factor / max(state.min_eig, 1e-12)
@@ -491,7 +538,8 @@ def _sbdf2_candidate(st, state, dt):
     new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec,
                                      st.explicit_spec(state.phi_dot), st.hist, dt,
                                      st.cfg.dt_init, beta0)
-    return grid.ifft(new_spec), new_spec if grid.n == 1 else None, hist
+    spec = new_spec if grid.n == 1 else None
+    return None if st.spectral_rhs else grid.ifft(new_spec), spec, hist
 
 
 def _initial_state(st, phi0, t0):
@@ -585,16 +633,19 @@ def _march(st, t0):
     return times, series, snaps
 
 
-def continue_run(traj, from_t, config, T=None, meta_extra=None):
-    """Restart a run from one of its snapshots (exact state hand-off)."""
+def continue_run(traj, from_t, config, T=None, meta_extra=None, workers=None):
+    """Restart a run from one of its snapshots (exact state hand-off).
+
+    ``workers`` caps the run's threads as in ``run``.
+    """
     snap = traj.snapshot_at(from_t)
     cfg = config if T is None else config.replace(T=T)
     phi = PotentialField(traj.grid, snap.phi.copy())
     extra = {"restarted_from": float(snap.t)}
     if meta_extra:
         extra.update(meta_extra)
-    return run(phi, cfg, t0=float(snap.t),
-               data_class=traj.meta.get("data_class", "smooth"), meta_extra=extra)
+    return run(phi, cfg, t0=float(snap.t), data_class=traj.meta.get("data_class", "smooth"),
+               meta_extra=extra, workers=workers)
 
 
 def _cpu_cap(workers):

@@ -120,6 +120,7 @@ class _DensityStepper(_Stepper):
     """The density f as a ``flow._Stepper`` (see the module docstring)."""
 
     autonomous = True
+    spectral_rhs = False   # parts reads f itself
 
     def __init__(self, config, f0):
         super().__init__(config)

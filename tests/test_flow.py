@@ -480,7 +480,7 @@ class TestSBDF2Kernel:
             assert new_hist["ok"] == (step_dt == dt) and new_hist["spec"] is got
             hist = new_hist
 
-    def test_potential_step_takes_three_transforms(self, monkeypatch):
+    def test_potential_step_takes_two_transforms(self, monkeypatch):
         g = grid1(64)
         cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
         st = flow._Stepper(cfg)
@@ -493,7 +493,62 @@ class TestSBDF2Kernel:
                                 lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
         for _ in range(4):
             state, _ = flow._advance(st, state, 1.0)
-        assert len(counts) == 3 * 4
+        # rfftn of the right-hand side and the Hessian's inverse; phi is not formed
+        assert len(counts) == 2 * 4
+
+
+class TestSpectralState:
+    """n = 1 SBDF2 keeps phi as a spectrum; forming it where read changes no result."""
+
+    @staticmethod
+    def config(g, **kw):
+        return FlowConfig(grid=g, T=0.02, dt_policy="semi_implicit", dt_init=1e-3,
+                          snapshot_times=(0.0071, 0.0133), **kw)
+
+    @staticmethod
+    def initial(g):
+        return PotentialField(g, cos_mode(g, (1, 0), 0.02) + cos_mode(g, (1, 1), 0.01, 1.1))
+
+    def test_rows_do_not_change_the_run(self):
+        g = grid1(32)
+        dense = run(self.initial(g), self.config(g, record_every=1))
+        sparse = run(self.initial(g), self.config(g, record_every=10 ** 6))
+        assert len(sparse.times) == 4 and len(dense.times) > 20
+        for a, b in zip(dense.snapshots, sparse.snapshots):
+            assert a.t == b.t and np.array_equal(a.phi, b.phi)
+            assert np.array_equal(a.phi_dot, b.phi_dot) and a.min_eig == b.min_eig
+        rows = [int(np.flatnonzero(dense.times == t)[0]) for t in sparse.times]
+        for name, col in sparse.series.items():
+            assert np.array_equal(dense.series[name][rows], col), name
+
+    @pytest.mark.parametrize("record_every", [1, 10 ** 6])
+    def test_restart_reproduces_the_later_series(self, record_every):
+        g = grid1(32)
+        cfg = self.config(g, record_every=record_every)
+        parent = run(self.initial(g), cfg)
+        tail = continue_run(parent, 0.0071, cfg)
+        later = parent.times >= 0.0071
+        assert np.array_equal(parent.times[later], tail.times)
+        for name, col in tail.series.items():
+            # the restart's first row has no step behind it
+            start = 1 if name == "dt" else 0
+            assert np.array_equal(parent.series[name][later][start:], col[start:]), name
+        for a, b in zip(parent.snapshots[1:], tail.snapshots):
+            assert a.t == b.t and np.array_equal(a.phi, b.phi)
+            assert np.array_equal(a.phi_dot, b.phi_dot)
+
+    def test_step_forms_phi_from_its_spectrum(self):
+        g = grid1(32)
+        cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
+        u = self.initial(g)
+        s0 = flow._initial_state(flow._Stepper(cfg), u, 0.0)
+        # the first step restarts the history: stabilized backward Euler
+        spec, _ = flow._sbdf2_spectrum(g.flat_symbol(), g.fft(u.values), g.fft(s0.phi_dot),
+                                       {}, 1e-3, 1e-3, cfg.stab_factor / s0.min_eig)
+        new = step(FlowState(0.0, u, None, None), cfg)
+        assert new.t == 1e-3 and new.step_count == 1
+        assert np.array_equal(new.phi.values, g.ifft(spec))
+        assert new.phi.values is new.phi.values   # formed once
 
 
 class TestDealias:

@@ -13,6 +13,7 @@ import pytest
 import maflow as mf
 from maflow import flow
 from maflow import geometry as geo
+from maflow import io as mio
 from maflow.cli import main
 from maflow.errors import ConfigError, KaehlerConeViolation, RunStopped
 from maflow.flow import FlowConfig, TwistSpec, run, run_levels
@@ -322,6 +323,41 @@ dir = {tmp_path / 'out'}
         assert started == [] and lanes == []
         assert main(["run", str(p)]) == 0
         assert len(lanes) == 1 and len(started) == 1
+
+    @staticmethod
+    def _saved_n2_run(tmp_path):
+        cfg = n2_config("twisted")
+        return mio.save_run(run(n2_initial(cfg.grid), cfg, workers=1),
+                            str(tmp_path / "parent"), cfg)
+
+    def test_maflow_restart_workers_1_starts_no_thread(self, tmp_path, monkeypatch, lanes):
+        usable_cpus(monkeypatch, 2)
+        parent = self._saved_n2_run(tmp_path)
+        started, real_start = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        alone, laned = tmp_path / "alone", tmp_path / "laned"
+        assert main(["restart", parent, "--at", "0.0013", "--out", str(alone),
+                     "--workers", "1"]) == 0
+        assert started == [] and lanes == []
+        assert main(["restart", parent, "--at", "0.0013", "--out", str(laned)]) == 0
+        assert len(lanes) == 1 and started == ["maflow-lane_0"]
+        names = sorted(os.listdir(alone))
+        assert names == sorted(os.listdir(laned)) and "series.csv" in names
+        for name in names:
+            assert (alone / name).read_bytes() == (laned / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_maflow_restart_workers_below_one_exits_2(self, tmp_path, workers, capsys):
+        parent = self._saved_n2_run(tmp_path)
+        out = tmp_path / "restart"
+        assert main(["restart", parent, "--at", "0.0013", "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err and not out.exists()
 
 
 class TestStop:

@@ -18,10 +18,13 @@ The set: at n = 1 res 32 and n = 2 res 8, a smooth run, a twisted run
 (psi_chi and h, c = -0.5), the normalized flow (ncmaf, with h), the
 semi-implicit and fixed-step policies and a dealiased run, and
 ``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
-``error.txt``, not raised); a short twisted run at n = 2 res 16
-(``n2_res16_twisted/``), the smallest size at which a run with a CPU to
-spare takes a helper thread (``geometry.lane_pays``); three Lelong
-approximation levels at n = 1 res 64; the density form under rk4 and semi_implicit with snapshot times
+``error.txt``, not raised); the n = 1 semi-implicit run again with rows
+only at t0 and its boundaries, the snapshot times off the step grid
+(``n1_semi_implicit_sparse/``), so its phi is formed only there; a
+short twisted run at n = 2 res 16 (``n2_res16_twisted/``), the smallest
+size at which a run with a CPU to spare takes a helper thread
+(``geometry.lane_pays``); three Lelong approximation levels at n = 1
+res 64; the density form under rk4 and semi_implicit with snapshot times
 off the step grid; under rk4, rk4_fixed and semi_implicit and in the
 density form under rk4 and semi_implicit, with dt_min = 1e-9, a snapshot
 1e-10 past a step end (``boundary_remainder/``) and two snapshot times
@@ -191,6 +194,11 @@ def main(argv):
         fld, _ = oracles.lelong_model_field(grid, 0.5)
         os.makedirs(os.path.join(out, "lelong_field"), exist_ok=True)
         mio.write_field(os.path.join(out, "lelong_field", f"{tag}.mafl"), fld)
+
+    # record_every above the step count: rows at t0 and the boundaries only
+    cfg = flow_configs(GRIDS["n1"])["semi_implicit"].replace(record_every=1000)
+    mio.save_run(run(initial(GRIDS["n1"]), cfg), os.path.join(out, "n1_semi_implicit_sparse"),
+                 cfg)
 
     grid = TorusGrid(2, 16)
     cfg = flow_configs(grid)["twisted"].replace(T=0.004, snapshot_times=(0.0017,))
