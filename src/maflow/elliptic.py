@@ -10,10 +10,15 @@ alpha > 0 the problem is monotone and the solution unique; for alpha = 0
 the data must satisfy the compatibility int e^{g+h} omega^n = (1+tc)^n V
 and the solution is fixed by the mu-mean normalization.
 
-The Newton linearization is delta -> tr_{M}(dd^c delta) - alpha delta; the
-inner solve is GMRES with a spectral preconditioner (flat inverse Laplacian
-shifted by alpha), and damping backtracks on the residual sup-norm with
-factor 1/2 down to 2^-20.
+The Newton linearization is L delta = tr_M(dd^c delta) - alpha delta.  The
+inner solve is right-preconditioned GMRES.  Its preconditioner inverts L
+scaled by det M, with the coefficients frozen at their means.  Scaled, L
+reads cof(M) : dd^c delta - alpha det delta, where cof(M) = det M^{-1} is
+the cofactor matrix.  At n = 1 cof(M) = 1, so near a steep metric (the
+mollified pole of the Lelong check) only the zeroth-order term varies
+(``_inner_solve``).  Each Newton step records its GMRES matvecs and whether
+the inner solve met its tolerance in ``SolverLog``.  Damping backtracks on
+the residual sup-norm with factor 1/2 down to 2^-20.
 """
 
 import math
@@ -32,7 +37,8 @@ DAMPING_FLOOR = 2.0 ** -20
 @dataclass
 class SolverLog:
     rows: list = dfield(default_factory=list)   # (iteration, residual, damping)
-    inner_iterations: list = dfield(default_factory=list)
+    inner_iterations: list = dfield(default_factory=list)   # GMRES matvecs per Newton step
+    inner_converged: list = dfield(default_factory=list)    # did that inner solve meet rtol
 
     def append(self, it, res, damping):
         self.rows.append((it, float(res), float(damping)))
@@ -96,10 +102,30 @@ def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=Non
     return r, apply
 
 
-def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=None):
-    """Preconditioned GMRES for apply(delta) = rhs."""
-    sym = grid.flat_symbol()   # <= 0
-    pre = mbar * sym - max(alpha, 0.0)
+def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
+    """Right-preconditioned GMRES for apply(delta) = rhs; apply is the linearization at M.
+
+    Returns (delta, matvecs, converged); converged is False when lgmres ran
+    out at maxiter without meeting rtol.  ``inv`` is raw M^{-1} and ``det``
+    det M.  Multiplied by det M the linearization reads
+
+        det (tr_M(dd^c delta) - alpha delta) = cof(M) : dd^c delta - alpha det delta,
+
+    with cof(M) = det M^{-1} the cofactor matrix.  Freezing cof(M) at
+    cbar I, cbar = mean(det tr M^{-1}) / n, and det at dbar = mean(det)
+    leaves the constant-coefficient operator cbar Delta - alpha dbar, so
+
+        P x = F^{-1}[ F[det x] / (cbar sym - alpha dbar) ]
+
+    approximates the inverse of apply.  At n = 1 cof(M) = 1 and cbar = 1:
+    P inverts the second-order term exactly and only -alpha det delta is
+    frozen, which is why a steep metric costs few matvecs.  At alpha = 0
+    the zero symbol (constants, and the Nyquist corner modes that
+    ``geometry.hessian_raw`` zeroes) is replaced by -1 and both operators
+    act on mean-zero fields.
+    """
+    cbar = float((det * geo.trace_raw(grid, inv)).mean() / grid.n)
+    pre = cbar * grid.flat_symbol() - alpha * float(det.mean())
     if alpha == 0.0:
         pre = np.where(pre == 0.0, -1.0, pre)
     # dividing a spectrum by the real pre multiplies by 1 / pre (see flow._sbdf2_spectrum)
@@ -117,15 +143,13 @@ def _inner_solve(grid, apply, rhs_arr, alpha, mbar, mean_zero, rtol, counter=Non
         return proj(apply(proj(x.reshape(shape)))).ravel()
 
     def pc(x):
-        return proj(grid.ifft(grid.fft(x.reshape(shape)) * inv_pre)).ravel()
+        return proj(grid.ifft(grid.fft(det * x.reshape(shape)) * inv_pre)).ravel()
 
     A = LinearOperator((size, size), matvec=mv)
     M = LinearOperator((size, size), matvec=pc)
     b = proj(rhs_arr).ravel()
     sol, info = lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=400)
-    if counter is not None:
-        counter.append(calls[0])
-    return proj(sol.reshape(shape))
+    return proj(sol.reshape(shape)), calls[0], info == 0
 
 
 def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
@@ -178,14 +202,14 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
         if rnorm <= tol:
             break
         inv_raw, apply = _linearization(grid, m, det, alpha)
-        mbar = float(geo.trace_raw(grid, inv_raw).mean() / grid.n)
         rhs_arr = -r
         if alpha == 0.0:
             rhs_arr = rhs_arr - (rhs_arr * det).mean() / det.mean()
-        delta = _inner_solve(grid, apply, rhs_arr, alpha, mbar,
-                             mean_zero=(alpha == 0.0),
-                             rtol=min(1e-2, 0.1 * rnorm),
-                             counter=log.inner_iterations)
+        delta, matvecs, converged = _inner_solve(grid, apply, rhs_arr, alpha, inv_raw, det,
+                                                 mean_zero=(alpha == 0.0),
+                                                 rtol=min(1e-2, 0.1 * rnorm))
+        log.inner_iterations.append(matvecs)
+        log.inner_converged.append(converged)
         s = 1.0
         while True:
             cand = u + s * delta

@@ -1,5 +1,7 @@
 """Damped Newton solver for the elliptic Monge-Ampere problems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from maflow.elliptic import SolverLog, newton_residual_and_linearization, solve_
 from maflow.errors import IncompatibleData, SingularMetric
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
 from maflow.geometry import PotentialField
-from maflow.initial import cos_mode
+from maflow.initial import PotentialSpec, cos_mode, sample_potential
 
 
 def grid1(res=64):
@@ -19,6 +21,32 @@ def grid1(res=64):
 
 def mode(grid, kvec, amp, phase=0.0):
     return PotentialField(grid, cos_mode(grid, kvec, amp, phase))
+
+
+def modes(grid, terms):
+    """sum of amp * cos(k.x + phase) over (k, amp, phase), k padded to 2n entries."""
+    vals = np.zeros(grid.shape)
+    for k, amp, phase in terms:
+        vals += cos_mode(grid, tuple(k) + (0,) * (2 * grid.n - len(k)), amp, phase)
+    return PotentialField(grid, vals)
+
+
+def smooth_data(grid):
+    """g and h of the saved solve_ma scenarios: one g mode, three h modes of amplitude 0.2."""
+    h = normalize_h(modes(grid, [((1, 0), 0.2, 0.0), ((0, 1), 0.2, 0.4), ((1, 1), 0.2, 0.9)]))
+    return dict(g=modes(grid, [((0, 1), 0.1, 0.0)]), h=h, grid=grid)
+
+
+def lelong_subsolution(res):
+    """(alpha, kwargs) of the Lelong check's subsolution solve: alpha = 2 beta, beta = 0.9.
+
+    The data is the mollified gamma = 1 log pole on the period-2 torus, so
+    the metric at the initial guess is steep near the pole.
+    """
+    grid = mf.TorusGrid(1, res, 2.0)
+    phi0 = sample_potential(PotentialSpec("lelong", gamma=1.0), grid)
+    sm = PotentialField(grid, geo.mollify_raw(grid, phi0.values, 2.0 * grid.h))
+    return 1.8, dict(g=PotentialField(grid, -1.8 * sm.values), u0=sm)
 
 
 class TestSolveMa:
@@ -159,6 +187,28 @@ class TestFixedPointHandoff:
         assert drift <= 1e-7
 
 
+def twisted_n2_data():
+    grid = mf.TorusGrid(2, 16)
+    twist = TwistSpec(-0.5, modes(grid, [((0, 1), 0.004, 0.5), ((1, 1), 0.003, 0.0)]))
+    return dict(twist=twist, t=0.5, **smooth_data(grid))
+
+
+# name -> (() -> (alpha, solve_ma keyword arguments), total GMRES matvecs under
+# the flat preconditioner (mbar Delta - alpha)^{-1} that the det-weighted one replaced)
+MATVEC_CASES = {
+    "n1_alpha1.5": (lambda: (1.5, smooth_data(grid1(64))), 40),
+    "n1_alpha25": (lambda: (25.0, smooth_data(grid1(64))), 19),
+    "n2_alpha1.5": (lambda: (1.5, smooth_data(mf.TorusGrid(2, 8))), 40),
+    "n2_alpha25": (lambda: (25.0, smooth_data(mf.TorusGrid(2, 8))), 19),
+    "n2_twisted_res16": (lambda: (1.5, twisted_n2_data()), 42),
+    # a compatible h mode; the flat preconditioner took 2,569 matvecs in the last step
+    "n1_alpha0": (lambda: (0.0, dict(grid=grid1(64), h=normalize_h(
+        mode(grid1(64), (1, 1), 0.3, -math.pi / 2)))), 2593),
+    "lelong_subsolution_res64": (lambda: lelong_subsolution(64), 146),
+    "lelong_subsolution_res128": (lambda: lelong_subsolution(128), 296),
+}
+
+
 class TestInnerIterations:
     def test_large_alpha_diagonally_dominant(self):
         # strong zeroth-order term: a handful of inner Krylov steps suffice
@@ -167,3 +217,35 @@ class TestInnerIterations:
         solve_ma(25.0, g=mode(g, (1, 0), 0.3), log=log)
         assert log.inner_iterations
         assert max(log.inner_iterations) <= 30
+
+    @pytest.mark.parametrize("name", sorted(MATVEC_CASES))
+    def test_matvecs_no_more_than_flat_preconditioner(self, name):
+        data, flat = MATVEC_CASES[name]
+        alpha, kwargs = data()
+        log = SolverLog()
+        solve_ma(alpha, log=log, **kwargs)
+        total = sum(log.inner_iterations)
+        assert total <= flat, (total, log.inner_iterations)
+        if name.startswith("lelong_subsolution"):
+            # the steep metric near the pole is what the det weighting absorbs
+            assert 3 * total <= flat, (total, log.inner_iterations)
+        assert log.rows[-1][1] <= 1e-9
+
+
+class TestInnerConverged:
+    def test_stalled_inner_solve_recorded(self):
+        # alpha = 0, three modes of amplitude 0.2 at the compatible mass: the
+        # Nyquist corner modes keep the last inner solve from reaching its rtol
+        g = grid1(64)
+        data = normalize_h(modes(g, [((1, 0), 0.2, 0.0), ((0, 1), 0.2, -math.pi / 2),
+                                     ((1, 1), 0.2, 0.0)]))
+        log = SolverLog()
+        solve_ma(0.0, g=data, log=log)
+        assert len(log.inner_converged) == len(log.inner_iterations) == log.iterations - 1
+        assert log.inner_converged[-1] is False
+        assert all(log.inner_converged[:-1])
+
+    def test_smooth_solve_converges_every_step(self):
+        log = SolverLog()
+        solve_ma(1.5, log=log, **smooth_data(grid1(64)))
+        assert log.inner_converged and all(c is True for c in log.inner_converged)

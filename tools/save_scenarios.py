@@ -24,12 +24,14 @@ only at t0 and its boundaries, the snapshot times off the step grid
 short twisted run at n = 2 res 16 (``n2_res16_twisted/``), the smallest
 size at which a run with a CPU to spare takes a helper thread
 (``geometry.lane_pays``); three Lelong approximation levels at n = 1
-res 64; the density form under rk4 and semi_implicit with snapshot times
-off the step grid; under rk4, rk4_fixed and semi_implicit and in the
-density form under rk4 and semi_implicit, with dt_min = 1e-9, a snapshot
-1e-10 past a step end (``boundary_remainder/``) and two snapshot times
-5e-10 apart (``boundary_close/``) (a failure is recorded in
-``error.txt``); the ``lelong_field`` oracle at n = 1 and n = 2; and the
+res 64, and the Lelong check's subsolution ``solve_ma`` (alpha = 1.8)
+from the mollified pole on the same grid (``lelong_subsolution/``), the
+steepest metric a Newton solve meets here; the density form under rk4
+and semi_implicit with snapshot times off the step grid; under rk4,
+rk4_fixed and semi_implicit and in the density form under rk4 and
+semi_implicit, with dt_min = 1e-9, a snapshot 1e-10 past a step end
+(``boundary_remainder/``) and two snapshot times 5e-10 apart
+(``boundary_close/``) (a failure is recorded in ``error.txt``); the ``lelong_field`` oracle at n = 1 and n = 2; and the
 command line on an INI whose [flow] and [initial] values are off
 their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
 with psi_chi and h), ``maflow restart --at`` of the deepest level and
@@ -49,8 +51,8 @@ from maflow import oracles
 from maflow.elliptic import SolverLog, solve_ma
 from maflow.errors import MaflowError, NewtonDiverged
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run, run_levels
-from maflow.geometry import PotentialField, TorusGrid
-from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
+from maflow.geometry import PotentialField, TorusGrid, mollify_raw
+from maflow.initial import PotentialSpec, approximation_sequence, cos_mode, sample_potential
 from maflow.logdiff import evolve_density, potential_to_density
 
 GRIDS = {"n1": TorusGrid(1, 32), "n2": TorusGrid(2, 8)}
@@ -86,14 +88,12 @@ def flow_configs(grid):
     }
 
 
-def save_solve(outdir, alpha, grid):
-    """solve_ma at alpha with smooth g and h; the field, the Newton log, the inner counts."""
+def save_solve(outdir, alpha, **data):
+    """solve_ma at alpha on ``data``; the field, the Newton log, the inner counts."""
     os.makedirs(outdir, exist_ok=True)
-    h = normalize_h(modes(grid, [((1, 0), 0.2, 0.0), ((0, 1), 0.2, 0.4), ((1, 1), 0.2, 0.9)]))
-    g = None if alpha == 0.0 else modes(grid, [((0, 1), 0.1, 0.0)])
     log = SolverLog()
     try:
-        u, _ = solve_ma(alpha, g=g, h=h, grid=grid, log=log)
+        u, _ = solve_ma(alpha, log=log, **data)
         mio.write_field(os.path.join(outdir, "u.mafl"), u)
     except NewtonDiverged as e:
         with open(os.path.join(outdir, "error.txt"), "w") as fh:
@@ -101,6 +101,13 @@ def save_solve(outdir, alpha, grid):
     log.write_csv(os.path.join(outdir, "newton_log.csv"))
     with open(os.path.join(outdir, "inner_iterations.json"), "w") as fh:
         json.dump([int(k) for k in log.inner_iterations], fh)
+
+
+def smooth_solve_data(alpha, grid):
+    """Smooth h (three modes) and, for alpha > 0, one g mode."""
+    h = normalize_h(modes(grid, [((1, 0), 0.2, 0.0), ((0, 1), 0.2, 0.4), ((1, 1), 0.2, 0.9)]))
+    g = None if alpha == 0.0 else modes(grid, [((0, 1), 0.1, 0.0)])
+    return dict(g=g, h=h, grid=grid)
 
 
 def save_boundary_runs(outdir, **kw):
@@ -190,7 +197,8 @@ def main(argv):
         for name, cfg in flow_configs(grid).items():
             mio.save_run(run(phi0, cfg), os.path.join(out, f"{tag}_{name}"), cfg)
         for alpha in (0.0, 1.5):
-            save_solve(os.path.join(out, f"{tag}_solve_ma_alpha{alpha:g}"), alpha, grid)
+            save_solve(os.path.join(out, f"{tag}_solve_ma_alpha{alpha:g}"), alpha,
+                       **smooth_solve_data(alpha, grid))
         fld, _ = oracles.lelong_model_field(grid, 0.5)
         os.makedirs(os.path.join(out, "lelong_field"), exist_ok=True)
         mio.write_field(os.path.join(out, "lelong_field", f"{tag}.mafl"), fld)
@@ -209,6 +217,12 @@ def main(argv):
     cfg = FlowConfig(grid=grid, T=0.01, record_every=50, snapshot_times=(0.005,))
     for k, traj in enumerate(run_levels(seq, cfg)):
         mio.save_run(traj, os.path.join(out, "lelong", f"level_{k + 1:02d}"), cfg)
+    # the Lelong check's subsolution solve (alpha = 2 beta, beta = 0.9) from the
+    # mollified pole, whose metric is steep near the pole
+    phi0 = sample_potential(PotentialSpec("lelong", gamma=1.0), grid)
+    sm = PotentialField(grid, mollify_raw(grid, phi0.values, 2.0 * grid.h))
+    save_solve(os.path.join(out, "lelong_subsolution"), 1.8,
+               g=PotentialField(grid, -1.8 * sm.values), u0=sm)
 
     f0 = potential_to_density(initial(GRIDS["n1"]))
     for policy in ("rk4", "semi_implicit"):
