@@ -1,8 +1,8 @@
 """Command-line interface: run, verify, oracle, compare, restart.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver failure (failure time in
-the report), 4 verification failure (advisory checks never affect the
-code).
+Exit codes: 0 ok, 2 configuration error (runs paired under different
+configurations included), 3 solver failure (failure time in the report),
+4 verification failure (advisory checks never affect the code).
 """
 
 import argparse
@@ -16,7 +16,7 @@ from . import io as mio
 from . import oracles, verify as ver
 from .config import load_config
 from .elliptic import solve_ma
-from .errors import ConfigError, InvalidSpec, MaflowError
+from .errors import ConfigError, ConfigMismatch, InvalidSpec, MaflowError
 from .flow import continue_run, limit_potential, run_levels
 from .geometry import TorusGrid
 from .initial import (ApproximationSequence, approximation_sequence, default_center,
@@ -113,7 +113,12 @@ def cmd_oracle(args):
         raise ConfigError(str(e)) from None
     os.makedirs(args.out, exist_ok=True)
     if args.name == "heat":
-        kvec = tuple(int(k) for k in args.mode.split())
+        try:
+            kvec = tuple(int(k) for k in args.mode.split())
+        except ValueError:
+            kvec = ()
+        if len(kvec) != 2 * grid.n:
+            raise ConfigError(f"--mode {args.mode!r}: give {2 * grid.n} integers at n = {grid.n}")
         table = oracles.heat_mode_series(grid, kvec, args.amp, args.T)
         path = os.path.join(args.out, "heat_mode.csv")
         with open(path, "w") as fh:
@@ -148,6 +153,8 @@ def cmd_oracle(args):
 def cmd_compare(args):
     ta = mio.load_trajectory(args.run_a)
     tb = mio.load_trajectory(args.run_b)
+    if ta.grid != tb.grid:
+        raise ConfigMismatch(f"the runs lie on different grids, {ta.grid} and {tb.grid}")
     common = sorted(set(np.round(ta.times, 12)) & set(np.round(tb.times, 12)))
     report = {"common_rows": len(common)}
     if common:
@@ -242,7 +249,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidSpec) as e:
+    except (ConfigError, ConfigMismatch, InvalidSpec) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except MaflowError as e:

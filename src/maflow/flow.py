@@ -35,18 +35,20 @@ forms, and the error for a rejection that may not be halved past
 StepSizeUnderflow below dt_min here, PositivityLoss for both in the
 density form (``logdiff``).
 
-At n = 1 an SBDF2 step in the potential form (cmaf) keeps its state as a
-spectrum, from which the next right-hand side takes its Hessian, so a step
-takes two transforms.  The real phi is formed once, where it is first
-read: a series row, a snapshot, the recompute on landing, a restart of
-the SBDF2 history, or a caller of ``step``.
+An SBDF2 step keeps its state as the spectrum it solves for
+(``_SpectralPotential``) at every n and in both flow forms, and the next
+right-hand side takes its Hessian from it: a cmaf step takes two
+transforms at n = 1, three at n = 2.  The real phi is formed once, where
+it is first read.  Landing turns the state into its real values, so a
+restart from the snapshot starts from the same spectrum, fft(phi).
 
-One right-hand-side evaluation (``_Stepper.parts``) takes one spectral
-Hessian (three transforms at n = 2) and turns it in place into the
-metric, its determinant, its smallest eigenvalue and log det - h (+ phi)
-in one fused pointwise pass (``geometry.metric_det_eigmin``).  A cone
-exit anywhere in a run, including the recompute after landing on a
-snapshot time, reaches the caller as a typed error carrying t.
+One right-hand-side evaluation (``_Stepper.parts``) takes the Hessian of
+``phi.spectrum()`` (one inverse transform at n = 1, two at n = 2) and
+turns it in place into the metric, its determinant, its smallest
+eigenvalue and log det - h (+ phi) in one fused pointwise pass
+(``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
+including the recompute after landing on a snapshot time, reaches the
+caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the stop check, the record cadence and the snapshots, and
@@ -113,10 +115,8 @@ class TwistSpec:
         if self.psi_chi.grid != grid:
             raise ConfigError("psi_chi lives on a different grid")
         if self._hpsi is None or self._hpsi[0] is not self.psi_chi:
-            raw = geo.hessian_raw(grid, self.psi_chi.values)
-            for arr in (raw,) if grid.n == 1 else raw:
-                arr.flags.writeable = False
-            self._hpsi = (self.psi_chi, raw)
+            self._hpsi = (self.psi_chi,
+                          geo.readonly_raw(grid, geo.hessian_raw(grid, self.psi_chi.values)))
         return self._hpsi[1]
 
     def eig_range(self, grid):
@@ -266,6 +266,9 @@ class _SpectralPotential(PotentialField):
             self._values = self.grid.ifft(self.spec)
         return self._values
 
+    def spectrum(self):
+        return self.spec
+
 
 @dataclass
 class Snapshot:
@@ -291,7 +294,8 @@ class Trajectory:
         for s in self.snapshots:
             if abs(s.t - t) <= tol * max(1.0, abs(t)):
                 return s
-        raise KeyError(f"no snapshot at t={t}")
+        recorded = ", ".join(f"{s.t:.6g}" for s in self.snapshots)
+        raise ConfigError(f"no snapshot at t={t:.6g}; the snapshot times are {recorded}")
 
     @property
     def snapshot_times(self):
@@ -330,23 +334,18 @@ class _Stepper:
             return arr
         return self.grid.ifft(self.mask * self.grid.fft(arr))
 
-    @property
-    def spectral_rhs(self):
-        """``parts`` reads phi only through its ``spec``: n = 1, without ncmaf's phi term."""
-        return self.grid.n == 1 and not self.ncmaf
-
     def close(self):
         """Join the helper thread, if any; the stepper takes no further step."""
         if self.lane is not None:
             self.lane.shutdown()
 
-    def parts(self, t, phi_arr, spec=None):
+    def parts(self, t, phi):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit.
 
-        ``spec``, if given, is phi's spectrum, from which the Hessian is
-        taken; ``phi_arr`` may then be None where ``spectral_rhs``.
+        The Hessian comes from ``phi.spectrum()``; only ncmaf reads ``phi.values``.
         """
         r = np.empty(self.grid.shape)
+        phi_arr = phi.values if self.ncmaf else None
 
         def rhs_rows(rows, det):   # log det - h (+ phi) on the metric pass's rows
             out = r[rows]
@@ -358,7 +357,7 @@ class _Stepper:
 
         hpsi = self.hpsi if t != 0.0 else None
         m, det, emin = geo.metric_det_eigmin(
-            self.grid, geo.hessian_raw(self.grid, phi_arr, spec=spec, lane=self.lane),
+            self.grid, geo.hessian_raw(self.grid, None, spec=phi.spectrum(), lane=self.lane),
             1.0 + t * self.c, hpsi, t, lane=self.lane, then=rhs_rows)
         if not np.isfinite(emin) or emin <= 0.0:
             raise _Reject(emin)
@@ -391,17 +390,17 @@ class _Stepper:
         return Snapshot(s.t, s.phi.values.copy(), s.phi_dot.copy(), s.min_eig)
 
 
-def _checked_parts(st, t, phi_arr, message):
-    """st.parts at (t, phi_arr), a cone exit raised as KaehlerConeViolation at t."""
+def _checked_parts(st, t, phi, message):
+    """st.parts at (t, phi), a cone exit raised as KaehlerConeViolation at t."""
     try:
-        return st.parts(t, phi_arr)
+        return st.parts(t, phi)
     except _Reject as e:
         raise KaehlerConeViolation(message, t=t, min_eig=e.args[0]) from None
 
 
 def rhs(t, phi, config):
     """Right-hand side of the flow at (t, phi); raises KaehlerConeViolation."""
-    r, _, _, _ = _checked_parts(_Stepper(config), t, phi.values,
+    r, _, _, _ = _checked_parts(_Stepper(config), t, phi,
                                 f"potential left the Kaehler cone at t={t}")
     return r
 
@@ -418,8 +417,7 @@ def _advance(st, state, t_bound):
     candidate.  Rejections, dt_min and landing on t_bound as in the module
     docstring; an infinite t_bound is never landed on.  Commits the SBDF2
     history (before ``parts``, freeing the old one) and returns one
-    FlowState, with its det and metric; where the SBDF2 candidate is only a
-    spectrum, the state's phi is formed from it on first read.
+    FlowState, with its det and metric.
     """
     cfg, t = st.cfg, state.t
     if t_bound <= t:
@@ -430,30 +428,30 @@ def _advance(st, state, t_bound):
     if dt < cfg.dt_min:
         raise StepSizeUnderflow(f"dt underflow at t={t:.6g} (min_eig={state.min_eig:.3e})",
                                 t=t)
-    dt, spec = min(dt, t_bound - t), None
+    dt = min(dt, t_bound - t)
     while True:
         try:
             if cfg.dt_policy == "semi_implicit":   # its rejection is fatal: commit now
-                new, spec, st.hist = _sbdf2_candidate(st, state, dt)
+                phi, st.hist = _sbdf2_candidate(st, state, dt)
             else:
-                new = _rk4_candidate(st, t, state.phi.values, state.phi_dot, dt)
-            r_new, det, emin, m = st.parts(t + dt, new, spec=spec)
+                phi = PotentialField(st.grid, _rk4_candidate(st, t, state.phi.values,
+                                                             state.phi_dot, dt))
+            r_new, det, emin, m = st.parts(t + dt, phi)
             break
         except _Reject as e:
             dt *= 0.5
             if not adaptive or dt < cfg.dt_min:
                 raise st.failure(t, adaptive, e.args[0]) from None
-    phi = _SpectralPotential(st.grid, spec) if new is None else PotentialField(st.grid, new)
     out = FlowState(t + dt, phi, r_new, emin, state.step_count + 1, det=det, metric=m)
     if out.t >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
-        out.t, st.hist = t_bound, {}
+        out.t, out.phi, st.hist = t_bound, PotentialField(st.grid, phi.values), {}
         if not st.autonomous:
             # drop the step's det and metric before the recompute: the caller
             # still holds the previous state's, and three metrics raise the peak
             out.det = out.metric = det = m = None
             msg = f"potential left the Kaehler cone on landing at t={t_bound:.6g}"
             out.phi_dot, out.det, out.min_eig, out.metric = \
-                _checked_parts(st, t_bound, out.phi.values, msg)
+                _checked_parts(st, t_bound, out.phi, msg)
     return out, dt
 
 
@@ -463,9 +461,9 @@ def _rk4_candidate(st, t, y, rhs, dt):
     Raises _Reject where a stage's ``st.parts`` does, or on a non-finite result.
     """
     r1 = st.rate(rhs)
-    r2 = st.rate(st.parts(t + 0.5 * dt, y + (0.5 * dt) * r1)[0])
-    r3 = st.rate(st.parts(t + 0.5 * dt, y + (0.5 * dt) * r2)[0])
-    r4 = st.rate(st.parts(t + dt, y + dt * r3)[0])
+    r2 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r1))[0])
+    r3 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r2))[0])
+    r4 = st.rate(st.parts(t + dt, PotentialField(st.grid, y + dt * r3))[0])
     new = y + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
     if not np.all(np.isfinite(new)):
         raise _Reject(float("nan"))
@@ -479,10 +477,9 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
     ``u_spec`` and of the explicit term ``n_spec`` at t, with
     beta0 * ``sym`` (the flat symbol) taken implicitly.  The potential
     form and the density form share it.  ``hist`` is the dict this returned
-    for the previous step, or {} after a reset; its "spec" is the new
-    spectrum, which the caller passes back as the next ``u_spec``.  A step
-    shorter than ``dt_full`` and the first step after a reset take
-    stabilized backward Euler, which restarts the two-step history.
+    for the previous step, or {} after a reset.  A step shorter than
+    ``dt_full`` and the first step after a reset take stabilized backward
+    Euler, which restarts the two-step history.
 
     Built in place with the operations, and in the order, of the textbook
     expressions (4u - u_1 + 2dt(2N - N_1) + a(u_1 - 2u)) / (3 - a) with
@@ -515,36 +512,28 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
         np.subtract(1.0, a, out=a)
     np.divide(1.0, a, out=a)
     num *= a
-    return num, {"ok": full, "u_spec": u_spec, "n_spec": n_spec, "spec": num}
+    return num, {"ok": full, "u_spec": u_spec, "n_spec": n_spec}
 
 
 def _sbdf2_candidate(st, state, dt):
-    """Stabilized SBDF2 around the flat complex Laplacian: (state, spectrum, history).
+    """Stabilized SBDF2 around the flat complex Laplacian: (state at t + dt, history).
 
-    The explicit term comes from ``st.explicit_spec``.  At n = 1 the new
-    spectrum goes on to ``parts``, whose Hessian takes it, and where
-    ``st.spectral_rhs`` the state is None: once the history holds the phi
-    spectrum a potential step then takes two transforms, rfftn of the
-    right-hand side and the Hessian's inverse, and ``_advance`` keeps phi
-    as a ``_SpectralPotential``, formed where it is read.  At n = 2, under
-    ncmaf and in the density form the right-hand side reads the state,
-    which is formed here.
+    The state is a ``_SpectralPotential`` of the new spectrum at every n,
+    in both flow forms and under both variants.  It steps from
+    ``state.phi.spectrum()``: the previous step's spectrum while the
+    history runs, fft(phi) after a reset.  The explicit term comes from
+    ``st.explicit_spec``.
     """
-    grid = st.grid
     beta0 = st.cfg.stab_factor / max(state.min_eig, 1e-12)
-    phi_spec = st.hist.get("spec")
-    if phi_spec is None:
-        phi_spec = grid.fft(state.phi.values)
-    new_spec, hist = _sbdf2_spectrum(grid.flat_symbol(), phi_spec,
+    new_spec, hist = _sbdf2_spectrum(st.grid.flat_symbol(), state.phi.spectrum(),
                                      st.explicit_spec(state.phi_dot), st.hist, dt,
                                      st.cfg.dt_init, beta0)
-    spec = new_spec if grid.n == 1 else None
-    return None if st.spectral_rhs else grid.ifft(new_spec), spec, hist
+    return _SpectralPotential(st.grid, new_spec), hist
 
 
 def _initial_state(st, phi0, t0):
     r, det, emin, m = _checked_parts(
-        st, t0, phi0.values, "initial potential is not strictly inside the Kaehler cone")
+        st, t0, phi0, "initial potential is not strictly inside the Kaehler cone")
     return FlowState(t0, phi0.copy(), r, emin, det=det, metric=m)
 
 

@@ -29,7 +29,7 @@ triple (m11, m22, m12) at n = 2; its algebra (``det_raw``, ``eigmin_raw``,
 ``trace_raw``, ``inverse_raw``, the contraction tr_M(H) ``contract_raw``
 and the wedge sum ``wedge_sum``) lives here.  The spectral layout is the
 rfft at n = 1 and the c2c transform at n = 2 (``TorusGrid.fft`` /
-``TorusGrid.ifft``); the grid's symbols and masks use it by default.
+``TorusGrid.ifft``); the grid's symbols and masks use it.
 
 All operations here are pure functions of immutable snapshots and are
 safe to call concurrently.  The one mutable state is a lazily filled cache
@@ -139,36 +139,22 @@ class TorusGrid:
             self._cache[key] = k
         return self._cache[key]
 
-    def _freq_along(self, axis, zero_nyquist=True, rfft=False):
-        """Frequency array broadcastable to the (r)fft spectrum shape."""
-        k = self._freq(zero_nyquist)
-        if rfft and axis == 2 * self.n - 1:
-            k = k[: self.res // 2 + 1].copy()
-            if not zero_nyquist:
-                k[-1] = abs(k[-1])
+    def _along(self, axis, k):
+        """Per-axis values ``k`` (fftfreq order), broadcastable to the spectrum shape."""
         sh = [1] * (2 * self.n)
-        sh[axis] = len(k)
-        return k.reshape(sh)
+        sh[axis] = self._spec_shape()[axis]
+        return k[: sh[axis]].reshape(sh)
 
-    def _dz_mult(self, j, rfft=False):
-        """Multiplier of d/dz_j = (d/dx_j - i d/dy_j)/2."""
-        kx = self._freq_along(2 * j, rfft=rfft)
-        ky = self._freq_along(2 * j + 1, rfft=rfft)
-        return 0.5 * (1j * kx + ky)
-
-    def _dzbar_mult(self, k, rfft=False):
-        kx = self._freq_along(2 * k, rfft=rfft)
-        ky = self._freq_along(2 * k + 1, rfft=rfft)
-        return 0.5 * (1j * kx - ky)
-
-    def hessian_multiplier(self, j, k, rfft=False):
+    def hessian_multiplier(self, j, k):
         """Fourier multiplier of d^2/dz_j dzbar_k (cached, full shape)."""
-        key = ("hess", j, k, rfft)
+        key = ("hess", j, k)
         if key not in self._cache:
-            m = self._dz_mult(j, rfft) * self._dzbar_mult(k, rfft)
+            f = [self._along(a, self._freq()) for a in range(2 * self.n)]
+            # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
+            m = 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
             if j == k:
                 m = m.real  # equals -(kx^2+ky^2)/4
-            m = np.broadcast_to(m, self._spec_shape(rfft)).copy()
+            m = np.broadcast_to(m, self._spec_shape()).copy()
             self._cache[key] = m
         return self._cache[key]
 
@@ -191,46 +177,39 @@ class TorusGrid:
         """The real field whose spectrum in the grid's layout is ``spec``."""
         return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real
 
-    def flat_symbol(self, rfft=None):
-        """Symbol of tr H = sum_j d^2/dz_j dzbar_j, by default in the grid's layout."""
-        rfft = self.n == 1 if rfft is None else rfft
-        key = ("flat", rfft)
+    def flat_symbol(self):
+        """Symbol of tr H = sum_j d^2/dz_j dzbar_j."""
+        key = ("flat",)
         if key not in self._cache:
-            s = sum(self.hessian_multiplier(j, j, rfft) for j in range(self.n))
-            self._cache[key] = s
+            self._cache[key] = sum(self.hessian_multiplier(j, j) for j in range(self.n))
         return self._cache[key]
 
-    def _spec_shape(self, rfft=False):
+    def _spec_shape(self):
+        """Shape of ``fft``'s spectrum: the last axis halved (plus one) at n = 1."""
         sh = list(self.shape)
-        if rfft:
+        if self.n == 1:
             sh[-1] = self.res // 2 + 1
         return tuple(sh)
 
-    def ksq_full(self, rfft=False):
+    def ksq_full(self):
         """|k|^2 over all 2n real axes, Nyquist included (for mollification)."""
-        key = ("ksq", rfft)
+        key = ("ksq",)
         if key not in self._cache:
             tot = 0.0
             for a in range(2 * self.n):
-                tot = tot + self._freq_along(a, zero_nyquist=False, rfft=rfft) ** 2
-            self._cache[key] = np.broadcast_to(tot, self._spec_shape(rfft)).copy()
+                tot = tot + self._along(a, self._freq(zero_nyquist=False)) ** 2
+            self._cache[key] = np.broadcast_to(tot, self._spec_shape()).copy()
         return self._cache[key]
 
     def dealias_mask(self):
-        """2/3-rule mask (True = keep) in the grid's layout."""
-        rfft = self.n == 1
-        key = ("dealias", rfft)
+        """2/3-rule mask (True = keep)."""
+        key = ("dealias",)
         if key not in self._cache:
             cut = self.res // 3
-            keep = np.ones(self._spec_shape(rfft), dtype=bool)
+            idx = np.abs(np.rint(np.fft.fftfreq(self.res) * self.res).astype(int))
+            keep = np.ones(self._spec_shape(), dtype=bool)
             for a in range(2 * self.n):
-                idx = np.rint(np.fft.fftfreq(self.res) * self.res).astype(int)
-                if rfft and a == 2 * self.n - 1:
-                    idx = idx[: self.res // 2 + 1].copy()
-                    idx[-1] = self.res // 2
-                sh = [1] * (2 * self.n)
-                sh[a] = len(idx)
-                keep &= np.abs(idx.reshape(sh)) <= cut
+                keep &= self._along(a, idx) <= cut
             self._cache[key] = keep
         return self._cache[key]
 
@@ -253,6 +232,10 @@ class PotentialField:
 
     def copy(self):
         return PotentialField(self.grid, self.values.copy())
+
+    def spectrum(self):
+        """The values' spectrum in the grid's layout (``TorusGrid.fft``)."""
+        return self.grid.fft(self.values)
 
     @property
     def sup(self):
@@ -351,7 +334,8 @@ def hessian_raw(grid, arr, spec=None, lane=None):
 
     Returns the scalar H (real 2d array) for n = 1, and the component
     triple (h11, h22, h12) for n = 2 (h11, h22 real, h12 complex).
-    ``spec`` optionally supplies ``grid.fft(arr)``, precomputed.
+    ``spec`` optionally supplies ``grid.fft(arr)``, precomputed; ``arr``
+    is then not read and may be None.
 
     n = 2 takes two inverse transforms: h11 + i h22 comes out of one
     (see ``TorusGrid.packed_diag_multiplier``), h12 out of the other, which
@@ -362,11 +346,18 @@ def hessian_raw(grid, arr, spec=None, lane=None):
     if spec is None:
         spec = grid.fft(arr)
     if grid.n == 1:
-        return grid.ifft(grid.hessian_multiplier(0, 0, rfft=True) * spec)
+        return grid.ifft(grid.hessian_multiplier(0, 0) * spec)
     diag_mult, off_mult = grid.packed_diag_multiplier(), grid.hessian_multiplier(0, 1)
     diag, h12 = _pair(lane, lambda: _ifftn_times(diag_mult, spec),
                       lambda: _ifftn_times(off_mult, spec))
     return diag.real.copy(), diag.imag.copy(), h12
+
+
+def readonly_raw(grid, raw):
+    """``raw``, a raw Hermitian field, with each of its arrays marked read-only."""
+    for arr in (raw,) if grid.n == 1 else raw:
+        arr.flags.writeable = False
+    return raw
 
 
 def raw_from_matrix(grid, values):
@@ -550,8 +541,8 @@ def mollify_raw(grid, arr, delta):
     """
     if delta <= 0.0:
         return np.array(arr, dtype=np.float64, copy=True)
-    mult = np.exp(-0.5 * delta ** 2 * grid.ksq_full(rfft=True))
-    return sfft.irfftn(mult * sfft.rfftn(arr), s=grid.shape)
+    mult = np.exp(-0.5 * delta ** 2 * grid.ksq_full())
+    return grid.ifft(mult * grid.fft(arr))
 
 
 # ---------------------------------------------------------------------------

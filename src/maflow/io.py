@@ -103,10 +103,18 @@ def _optional_field(dirpath, name):
     return read_field(path)[0] if os.path.exists(path) else None
 
 
+def _read_meta(dirpath):
+    """The meta.json of a saved trajectory; ConfigError where there is none."""
+    try:
+        with open(os.path.join(dirpath, "meta.json")) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{dirpath}: no saved trajectory (no meta.json)") from None
+
+
 def load_trajectory(dirpath):
     """A saved trajectory; it carries its twist when psi_chi.mafl was saved."""
-    with open(os.path.join(dirpath, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta = _read_meta(dirpath)
     grid = TorusGrid(meta["n"], meta["res"], meta["period"])
     times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
     snaps = []
@@ -129,8 +137,7 @@ def load_run_config(dirpath, twist=None):
     ``twist`` is the run's twist when already loaded (a loaded trajectory's),
     so psi_chi.mafl is not read again; by default it is rebuilt from dirpath.
     """
-    with open(os.path.join(dirpath, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta = _read_meta(dirpath)
     try:
         settings = {f.name: meta[f.name] for f in SETTINGS}
         grid = TorusGrid(meta["n"], meta["res"], meta["period"])
@@ -150,5 +157,7 @@ def write_verdicts(path, reports):
 
 
 def level_dirs(rundir):
+    if not os.path.isdir(rundir):
+        raise ConfigError(f"{rundir}: no such run directory")
     out = sorted(d for d in os.listdir(rundir) if d.startswith("level_"))
     return [os.path.join(rundir, d) for d in out]

@@ -102,7 +102,7 @@ def step_logfd(f, dt, dt_min=1e-12, t=0.0):
             if 0.5 * span < dt_min:
                 raise st.failure(start, True) from None
             half, mid = advance(a, rhs, start, 0.5 * span), start + 0.5 * span
-            return advance(half, st.parts(mid, half)[0], mid, 0.5 * span)
+            return advance(half, st.parts(mid, PotentialField(st.grid, half))[0], mid, 0.5 * span)
 
     s = st.state
     return DensityField(f.grid, advance(s.phi.values, s.phi_dot, float(t), float(dt)))
@@ -120,7 +120,6 @@ class _DensityStepper(_Stepper):
     """The density f as a ``flow._Stepper`` (see the module docstring)."""
 
     autonomous = True
-    spectral_rhs = False   # parts reads f itself
 
     def __init__(self, config, f0):
         super().__init__(config)
@@ -129,10 +128,10 @@ class _DensityStepper(_Stepper):
         self.state = _initial_state(self, PotentialField(self.grid, f0.values), 0.0)
         self.phi = None   # the potential of the last series row
 
-    def parts(self, t, f, spec=None):
-        """(rhs spectrum, None, min f, None); raises _Reject unless f is finite and > 0."""
-        fmin = _positive_min(f)
-        return self.sym * self.grid.fft(np.log(f)), None, fmin, None
+    def parts(self, t, f):
+        """(rhs spectrum, None, min f, None) at the field f; _Reject unless f is finite and > 0."""
+        fmin = _positive_min(f.values)
+        return self.sym * self.grid.fft(np.log(f.values)), None, fmin, None
 
     def rate(self, rhs):
         return self.grid.ifft(rhs)

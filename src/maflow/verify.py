@@ -172,6 +172,8 @@ def verify_minoinf(traj, tol=1e-5):
         return _skip(name, stmt, "cmaf-only check")
     Te = traj.meta["T"] - traj.t0
     tm = traj.meta.get("t_max", math.inf)
+    if not Te > 0.0:
+        return _skip(name, stmt, "no positive-time snapshots recorded")
     if math.isfinite(tm) and math.sqrt(Te) >= 0.999 * tm:
         return _skip(name, stmt, "sqrt(T) reaches T_max; subsolution undefined")
     n = traj.meta["n"]
@@ -266,6 +268,8 @@ def verify_density_monotone(traj, tol=1e-5):
     sign = traj.meta.get("sign_class", "mixed")
     if sign not in ("zero", "nonpos"):
         return _skip(name, stmt, f"needs chi <= 0, twist is {sign!r}")
+    if len(traj.times) < 2:
+        return _skip(name, stmt, "series too short")
     fmax = traj.column("fmax")
     orl = traj.column("orlicz_xlogx")
     ts = traj.column("t")
@@ -286,6 +290,8 @@ def verify_density_min(traj, tol=1e-5):
     sign = traj.meta.get("sign_class", "mixed")
     if sign not in ("zero", "nonneg"):
         return _skip(name, stmt, f"needs chi >= 0, twist is {sign!r}")
+    if len(traj.times) < 2:
+        return _skip(name, stmt, "series too short")
     fmin = traj.column("fmin")
     ts = traj.column("t")
     d = fmin[1:] - fmin[:-1]

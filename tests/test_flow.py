@@ -175,11 +175,11 @@ class TestRhs:
         orig = flow._Stepper.parts
         calls = []
 
-        def parts(self, t, phi_arr, spec=None):
+        def parts(self, t, phi):
             calls.append(t)
             if len(calls) == 6:
                 raise flow._Reject(-1.0)
-            return orig(self, t, phi_arr, spec)
+            return orig(self, t, phi)
 
         monkeypatch.setattr(flow._Stepper, "parts", parts)
         with pytest.raises(KaehlerConeViolation) as exc:
@@ -477,7 +477,7 @@ class TestSBDF2Kernel:
 
     def test_bit_identical_to_textbook_expressions(self):
         g = mf.TorusGrid(1, 256)
-        sym = g.flat_symbol(rfft=True)
+        sym = g.flat_symbol()
         rng = np.random.default_rng(3)
         # real parts planted as +0.0 or -0.0 in every spectrum, so the
         # corresponding parts of the result are exactly zero
@@ -500,14 +500,15 @@ class TestSBDF2Kernel:
             assert np.all(want.real.flat[planted] == 0.0)
             self.assert_same_bits(got, want)
             assert u.tobytes() == u0.tobytes() and n.tobytes() == n0.tobytes()
-            assert new_hist["ok"] == (step_dt == dt) and new_hist["spec"] is got
+            assert new_hist["ok"] == (step_dt == dt) and new_hist["u_spec"] is u
             hist = new_hist
 
-    def test_potential_step_takes_two_transforms(self, monkeypatch):
-        g = grid1(64)
+    @pytest.mark.parametrize("n, res, transforms", [(1, 64, 2), (2, 8, 3)], ids=["n1", "n2"])
+    def test_potential_step_transform_count(self, monkeypatch, n, res, transforms):
+        g = mf.TorusGrid(n, res)
         cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
         st = flow._Stepper(cfg)
-        state = flow._initial_state(st, mode(g, (1, 0), 0.03), 0.0)
+        state = flow._initial_state(st, mode(g, (1, 0) + (0,) * (2 * n - 2), 0.03), 0.0)
         state, _ = flow._advance(st, state, 1.0)      # restart step
         counts = []
         for name in ("rfftn", "irfftn", "fftn", "ifftn"):
@@ -516,24 +517,49 @@ class TestSBDF2Kernel:
                                 lambda *a, _o=orig, **k: counts.append(1) or _o(*a, **k))
         for _ in range(4):
             state, _ = flow._advance(st, state, 1.0)
-        # rfftn of the right-hand side and the Hessian's inverse; phi is not formed
-        assert len(counts) == 2 * 4
+        # the forward transform of the right-hand side and the Hessian's inverse
+        # (two at n = 2); phi is not formed
+        assert len(counts) == transforms * 4
+
+    def test_n2_hessian_of_the_spectrum_matches_its_real_field(self):
+        # the c2c spectrum an SBDF2 step solves for is Hermitian only to round-off;
+        # its Hessian and that of the real field it stands for agree to that
+        g = mf.TorusGrid(2, 8)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            u, n1, n2 = (g.fft(a * rng.normal(size=g.shape)) for a in (0.01, 1.0, 1.0))
+            spec, hist = flow._sbdf2_spectrum(g.flat_symbol(), u, n1, {}, 1e-3, 1e-3, 1.3)
+            spec, _ = flow._sbdf2_spectrum(g.flat_symbol(), spec, n2, hist, 1e-3, 1e-3, 1.3)
+            got = hessian_raw(g, None, spec=spec)
+            want = hessian_raw(g, g.ifft(spec))
+            scale = max(float(np.abs(w).max()) for w in want)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-14 * scale
 
 
 class TestSpectralState:
-    """n = 1 SBDF2 keeps phi as a spectrum; forming it where read changes no result."""
+    """SBDF2 keeps phi as a spectrum; forming it where read changes no result.
 
-    @staticmethod
-    def config(g, **kw):
-        return FlowConfig(grid=g, T=0.02, dt_policy="semi_implicit", dt_init=1e-3,
-                          snapshot_times=(0.0071, 0.0133), **kw)
+    Here at n = 1 res 32 under cmaf; the subclasses below run ncmaf and n = 2 res 8.
+    """
+
+    n, res, variant = 1, 32, "cmaf"
+
+    def grid(self):
+        return mf.TorusGrid(self.n, self.res)
+
+    def config(self, g, **kw):
+        return FlowConfig(grid=g, variant=self.variant, T=0.02, dt_policy="semi_implicit",
+                          dt_init=1e-3, snapshot_times=(0.0071, 0.0133), **kw)
 
     @staticmethod
     def initial(g):
-        return PotentialField(g, cos_mode(g, (1, 0), 0.02) + cos_mode(g, (1, 1), 0.01, 1.1))
+        pad = (0,) * (2 * g.n - 2)
+        k2 = (1, 1) if g.n == 1 else (1, 0, 0, 1)
+        return PotentialField(g, cos_mode(g, (1, 0) + pad, 0.02) + cos_mode(g, k2, 0.01, 1.1))
 
     def test_rows_do_not_change_the_run(self):
-        g = grid1(32)
+        g = self.grid()
         dense = run(self.initial(g), self.config(g, record_every=1))
         sparse = run(self.initial(g), self.config(g, record_every=10 ** 6))
         assert len(sparse.times) == 4 and len(dense.times) > 20
@@ -546,7 +572,7 @@ class TestSpectralState:
 
     @pytest.mark.parametrize("record_every", [1, 10 ** 6])
     def test_restart_reproduces_the_later_series(self, record_every):
-        g = grid1(32)
+        g = self.grid()
         cfg = self.config(g, record_every=record_every)
         parent = run(self.initial(g), cfg)
         tail = continue_run(parent, 0.0071, cfg)
@@ -561,8 +587,8 @@ class TestSpectralState:
             assert np.array_equal(a.phi_dot, b.phi_dot)
 
     def test_step_forms_phi_from_its_spectrum(self):
-        g = grid1(32)
-        cfg = FlowConfig(grid=g, T=1.0, dt_policy="semi_implicit", dt_init=1e-3)
+        g = self.grid()
+        cfg = self.config(g).replace(T=1.0, snapshot_times=())
         u = self.initial(g)
         s0 = flow._initial_state(flow._Stepper(cfg), u, 0.0)
         # the first step restarts the history: stabilized backward Euler
@@ -572,6 +598,18 @@ class TestSpectralState:
         assert new.t == 1e-3 and new.step_count == 1
         assert np.array_equal(new.phi.values, g.ifft(spec))
         assert new.phi.values is new.phi.values   # formed once
+
+
+class TestSpectralStateNcmaf(TestSpectralState):
+    variant = "ncmaf"
+
+
+class TestSpectralStateN2(TestSpectralState):
+    n, res = 2, 8
+
+
+class TestSpectralStateN2Ncmaf(TestSpectralStateN2):
+    variant = "ncmaf"
 
 
 class TestDealias:

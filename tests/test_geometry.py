@@ -50,6 +50,26 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             mf.TorusGrid(**bad)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_multiplier_symbol_and_mask_has_the_spectrum_shape(self, n):
+        g = mf.TorusGrid(n, 8)
+        want = g.fft(np.zeros(g.shape)).shape
+        arrays = [g.hessian_multiplier(j, k) for j in range(n) for k in range(n)]
+        arrays += [g.flat_symbol(), g.ksq_full(), g.dealias_mask()]
+        arrays += [g.packed_diag_multiplier()] if n == 2 else []
+        assert [a.shape for a in arrays] == [want] * len(arrays)
+
+    def test_n2_mollify_matches_an_rfftn_reference(self):
+        g = grid2(8)
+        arr = np.random.default_rng(2).normal(size=g.shape)
+        delta = 2.0 * g.h
+        # the rfftn layout: the last axis keeps the non-negative frequencies
+        k = 2.0 * np.pi * np.fft.fftfreq(g.res, d=g.h)
+        ksq = sum(k.reshape([-1 if a == b else 1 for b in range(4)]) ** 2 for a in range(3))
+        ksq = ksq + (2.0 * np.pi * np.fft.rfftfreq(g.res, d=g.h)) ** 2
+        ref = sfft.irfftn(np.exp(-0.5 * delta ** 2 * ksq) * sfft.rfftn(arr), s=g.shape)
+        assert np.abs(geo.mollify_raw(g, arr, delta) - ref).max() <= 1e-15
+
 
 class TestComplexHessian:
     def test_constant_has_zero_hessian(self):

@@ -414,6 +414,42 @@ snapshots = 0.025, 0.05
         assert abs(nu - 0.7) <= 0.05
 
 
+class TestTypedErrors:
+    """Each case is a configuration error: exit 2 with a one-line message."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Saved runs at res 16 (snapshots at 0, 0.005, 0.01) and res 8, and one with T = 0."""
+        root = tmp_path_factory.mktemp("runs")
+        for name, res, T in (("res16", 16, 0.01), ("res8", 8, 0.01), ("zero", 16, 0.0)):
+            g = mf.TorusGrid(1, res)
+            cfg = FlowConfig(grid=g, T=T, snapshot_times=(0.005,) if T else (),
+                             record_every=5)
+            mio.save_run(run(mode(g, (1, 0), 0.02), cfg), root / name / "level_00", cfg)
+        return root
+
+    @pytest.mark.parametrize("argv, message", [
+        (["restart", "res16/level_00", "--at", "0.003"], "the snapshot times are 0, 0.005, 0.01"),
+        (["compare", "res16/level_00", "res8/level_00"], "different grids"),
+        (["oracle", "heat", "--mode", "a b"], "give 2 integers at n = 1"),
+        (["oracle", "heat", "--mode", "1 0 0"], "give 2 integers at n = 1"),
+        (["oracle", "heat", "--n", "2", "--res", "8", "--mode", "1 0"],
+         "give 4 integers at n = 2"),
+        (["verify", "missing"], "no such run directory"),
+        (["compare", "missing", "res16/level_00"], "no saved trajectory"),
+        (["restart", "missing", "--at", "0.005"], "no saved trajectory"),
+    ])
+    def test_exits_2_with_a_one_line_message(self, runs, argv, message, capsys, monkeypatch):
+        monkeypatch.chdir(runs)
+        assert main(argv + (["--out", "out"] if argv[0] == "oracle" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert message in err
+
+    def test_verify_of_a_zero_horizon_run_exits_0(self, runs):
+        assert main(["verify", str(runs / "zero")]) == 0
+
+
 class TestLoaderValidation:
     @pytest.fixture()
     def saved(self, tmp_path):

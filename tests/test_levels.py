@@ -252,7 +252,7 @@ class TestLanes:
         phi = n2_initial(g).values
         with ThreadPoolExecutor(1) as st.lane:
             with pytest.raises(flow._Reject) as err:
-                st.parts(0.001, phi)
+                st.parts(0.001, PotentialField(g, phi))
             assert np.isnan(err.value.args[0])
             hess = geo.hessian_raw(g, phi, lane=st.lane)
             hess[0][g.res - 1, 0, 0, 0] = np.nan

@@ -166,7 +166,7 @@ class TestEquivalenceWithPotentialForm:
 
 def _four_transform_step(grid, f, dt, beta0, hist):
     """The density SBDF2 step with its explicit term taken to real space and back."""
-    sym = grid.flat_symbol(rfft=True)
+    sym = grid.flat_symbol()
     n_spec = sfft.rfftn(sfft.irfftn(sym * sfft.rfftn(np.log(f)), s=grid.shape))
     f_spec = hist.get("spec")
     if f_spec is None:
@@ -283,11 +283,11 @@ class TestSharedDriver:
         """Make the density right-hand side reject where when(call number, t) holds."""
         parts, calls = logdiff._DensityStepper.parts, []
 
-        def patched(st, t, f, spec=None):
+        def patched(st, t, f):
             calls.append(t)
             if when(len(calls), t):
                 raise _Reject(-1.0)
-            return parts(st, t, f, spec)
+            return parts(st, t, f)
 
         monkeypatch.setattr(logdiff._DensityStepper, "parts", patched)
 

@@ -453,6 +453,15 @@ class TestDeterminism:
             ver.run_checks(smooth_run[0], names)
         assert called == []
 
+    def test_zero_horizon_run_skips_what_needs_a_later_time(self):
+        # one row and one snapshot, at t = 0
+        g = grid1(16)
+        tr = run(mode(g, (1, 0), 0.02), FlowConfig(grid=g, T=0.0))
+        reps = {rep.name: rep for rep in ver.run_checks(tr)}
+        assert len(tr.times) == 1 and all(r.status in ("pass", "skip") for r in reps.values())
+        for name in ("minoinf", "density_monotone", "density_min", "mean_value"):
+            assert reps[name].status == "skip" and reps[name].gated_on, name
+
 
 @pytest.fixture(scope="module")
 def variants():

@@ -15,8 +15,9 @@ shows no difference in
     diff -r OUTDIR_A OUTDIR_B
 
 The set: at n = 1 res 32 and n = 2 res 8, a smooth run, a twisted run
-(psi_chi and h, c = -0.5), the normalized flow (ncmaf, with h), the
-semi-implicit and fixed-step policies and a dealiased run, and
+(psi_chi and h, c = -0.5), the normalized flow (ncmaf, with h) under rk4
+and semi_implicit, the semi-implicit and fixed-step policies and a
+dealiased run, and
 ``solve_ma`` at alpha = 0 and 1.5 (a NewtonDiverged is recorded in
 ``error.txt``, not raised); the n = 1 semi-implicit run again with rows
 only at t0 and its boundaries, the snapshot times off the step grid
@@ -83,6 +84,8 @@ def flow_configs(grid):
         "twisted": FlowConfig(twist=twist, h=h, **base),
         "ncmaf": FlowConfig(variant="ncmaf", h=h, **base),
         "semi_implicit": FlowConfig(dt_policy="semi_implicit", dt_init=1e-3, **base),
+        "ncmaf_semi_implicit": FlowConfig(variant="ncmaf", h=h, dt_policy="semi_implicit",
+                                          dt_init=1e-3, **base),
         "rk4_fixed": FlowConfig(dt_policy="rk4_fixed", dt_init=2e-4, **base),
         "dealiased": FlowConfig(dealias=True, **base),
     }
