@@ -107,11 +107,11 @@ def cmd_verify(args):
 
 
 def cmd_oracle(args):
+    """Write the named oracle under --out; the inputs are checked before it is made."""
     try:
         grid = TorusGrid(args.n, args.res, args.period)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    os.makedirs(args.out, exist_ok=True)
     if args.name == "heat":
         try:
             kvec = tuple(int(k) for k in args.mode.split())
@@ -119,6 +119,12 @@ def cmd_oracle(args):
             kvec = ()
         if len(kvec) != 2 * grid.n:
             raise ConfigError(f"--mode {args.mode!r}: give {2 * grid.n} integers at n = {grid.n}")
+    elif args.name == "elliptic_fixed_point":
+        from .config import _mode_field
+        from .flow import normalize_h
+        h = normalize_h(_mode_field(grid, args.h_modes)) if args.h_modes else None
+    os.makedirs(args.out, exist_ok=True)
+    if args.name == "heat":
         table = oracles.heat_mode_series(grid, kvec, args.amp, args.T)
         path = os.path.join(args.out, "heat_mode.csv")
         with open(path, "w") as fh:
@@ -132,21 +138,13 @@ def cmd_oracle(args):
         path = os.path.join(args.out, "lelong_field.mafl")
         mio.write_field(path, fld)
         print(f"model log pole gamma={args.gamma} at {center} -> {path}")
-    elif args.name == "elliptic_fixed_point":
-        h = None
-        if args.h_modes:
-            from .config import _mode_field
-            from .flow import normalize_h
-            h = normalize_h(_mode_field(grid, args.h_modes))
+    else:   # elliptic_fixed_point; argparse admits no other name
         u, log = solve_ma(0.0, grid=grid, h=h)
         path = os.path.join(args.out, "fixed_point.mafl")
         mio.write_field(path, u)
         print(f"stationary potential (residual {log.rows[-1][1]:.3g}, "
               f"{log.iterations} iterations) -> {path}")
         log.write_csv(os.path.join(args.out, "newton_log.csv"))
-    else:
-        print(f"unknown oracle {args.name!r}", file=sys.stderr)
-        return 2
     return 0
 
 

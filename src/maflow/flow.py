@@ -52,7 +52,9 @@ caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the stop check, the record cadence and the snapshots, and
-steps to each boundary until ``_advance`` has landed on it.
+steps to each boundary until ``_advance`` has landed on it.  It drains
+``_march_steps``, the same loop as a generator that yields after each
+accepted step; ``run`` likewise drains ``_run_steps``.
 
 A run is deterministic, and its output does not depend on the threads
 it is given; trajectories are immutable once produced.  Where a CPU is
@@ -61,21 +63,28 @@ free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run`` gives its
 inverse transforms and half of the pointwise pass of every right-hand
 side (see ``geometry``), and is joined before ``run`` returns or raises.
 ``run_levels`` runs the approximation levels concurrently on threads,
-one per usable CPU: each level is its own ``run`` with its own
-``_Stepper``, the FFTs and ufunc loops that dominate a step release the
-GIL, and the only state the levels share is read-only or a lazily filled
-cache of a deterministic value (``TorusGrid._cache``,
-``TwistSpec._hpsi``), so every trajectory is bit-identical to a
-sequential run of its level.  ``workers`` caps every thread of a call:
-the levels get the CPUs first, and a level has its lane only where the cap
-leaves two CPUs per runner.  The calling thread runs levels too: each
-allocating thread gets its own malloc arena, which keeps its freed
-working set resident, so an idle caller would cost one arena more of
-peak memory.  A run stops at its next accepted step once its stop event
-is set: ``run_levels`` sets it for the levels after a failing one and for
-all on an error or KeyboardInterrupt in the calling thread.
+one runner per usable CPU.  Each level is its own ``_run_steps``
+generator with its own ``_Stepper``.  Where levels outnumber the runners,
+the runners share them in slices of ``SLICE_STEPS`` accepted steps from
+one queue, so no CPU idles while a level is left (three equal levels on
+two CPUs used to end with one level running alone).  The FFTs and ufunc
+loops that dominate a step release the GIL, and the only state the
+levels share is read-only or a lazily filled cache of a deterministic
+value (``TorusGrid._cache``, ``TwistSpec._hpsi``), so every trajectory is
+bit-identical to a sequential run of its level, whichever threads ran its
+slices.  ``workers`` caps every thread of a call: the levels get the
+CPUs first, and a level has its lane only where the cap leaves two CPUs
+per runner (then no level waits, and none is sliced).  The calling thread
+runs levels too: each allocating thread gets its own malloc arena, which
+keeps its freed working set resident, so an idle caller would cost one
+arena more of peak memory.  A run stops at its next accepted step once
+its stop event is set: ``run_levels`` sets it for the levels after a
+failing one and for all on an error or KeyboardInterrupt in the calling
+thread, and closes a stopped level that waits in the queue without a
+further step.
 """
 
+import collections
 import dataclasses
 import math
 import os
@@ -92,6 +101,13 @@ from .geometry import PotentialField
 from .initial import ApproximationLevel, ApproximationSequence, approximation_sequence
 
 SIGN_TOL = 1e-10
+
+# accepted steps a run_levels runner takes on a level before it queues it
+# again.  run_levels on the three lelong_smoothing levels (n = 1 res 128,
+# T = 0.01), 2 cores, medians of 12 alternating rounds: whole levels
+# 0.514 s; slices of 1 / 5 / 20 / 100 steps 0.468 / 0.457 / 0.443 /
+# 0.464 s.  CPU time rises 4% (0.770 -> 0.801 s at 20), from contention.
+SLICE_STEPS = 20
 
 
 @dataclass
@@ -562,6 +578,17 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
     the output does not depend on it.  ``stop``, a ``threading.Event``,
     ends the run with RunStopped at the first accepted step after it is set.
     """
+    steps = _run_steps(source, config, t0=t0, data_class=data_class, meta_extra=meta_extra,
+                       workers=workers, stop=stop)
+    return _resume(steps, math.inf)[1]
+
+
+def _run_steps(source, config, t0, data_class, meta_extra, workers, stop):
+    """``run`` as a generator: it yields after each accepted step and returns the Trajectory.
+
+    Nothing is checked or computed before the first resume; closing it
+    before its end joins the run's lane.
+    """
     cap = _cpu_cap(workers)
     level_meta = {}
     if isinstance(source, ApproximationLevel):
@@ -588,20 +615,40 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
         meta.update(level_meta)
         if meta_extra:
             meta.update(meta_extra)
-        times, series, snaps = _march(st, t0)
+        times, series, snaps = yield from _march_steps(st, t0)
     finally:
         st.close()
     return Trajectory(config.grid, meta, times, series, snaps, config.twist)
 
 
+def _resume(steps, count):
+    """Resume the generator ``steps`` for up to ``count`` yields.
+
+    Returns (True, its return value) once it has returned, else (False, None).
+    """
+    taken = 0
+    try:
+        while taken < count:
+            next(steps)
+            taken += 1
+    except StopIteration as end:
+        return True, end.value
+    return False, None
+
+
 def _march(st, t0):
-    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T].
+    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T]."""
+    return _resume(_march_steps(st, t0), math.inf)[1]
+
+
+def _march_steps(st, t0):
+    """``_march`` as a generator: it yields after each accepted step.
 
     Steps ``st`` with ``_advance`` to each boundary (the snapshot times in
     (t0, T], and T), which lands on it.  A series row is recorded at t0,
     every ``record_every`` steps and at each boundary, where a snapshot is
     taken.  Raises RunStopped after the first accepted step once
-    ``st.stop`` is set.
+    ``st.stop`` is set.  Returns (times, series, snapshots).
     """
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
@@ -616,6 +663,7 @@ def _march(st, t0):
             if st.state.t == target or since >= cfg.record_every:
                 rows.append(st.row(dt))
                 since = 0
+            yield
         snaps.append(st.snapshot())
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
@@ -649,46 +697,76 @@ def _cpu_cap(workers):
 def run_levels(seq, config, meta_extra=None, workers=None):
     """Run the levels of ``seq`` under ``config`` concurrently; trajectories in level order.
 
-    min(level count, cap) runners take the levels (ApproximationLevels, or a
-    PotentialField) in level order, the cap being min(usable CPUs,
-    ``workers``).  The calling thread is one runner, so a cap of one starts no
-    thread.  Each ``run`` gets cap // runners as its ``workers``, so a level
+    min(level count, cap) runners share the levels (ApproximationLevels, or
+    a PotentialField), the cap being min(usable CPUs, ``workers``).  The
+    calling thread is one runner, so a cap of one starts no thread.  Each
+    level is a ``run`` with cap // runners as its ``workers``, so a level
     has a helper thread only where the cap is at least twice the runners.
-    Each trajectory is bit-identical to a sequential ``run`` (see the module
-    docstring).  After a failure no further level starts, the later levels
-    still running stop at their next accepted step (they cannot change the
-    outcome), and the error of the earliest failing level in level order is
-    raised, as a sequential run raises it.  An error or KeyboardInterrupt in
-    the calling thread stops every level at its next accepted step.  No
-    thread outlives the call.
+    Where levels outnumber the runners and there are two runners or more,
+    a runner takes the level at the head of one first-in first-out queue,
+    resumes it for ``SLICE_STEPS`` accepted steps and puts it back at the
+    tail, so no runner idles while a level is left; otherwise each runner
+    runs its levels to their end, one after the other.  Each trajectory is
+    bit-identical to a sequential ``run`` (see the module docstring).  After
+    a failure the later levels stop at their next accepted step, or before
+    their next slice, and the error of the earliest failing level in level
+    order is raised, as a sequential run raises it.  An error or
+    KeyboardInterrupt in the calling thread stops every level at its next
+    accepted step.  No thread outlives the call.
     """
     cap = _cpu_cap(workers)
     count = len(seq.levels)
     runners = min(count, cap)
-    todo, lock = iter(range(count)), threading.Lock()
+    # with one runner, or a runner per level, slices free no CPU: they would
+    # only keep every level's working set alive at once
+    budget = SLICE_STEPS if 1 < runners < count else math.inf
     stops = [threading.Event() for _ in range(count)]
+    levels = [_run_steps(lev, config, t0=0.0, data_class=seq.spec.data_class,
+                         meta_extra=meta_extra, workers=cap // runners, stop=stops[k])
+              for k, lev in enumerate(seq.levels)]
+    queue, lock = collections.deque(enumerate(levels)), threading.Lock()
     out, failed = [None] * count, {}
 
     def runner():
+        # an empty queue ends the runner: each level left is held by another
+        # runner, which holds one level at a time, so none waits for this one
         while True:
             with lock:
-                k = next(todo, None)
-            if k is None or stops[k].is_set():
-                return
+                if not queue:
+                    return
+                k, steps = queue.popleft()
+            if stops[k].is_set():
+                steps.close()
+                continue
             try:
-                out[k] = run(seq.levels[k], config, data_class=seq.spec.data_class,
-                             meta_extra=meta_extra, workers=cap // runners, stop=stops[k])
+                done, out[k] = _resume(steps, budget)
             except Exception as e:   # raised below, in level order
                 failed[k] = e
                 for later in stops[k + 1:]:
                     later.set()
+                continue
+            if not done:
+                with lock:
+                    queue.append((k, steps))
 
-    helpers = [threading.Thread(target=runner, name="maflow-level")
+    ended = threading.Semaphore(0)   # released by each helper as it ends
+
+    def helper():
+        try:
+            runner()
+        finally:
+            ended.release()
+
+    helpers = [threading.Thread(target=helper, name="maflow-level")
                for _ in range(runners - 1)]
     for th in helpers:
         th.start()
     try:
         runner()
+        # not Thread.join: once a join is interrupted (Ctrl-C), Python 3.11
+        # takes the thread for ended, and the join in finally would not wait
+        for _ in helpers:
+            ended.acquire()
     except BaseException:   # e.g. KeyboardInterrupt: stop the helpers' levels too
         for ev in stops:
             ev.set()
@@ -696,6 +774,8 @@ def run_levels(seq, config, meta_extra=None, workers=None):
     finally:
         for th in helpers:
             th.join()
+        for steps in levels:   # left unfinished by an interrupt: join their lanes
+            steps.close()
     if failed:
         raise failed[min(failed)]
     return out

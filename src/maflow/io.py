@@ -37,9 +37,15 @@ def write_field(path, field, t=0.0):
 
 
 def read_field(path):
-    """Returns (PotentialField, t)."""
-    with open(path, "rb") as fh:
+    """Returns (PotentialField, t); a missing file is a ConfigError naming it."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such snapshot file") from None
+    with fh:
         head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ConfigError(f"{path}: truncated snapshot header")
         magic, n, res, period, t = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a MAFL snapshot")

@@ -446,6 +446,17 @@ class TestTypedErrors:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "heat", "--mode", "a b"],
+        ["oracle", "heat", "--n", "2", "--res", "8", "--mode", "1 0"],
+        ["oracle", "lelong_field", "--res", "0"],
+        ["oracle", "elliptic_fixed_point", "--res", "16", "--h-modes", "1 0 0 : 0.05 : 0.0"],
+    ])
+    def test_rejected_oracle_leaves_no_output_directory(self, tmp_path, argv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_verify_of_a_zero_horizon_run_exits_0(self, runs):
         assert main(["verify", str(runs / "zero")]) == 0
 
@@ -475,6 +486,21 @@ class TestLoaderValidation:
         mio.write_field(path, field, 0.011)
         with pytest.raises(ConfigError, match="snapshot 1"):
             mio.load_trajectory(saved)
+
+    def test_missing_snapshot_file_exits_2_naming_it(self, saved, capsys):
+        (saved / "snap_001_phidot.mafl").unlink()
+        with pytest.raises(ConfigError, match="snap_001_phidot.mafl"):
+            mio.load_trajectory(saved)
+        assert main(["verify", str(saved.parent)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert "snap_001_phidot.mafl: no such snapshot file" in err
+
+    def test_truncated_header_exits_2_naming_the_file(self, saved, capsys):
+        path = saved / "snap_001_phi.mafl"
+        path.write_bytes(path.read_bytes()[:10])
+        assert main(["verify", str(saved.parent)]) == 2
+        assert "snap_001_phi.mafl: truncated snapshot header" in capsys.readouterr().err
 
 
 class TestTwistedRestart:

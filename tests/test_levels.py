@@ -1,6 +1,7 @@
 """Threads: run_levels' concurrent levels, and a run's lane helper, against sequential runs."""
 
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -78,8 +79,111 @@ class TestConcurrentLevels:
             run_levels(seq, None, workers=workers)
 
 
-def fake_run(fail, delay=None, started=None):
-    """A stand-in for flow.run over integer levels: level k in ``fail`` raises
+def record_steps(monkeypatch, seq):
+    """The level index of every accepted step, in the order the steps were taken."""
+    index = {id(lev.phi): k for k, lev in enumerate(seq.levels)}
+    level_of, steps = {}, []
+    initial_state, advance = flow._initial_state, flow._advance
+
+    def initial(st, phi0, t0):
+        level_of[st] = index[id(phi0)]
+        return initial_state(st, phi0, t0)
+
+    def step(st, state, t_bound):
+        out = advance(st, state, t_bound)
+        steps.append(level_of[st])
+        return out
+
+    monkeypatch.setattr(flow, "_initial_state", initial)
+    monkeypatch.setattr(flow, "_advance", step)
+    return steps
+
+
+class TestSlicedLevels:
+    """More levels than runners: the runners share the levels in slices of SLICE_STEPS."""
+
+    def test_unequal_levels_on_two_runners_are_bit_identical(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        g = mf.TorusGrid(1, 16, 1.0)
+        seq = approximation_sequence(PotentialSpec("lelong", gamma=0.6), g, 5, K=2.0)
+        cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01,), record_every=7)
+        steps = record_steps(monkeypatch, seq)
+        threads = threading.active_count()
+        trajs = run_levels(seq, cfg, meta_extra={"tag": "x"})
+        assert threading.active_count() == threads
+        counts = [steps.count(k) for k in range(5)]
+        # from under two slices to many, so levels end while others still run
+        assert counts == sorted(counts) and counts[0] < 2 * flow.SLICE_STEPS < counts[-1] // 4
+        for lev, tr in zip(seq.levels, trajs):
+            ref = run(lev, cfg, data_class="lelong", meta_extra={"tag": "x"}, workers=1)
+            assert_same_trajectory(tr, ref)
+
+    def test_the_third_level_starts_before_the_first_two_end(self, monkeypatch):
+        # three levels of four slices each on two runners: with whole levels,
+        # level 2 would wait for level 0 or level 1 to end
+        usable_cpus(monkeypatch, 2)
+        g = mf.TorusGrid(1, 16, 1.0)
+        seq = approximation_sequence(PotentialSpec("smooth", modes=[((1, 0), 0.03, 0.0)]),
+                                     g, 3, ratio=0.8)
+        dt = 1e-4
+        cfg = FlowConfig(grid=g, T=4 * flow.SLICE_STEPS * dt, dt_policy="rk4_fixed",
+                         dt_init=dt, record_every=50)
+        steps = record_steps(monkeypatch, seq)
+        run_levels(seq, cfg)
+        assert [steps.count(k) for k in range(3)] == [4 * flow.SLICE_STEPS] * 3
+        last = {k: len(steps) - 1 - steps[::-1].index(k) for k in (0, 1)}
+        assert steps.index(2) < min(last.values())
+
+    def test_one_runner_runs_the_levels_one_after_the_other(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        g = mf.TorusGrid(1, 16, 1.0)
+        seq = approximation_sequence(PotentialSpec("lelong", gamma=0.6), g, 3, K=2.0)
+        steps = record_steps(monkeypatch, seq)
+        run_levels(seq, FlowConfig(grid=g, T=0.01, record_every=50))
+        assert steps == sorted(steps)
+
+    def test_a_failing_fan_out_closes_every_parked_level(self, monkeypatch):
+        # six levels of many slices on two runners; level 1 fails in its third
+        # slice, so levels 2 to 5 stop, most of them parked in the queue
+        usable_cpus(monkeypatch, 2)
+        opened, closed = set(), set()
+
+        def fake(level, config, **kw):
+            opened.add(level)
+            try:
+                for i in range(10 * flow.SLICE_STEPS):
+                    if level == 1 and i == 2 * flow.SLICE_STEPS:
+                        raise KaehlerConeViolation("level 1 failed", t=0.5)
+                    time.sleep(1e-5)
+                    yield
+            finally:
+                closed.add(level)
+            return level
+
+        monkeypatch.setattr(flow, "_run_steps", fake)
+        threads = threading.active_count()
+        with pytest.raises(KaehlerConeViolation) as err:
+            run_levels(int_levels(6), None)
+        assert err.value.t == 0.5 and threading.active_count() == threads
+        assert {0, 1, 2, 3} <= opened and opened == closed
+
+    def test_a_failing_fan_out_with_lanes_joins_every_thread(self, monkeypatch, lanes):
+        # RK4 at a fixed dt far above its stability bound leaves the cone at step 5
+        usable_cpus(monkeypatch, 6)
+        g = mf.TorusGrid(2, 16)
+        seq = SimpleNamespace(levels=[PotentialField(g, s * n2_initial(g).values)
+                                      for s in (1.0, 1.1, 1.2)],
+                              spec=SimpleNamespace(data_class="smooth"))
+        cfg = FlowConfig(grid=g, T=0.06, dt_policy="rk4_fixed", dt_init=5e-3)
+        threads = threading.active_count()
+        with pytest.raises(KaehlerConeViolation) as err:
+            run_levels(seq, cfg)
+        assert err.value.t > 0.0 and len(lanes) == 3
+        assert threading.active_count() == threads
+
+
+def fake_run_steps(fail, delay=None, started=None):
+    """A stand-in for flow._run_steps over integer levels: level k in ``fail`` raises
     KaehlerConeViolation at t = 0.1 * (k + 1); level k first waits ``delay[k]`` s."""
     delay = delay or {}
 
@@ -90,6 +194,7 @@ def fake_run(fail, delay=None, started=None):
         if level in fail:
             raise KaehlerConeViolation(f"level {level} failed", t=0.1 * (level + 1))
         return level
+        yield   # a generator, as flow._run_steps is
     return fake
 
 
@@ -105,7 +210,7 @@ class TestLevelFailures:
 
     def test_failure_of_level_two_reaches_the_caller_typed(self, monkeypatch):
         seq = int_levels(6)
-        monkeypatch.setattr(flow, "run", fake_run({2}))
+        monkeypatch.setattr(flow, "_run_steps", fake_run_steps({2}))
         threads = threading.active_count()
         got = self._raised(lambda: run_levels(seq, None))
         assert threading.active_count() == threads
@@ -114,7 +219,7 @@ class TestLevelFailures:
 
     def test_earliest_failing_level_in_level_order_wins(self, monkeypatch):
         # level 1 fails first in time, level 0 first in level order
-        monkeypatch.setattr(flow, "run", fake_run({0, 1}, delay={0: 0.3}))
+        monkeypatch.setattr(flow, "_run_steps", fake_run_steps({0, 1}, delay={0: 0.3}))
         threads = threading.active_count()
         err = self._raised(lambda: run_levels(int_levels(4), None, workers=2))
         assert threading.active_count() == threads
@@ -125,7 +230,8 @@ class TestLevelFailures:
         # level 3 may be running beside level 2; it holds its runner while the
         # failure stops the others
         started = []
-        monkeypatch.setattr(flow, "run", fake_run({2}, delay={3: 0.5}, started=started))
+        monkeypatch.setattr(flow, "_run_steps",
+                            fake_run_steps({2}, delay={3: 0.5}, started=started))
         threads = threading.active_count()
         self._raised(lambda: run_levels(int_levels(6), None, workers=workers))
         assert threading.active_count() == threads
@@ -160,13 +266,13 @@ dir = {tmp_path / 'out'}
         assert not (tmp_path / "out" / "level_00").exists()
 
     def test_failing_level_exits_3_with_its_time(self, tmp_path, monkeypatch, capsys):
-        real = flow.run
+        real = flow._run_steps
 
         def fail_level_2(level, config, **kw):
             if level.j == 3:
                 raise KaehlerConeViolation("forced", t=0.0075)
-            return real(level, config, **kw)
-        monkeypatch.setattr(flow, "run", fail_level_2)
+            return (yield from real(level, config, **kw))
+        monkeypatch.setattr(flow, "_run_steps", fail_level_2)
         threads = threading.active_count()
         assert main(["run", self._config(tmp_path)]) == 3
         assert threading.active_count() == threads
@@ -398,3 +504,41 @@ class TestStop:
         assert reached.keys() == {"MainThread", "maflow-level"}
         assert reached["maflow-level"] < cfg.T    # stopped, not finished
         assert after.get("maflow-level", 0) <= 1 and "MainThread" not in after
+
+    def test_interrupt_while_the_caller_waits_stops_the_helper(self):
+        # the calling thread's level ends first and it waits for the helper;
+        # Ctrl-C then must stop the helper's level too, not wait for its end.
+        # A child process takes the signal, so the test run never sees it.
+        script = """
+import os, signal, threading, time
+from types import SimpleNamespace
+import maflow as mf
+from maflow import flow
+from maflow.initial import cos_mode
+os.sched_getaffinity = lambda pid: {0, 1}
+g = mf.TorusGrid(1, 16)
+levels = [mf.PotentialField(g, cos_mode(g, (1, 0), a)) for a in (0.01, 0.02)]
+seq = SimpleNamespace(levels=levels, spec=SimpleNamespace(data_class="smooth"))
+advance, helper_steps = flow._advance, []
+def step(st, state, t_bound):
+    if threading.current_thread() is not threading.main_thread():
+        time.sleep(0.02)
+        helper_steps.append(st.stop.is_set())
+        if len(helper_steps) == 25:
+            os.kill(os.getpid(), signal.SIGINT)
+    return advance(st, state, t_bound)
+flow._advance = step
+try:
+    flow.run_levels(seq, flow.FlowConfig(grid=g, T=0.04, record_every=50))
+except KeyboardInterrupt:
+    print(threading.active_count(), sum(helper_steps), len(helper_steps))
+"""
+        pkg = os.path.dirname(os.path.dirname(mf.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (pkg, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert len(done.stdout.split()) == 3, done.stderr
+        threads, after_stop, taken = map(int, done.stdout.split())
+        # no helper left running, at most one step after the stop, far from T
+        assert threads == 1 and after_stop <= 1 and taken <= 27, done.stderr
