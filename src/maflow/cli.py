@@ -191,10 +191,11 @@ def cmd_restart(args):
     return 0
 
 
-WORKERS_HELP = ("cap on the threads of the run (default: the usable CPUs): the levels run "
-                "at a time, one thread each, and a helper thread for an n = 2 level at "
-                "res >= 16 where the cap leaves two per level; 1 starts no thread; the "
-                "output does not depend on it")
+WORKERS_HELP = ("cap on the CPUs of the run (default: the usable CPUs): the levels run "
+                "at a time, one process each, and a helper thread for an n = 2 level at "
+                "res >= 16 where the cap leaves two per level; below the usable CPUs the "
+                "level processes are pinned to that many; 1 runs the levels one after the "
+                "other and starts no thread or process; the output does not depend on it")
 
 
 def build_parser():

@@ -14,7 +14,7 @@ SBDF2 variant ("semi_implicit", fixed dt) that treats beta0 * (flat complex
 Laplacian) implicitly with beta0 = stab_factor / min_eig, for stiff
 high-resolution runs; its two-step history restarts after every snapshot,
 which makes restarting from a snapshot reproduce the subsequent series
-exactly.
+exactly, and the restart step keeps the scheme second order.
 
 One step driver (``_advance``) serves both flow forms and all three
 policies: it takes the policy's step, clips it to the next boundary,
@@ -52,43 +52,33 @@ caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the stop check, the record cadence and the snapshots, and
-steps to each boundary until ``_advance`` has landed on it.  It drains
-``_march_steps``, the same loop as a generator that yields after each
-accepted step; ``run`` likewise drains ``_run_steps``.
+steps to each boundary until ``_advance`` has landed on it.
 
-A run is deterministic, and its output does not depend on the threads
-it is given; trajectories are immutable once produced.  Where a CPU is
-free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run`` gives its
-``_Stepper`` one helper thread, a lane: it runs one of the Hessian's two
-inverse transforms and half of the pointwise pass of every right-hand
-side (see ``geometry``), and is joined before ``run`` returns or raises.
-``run_levels`` runs the approximation levels concurrently on threads,
-one runner per usable CPU.  Each level is its own ``_run_steps``
-generator with its own ``_Stepper``.  Where levels outnumber the runners,
-the runners share them in slices of ``SLICE_STEPS`` accepted steps from
-one queue, so no CPU idles while a level is left (three equal levels on
-two CPUs used to end with one level running alone).  The FFTs and ufunc
-loops that dominate a step release the GIL, and the only state the
-levels share is read-only or a lazily filled cache of a deterministic
-value (``TorusGrid._cache``, ``TwistSpec._hpsi``), so every trajectory is
-bit-identical to a sequential run of its level, whichever threads ran its
-slices.  ``workers`` caps every thread of a call: the levels get the
-CPUs first, and a level has its lane only where the cap leaves two CPUs
-per runner (then no level waits, and none is sliced).  The calling thread
-runs levels too: each allocating thread gets its own malloc arena, which
-keeps its freed working set resident, so an idle caller would cost one
-arena more of peak memory.  A run stops at its next accepted step once
-its stop event is set: ``run_levels`` sets it for the levels after a
-failing one and for all on an error or KeyboardInterrupt in the calling
-thread, and closes a stopped level that waits in the queue without a
-further step.
+A run is deterministic, and its output does not depend on the threads or
+processes it is given; trajectories are immutable once produced.  Where a
+CPU is free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run``
+gives its ``_Stepper`` one helper thread, a lane: it runs one of the
+Hessian's two inverse transforms and half of the pointwise pass of every
+right-hand side (see ``geometry``), and is joined before ``run`` returns
+or raises.  ``run_levels`` runs each approximation level in a forked
+child process, all of them at once, and the kernel shares the CPUs among
+them; a level's child runs the same ``run`` on the same inputs, so every
+trajectory is bit-identical to a sequential run of its level.  Levels in
+threads of one process share one GIL for the Python they run between
+the FFTs: one lelong_smoothing level took 0.24 s alone, and two copies
+of it 0.31 s in two threads but 0.27 s in two forked processes (2 cores,
+medians of 7).  ``workers``
+caps the CPUs of a call: the levels get them first, and a level has its
+lane only where the cap leaves two CPUs per level.
 """
 
-import collections
 import dataclasses
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
-import threading
+import pickle
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
@@ -101,13 +91,6 @@ from .geometry import PotentialField
 from .initial import ApproximationLevel, ApproximationSequence, approximation_sequence
 
 SIGN_TOL = 1e-10
-
-# accepted steps a run_levels runner takes on a level before it queues it
-# again.  run_levels on the three lelong_smoothing levels (n = 1 res 128,
-# T = 0.01), 2 cores, medians of 12 alternating rounds: whole levels
-# 0.514 s; slices of 1 / 5 / 20 / 100 steps 0.468 / 0.457 / 0.443 /
-# 0.464 s.  CPU time rises 4% (0.770 -> 0.801 s at 20), from contention.
-SLICE_STEPS = 20
 
 
 @dataclass
@@ -124,7 +107,8 @@ class TwistSpec:
         Computed once per psi_chi object (whose grid must equal ``grid``)
         and cached: FlowConfig's checks, its meta and every stepper of the
         configuration share it.  psi_chi's values are never changed, so
-        levels racing on an empty cache compute bit-identical copies.
+        threads racing on an empty cache, and level processes that each
+        fill their own copy, compute bit-identical values.
         """
         if self.psi_chi is None:
             return None
@@ -179,6 +163,16 @@ def normalize_h(h):
 
 @dataclass
 class FlowConfig:
+    """A run's grid, equation, data and integrator settings.
+
+    ``stab_factor`` sets the semi_implicit damping beta0 = stab_factor /
+    min_eig.  It has a stability floor near one half, as linearly
+    stabilized schemes do: on three smooth n = 1 modes (amplitudes <= 0.03)
+    to T = 0.04, dt 4e-3 ... 1.25e-4, the error fell 4x per halving of dt
+    from 0.6 up, turned erratic at 0.4 (res 32) and 0.5 (res 64), and the
+    step left the Kaehler cone below that.  The default 1.0 lies well above.
+    """
+
     grid: geo.TorusGrid
     variant: str = "cmaf"          # cmaf | ncmaf
     twist: TwistSpec = dfield(default_factory=TwistSpec)
@@ -495,12 +489,15 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
     form and the density form share it.  ``hist`` is the dict this returned
     for the previous step, or {} after a reset.  A step shorter than
     ``dt_full`` and the first step after a reset take stabilized backward
-    Euler, which restarts the two-step history.
+    Euler, which restarts the two-step history.  Both carry the
+    stabilization as a difference, beta0 sym (u_new - u) in the restart:
+    taken alone, beta0 sym u_new would cost O(dt) at every restart, and
+    the scheme would be first order.
 
     Built in place with the operations, and in the order, of the textbook
     expressions (4u - u_1 + 2dt(2N - N_1) + a(u_1 - 2u)) / (3 - a) with
-    a = 2 dt beta0 sym, and (u + dt N) / (1 - dt beta0 sym), so the result
-    is bit-identical to them.  ``u_spec`` and ``n_spec`` are only read.
+    a = 2 dt beta0 sym, and (u + dt N - dt beta0 sym u) / (1 - dt beta0 sym),
+    so the result is bit-identical to them.  ``u_spec`` and ``n_spec`` are only read.
     The division by the real denominator is a multiply by its reciprocal,
     which costs less: numpy divides complex by real with Smith's formula,
     which for a zero imaginary part multiplies by 1 / denominator, so every
@@ -525,6 +522,7 @@ def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
         a = np.multiply(dt * beta0, sym)
         num = np.multiply(dt, n_spec)
         num += u_spec
+        num -= a * u_spec
         np.subtract(1.0, a, out=a)
     np.divide(1.0, a, out=a)
     num *= a
@@ -578,17 +576,6 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
     the output does not depend on it.  ``stop``, a ``threading.Event``,
     ends the run with RunStopped at the first accepted step after it is set.
     """
-    steps = _run_steps(source, config, t0=t0, data_class=data_class, meta_extra=meta_extra,
-                       workers=workers, stop=stop)
-    return _resume(steps, math.inf)[1]
-
-
-def _run_steps(source, config, t0, data_class, meta_extra, workers, stop):
-    """``run`` as a generator: it yields after each accepted step and returns the Trajectory.
-
-    Nothing is checked or computed before the first resume; closing it
-    before its end joins the run's lane.
-    """
     cap = _cpu_cap(workers)
     level_meta = {}
     if isinstance(source, ApproximationLevel):
@@ -615,40 +602,20 @@ def _run_steps(source, config, t0, data_class, meta_extra, workers, stop):
         meta.update(level_meta)
         if meta_extra:
             meta.update(meta_extra)
-        times, series, snaps = yield from _march_steps(st, t0)
+        times, series, snaps = _march(st, t0)
     finally:
         st.close()
     return Trajectory(config.grid, meta, times, series, snaps, config.twist)
 
 
-def _resume(steps, count):
-    """Resume the generator ``steps`` for up to ``count`` yields.
-
-    Returns (True, its return value) once it has returned, else (False, None).
-    """
-    taken = 0
-    try:
-        while taken < count:
-            next(steps)
-            taken += 1
-    except StopIteration as end:
-        return True, end.value
-    return False, None
-
-
 def _march(st, t0):
-    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T]."""
-    return _resume(_march_steps(st, t0), math.inf)[1]
-
-
-def _march_steps(st, t0):
-    """``_march`` as a generator: it yields after each accepted step.
+    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T].
 
     Steps ``st`` with ``_advance`` to each boundary (the snapshot times in
     (t0, T], and T), which lands on it.  A series row is recorded at t0,
     every ``record_every`` steps and at each boundary, where a snapshot is
     taken.  Raises RunStopped after the first accepted step once
-    ``st.stop`` is set.  Returns (times, series, snapshots).
+    ``st.stop`` is set.
     """
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
@@ -663,7 +630,6 @@ def _march_steps(st, t0):
             if st.state.t == target or since >= cfg.record_every:
                 rows.append(st.row(dt))
                 since = 0
-            yield
         snaps.append(st.snapshot())
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
@@ -686,7 +652,7 @@ def continue_run(traj, from_t, config, T=None, meta_extra=None, workers=None):
 
 
 def _cpu_cap(workers):
-    """min(usable CPUs, ``workers``): the threads a call may keep busy."""
+    """min(usable CPUs, ``workers``): the CPUs a call may keep busy."""
     if workers is not None and workers < 1:
         raise ConfigError(f"workers={workers}: at least one thread must run")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -697,88 +663,109 @@ def _cpu_cap(workers):
 def run_levels(seq, config, meta_extra=None, workers=None):
     """Run the levels of ``seq`` under ``config`` concurrently; trajectories in level order.
 
-    min(level count, cap) runners share the levels (ApproximationLevels, or
-    a PotentialField), the cap being min(usable CPUs, ``workers``).  The
-    calling thread is one runner, so a cap of one starts no thread.  Each
-    level is a ``run`` with cap // runners as its ``workers``, so a level
-    has a helper thread only where the cap is at least twice the runners.
-    Where levels outnumber the runners and there are two runners or more,
-    a runner takes the level at the head of one first-in first-out queue,
-    resumes it for ``SLICE_STEPS`` accepted steps and puts it back at the
-    tail, so no runner idles while a level is left; otherwise each runner
-    runs its levels to their end, one after the other.  Each trajectory is
-    bit-identical to a sequential ``run`` (see the module docstring).  After
-    a failure the later levels stop at their next accepted step, or before
-    their next slice, and the error of the earliest failing level in level
-    order is raised, as a sequential run raises it.  An error or
-    KeyboardInterrupt in the calling thread stops every level at its next
-    accepted step.  No thread outlives the call.
+    The levels (ApproximationLevels, or PotentialFields) run at a time are
+    min(level count, cap), the cap being min(usable CPUs, ``workers``), and
+    each level is a ``run`` with cap // that many as its ``workers``, so a
+    level has a lane only where the cap is at least twice the levels run at
+    a time.  From two on, each level runs in its own forked child process,
+    all of them started at once; where ``workers`` lies below the usable
+    CPUs, the children are pinned to cap of them.  Otherwise (a cap or a
+    level count of one, or no ``os.fork``) the levels run in the calling
+    thread, one after the other.  Each trajectory is bit-identical to a
+    sequential ``run`` (see the module docstring).  When a level fails, the
+    levels after it are killed, the ones before it are waited for, and the
+    error of the earliest failing level in level order is raised, as a
+    sequential run raises it; a level's traceback stays in its child, and
+    ``workers=1`` shows it.  The children ignore SIGINT; an error or
+    KeyboardInterrupt in the caller kills them all.  Every child is joined
+    before the call returns or raises.
     """
     cap = _cpu_cap(workers)
     count = len(seq.levels)
     runners = min(count, cap)
-    # with one runner, or a runner per level, slices free no CPU: they would
-    # only keep every level's working set alive at once
-    budget = SLICE_STEPS if 1 < runners < count else math.inf
-    stops = [threading.Event() for _ in range(count)]
-    levels = [_run_steps(lev, config, t0=0.0, data_class=seq.spec.data_class,
-                         meta_extra=meta_extra, workers=cap // runners, stop=stops[k])
-              for k, lev in enumerate(seq.levels)]
-    queue, lock = collections.deque(enumerate(levels)), threading.Lock()
-    out, failed = [None] * count, {}
-
-    def runner():
-        # an empty queue ends the runner: each level left is held by another
-        # runner, which holds one level at a time, so none waits for this one
-        while True:
-            with lock:
-                if not queue:
-                    return
-                k, steps = queue.popleft()
-            if stops[k].is_set():
-                steps.close()
-                continue
-            try:
-                done, out[k] = _resume(steps, budget)
-            except Exception as e:   # raised below, in level order
-                failed[k] = e
-                for later in stops[k + 1:]:
-                    later.set()
-                continue
-            if not done:
-                with lock:
-                    queue.append((k, steps))
-
-    ended = threading.Semaphore(0)   # released by each helper as it ends
-
-    def helper():
-        try:
-            runner()
-        finally:
-            ended.release()
-
-    helpers = [threading.Thread(target=helper, name="maflow-level")
-               for _ in range(runners - 1)]
-    for th in helpers:
-        th.start()
+    kw = dict(t0=0.0, data_class=seq.spec.data_class, meta_extra=meta_extra,
+              workers=cap // max(runners, 1))
+    if runners < 2 or not hasattr(os, "fork"):
+        return [run(lev, config, **kw) for lev in seq.levels]
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    cpus = usable[:cap] if cap < len(usable) else None
+    fork = multiprocessing.get_context("fork")
+    procs, pipes, out, failed = [], [], [None] * count, {}
     try:
-        runner()
-        # not Thread.join: once a join is interrupted (Ctrl-C), Python 3.11
-        # takes the thread for ended, and the join in finally would not wait
-        for _ in helpers:
-            ended.acquire()
-    except BaseException:   # e.g. KeyboardInterrupt: stop the helpers' levels too
-        for ev in stops:
-            ev.set()
+        # SIGINT stays blocked from each fork until the child ignores it
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for k, lev in enumerate(seq.levels):
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))
+                proc = fork.Process(target=_level_child, args=(w, cpus, lev, config, kw),
+                                    name=f"maflow-level-{k}")
+                try:
+                    proc.start()
+                finally:
+                    os.close(w)   # the child's copy is the only writer left
+                procs.append(proc)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        pending = dict(enumerate(pipes))
+        while any(j < min(failed, default=count) for j in pending):
+            for pipe in multiprocessing.connection.wait(list(pending.values())):
+                k = pipes.index(pipe)
+                if pending.pop(k, None) is None:   # killed after a failure above
+                    continue
+                out[k] = _receive(pipe, procs[k])
+                if isinstance(out[k], Exception):
+                    failed[k] = out[k]
+                    for later in range(k + 1, count):
+                        procs[later].kill()
+                        pending.pop(later, None)
+    except BaseException:   # e.g. KeyboardInterrupt: no level outlives the call
+        for proc in procs:
+            proc.kill()
         raise
     finally:
-        for th in helpers:
-            th.join()
-        for steps in levels:   # left unfinished by an interrupt: join their lanes
-            steps.close()
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for pipe in pipes:
+            pipe.close()
     if failed:
         raise failed[min(failed)]
+    for traj in out:   # the child sent neither: the parent holds both
+        traj.grid, traj.twist = config.grid, config.twist
     return out
+
+
+def _level_child(fd, cpus, level, config, kw):
+    """Body of a level's child: ``run`` the level and pickle its outcome to ``fd``.
+
+    The outcome is the Trajectory, without its grid and twist, or the
+    level's error.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+    try:
+        outcome = run(level, config, **kw)
+        outcome.grid = outcome.twist = None
+    except Exception as e:
+        outcome = e
+    with open(fd, "wb") as fh:
+        pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _receive(pipe, proc):
+    """The outcome a level's child pickled to ``pipe``, unpickled as it arrives.
+
+    A child that ended without sending one gives a RuntimeError.
+    """
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        proc.join()
+        return RuntimeError(f"{proc.name} ended with exit code {proc.exitcode} "
+                            "and sent no result")
 
 
 @dataclass

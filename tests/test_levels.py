@@ -1,6 +1,9 @@
-"""Threads: run_levels' concurrent levels, and a run's lane helper, against sequential runs."""
+"""Concurrency: run_levels' level processes, and a run's lane helper, against sequential runs."""
 
+import inspect
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -16,7 +19,7 @@ from maflow import flow
 from maflow import geometry as geo
 from maflow import io as mio
 from maflow.cli import main
-from maflow.errors import ConfigError, KaehlerConeViolation, RunStopped
+from maflow.errors import ConfigError, KaehlerConeViolation, MaflowError, RunStopped
 from maflow.flow import FlowConfig, TwistSpec, run, run_levels
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
@@ -79,93 +82,108 @@ class TestConcurrentLevels:
             run_levels(seq, None, workers=workers)
 
 
-def record_steps(monkeypatch, seq):
-    """The level index of every accepted step, in the order the steps were taken."""
+def record_steps(monkeypatch, seq, tmp_path, delay=0.0):
+    """A reader of the level index of every accepted step, in the order the steps were taken.
+
+    Every process appends its steps to one file, so the steps of forked
+    level processes are there too; each step first sleeps ``delay`` s.
+    """
     index = {id(lev.phi): k for k, lev in enumerate(seq.levels)}
-    level_of, steps = {}, []
+    path = tmp_path / ".steps"
     initial_state, advance = flow._initial_state, flow._advance
 
     def initial(st, phi0, t0):
-        level_of[st] = index[id(phi0)]
+        st.level = index[id(phi0)]
         return initial_state(st, phi0, t0)
 
     def step(st, state, t_bound):
         out = advance(st, state, t_bound)
-        steps.append(level_of[st])
+        time.sleep(delay)
+        note(path, st.level)
         return out
 
     monkeypatch.setattr(flow, "_initial_state", initial)
     monkeypatch.setattr(flow, "_advance", step)
-    return steps
+    return lambda: [int(k) for k in path.read_text().split()] if path.exists() else []
+
+
+def note(path, line):
+    """Append ``line`` to the file ``path``; one short write, whole even beside other processes."""
+    with open(path, "a") as fh:
+        fh.write(f"{line}\n")
+
+
+def no_child_left():
+    return not multiprocessing.active_children()
 
 
 class TestSlicedLevels:
-    """More levels than runners: the runners share the levels in slices of SLICE_STEPS."""
+    """More levels than CPUs: the kernel time-slices the level processes."""
 
-    def test_unequal_levels_on_two_runners_are_bit_identical(self, monkeypatch):
+    def test_unequal_levels_on_two_runners_are_bit_identical(self, monkeypatch, tmp_path):
         usable_cpus(monkeypatch, 2)
         g = mf.TorusGrid(1, 16, 1.0)
         seq = approximation_sequence(PotentialSpec("lelong", gamma=0.6), g, 5, K=2.0)
         cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01,), record_every=7)
-        steps = record_steps(monkeypatch, seq)
+        steps = record_steps(monkeypatch, seq, tmp_path)
         threads = threading.active_count()
         trajs = run_levels(seq, cfg, meta_extra={"tag": "x"})
-        assert threading.active_count() == threads
-        counts = [steps.count(k) for k in range(5)]
-        # from under two slices to many, so levels end while others still run
-        assert counts == sorted(counts) and counts[0] < 2 * flow.SLICE_STEPS < counts[-1] // 4
+        assert threading.active_count() == threads and no_child_left()
+        counts = [steps().count(k) for k in range(5)]
+        # from a few steps to many, so levels end while others still run
+        assert counts == sorted(counts) and 4 * counts[0] < counts[-1]
         for lev, tr in zip(seq.levels, trajs):
             ref = run(lev, cfg, data_class="lelong", meta_extra={"tag": "x"}, workers=1)
             assert_same_trajectory(tr, ref)
 
-    def test_the_third_level_starts_before_the_first_two_end(self, monkeypatch):
-        # three levels of four slices each on two runners: with whole levels,
+    def test_the_third_level_starts_before_the_first_two_end(self, monkeypatch, tmp_path):
+        # three levels of 80 steps on two CPUs: with a pool of two runners,
         # level 2 would wait for level 0 or level 1 to end
         usable_cpus(monkeypatch, 2)
         g = mf.TorusGrid(1, 16, 1.0)
         seq = approximation_sequence(PotentialSpec("smooth", modes=[((1, 0), 0.03, 0.0)]),
                                      g, 3, ratio=0.8)
         dt = 1e-4
-        cfg = FlowConfig(grid=g, T=4 * flow.SLICE_STEPS * dt, dt_policy="rk4_fixed",
-                         dt_init=dt, record_every=50)
-        steps = record_steps(monkeypatch, seq)
+        cfg = FlowConfig(grid=g, T=80 * dt, dt_policy="rk4_fixed", dt_init=dt,
+                         record_every=50)
+        steps = record_steps(monkeypatch, seq, tmp_path, delay=1e-3)
         run_levels(seq, cfg)
-        assert [steps.count(k) for k in range(3)] == [4 * flow.SLICE_STEPS] * 3
-        last = {k: len(steps) - 1 - steps[::-1].index(k) for k in (0, 1)}
-        assert steps.index(2) < min(last.values())
+        taken = steps()
+        assert [taken.count(k) for k in range(3)] == [80] * 3
+        last = {k: len(taken) - 1 - taken[::-1].index(k) for k in (0, 1)}
+        assert taken.index(2) < min(last.values())
 
-    def test_one_runner_runs_the_levels_one_after_the_other(self, monkeypatch):
+    def test_one_runner_runs_the_levels_one_after_the_other(self, monkeypatch, tmp_path):
         usable_cpus(monkeypatch, 1)
         g = mf.TorusGrid(1, 16, 1.0)
         seq = approximation_sequence(PotentialSpec("lelong", gamma=0.6), g, 3, K=2.0)
-        steps = record_steps(monkeypatch, seq)
+        steps = record_steps(monkeypatch, seq, tmp_path)
         run_levels(seq, FlowConfig(grid=g, T=0.01, record_every=50))
-        assert steps == sorted(steps)
+        assert steps() == sorted(steps())
 
-    def test_a_failing_fan_out_closes_every_parked_level(self, monkeypatch):
-        # six levels of many slices on two runners; level 1 fails in its third
-        # slice, so levels 2 to 5 stop, most of them parked in the queue
+    def test_a_failing_fan_out_closes_every_parked_level(self, monkeypatch, tmp_path):
+        # six levels of 400 ms on two CPUs; level 1 fails after 40 ms, so
+        # levels 2 to 5 are killed, level 0 is waited for, and every level
+        # process is joined
         usable_cpus(monkeypatch, 2)
-        opened, closed = set(), set()
+        log = tmp_path / "log"
 
         def fake(level, config, **kw):
-            opened.add(level)
-            try:
-                for i in range(10 * flow.SLICE_STEPS):
-                    if level == 1 and i == 2 * flow.SLICE_STEPS:
-                        raise KaehlerConeViolation("level 1 failed", t=0.5)
-                    time.sleep(1e-5)
-                    yield
-            finally:
-                closed.add(level)
-            return level
+            note(log, f"start {level}")
+            for i in range(400):
+                if level == 1 and i == 40:
+                    raise KaehlerConeViolation("level 1 failed", t=0.5)
+                time.sleep(1e-3)
+            note(log, f"end {level}")
+            return SimpleNamespace(level=level)
 
-        monkeypatch.setattr(flow, "_run_steps", fake)
+        monkeypatch.setattr(flow, "run", fake)
         threads = threading.active_count()
         with pytest.raises(KaehlerConeViolation) as err:
             run_levels(int_levels(6), None)
         assert err.value.t == 0.5 and threading.active_count() == threads
-        assert {0, 1, 2, 3} <= opened and opened == closed
+        started, ended = read_log(log)
+        assert {0, 1} <= started and ended == {0} and no_child_left()
 
     def test_a_failing_fan_out_with_lanes_joins_every_thread(self, monkeypatch, lanes):
         # RK4 at a fixed dt far above its stability bound leaves the cone at step 5
@@ -178,24 +196,52 @@ class TestSlicedLevels:
         threads = threading.active_count()
         with pytest.raises(KaehlerConeViolation) as err:
             run_levels(seq, cfg)
-        assert err.value.t > 0.0 and len(lanes) == 3
-        assert threading.active_count() == threads
+        # a lane in each of three level processes, none in this one
+        assert err.value.t > 0.0 and len(set(lanes.pids())) == 3
+        assert os.getpid() not in lanes.pids()
+        assert threading.active_count() == threads and no_child_left()
+
+    def test_levels_below_the_usable_cpus_are_pinned_to_the_cap(self, monkeypatch, tmp_path):
+        # three levels on --workers 2 of four CPUs share two CPUs; at the
+        # usable CPUs no level process is pinned
+        usable_cpus(monkeypatch, 4)
+        pins = tmp_path / "pins"
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: note(pins, f"{pid} {sorted(cpus)}"))
+        monkeypatch.setattr(flow, "run", fake_run(set()))
+        config = SimpleNamespace(grid=None, twist=None)
+        assert [tr.level for tr in run_levels(int_levels(3), config, workers=2)] == [0, 1, 2]
+        assert pins.read_text().splitlines() == ["0 [0, 1]"] * 3
+        pins.unlink()
+        run_levels(int_levels(3), config)
+        assert not pins.exists() and no_child_left()
 
 
-def fake_run_steps(fail, delay=None, started=None):
-    """A stand-in for flow._run_steps over integer levels: level k in ``fail`` raises
-    KaehlerConeViolation at t = 0.1 * (k + 1); level k first waits ``delay[k]`` s."""
+def fake_run(fail, delay=None, log=None):
+    """A stand-in for flow.run over integer levels: level k first waits ``delay[k]`` s,
+    then raises KaehlerConeViolation at t = 0.1 * (k + 1) if it is in ``fail``.
+
+    Every process notes "start k" and "end k" in the file ``log``, if given.
+    """
     delay = delay or {}
 
     def fake(level, config, **kw):
-        if started is not None:
-            started.append(level)
+        if log is not None:
+            note(log, f"start {level}")
         time.sleep(delay.get(level, 0.0))
         if level in fail:
             raise KaehlerConeViolation(f"level {level} failed", t=0.1 * (level + 1))
-        return level
-        yield   # a generator, as flow._run_steps is
+        if log is not None:
+            note(log, f"end {level}")
+        return SimpleNamespace(level=level)
     return fake
+
+
+def read_log(path):
+    """(started, ended): the level sets of ``fake_run``'s log."""
+    lines = path.read_text().splitlines() if path.exists() else []
+    return tuple({int(ln.split()[1]) for ln in lines if ln.startswith(word)}
+                 for word in ("start", "end"))
 
 
 def int_levels(count):
@@ -210,32 +256,51 @@ class TestLevelFailures:
 
     def test_failure_of_level_two_reaches_the_caller_typed(self, monkeypatch):
         seq = int_levels(6)
-        monkeypatch.setattr(flow, "_run_steps", fake_run_steps({2}))
+        monkeypatch.setattr(flow, "run", fake_run({2}))
         threads = threading.active_count()
         got = self._raised(lambda: run_levels(seq, None))
-        assert threading.active_count() == threads
+        assert threading.active_count() == threads and no_child_left()
         want = self._raised(lambda: [flow.run(lev, None) for lev in seq.levels])
         assert type(got) is type(want) and got.t == want.t == pytest.approx(0.3)
 
     def test_earliest_failing_level_in_level_order_wins(self, monkeypatch):
         # level 1 fails first in time, level 0 first in level order
-        monkeypatch.setattr(flow, "_run_steps", fake_run_steps({0, 1}, delay={0: 0.3}))
+        monkeypatch.setattr(flow, "run", fake_run({0, 1}, delay={0: 0.3}))
         threads = threading.active_count()
         err = self._raised(lambda: run_levels(int_levels(4), None, workers=2))
-        assert threading.active_count() == threads
+        assert threading.active_count() == threads and no_child_left()
         assert err.t == pytest.approx(0.1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_level_starts_after_a_failure(self, monkeypatch, workers):
-        # level 3 may be running beside level 2; it holds its runner while the
-        # failure stops the others
-        started = []
-        monkeypatch.setattr(flow, "_run_steps",
-                            fake_run_steps({2}, delay={3: 0.5}, started=started))
+    def test_no_level_starts_after_a_failure(self, monkeypatch, tmp_path, workers):
+        # in the calling process (one worker) no level after the failing one
+        # starts; level processes all start at once, and the failure kills
+        # the ones after it before their end
+        log = tmp_path / "log"
+        monkeypatch.setattr(flow, "run", fake_run({2}, delay=dict.fromkeys((3, 4, 5), 0.5),
+                                                  log=log))
         threads = threading.active_count()
         self._raised(lambda: run_levels(int_levels(6), None, workers=workers))
-        assert threading.active_count() == threads
-        assert {0, 1, 2} <= set(started) and not {4, 5} & set(started)
+        assert threading.active_count() == threads and no_child_left()
+        started, ended = read_log(log)
+        assert {0, 1, 2} <= started and not {3, 4, 5} & ended
+        assert workers > 1 or started == {0, 1, 2}
+
+
+    def test_a_level_process_that_dies_is_an_error_of_its_level(self, monkeypatch):
+        # a level process that ends without a result (killed, say) fails its
+        # level; level 2's error comes later in level order
+        def fake(level, config, **kw):
+            if level == 1:
+                os._exit(3)
+            if level == 2:
+                raise KaehlerConeViolation("level 2 failed", t=0.3)
+            return SimpleNamespace(level=level)
+
+        monkeypatch.setattr(flow, "run", fake)
+        with pytest.raises(RuntimeError, match="maflow-level-1 ended with exit code 3"):
+            run_levels(int_levels(3), None, workers=2)
+        assert no_child_left()
 
 
 class TestRunCommand:
@@ -266,13 +331,13 @@ dir = {tmp_path / 'out'}
         assert not (tmp_path / "out" / "level_00").exists()
 
     def test_failing_level_exits_3_with_its_time(self, tmp_path, monkeypatch, capsys):
-        real = flow._run_steps
+        real = flow.run
 
         def fail_level_2(level, config, **kw):
             if level.j == 3:
                 raise KaehlerConeViolation("forced", t=0.0075)
-            return (yield from real(level, config, **kw))
-        monkeypatch.setattr(flow, "_run_steps", fail_level_2)
+            return real(level, config, **kw)
+        monkeypatch.setattr(flow, "run", fail_level_2)
         threads = threading.active_count()
         assert main(["run", self._config(tmp_path)]) == 3
         assert threading.active_count() == threads
@@ -284,18 +349,34 @@ def usable_cpus(monkeypatch, count):
                         raising=False)
 
 
+class LaneLog:
+    """The lane helpers that flow starts, one line per lane with its process id.
+
+    Forked level processes append to the same file; ``len`` is the count.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def pids(self):
+        return [int(p) for p in self.path.read_text().split()] if self.path.exists() else []
+
+    def __len__(self):
+        return len(self.pids())
+
+
 @pytest.fixture
-def lanes(monkeypatch):
-    """The lane helpers that flow starts, recorded as they are made."""
-    made = []
+def lanes(monkeypatch, tmp_path):
+    """A LaneLog of the lane helpers that flow starts, in this process or a level's."""
+    log = LaneLog(tmp_path / ".lanes")
 
     class Recorded(ThreadPoolExecutor):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            made.append(self)
+            note(log.path, os.getpid())
 
     monkeypatch.setattr(flow, "ThreadPoolExecutor", Recorded)
-    return made
+    return log
 
 
 def n2_initial(g):
@@ -390,17 +471,13 @@ class TestLanes:
         seq = approximation_sequence(spec, g, 3, ratio=0.8)
         cfg = FlowConfig(grid=g, T=5e-4, record_every=50)
         threads = threading.active_count()
-        usable_cpus(monkeypatch, 2)   # two runners for three levels: no CPU to spare
+        usable_cpus(monkeypatch, 2)   # three levels on two CPUs: no CPU to spare
         trajs = run_levels(seq, cfg)
         assert not lanes and threading.active_count() == threads
-        usable_cpus(monkeypatch, 6)   # three runners with a lane each; GIL switches every 1e-6 s
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            laned = run_levels(seq, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(lanes) == 3 and threading.active_count() == threads
+        usable_cpus(monkeypatch, 6)   # two CPUs per level: a lane in each level's process
+        laned = run_levels(seq, cfg)
+        assert len(set(lanes.pids())) == 3 and os.getpid() not in lanes.pids()
+        assert threading.active_count() == threads and no_child_left()
         for tr, ref in zip(laned, trajs):
             assert_same_trajectory(tr, ref)
 
@@ -426,7 +503,7 @@ dir = {tmp_path / 'out'}
 
         monkeypatch.setattr(threading.Thread, "start", start)
         assert main(["run", str(p), "--workers", "1"]) == 0
-        assert started == [] and lanes == []
+        assert started == [] and not lanes
         assert main(["run", str(p)]) == 0
         assert len(lanes) == 1 and len(started) == 1
 
@@ -449,7 +526,7 @@ dir = {tmp_path / 'out'}
         alone, laned = tmp_path / "alone", tmp_path / "laned"
         assert main(["restart", parent, "--at", "0.0013", "--out", str(alone),
                      "--workers", "1"]) == 0
-        assert started == [] and lanes == []
+        assert started == [] and not lanes
         assert main(["restart", parent, "--at", "0.0013", "--out", str(laned)]) == 0
         assert len(lanes) == 1 and started == ["maflow-lane_0"]
         names = sorted(os.listdir(alone))
@@ -475,70 +552,175 @@ class TestStop:
             run(PotentialField.zeros(cfg.grid), cfg, stop=stop)
         assert 0.0 < err.value.t < cfg.T
 
-    def test_interrupt_stops_every_level_within_one_step(self, monkeypatch, lanes):
-        # two n = 2 levels with a lane each; the calling thread's level is
-        # interrupted at its step 5, as Ctrl-C would
+    def test_interrupt_stops_every_level_within_one_step(self, monkeypatch, tmp_path, lanes):
+        # two n = 2 level processes with a lane each; Ctrl-C reaches the
+        # caller, which waits for them, once level 0 has taken 5 steps
         usable_cpus(monkeypatch, 4)
         g = mf.TorusGrid(2, 16)
         spec = PotentialSpec("smooth", modes=[((1, 0, 0, 0), 0.03, 0.0)])
         seq = approximation_sequence(spec, g, 2, ratio=0.8)
         cfg = FlowConfig(grid=g, T=0.01, record_every=50)
-        after, reached = {}, {}   # per thread: steps taken with the stop set, last t
-        orig = flow._advance
+        steps = record_steps(monkeypatch, seq, tmp_path, delay=0.01)
+        real_wait, at_interrupt = multiprocessing.connection.wait, []
 
-        def advance(st, state, t_bound):
-            out = orig(st, state, t_bound)
-            me = threading.current_thread()
-            reached[me.name] = out[0].t
-            if st.stop.is_set():
-                after[me.name] = after.get(me.name, 0) + 1
-            elif me is threading.main_thread() and out[0].step_count == 5:
-                raise KeyboardInterrupt
-            return out
+        def wait(objects, timeout=None):
+            while steps().count(0) < 5 or 1 not in steps():
+                assert not real_wait(objects, timeout=0.005), "a level ended"
+            at_interrupt.extend(steps())
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(flow, "_advance", advance)
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             run_levels(seq, cfg)
-        assert threading.active_count() == threads and len(lanes) == 2
-        assert reached.keys() == {"MainThread", "maflow-level"}
-        assert reached["maflow-level"] < cfg.T    # stopped, not finished
-        assert after.get("maflow-level", 0) <= 1 and "MainThread" not in after
+        assert threading.active_count() == threads and no_child_left()
+        time.sleep(0.1)   # ten steps of a level that still ran
+        after = steps()
+        assert len(set(lanes.pids())) == 2
+        assert all(after.count(k) - at_interrupt.count(k) <= 1 for k in (0, 1))
 
-    def test_interrupt_while_the_caller_waits_stops_the_helper(self):
-        # the calling thread's level ends first and it waits for the helper;
-        # Ctrl-C then must stop the helper's level too, not wait for its end.
-        # A child process takes the signal, so the test run never sees it.
-        script = """
-import os, signal, threading, time
-from types import SimpleNamespace
-import maflow as mf
-from maflow import flow
-from maflow.initial import cos_mode
-os.sched_getaffinity = lambda pid: {0, 1}
-g = mf.TorusGrid(1, 16)
-levels = [mf.PotentialField(g, cos_mode(g, (1, 0), a)) for a in (0.01, 0.02)]
-seq = SimpleNamespace(levels=levels, spec=SimpleNamespace(data_class="smooth"))
-advance, helper_steps = flow._advance, []
+    def test_interrupt_while_the_caller_waits_stops_the_helper(self, tmp_path):
+        # level 0 ends first and the caller waits for level 1, whose process
+        # sends the caller SIGINT at its step 25, as Ctrl-C would: level 1
+        # must be killed, not waited for.  The caller is a child process, so
+        # the test run never sees the signal.
+        done = run_script(LEVEL_SCRIPT + """
 def step(st, state, t_bound):
-    if threading.current_thread() is not threading.main_thread():
+    if st.level == 1:
         time.sleep(0.02)
-        helper_steps.append(st.stop.is_set())
-        if len(helper_steps) == 25:
-            os.kill(os.getpid(), signal.SIGINT)
+        note(st.level)
+        if open(LOG).read().count("1") == 25:
+            os.kill(os.getppid(), signal.SIGINT)
     return advance(st, state, t_bound)
 flow._advance = step
 try:
     flow.run_levels(seq, flow.FlowConfig(grid=g, T=0.04, record_every=50))
 except KeyboardInterrupt:
-    print(threading.active_count(), sum(helper_steps), len(helper_steps))
+    time.sleep(0.3)
+    print(threading.active_count(), len(multiprocessing.active_children()),
+          open(LOG).read().count("1"))
+""", tmp_path)
+        threads, children, taken = map(int, done.stdout.split())
+        # no thread or process left, at most one step after the signal, far from T
+        assert threads == 1 and children == 0 and taken <= 26, done.stderr
+
+
+# two n = 1 levels on two CPUs; each _Stepper knows its level, and note(k)
+# appends k to the file LOG, from any process
+LEVEL_SCRIPT = """
+import multiprocessing, os, signal, sys, threading, time
+from types import SimpleNamespace
+import maflow as mf
+from maflow import flow
+from maflow.initial import cos_mode
+LOG = sys.argv[1]
+os.sched_getaffinity = lambda pid: {0, 1}
+g = mf.TorusGrid(1, 16)
+levels = [mf.PotentialField(g, cos_mode(g, (1, 0), a)) for a in (0.01, 0.02)]
+seq = SimpleNamespace(levels=levels, spec=SimpleNamespace(data_class="smooth"))
+initial_state, advance = flow._initial_state, flow._advance
+def initial(st, phi0, t0):
+    st.level = [id(lev) for lev in levels].index(id(phi0))
+    return initial_state(st, phi0, t0)
+flow._initial_state = initial
+def note(line):
+    with open(LOG, "a") as fh:
+        fh.write(f"{line}\\n")
+def no_child():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return len(multiprocessing.active_children()) == 0
+    return False
 """
-        pkg = os.path.dirname(os.path.dirname(mf.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (pkg, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert len(done.stdout.split()) == 3, done.stderr
-        threads, after_stop, taken = map(int, done.stdout.split())
-        # no helper left running, at most one step after the stop, far from T
-        assert threads == 1 and after_stop <= 1 and taken <= 27, done.stderr
+
+
+def run_script(script, tmp_path, *args):
+    """Run ``script`` in a fresh interpreter with maflow importable; fails on no stdout.
+
+    The interpreter leads a process group of its own, which a Ctrl-C it
+    sends itself reaches, and nothing else.
+    """
+    pkg = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "log"), *args],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          start_new_session=True)
+    assert done.stdout.strip(), done.stderr
+    return done
+
+
+class TestNoProcessLeft:
+    def test_no_child_or_zombie_after_success_failure_and_sigint(self, tmp_path):
+        # after each way out of run_levels the caller has no child process at
+        # all, running or a zombie.  The SIGINT goes to the process group, as
+        # Ctrl-C's does: the level processes ignore it, and print nothing
+        done = run_script(LEVEL_SCRIPT + """
+cfg = flow.FlowConfig(grid=g, T=0.04, record_every=50)
+threads = threading.active_count()
+flow.run_levels(seq, cfg)
+print("success", no_child(), threading.active_count() == threads)
+def failing(st, state, t_bound):
+    if st.level == 1 and state.step_count == 3:
+        raise flow.KaehlerConeViolation("forced", t=state.t, min_eig=-1.0)
+    return advance(st, state, t_bound)
+flow._advance = failing
+try:
+    flow.run_levels(seq, cfg)
+except flow.KaehlerConeViolation as e:
+    print("failure", no_child(), threading.active_count() == threads, e.min_eig == -1.0)
+def interrupting(st, state, t_bound):
+    time.sleep(0.01)
+    if st.level == 1 and state.step_count == 3:
+        os.killpg(0, signal.SIGINT)
+    return advance(st, state, t_bound)
+flow._advance = interrupting
+try:
+    flow.run_levels(seq, cfg)
+except KeyboardInterrupt:
+    print("sigint", no_child(), threading.active_count() == threads)
+""", tmp_path)
+        assert done.stdout.split("\n")[:3] == ["success True True", "failure True True True",
+                                                "sigint True True"], done.stderr
+        assert done.stderr == ""
+
+
+def maflow_errors():
+    found, todo = [], [MaflowError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo += cls.__subclasses__()
+    return sorted(found, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", maflow_errors(), ids=lambda c: c.__name__)
+def test_error_survives_a_pickle_round_trip(cls):
+    # a level's error reaches the caller pickled, with its attributes (t, min_eig)
+    params = inspect.signature(cls.__init__).parameters
+    attrs = {name: 0.25 * (k + 1) for k, name in enumerate(params)
+             if name not in ("self", "message", "args", "kwargs")}
+    err = cls("failed here", **attrs)
+    got = pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(got) is cls and str(got) == "failed here" and got.args == err.args
+    assert vars(got) == vars(err) == attrs
+
+
+class TestOutput:
+    def test_maflow_run_prints_the_same_with_one_worker(self, tmp_path):
+        # stdout is a pipe, so it is block-buffered: a level process that
+        # flushed the caller's buffer again would print its lines twice
+        outputs = []
+        for workers in ([], ["--workers", "1"]):
+            run_dir = tmp_path / f"run{len(outputs)}"
+            run_dir.mkdir()
+            done = run_script("import sys\nfrom maflow.cli import main\n"
+                              "print('before the levels')\n"
+                              "sys.exit(main(sys.argv[2:]))", tmp_path,
+                              "run", TestRunCommand()._config(run_dir), *workers)
+            assert done.returncode == 0, done.stderr
+            outputs.append((done.stdout, done.stderr))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count("before the levels") == 1
+        assert outputs[0][0].count("level_0") == 3 and "limit:" in outputs[0][0]

@@ -178,7 +178,8 @@ def _four_transform_step(grid, f, dt, beta0, hist):
                + 2.0 * dt * beta0 * sym * (hist["f_spec"] - 2.0 * f_spec))
         new_spec = num / lhs
     else:
-        new_spec = (f_spec + dt * n_spec) / (1.0 - dt * beta0 * sym)
+        new_spec = ((f_spec + dt * n_spec - dt * beta0 * sym * f_spec)
+                    / (1.0 - dt * beta0 * sym))
     return (sfft.irfftn(new_spec, s=grid.shape),
             {"ok": True, "f_spec": f_spec, "n_spec": n_spec, "spec": new_spec})
 

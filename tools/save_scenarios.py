@@ -25,7 +25,8 @@ only at t0 and its boundaries, the snapshot times off the step grid
 short twisted run at n = 2 res 16 (``n2_res16_twisted/``), the smallest
 size at which a run with a CPU to spare takes a helper thread
 (``geometry.lane_pays``); three Lelong approximation levels at n = 1
-res 64, and the Lelong check's subsolution ``solve_ma`` (alpha = 1.8)
+res 64 (``lelong/``, run at a time by ``run_levels``, and again with
+``workers=1`` in the calling process, ``lelong_sequential/``), and the Lelong check's subsolution ``solve_ma`` (alpha = 1.8)
 from the mollified pole on the same grid (``lelong_subsolution/``), the
 steepest metric a Newton solve meets here; the density form under rk4
 and semi_implicit with snapshot times off the step grid; under rk4,
@@ -218,8 +219,11 @@ def main(argv):
     grid = TorusGrid(1, 64, 2.0)
     seq = approximation_sequence(PotentialSpec("lelong", gamma=1.0), grid, 3, K=2.0)
     cfg = FlowConfig(grid=grid, T=0.01, record_every=50, snapshot_times=(0.005,))
-    for k, traj in enumerate(run_levels(seq, cfg)):
-        mio.save_run(traj, os.path.join(out, "lelong", f"level_{k + 1:02d}"), cfg)
+    # the same levels in the calling process, one after the other: inside one
+    # tree, `diff -r lelong lelong_sequential` checks the fan-out against them
+    for name, workers in (("lelong", None), ("lelong_sequential", 1)):
+        for k, traj in enumerate(run_levels(seq, cfg, workers=workers)):
+            mio.save_run(traj, os.path.join(out, name, f"level_{k + 1:02d}"), cfg)
     # the Lelong check's subsolution solve (alpha = 2 beta, beta = 0.9) from the
     # mollified pole, whose metric is steep near the pole
     phi0 = sample_potential(PotentialSpec("lelong", gamma=1.0), grid)
