@@ -11,8 +11,7 @@ monotonicity, Lelong-number attenuation) as quantified inequalities.
 from .errors import (ConfigError, ConfigMismatch, IncompatibleData,
                      InsufficientResolution, InvalidSpec,
                      KaehlerConeViolation, MassMismatch, MonotonicityFailure,
-                     NewtonDiverged, PositivityLoss, RunStopped, SingularMetric,
-                     StepSizeUnderflow)
+                     NewtonDiverged, PositivityLoss, SingularMetric, StepSizeUnderflow)
 from .geometry import (HermitianField, MetricField, PotentialField, TorusGrid,
                        complex_hessian, integrate, laplacian_wrt, ma_ratio,
                        metric_matrix, min_eigenvalue, trace_wrt)

@@ -161,10 +161,8 @@ def cmd_compare(args):
         for col in ("sup", "inf", "I", "E", "fmin", "fmax"):
             d = [tb.series[col][ib[t]] - ta.series[col][ia[t]] for t in common]
             report[f"max_abs_d_{col}"] = float(np.abs(d).max())
-    snaps = sorted(set(round(t, 12) for t in ta.snapshot_times)
-                   & set(round(t, 12) for t in tb.snapshot_times))
     diffs = {}
-    for t in snaps:
+    for t in ver.shared_snapshot_times(ta, tb):
         d = tb.snapshot_at(t).phi - ta.snapshot_at(t).phi
         diffs[str(t)] = {"min": float(d.min()), "max": float(d.max())}
     report["field_diffs"] = diffs
@@ -191,10 +189,11 @@ def cmd_restart(args):
     return 0
 
 
-WORKERS_HELP = ("cap on the CPUs of the run (default: the usable CPUs): the levels run "
-                "at a time, one process each, and a helper thread for an n = 2 level at "
-                "res >= 16 where the cap leaves two per level; below the usable CPUs the "
-                "level processes are pinned to that many; 1 runs the levels one after the "
+WORKERS_HELP = ("cap on the CPUs of the run (default: the usable CPUs): with two or more "
+                "levels and a cap of two or more, every level runs at once in a process of "
+                "its own, pinned to that many CPUs below the usable ones; each level's share "
+                "is cap // min(levels, cap), and an n = 2 level at res >= 16 takes a helper "
+                "thread where its share is two or more; 1 runs the levels one after the "
                 "other and starts no thread or process; the output does not depend on it")
 
 
@@ -252,8 +251,7 @@ def main(argv=None):
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except MaflowError as e:
-        t = getattr(e, "t", None)
-        at = f" at t={t:.6g}" if t is not None else ""
+        at = f" at t={e.t:.6g}" if e.t is not None else ""
         print(f"solver failure{at}: {e}", file=sys.stderr)
         return 3
 

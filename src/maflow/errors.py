@@ -2,15 +2,18 @@
 
 
 class MaflowError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors; ``t`` is the flow time of the failure, if any."""
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
 
 
 class KaehlerConeViolation(MaflowError):
     """The discrete potential left the Kaehler cone (metric not positive definite)."""
 
     def __init__(self, message, t=None, min_eig=None):
-        super().__init__(message)
-        self.t = t
+        super().__init__(message, t)
         self.min_eig = min_eig
 
 
@@ -33,18 +36,6 @@ class InsufficientResolution(MaflowError):
 class StepSizeUnderflow(MaflowError):
     """Adaptive dt fell below dt_min; parabolicity lost at this resolution."""
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
-
-class RunStopped(MaflowError):
-    """A run ended early at an accepted step because its stop event was set."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
 
 class NewtonDiverged(MaflowError):
     """Damped Newton iteration exhausted its backtracking budget."""
@@ -60,10 +51,6 @@ class MassMismatch(MaflowError):
 
 class PositivityLoss(MaflowError):
     """Density stepping could not maintain a positive field."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class ConfigError(MaflowError):

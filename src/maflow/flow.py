@@ -51,8 +51,8 @@ including the recompute after landing on a snapshot time, reaches the
 caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
-boundaries, the stop check, the record cadence and the snapshots, and
-steps to each boundary until ``_advance`` has landed on it.
+boundaries, the record cadence and the snapshots, and steps to each
+boundary until ``_advance`` has landed on it.
 
 A run is deterministic, and its output does not depend on the threads or
 processes it is given; trajectories are immutable once produced.  Where a
@@ -86,7 +86,7 @@ import numpy as np
 
 from . import functionals as fnl
 from . import geometry as geo
-from .errors import ConfigError, KaehlerConeViolation, RunStopped, StepSizeUnderflow
+from .errors import ConfigError, KaehlerConeViolation, MaflowError, StepSizeUnderflow
 from .geometry import PotentialField
 from .initial import ApproximationLevel, ApproximationSequence, approximation_sequence
 
@@ -329,7 +329,6 @@ class _Stepper:
         self.cfg = config
         self.grid = config.grid
         self.lane = None   # a helper thread for the right-hand side (``run`` starts it)
-        self.stop = None   # an Event: _march ends the run at the next accepted step
         self.c = config.twist.c
         self.hpsi = config.twist.hessian_raw(self.grid)
         self.h_arr = None if config.h is None else config.h.values
@@ -560,8 +559,7 @@ def step(state, config):
     return new
 
 
-def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=None,
-        stop=None):
+def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=None):
     """Integrate the flow on [t0, T], recording series and snapshots.
 
     ``source`` is a PotentialField or an ApproximationLevel (singular data
@@ -573,8 +571,7 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
     ``workers`` (>= 1; default: the usable CPUs) caps the threads the run
     keeps busy.  From two on, a grid where ``geometry.lane_pays`` gets one
     helper thread for the right-hand side, joined before the call returns;
-    the output does not depend on it.  ``stop``, a ``threading.Event``,
-    ends the run with RunStopped at the first accepted step after it is set.
+    the output does not depend on it.
     """
     cap = _cpu_cap(workers)
     level_meta = {}
@@ -591,7 +588,6 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
         raise ConfigError(f"horizon T={config.T} lies before t0={t0}")
 
     st = _Stepper(config)
-    st.stop = stop
     if cap > 1 and geo.lane_pays(config.grid):
         st.lane = ThreadPoolExecutor(1, thread_name_prefix="maflow-lane")
     try:
@@ -614,8 +610,7 @@ def _march(st, t0):
     Steps ``st`` with ``_advance`` to each boundary (the snapshot times in
     (t0, T], and T), which lands on it.  A series row is recorded at t0,
     every ``record_every`` steps and at each boundary, where a snapshot is
-    taken.  Raises RunStopped after the first accepted step once
-    ``st.stop`` is set.
+    taken.
     """
     cfg = st.cfg
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
@@ -624,8 +619,6 @@ def _march(st, t0):
     for target in boundaries:
         while st.state.t != target:
             st.state, dt = _advance(st, st.state, target)
-            if st.stop is not None and st.stop.is_set():
-                raise RunStopped(f"run stopped at t={st.state.t:.6g}", t=st.state.t)
             since += 1
             if st.state.t == target or since >= cfg.record_every:
                 rows.append(st.row(dt))
@@ -663,16 +656,16 @@ def _cpu_cap(workers):
 def run_levels(seq, config, meta_extra=None, workers=None):
     """Run the levels of ``seq`` under ``config`` concurrently; trajectories in level order.
 
-    The levels (ApproximationLevels, or PotentialFields) run at a time are
-    min(level count, cap), the cap being min(usable CPUs, ``workers``), and
-    each level is a ``run`` with cap // that many as its ``workers``, so a
-    level has a lane only where the cap is at least twice the levels run at
-    a time.  From two on, each level runs in its own forked child process,
-    all of them started at once; where ``workers`` lies below the usable
-    CPUs, the children are pinned to cap of them.  Otherwise (a cap or a
-    level count of one, or no ``os.fork``) the levels run in the calling
-    thread, one after the other.  Each trajectory is bit-identical to a
-    sequential ``run`` (see the module docstring).  When a level fails, the
+    The levels are ApproximationLevels, or PotentialFields.  With the cap
+    min(usable CPUs, ``workers``) and r = min(level count, cap), each level
+    is a ``run`` with cap // r as its ``workers``, so a level has a lane
+    only where the cap is at least 2r.  Where r is two or more, every level
+    runs in its own forked child process, all of them started at once
+    whatever their count, and the kernel shares the CPUs among them; where
+    ``workers`` lies below the usable CPUs, the children are pinned to cap
+    of them.  Otherwise (r = 1, or no ``os.fork``) the levels run in the
+    calling thread, one after the other.  Each trajectory is bit-identical
+    to a sequential ``run`` (see the module docstring).  When a level fails, the
     levels after it are killed, the ones before it are waited for, and the
     error of the earliest failing level in level order is raised, as a
     sequential run raises it; a level's traceback stays in its child, and
@@ -758,14 +751,14 @@ def _level_child(fd, cpus, level, config, kw):
 def _receive(pipe, proc):
     """The outcome a level's child pickled to ``pipe``, unpickled as it arrives.
 
-    A child that ended without sending one gives a RuntimeError.
+    A child that ended without sending one gives a MaflowError without a t.
     """
     try:
         return pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         proc.join()
-        return RuntimeError(f"{proc.name} ended with exit code {proc.exitcode} "
-                            "and sent no result")
+        return MaflowError(f"{proc.name} ended with exit code {proc.exitcode} "
+                           "and sent no result")
 
 
 @dataclass

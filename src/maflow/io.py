@@ -65,14 +65,22 @@ def write_series_csv(path, times, series):
 
 
 def read_series_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ConfigError(f"{path}: no series rows")
-    data = np.array([[float(x) for x in row] for row in rows])
-    series = {name: data[:, i] for i, name in enumerate(header)}
-    return series["t"], series
+    """(times, {column: values}); a missing or malformed table is a ConfigError naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        if not rows:
+            raise ConfigError(f"{path}: no series rows")
+        data = np.array([[float(x) for x in row] for row in rows])
+        series = {name: data[:, i] for i, name in enumerate(header)}
+        return series["t"], series
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: no such series file") from None
+    except KeyError as e:
+        raise ConfigError(f"{path}: no column {e.args[0]!r}") from None
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"{path}: malformed series: {e}") from None
 
 
 def save_trajectory(traj, dirpath):
@@ -110,30 +118,39 @@ def _optional_field(dirpath, name):
 
 
 def _read_meta(dirpath):
-    """The meta.json of a saved trajectory; ConfigError where there is none."""
+    """The meta.json of a saved trajectory; ConfigError where it is missing or no JSON object."""
+    path = os.path.join(dirpath, "meta.json")
     try:
-        with open(os.path.join(dirpath, "meta.json")) as fh:
-            return json.load(fh)
+        with open(path) as fh:
+            meta = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{dirpath}: no saved trajectory (no meta.json)") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: malformed JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return meta
 
 
 def load_trajectory(dirpath):
     """A saved trajectory; it carries its twist when psi_chi.mafl was saved."""
     meta = _read_meta(dirpath)
-    grid = TorusGrid(meta["n"], meta["res"], meta["period"])
-    times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
-    snaps = []
-    for rec in meta.pop("snapshot_index", []):
-        i = rec["i"]
-        phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
-        dot, t_dot = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
-        if t != rec["t"] or t_dot != rec["t"]:
-            raise ConfigError(f"{dirpath}: snapshot {i} is stamped t={t}, t={t_dot}; "
-                              f"meta.json says t={rec['t']}")
-        snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
-    psi = _optional_field(dirpath, "psi_chi.mafl")
-    twist = None if psi is None else TwistSpec(meta["c"], psi)
+    try:
+        grid = TorusGrid(meta["n"], meta["res"], meta["period"])
+        times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
+        snaps = []
+        for rec in meta.pop("snapshot_index", []):
+            i = rec["i"]
+            phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
+            dot, t_dot = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
+            if t != rec["t"] or t_dot != rec["t"]:
+                raise ConfigError(f"{dirpath}: snapshot {i} is stamped t={t}, t={t_dot}; "
+                                  f"meta.json says t={rec['t']}")
+            snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
+        psi = _optional_field(dirpath, "psi_chi.mafl")
+        twist = None if psi is None else TwistSpec(meta["c"], psi)
+    except KeyError as e:
+        raise ConfigError(f"{dirpath}: meta.json lacks {e.args[0]!r}") from None
     return Trajectory(grid, meta, times, series, snaps, twist)
 
 

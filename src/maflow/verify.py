@@ -85,6 +85,12 @@ def _elapsed(traj):
     return [(s, s.t - t0) for s in traj.snapshots]
 
 
+def shared_snapshot_times(*trajs):
+    """The snapshot times all of ``trajs`` recorded, rounded to 12 decimals, ascending."""
+    return sorted(set.intersection(*({round(t, 12) for t in tr.snapshot_times}
+                                     for tr in trajs)))
+
+
 def _argmin_loc(arr):
     idx = int(np.argmin(arr))
     return np.unravel_index(idx, arr.shape)
@@ -126,8 +132,7 @@ def verify_comparison(run_low, run_high, tol=1e-6):
     hi0 = run_high.snapshots[0].phi
     if float((lo0 - hi0).max()) > 1e-12:
         raise ConfigMismatch("initial data are not ordered (phi0 <= psi0 fails)")
-    ts = sorted(set(round(t, 12) for t in run_low.snapshot_times)
-                & set(round(t, 12) for t in run_high.snapshot_times))
+    ts = shared_snapshot_times(run_low, run_high)
     slack, loc = math.inf, ()
     for t in ts:
         diff = run_high.snapshot_at(t).phi - run_low.snapshot_at(t).phi
@@ -421,8 +426,7 @@ def verify_minodot(original, restarted, A=None, C=STBELOW_C,
     if restarted is None:
         return _skip(name, stmt, "needs a restarted run (--restart-dir)")
     s = restarted.t0
-    common = sorted(set(round(t, 12) for t in original.snapshot_times)
-                    & set(round(t, 12) for t in restarted.snapshot_times))
+    common = shared_snapshot_times(original, restarted)
     if not common:
         return _skip(name, stmt, "no shared snapshot times")
     diff = max(float(np.abs(original.snapshot_at(t).phi
@@ -487,9 +491,8 @@ def verify_oscillation_levels(level_trajs, t_min=None, spread_tol=0.10, tail=3):
                                  "on the level before the smoothing time")
     if t_min is None:
         t_min = 0.25 * (level_trajs[-1].meta["T"] - level_trajs[-1].t0)
-    ts = sorted(set.intersection(*(set(round(t, 12) for t in tr.snapshot_times)
-                                   for tr in level_trajs)))
-    ts = [t for t in ts if t - level_trajs[-1].t0 >= t_min]
+    ts = [t for t in shared_snapshot_times(*level_trajs)
+          if t - level_trajs[-1].t0 >= t_min]
     if not ts:
         return _skip(name, stmt, "no shared snapshot times past t_min")
     worst = 0.0

@@ -461,6 +461,36 @@ class TestTypedErrors:
         assert main(["verify", str(runs / "zero")]) == 0
 
 
+def edit_meta(level, change):
+    """Apply ``change`` to the loaded meta.json of ``level`` and write it back."""
+    meta = json.loads((level / "meta.json").read_text())
+    change(meta)
+    (level / "meta.json").write_text(json.dumps(meta))
+
+
+def edit_series(level, change):
+    """Replace the lines of series.csv of ``level`` by ``change(lines)``."""
+    csv = level / "series.csv"
+    csv.write_text("\n".join(change(csv.read_text().splitlines())) + "\n")
+
+
+CORRUPTIONS = {   # name: (file named in the message, corruption of a saved level)
+    "malformed_meta": ("meta.json", lambda d: (d / "meta.json").write_text('{"n": 1,')),
+    "meta_not_an_object": ("meta.json", lambda d: (d / "meta.json").write_text("[1, 2]")),
+    "meta_without_n": ("meta.json", lambda d: edit_meta(d, lambda m: m.pop("n"))),
+    "snapshot_without_min_eig": (
+        "meta.json", lambda d: edit_meta(d, lambda m: m["snapshot_index"][1].pop("min_eig"))),
+    "non_numeric_value": (
+        "series.csv", lambda d: edit_series(d, lambda ls: ls[:2] + ["x" + ls[2]] + ls[3:])),
+    "short_row": (
+        "series.csv", lambda d: edit_series(d, lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]]
+                                            + ls[3:])),
+    "no_series": ("series.csv", lambda d: (d / "series.csv").unlink()),
+    "header_without_t": (
+        "series.csv", lambda d: edit_series(d, lambda ls: ["time" + ls[0][1:]] + ls[1:])),
+}
+
+
 class TestLoaderValidation:
     @pytest.fixture()
     def saved(self, tmp_path):
@@ -495,6 +525,17 @@ class TestLoaderValidation:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert "snap_001_phidot.mafl: no such snapshot file" in err
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupted_run_directory_exits_2_naming_the_file(self, saved, case, capsys):
+        name, corrupt = CORRUPTIONS[case]
+        corrupt(saved)
+        with pytest.raises(ConfigError, match=name):
+            mio.load_trajectory(saved)
+        assert main(["verify", str(saved.parent)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert str(saved) in err and name in err
 
     def test_truncated_header_exits_2_naming_the_file(self, saved, capsys):
         path = saved / "snap_001_phi.mafl"

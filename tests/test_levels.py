@@ -19,7 +19,8 @@ from maflow import flow
 from maflow import geometry as geo
 from maflow import io as mio
 from maflow.cli import main
-from maflow.errors import ConfigError, KaehlerConeViolation, MaflowError, RunStopped
+from maflow.errors import (ConfigError, KaehlerConeViolation, MaflowError, PositivityLoss,
+                           StepSizeUnderflow)
 from maflow.flow import FlowConfig, TwistSpec, run, run_levels
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
@@ -217,9 +218,15 @@ class TestSlicedLevels:
         assert not pins.exists() and no_child_left()
 
 
-def fake_run(fail, delay=None, log=None):
+def level_error(cls, level):
+    """Level ``level``'s ``cls`` error at t = 0.1 * (level + 1), with min_eig if it has one."""
+    extra = {"min_eig": -0.5 * level} if cls is KaehlerConeViolation else {}
+    return cls(f"level {level} failed", t=0.1 * (level + 1), **extra)
+
+
+def fake_run(fail, delay=None, log=None, error=KaehlerConeViolation):
     """A stand-in for flow.run over integer levels: level k first waits ``delay[k]`` s,
-    then raises KaehlerConeViolation at t = 0.1 * (k + 1) if it is in ``fail``.
+    then raises ``level_error(error, k)`` if it is in ``fail``.
 
     Every process notes "start k" and "end k" in the file ``log``, if given.
     """
@@ -230,7 +237,7 @@ def fake_run(fail, delay=None, log=None):
             note(log, f"start {level}")
         time.sleep(delay.get(level, 0.0))
         if level in fail:
-            raise KaehlerConeViolation(f"level {level} failed", t=0.1 * (level + 1))
+            raise level_error(error, level)
         if log is not None:
             note(log, f"end {level}")
         return SimpleNamespace(level=level)
@@ -249,19 +256,24 @@ def int_levels(count):
 
 
 class TestLevelFailures:
-    def _raised(self, fn):
-        with pytest.raises(KaehlerConeViolation) as err:
+    def _raised(self, fn, error=KaehlerConeViolation):
+        with pytest.raises(error) as err:
             fn()
         return err.value
 
-    def test_failure_of_level_two_reaches_the_caller_typed(self, monkeypatch):
+    @pytest.mark.parametrize("error", [KaehlerConeViolation, StepSizeUnderflow, PositivityLoss],
+                             ids=lambda c: c.__name__)
+    def test_failure_of_level_two_reaches_the_caller_typed(self, monkeypatch, error):
+        # the error crosses the level pipe with its attributes: t, and min_eig
         seq = int_levels(6)
-        monkeypatch.setattr(flow, "run", fake_run({2}))
+        monkeypatch.setattr(flow, "run", fake_run({2}, error=error))
         threads = threading.active_count()
-        got = self._raised(lambda: run_levels(seq, None))
+        got = self._raised(lambda: run_levels(seq, None), error)
         assert threading.active_count() == threads and no_child_left()
-        want = self._raised(lambda: [flow.run(lev, None) for lev in seq.levels])
-        assert type(got) is type(want) and got.t == want.t == pytest.approx(0.3)
+        want = self._raised(lambda: [flow.run(lev, None) for lev in seq.levels], error)
+        assert type(got) is type(want) is error and vars(got) == vars(want)
+        assert got.t == pytest.approx(0.3) and str(got) == "level 2 failed"
+        assert error is not KaehlerConeViolation or got.min_eig == -1.0
 
     def test_earliest_failing_level_in_level_order_wins(self, monkeypatch):
         # level 1 fails first in time, level 0 first in level order
@@ -298,7 +310,7 @@ class TestLevelFailures:
             return SimpleNamespace(level=level)
 
         monkeypatch.setattr(flow, "run", fake)
-        with pytest.raises(RuntimeError, match="maflow-level-1 ended with exit code 3"):
+        with pytest.raises(MaflowError, match="maflow-level-1 ended with exit code 3"):
             run_levels(int_levels(3), None, workers=2)
         assert no_child_left()
 
@@ -342,6 +354,22 @@ dir = {tmp_path / 'out'}
         assert main(["run", self._config(tmp_path)]) == 3
         assert threading.active_count() == threads
         assert "at t=0.0075" in capsys.readouterr().err
+
+    def test_a_level_process_that_dies_exits_3_in_one_line(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # level 2's process ends without a result; level 3's is killed
+        real = flow.run
+
+        def die_at_level_2(level, config, **kw):
+            if level.j == 2:
+                os._exit(9)
+            return real(level, config, **kw)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(flow, "run", die_at_level_2)
+        assert main(["run", self._config(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("solver failure: maflow-level-1 ended with exit "
+                                           "code 9 and sent no result\n")
+        assert no_child_left() and not (tmp_path / "out" / "level_00").exists()
 
 
 def usable_cpus(monkeypatch, count):
@@ -544,14 +572,6 @@ dir = {tmp_path / 'out'}
 
 
 class TestStop:
-    def test_set_stop_event_ends_a_run_at_its_first_step(self):
-        cfg = twisted_config(1, 16)
-        stop = threading.Event()
-        stop.set()
-        with pytest.raises(RunStopped) as err:
-            run(PotentialField.zeros(cfg.grid), cfg, stop=stop)
-        assert 0.0 < err.value.t < cfg.T
-
     def test_interrupt_stops_every_level_within_one_step(self, monkeypatch, tmp_path, lanes):
         # two n = 2 level processes with a lane each; Ctrl-C reaches the
         # caller, which waits for them, once level 0 has taken 5 steps
