@@ -17,10 +17,10 @@ from . import oracles, verify as ver
 from .config import load_config
 from .elliptic import solve_ma
 from .errors import ConfigError, ConfigMismatch, InvalidSpec, MaflowError
-from .flow import continue_run, limit_potential, run_levels
-from .geometry import TorusGrid
-from .initial import (ApproximationSequence, approximation_sequence, default_center,
-                      sample_potential)
+from .flow import continue_run, limit_potential, normalize_h, run_levels
+from .geometry import PotentialField, TorusGrid
+from .initial import (ApproximationSequence, approximation_sequence, default_center, mode_sum,
+                      parse_modes, sample_potential)
 
 
 def _build_levels(setup):
@@ -58,15 +58,8 @@ def cmd_run(args):
     return 0
 
 
-def _load_levels(rundir):
-    dirs = mio.level_dirs(rundir)
-    if not dirs:
-        raise ConfigError(f"{rundir}: no level_* subdirectories")
-    return [mio.load_trajectory(d) for d in dirs]
-
-
 def cmd_verify(args):
-    trajs = _load_levels(args.rundir)
+    trajs = mio.load_levels(args.rundir)
     checks, tol = None, {}
     echo = os.path.join(args.rundir, "config_echo.ini")
     if os.path.exists(echo):   # the run's [verify] checks and tol.<check> keys
@@ -108,10 +101,7 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     """Write the named oracle under --out; the inputs are checked before it is made."""
-    try:
-        grid = TorusGrid(args.n, args.res, args.period)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    grid = TorusGrid.checked(args.n, args.res, args.period, "--n, --res, --period")
     if args.name == "heat":
         try:
             kvec = tuple(int(k) for k in args.mode.split())
@@ -120,9 +110,8 @@ def cmd_oracle(args):
         if len(kvec) != 2 * grid.n:
             raise ConfigError(f"--mode {args.mode!r}: give {2 * grid.n} integers at n = {grid.n}")
     elif args.name == "elliptic_fixed_point":
-        from .config import _mode_field
-        from .flow import normalize_h
-        h = normalize_h(_mode_field(grid, args.h_modes)) if args.h_modes else None
+        modes = parse_modes(args.h_modes)
+        h = normalize_h(PotentialField(grid, mode_sum(grid, modes))) if modes else None
     os.makedirs(args.out, exist_ok=True)
     if args.name == "heat":
         table = oracles.heat_mode_series(grid, kvec, args.amp, args.T)
@@ -179,8 +168,7 @@ def cmd_compare(args):
 
 
 def cmd_restart(args):
-    traj = mio.load_trajectory(args.rundir)
-    config = mio.load_run_config(args.rundir, traj.twist)
+    traj, config = mio.load_run(args.rundir)
     out = continue_run(traj, args.at, config, T=args.to, workers=args.workers)
     dest = args.out or os.path.join(os.path.dirname(args.rundir.rstrip("/")) or ".",
                                     "restart")

@@ -1,37 +1,28 @@
 """Plain-text run configuration (INI key-value, schema version 1).
 
-Sections and keys (defaults in parentheses; unknown sections or keys are
-rejected):
-
-  [schema]   version (1)
-  [grid]     n (1) | res (128) | period (1.0)
-  [initial]  kind (smooth) | modes ("") | center ("") | levels (1) |
-             trunc_depth (1.0) | delta0 ("") | ratio (0.7), and the
-             scalar fields of initial.PotentialSpec (gamma, a, floor, s0,
-             path, clip_floor), typed and defaulted by the dataclass
-  [flow]     c (0.0) | psi_chi_modes ("") | h_modes (""), and the run
-             settings flow.SETTINGS, FlowConfig's scalar fields (variant,
-             T, dt_policy, dt_init, dt_min, safety, record_every, dealias,
-             stab_factor), typed and defaulted by the dataclass; dt_min
-             (<= dt_init) bounds the policy's step and each halving, never
-             the last step to a snapshot time or T
-  [output]   dir (out) | snapshots ("")
-  [verify]   checks ("": all) | tol.<check> (that check's tol)
-
-``maflow verify RUNDIR`` runs the [verify] checks of RUNDIR/config_echo.ini
-(``--checks`` replaces the list) and passes each tol.<check> to its check
-as ``tol``.  A check outside verify.CHECK_NAMES, or a tol.<check> for a
-check without a ``tol`` parameter, is a ConfigError.  A listed check whose
-input is missing (comparison or oscillation_levels on a one-level run,
-minodot without ``--restart-dir``) reports skip.
+``SCHEMA`` is the INI schema: {section: {key: (default, cast)}}.  It names
+every key an INI may hold (any other section or key is rejected) and reads
+each one.  The [initial] scalars of initial.PotentialSpec and the [flow]
+run settings flow.SETTINGS (FlowConfig's scalar fields) enter it typed and
+defaulted by their dataclass fields; dt_min (<= dt_init) bounds the
+policy's step and each halving, never the last step to a snapshot time or T.
+[verify] holds checks ("": all) and tol.<check> (that check's tol), read
+apart: ``maflow verify RUNDIR`` runs the [verify] checks of
+RUNDIR/config_echo.ini (``--checks`` replaces the list) and passes each
+tol.<check> to its check as ``tol``.  A check outside verify.CHECK_NAMES,
+or a tol.<check> for a check without a ``tol`` parameter, is a
+ConfigError.  A listed check whose input is missing (comparison or
+oscillation_levels on a one-level run, minodot without ``--restart-dir``)
+reports skip.
 
 A boolean is 1/true/yes/on or 0/false/no/off; snapshots, center and delta0
-(one value) are floats separated by commas or blanks.  Anything else is a
-ConfigError naming the section and key.
-
-A mode list is semicolon-separated entries "k1 k2 ... : amp : phase", one
-integer frequency per real axis, e.g. "1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2".
-The environment variable MAFLOW_OUTPUT_ROOT prefixes relative output dirs.
+(one value) are floats separated by commas or blanks.  A mode list
+(modes, psi_chi_modes, h_modes) is semicolon-separated entries
+"k1 k2 ... : amp : phase", 2n integer frequencies, one per real axis, e.g.
+"1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2" (initial.parse_modes).  Anything else,
+a mode without 2n frequencies included, is a ConfigError naming the section
+and key; so is a [grid] value TorusGrid rejects.  The environment variable
+MAFLOW_OUTPUT_ROOT prefixes relative output dirs.
 """
 
 import configparser
@@ -39,59 +30,33 @@ import inspect
 import os
 from dataclasses import dataclass, field as dfield, fields
 
-import numpy as np
-
 from . import verify as ver
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpec
 from .flow import SETTINGS, FlowConfig, TwistSpec
 from .geometry import PotentialField, TorusGrid
-from .initial import PotentialSpec, cos_mode
+from .initial import PotentialSpec, check_modes, mode_sum, parse_modes
 
 SCHEMA_VERSION = 1
 
-# PotentialSpec's scalars: its fields but the kind and the structured ones
-_SPEC_SCALARS = tuple(f for f in fields(PotentialSpec)
-                      if f.name not in ("kind", "center", "modes"))
 
-_KNOWN = {
-    "schema": {"version"},
-    "grid": {"n", "res", "period"},
-    "initial": {"kind", "modes", "center", "levels", "trunc_depth", "delta0",
-                "ratio", *(f.name for f in _SPEC_SCALARS)},
-    "flow": {"c", "psi_chi_modes", "h_modes", *(f.name for f in SETTINGS)},
-    "output": {"dir", "snapshots"},
-    "verify": set(),   # checks + tol.<name> keys, validated separately
+def _floats(text):
+    """A list of floats separated by commas or blanks: 'a, b c' -> (a, b, c)."""
+    return tuple(float(s) for s in text.replace(",", " ").split())
+
+
+SCHEMA = {   # the INI schema, but [verify]: {section: {key: (default, cast)}}
+    "schema": {"version": (SCHEMA_VERSION, int)},
+    "grid": {"n": (1, int), "res": (128, int), "period": (1.0, float)},
+    "initial": {"kind": ("smooth", str), "modes": ((), parse_modes), "center": ((), _floats),
+                "levels": (1, int), "trunc_depth": (1.0, float), "delta0": ((), _floats),
+                "ratio": (0.7, float),
+                # PotentialSpec's scalars: its fields but the kind and the structured ones
+                **{f.name: (f.default, f.type) for f in fields(PotentialSpec)
+                   if f.name not in ("kind", "center", "modes")}},
+    "flow": {"c": (0.0, float), "psi_chi_modes": ((), parse_modes),
+             "h_modes": ((), parse_modes), **{f.name: (f.default, f.type) for f in SETTINGS}},
+    "output": {"dir": ("out", str), "snapshots": ((), _floats)},
 }
-
-
-def parse_modes(text):
-    """'k1 k2 : amp : phase; ...' -> [(kvec, amp, phase), ...]"""
-    out = []
-    for entry in text.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        parts = [p.strip() for p in entry.split(":")]
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad mode entry {entry!r}")
-        kvec = tuple(int(k) for k in parts[0].split())
-        amp = float(parts[1])
-        phase = float(parts[2]) if len(parts) == 3 else 0.0
-        out.append((kvec, amp, phase))
-    return out
-
-
-def _mode_field(grid, text):
-    modes = parse_modes(text)
-    if not modes:
-        return None
-    vals = np.zeros(grid.shape)
-    for kvec, amp, phase in modes:
-        if len(kvec) != 2 * grid.n:
-            raise ConfigError(f"mode {kvec} has {len(kvec)} entries, "
-                              f"need {2 * grid.n}")
-        vals += cos_mode(grid, kvec, amp, phase)
-    return PotentialField(grid, vals)
 
 
 @dataclass
@@ -115,19 +80,17 @@ def _get(cp, section, key, default, cast):
             if cast is bool:   # 1/true/yes/on or 0/false/no/off, else ValueError
                 return cp.getboolean(section, key)
             return cast(raw)
-        except ValueError as e:
+        except (ValueError, InvalidSpec) as e:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from None
     return default
 
 
-def _floats(text):
-    """A list of floats separated by commas or blanks: 'a, b c' -> (a, b, c)."""
-    return tuple(float(s) for s in text.replace(",", " ").split())
-
-
-def _read_fields(cp, section, dataclass_fields):
-    """{name: value} of the fields in [section], each typed and defaulted by its field."""
-    return {f.name: _get(cp, section, f.name, f.default, f.type) for f in dataclass_fields}
+def _mode_list(values, section, key, grid):
+    """The mode list read as [section] key, taken out of values and checked against the grid."""
+    try:
+        return check_modes(values[section].pop(key), grid.n)
+    except InvalidSpec as e:
+        raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
 def load_config(path):
@@ -140,47 +103,36 @@ def load_config(path):
     except configparser.Error as e:
         raise ConfigError(str(e)) from None
     for section in cp.sections():
-        if section not in _KNOWN:
+        if section not in SCHEMA and section != "verify":
             raise ConfigError(f"unknown section [{section}]")
-        if section == "verify":
-            for key in cp.options(section):
-                if key != "checks" and not key.startswith("tol."):
-                    raise ConfigError(f"unknown key {key!r} in [verify]")
-        else:
-            for key in cp.options(section):
-                if key not in _KNOWN[section]:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
-    version = _get(cp, "schema", "version", SCHEMA_VERSION, int)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {version}")
+        for key in cp.options(section):
+            if not (key in SCHEMA[section] if section != "verify"
+                    else key == "checks" or key.startswith("tol.")):
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    values = {section: {key: _get(cp, section, key, *rule) for key, rule in keys.items()}
+              for section, keys in SCHEMA.items()}
+    if values["schema"]["version"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {values['schema']['version']}")
+    grid = TorusGrid.checked(**values["grid"], source="[grid]")
 
-    try:
-        grid = TorusGrid(_get(cp, "grid", "n", 1, int),
-                         _get(cp, "grid", "res", 128, int),
-                         _get(cp, "grid", "period", 1.0, float))
-    except ValueError as e:
-        raise ConfigError(f"[grid] {e}") from None
-
-    kind = _get(cp, "initial", "kind", "smooth", str)
-    center = _get(cp, "initial", "center", (), _floats) or None
-    if center is not None and len(center) != 2 * grid.n:
+    initial, flow = values["initial"], values["flow"]
+    if initial["center"] and len(initial["center"]) != 2 * grid.n:
         raise ConfigError(f"center needs {2 * grid.n} coordinates")
-    spec = PotentialSpec(kind=kind, center=center,
-                         modes=parse_modes(_get(cp, "initial", "modes", "", str)),
-                         **_read_fields(cp, "initial", _SPEC_SCALARS))
+    delta0 = initial.pop("delta0")
+    if len(delta0) > 1:
+        raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
+    setup = {key: initial.pop(key) for key in ("levels", "trunc_depth", "ratio")}
+    spec = PotentialSpec(modes=_mode_list(values, "initial", "modes", grid),
+                         center=initial.pop("center") or None, **initial)
 
-    snapshots = _get(cp, "output", "snapshots", (), _floats)
-    flow = FlowConfig(
-        grid=grid,
-        twist=TwistSpec(_get(cp, "flow", "c", 0.0, float),
-                        _mode_field(grid, _get(cp, "flow", "psi_chi_modes", "", str))),
-        h=_mode_field(grid, _get(cp, "flow", "h_modes", "", str)),
-        snapshot_times=snapshots, **_read_fields(cp, "flow", SETTINGS))
+    psi, h = (_mode_list(values, "flow", key, grid) for key in ("psi_chi_modes", "h_modes"))
+    twist = TwistSpec(flow.pop("c"), PotentialField(grid, mode_sum(grid, psi)) if psi else None)
+    run = FlowConfig(grid=grid, twist=twist,
+                     h=PotentialField(grid, mode_sum(grid, h)) if h else None,
+                     snapshot_times=values["output"]["snapshots"], **flow)
 
-    outdir = _get(cp, "output", "dir", "out", str)
-    root = os.environ.get("MAFLOW_OUTPUT_ROOT", "")
-    if root and not os.path.isabs(outdir):
-        outdir = os.path.join(root, outdir)
+    # joined to an absolute dir, the root drops out
+    outdir = os.path.join(os.environ.get("MAFLOW_OUTPUT_ROOT", ""), values["output"]["dir"])
 
     checks = _get(cp, "verify", "checks", "", str).replace(",", " ").split()
     tolerances = {key[4:]: _get(cp, "verify", key, None, float)
@@ -191,13 +143,5 @@ def load_config(path):
         if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
             raise ConfigError(f"[verify] check {name!r} takes no tol")
 
-    delta0 = _get(cp, "initial", "delta0", (), _floats)
-    if len(delta0) > 1:
-        raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
-    return RunSetup(
-        grid=grid, spec=spec,
-        levels=_get(cp, "initial", "levels", 1, int),
-        trunc_depth=_get(cp, "initial", "trunc_depth", 1.0, float),
-        delta0=delta0[0] if delta0 else None,
-        ratio=_get(cp, "initial", "ratio", 0.7, float),
-        flow=flow, outdir=outdir, checks=checks, tolerances=tolerances)
+    return RunSetup(grid=grid, spec=spec, delta0=delta0[0] if delta0 else None,
+                    flow=run, outdir=outdir, checks=checks, tolerances=tolerances, **setup)

@@ -51,11 +51,19 @@ bit-identical; ``lane_pays`` says where the helper is worth its cost.
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import KaehlerConeViolation, SingularMetric
+from .errors import ConfigError, KaehlerConeViolation, SingularMetric
 
 
 def _is_power_of_two(m):
     return m >= 1 and (m & (m - 1)) == 0
+
+
+def _whole(x):
+    """int(x) where that keeps the value of x; None for 1.5, NaN, inf, "8" or None."""
+    try:
+        return int(x) if int(x) == x else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 class TorusGrid:
@@ -65,26 +73,32 @@ class TorusGrid:
     ----------
     n : complex dimension, 1 or 2.
     res : points per real axis, a power of two >= 8.
-    period : real period per axis (default 1).
+    period : real period per axis (default 1), finite.
 
     Derivative multipliers and FFT plans are cached on the instance; two
     grids compare equal iff (n, res, period) agree.
     """
 
     def __init__(self, n, res, period=1.0):
-        n = int(n)
-        res = int(res)
-        period = float(period)
+        n, res, period = _whole(n), _whole(res), float(period)
         if n not in (1, 2):
             raise ValueError("complex dimension must be 1 or 2")
-        if res < 8 or not _is_power_of_two(res):
+        if res is None or res < 8 or not _is_power_of_two(res):
             raise ValueError("res must be a power of two >= 8")
-        if period <= 0.0:
-            raise ValueError("period must be positive")
+        if not 0.0 < period < np.inf:
+            raise ValueError("period must be finite and positive")
         self.n = n
         self.res = res
         self.period = period
         self._cache = {}
+
+    @classmethod
+    def checked(cls, n, res, period, source):
+        """The grid of outside values; a value it rejects is a ConfigError naming ``source``."""
+        try:
+            return cls(n, res, period)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{source}: {e}") from None
 
     # -- basic geometry -------------------------------------------------
 

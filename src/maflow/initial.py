@@ -124,6 +124,38 @@ def cos_mode(grid, kvec, amp, phase=0.0):
     return amp * np.cos(np.broadcast_to(arg, grid.shape))
 
 
+def parse_modes(text):
+    """The one reader of a mode list, 'k1 k2 ... : amp [: phase]; ...' -> [(kvec, amp, phase)];
+    an entry that is not integers, an amplitude and an optional phase is an InvalidSpec."""
+    out = []
+    for entry in filter(None, (e.strip() for e in text.split(";"))):
+        parts = entry.split(":")
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError
+            kvec = tuple(int(k) for k in parts[0].split())
+            out.append((kvec, float(parts[1]), float(parts[2]) if len(parts) == 3 else 0.0))
+        except ValueError:
+            raise InvalidSpec(f"bad mode entry {entry!r}") from None
+    return out
+
+
+def check_modes(modes, n):
+    """The mode list itself; an InvalidSpec where a kvec has not 2n entries."""
+    for kvec, _, _ in modes:
+        if len(kvec) != 2 * n:
+            raise InvalidSpec(f"mode {kvec} has {len(kvec)} entries, need {2 * n}")
+    return modes
+
+
+def mode_sum(grid, modes):
+    """Sum of cos_mode over a mode list, in its order (checked by check_modes)."""
+    vals = np.zeros(grid.shape)
+    for kvec, amp, phase in check_modes(modes, grid.n):
+        vals += cos_mode(grid, kvec, amp, phase)
+    return vals
+
+
 def log_pole(grid, z0):
     """Periodized log|z - z0|, of Lelong mass 1 at z0 (shared by the oracle)."""
     if grid.n == 1:
@@ -148,9 +180,7 @@ def sample_potential(spec, grid, validate=True):
     min eig(I + H) >= -1e-6, i.e. the sample is omega-psh up to tolerance.
     """
     if spec.kind == "smooth":
-        vals = np.zeros(grid.shape)
-        for kvec, amp, phase in spec.modes:
-            vals += cos_mode(grid, kvec, amp, phase)
+        vals = mode_sum(grid, spec.modes)
     elif spec.kind == "from_file":
         from . import io as _io
         fld, _ = _io.read_field(spec.path)

@@ -14,6 +14,7 @@ the fixed column schema, meta.json, the h / psi_chi fields when present,
 and one phi / phidot snapshot pair per recorded snapshot time.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -37,7 +38,7 @@ def write_field(path, field, t=0.0):
 
 
 def read_field(path):
-    """Returns (PotentialField, t); a missing file is a ConfigError naming it."""
+    """Returns (PotentialField, t); a missing file or a bad header is a ConfigError naming it."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -49,7 +50,7 @@ def read_field(path):
         magic, n, res, period, t = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a MAFL snapshot")
-        grid = TorusGrid(n, res, period)
+        grid = TorusGrid.checked(n, res, period, path)
         data = np.frombuffer(fh.read(grid.npoints * 8), dtype="<f8")
         if data.size != grid.npoints:
             raise ConfigError(f"{path}: truncated snapshot")
@@ -117,8 +118,21 @@ def _optional_field(dirpath, name):
     return read_field(path)[0] if os.path.exists(path) else None
 
 
+@contextlib.contextmanager
+def _meta_values(dirpath):
+    """The one error boundary of meta.json's values: a missing key, or a value of the
+    wrong type or range (KeyError, TypeError, ValueError), is a ConfigError naming the file."""
+    path = os.path.join(dirpath, "meta.json")
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{path} lacks {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _read_meta(dirpath):
-    """The meta.json of a saved trajectory; ConfigError where it is missing or no JSON object."""
+    """(meta, grid) of a saved run: its meta.json, parsed here only, and the grid it names."""
     path = os.path.join(dirpath, "meta.json")
     try:
         with open(path) as fh:
@@ -129,16 +143,16 @@ def _read_meta(dirpath):
         raise ConfigError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: not a JSON object")
-    return meta
+    with _meta_values(dirpath):
+        return meta, TorusGrid.checked(meta["n"], meta["res"], meta["period"], path)
 
 
 def load_trajectory(dirpath):
     """A saved trajectory; it carries its twist when psi_chi.mafl was saved."""
-    meta = _read_meta(dirpath)
-    try:
-        grid = TorusGrid(meta["n"], meta["res"], meta["period"])
-        times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
-        snaps = []
+    meta, grid = _read_meta(dirpath)
+    times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
+    snaps = []
+    with _meta_values(dirpath):
         for rec in meta.pop("snapshot_index", []):
             i = rec["i"]
             phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
@@ -149,38 +163,41 @@ def load_trajectory(dirpath):
             snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
         psi = _optional_field(dirpath, "psi_chi.mafl")
         twist = None if psi is None else TwistSpec(meta["c"], psi)
-    except KeyError as e:
-        raise ConfigError(f"{dirpath}: meta.json lacks {e.args[0]!r}") from None
     return Trajectory(grid, meta, times, series, snaps, twist)
 
 
-def load_run_config(dirpath, twist=None):
-    """Rebuild the FlowConfig of a saved run (for restarts and verifiers).
-
-    ``twist`` is the run's twist when already loaded (a loaded trajectory's),
-    so psi_chi.mafl is not read again; by default it is rebuilt from dirpath.
-    """
-    meta = _read_meta(dirpath)
-    try:
+def _run_config(dirpath, meta, grid, twist):
+    """The FlowConfig of the run saved in dirpath, from its parsed meta.json and grid."""
+    with _meta_values(dirpath):
         settings = {f.name: meta[f.name] for f in SETTINGS}
-        grid = TorusGrid(meta["n"], meta["res"], meta["period"])
-        c, snapshot_times = meta["c"], tuple(meta["snapshot_times"])
-    except KeyError as e:
-        raise ConfigError(f"{dirpath}: meta.json lacks {e.args[0]!r}") from None
-    if twist is None:
-        twist = TwistSpec(c, _optional_field(dirpath, "psi_chi.mafl"))
-    return FlowConfig(grid=grid, twist=twist, h=_optional_field(dirpath, "h.mafl"),
-                      snapshot_times=snapshot_times, **settings)
+        if twist is None:
+            twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
+        return FlowConfig(grid=grid, twist=twist, h=_optional_field(dirpath, "h.mafl"),
+                          snapshot_times=tuple(meta["snapshot_times"]), **settings)
+
+
+def load_run_config(dirpath, twist=None):
+    """The FlowConfig of a saved run; ``twist``, when given, spares reading psi_chi.mafl."""
+    return _run_config(dirpath, *_read_meta(dirpath), twist)
+
+
+def load_run(dirpath):
+    """(trajectory, FlowConfig) of a saved run, for a restart: one read of meta.json."""
+    traj = load_trajectory(dirpath)
+    return traj, _run_config(dirpath, traj.meta, traj.grid, traj.twist)
+
+
+def load_levels(rundir):
+    """The trajectories of a run directory's level_* subdirectories, in name order."""
+    if not os.path.isdir(rundir):
+        raise ConfigError(f"{rundir}: no such run directory")
+    names = sorted(d for d in os.listdir(rundir) if d.startswith("level_"))
+    if not names:
+        raise ConfigError(f"{rundir}: no level_* subdirectories")
+    return [load_trajectory(os.path.join(rundir, d)) for d in names]
 
 
 def write_verdicts(path, reports):
     payload = [r.to_dict() for r in reports]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def level_dirs(rundir):
-    if not os.path.isdir(rundir):
-        raise ConfigError(f"{rundir}: no such run directory")
-    out = sorted(d for d in os.listdir(rundir) if d.startswith("level_"))
-    return [os.path.join(rundir, d) for d in out]

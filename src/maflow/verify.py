@@ -363,8 +363,7 @@ def verify_mean_value(traj, slope_tol=1e-3, convex_tol=1e-3):
 
 
 def verify_lelong_attenuation(level_trajs, gamma, beta, phi0_singular, u,
-                              probe_times, slope_tol_rel=0.05, sub_tol=1e-3,
-                              h=None):
+                              probe_times, slope_tol_rel=0.05, sub_tol=1e-3):
     """Linear attenuation of the log singularity, in two slacks.
 
     (a) subsolution bound on the deepest level for t < 1/(2 beta):

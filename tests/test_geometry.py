@@ -50,6 +50,20 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             mf.TorusGrid(**bad)
 
+    @pytest.mark.parametrize("bad", [dict(n=1.5, res=16), dict(n=None, res=16),
+                                     dict(n=1, res=16.5), dict(n=1, res=16, period=np.nan),
+                                     dict(n=1, res=16, period=np.inf)])
+    def test_rejects_values_int_would_change_and_a_non_finite_period(self, bad):
+        with pytest.raises(ValueError):
+            mf.TorusGrid(**bad)
+
+    def test_checked_grid_names_its_source(self):
+        assert mf.TorusGrid.checked(2, 8.0, 2, "src") == mf.TorusGrid(2, 8, 2.0)
+        with pytest.raises(mf.ConfigError, match=r"^a\.mafl: res must be a power of two"):
+            mf.TorusGrid.checked(1, 16.5, 1.0, "a.mafl")
+        with pytest.raises(mf.ConfigError, match="^meta.json: "):
+            mf.TorusGrid.checked(1, 16, None, "meta.json")
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_multiplier_symbol_and_mask_has_the_spectrum_shape(self, n):
         g = mf.TorusGrid(n, 8)

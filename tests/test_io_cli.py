@@ -166,6 +166,28 @@ tol.sup_bound = 1e-6
             load_config(p)
         assert main(["run", str(p)]) == 2
 
+    @pytest.mark.parametrize("n, key, value", [
+        (2, "modes", "1 0 : 0.01"),        # read as a mode of the first coordinate before
+        (1, "modes", "1 0 0 1 : 0.01"),    # an IndexError before
+        (1, "modes", "a 0 : 0.01"),        # a ValueError before, as the three below
+        (1, "modes", "1 0 : x"),
+        (1, "h_modes", "a 0 : 0.01"),
+        (1, "h_modes", "1 0 : x"),
+    ])
+    def test_malformed_mode_entry_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys,
+                                                         n, key, value):
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        section = "initial" if key == "modes" else "flow"
+        lines = {"initial": "", "flow": "T = 1e-3\n", section: ""}
+        lines[section] += f"{key} = {value}\n"
+        p = tmp_path / "run.ini"
+        p.write_text(f"[grid]\nn = {n}\nres = 8\n[initial]\n{lines['initial']}"
+                     f"[flow]\n{lines['flow']}")
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert f"[{section}] {key}" in err
+
     def test_non_finite_horizon_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
         p = tmp_path / "run.ini"
@@ -438,6 +460,9 @@ class TestTypedErrors:
         (["verify", "missing"], "no such run directory"),
         (["compare", "missing", "res16/level_00"], "no saved trajectory"),
         (["restart", "missing", "--at", "0.005"], "no saved trajectory"),
+        (["oracle", "heat", "--period", "nan"], "period must be finite and positive"),
+        (["oracle", "elliptic_fixed_point", "--res", "16", "--h-modes", "a 0 : 0.05"],
+         "bad mode entry 'a 0 : 0.05'"),
     ])
     def test_exits_2_with_a_one_line_message(self, runs, argv, message, capsys, monkeypatch):
         monkeypatch.chdir(runs)
@@ -474,6 +499,18 @@ def edit_series(level, change):
     csv.write_text("\n".join(change(csv.read_text().splitlines())) + "\n")
 
 
+def edit_header(level, **values):
+    """Set header fields (n, res, period) of level's snap_001_phi.mafl, keeping its data."""
+    path = level / "snap_001_phi.mafl"
+    raw = path.read_bytes()
+    head = dict(zip(("magic", "n", "res", "period", "t"), mio._HEADER.unpack_from(raw)), **values)
+    path.write_bytes(mio._HEADER.pack(*head.values()) + raw[mio._HEADER.size:])
+
+
+def set_meta(key, value):
+    return lambda d: edit_meta(d, lambda m: m.__setitem__(key, value))
+
+
 CORRUPTIONS = {   # name: (file named in the message, corruption of a saved level)
     "malformed_meta": ("meta.json", lambda d: (d / "meta.json").write_text('{"n": 1,')),
     "meta_not_an_object": ("meta.json", lambda d: (d / "meta.json").write_text("[1, 2]")),
@@ -488,6 +525,15 @@ CORRUPTIONS = {   # name: (file named in the message, corruption of a saved leve
     "no_series": ("series.csv", lambda d: (d / "series.csv").unlink()),
     "header_without_t": (
         "series.csv", lambda d: edit_series(d, lambda ls: ["time" + ls[0][1:]] + ls[1:])),
+    # these used to end in a traceback, or (a NaN period) to pass
+    "meta_n_3": ("meta.json", set_meta("n", 3)),
+    "meta_n_null": ("meta.json", set_meta("n", None)),
+    "meta_res_string": ("meta.json", set_meta("res", "x")),
+    "meta_period_nan": ("meta.json", set_meta("period", float("nan"))),
+    "string_snapshot_index": (
+        "meta.json", lambda d: edit_meta(d, lambda m: m["snapshot_index"][0].update(i="0"))),
+    "header_n_3": ("snap_001_phi.mafl", lambda d: edit_header(d, n=3)),
+    "header_period_nan": ("snap_001_phi.mafl", lambda d: edit_header(d, period=float("nan"))),
 }
 
 
@@ -560,9 +606,13 @@ class TestTwistedRestart:
             return orig(path)
 
         monkeypatch.setattr(mio, "read_field", counting)
+        parses = []
+        json_load = json.load
+        monkeypatch.setattr(json, "load", lambda fh: parses.append(fh.name) or json_load(fh))
         dest = tmp_path / "restart"
         assert main(["restart", str(src), "--at", "0.01", "--out", str(dest)]) == 0
         assert sum(p.endswith("psi_chi.mafl") for p in reads) == 1
+        assert parses == [str(src / "meta.json")]   # one parse of meta.json
         monkeypatch.undo()
         tail = mio.load_trajectory(dest)
         assert np.array_equal(tail.twist.psi_chi.values, psi.values)

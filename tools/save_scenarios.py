@@ -34,11 +34,14 @@ rk4_fixed and semi_implicit and in the density form under rk4 and
 semi_implicit, with dt_min = 1e-9, a snapshot 1e-10 past a step end
 (``boundary_remainder/``) and two snapshot times 5e-10 apart
 (``boundary_close/``) (a failure is recorded in ``error.txt``); the ``lelong_field`` oracle at n = 1 and n = 2; and the
-command line on an INI whose [flow] and [initial] values are off
-their defaults (``cli/``): ``maflow run`` (three bounded levels, twisted
-with psi_chi and h), ``maflow restart --at`` of the deepest level and
-``maflow verify`` with that restart, whose exit codes go to
-``cli/exit_codes.json``.  Takes about a minute on one core.
+command line (``cli/``): on an INI whose [flow] and [initial] values are
+off their defaults, ``maflow run`` (three bounded levels, twisted with
+psi_chi and h), ``maflow restart --at`` of the deepest level, ``maflow
+verify`` with that restart and ``maflow compare`` of two levels; ``maflow
+run`` of a smooth n = 2 INI from [initial] modes (``cli/smooth_n2/``);
+``maflow oracle heat`` at n = 2 and ``maflow oracle elliptic_fixed_point``
+with ``--h-modes``; their exit codes go to ``cli/exit_codes.json``.  Takes
+about a minute on one core.
 """
 
 import json
@@ -173,12 +176,32 @@ snapshots = 0.0025, 0.005, 0.01
 """
 
 
+# a smooth n = 2 run from [initial] modes, all else at its defaults
+CLI_SMOOTH_N2 = """\
+[grid]
+n = 2
+res = 8
+
+[initial]
+modes = 1 0 0 0 : 0.02 : 0.0; 0 1 1 0 : 0.012 : 0.7; 1 0 0 1 : 0.008 : 0.2
+
+[flow]
+T = 0.004
+record_every = 3
+
+[output]
+dir = smooth_n2
+snapshots = 0.002
+"""
+
+
 def save_cli(outdir):
-    """maflow run, restart --at and verify on CLI_CONFIG, all under outdir."""
+    """maflow run, restart --at, verify, oracle and compare, all under outdir."""
     os.makedirs(outdir, exist_ok=True)
-    config = os.path.join(outdir, "config.ini")
-    with open(config, "w") as fh:
-        fh.write(CLI_CONFIG)
+    config, smooth_n2 = os.path.join(outdir, "config.ini"), os.path.join(outdir, "smooth_n2.ini")
+    for path, text in ((config, CLI_CONFIG), (smooth_n2, CLI_SMOOTH_N2)):
+        with open(path, "w") as fh:
+            fh.write(text)
     os.environ["MAFLOW_OUTPUT_ROOT"] = outdir   # [output] dir is relative
     run_dir, restart_dir = os.path.join(outdir, "run"), os.path.join(outdir, "restart")
     codes = {
@@ -186,6 +209,16 @@ def save_cli(outdir):
         "restart": cli.main(["restart", os.path.join(run_dir, "level_02"), "--at", "0.005",
                              "--out", restart_dir]),
         "verify": cli.main(["verify", run_dir, "--restart-dir", restart_dir]),
+        "run_smooth_n2": cli.main(["run", smooth_n2]),
+        "oracle_heat": cli.main(["oracle", "heat", "--n", "2", "--res", "8", "--mode", "1 0 0 1",
+                                 "--T", "0.1", "--out", os.path.join(outdir, "oracle_heat")]),
+        "oracle_fixed_point": cli.main([
+            "oracle", "elliptic_fixed_point", "--res", "16",
+            "--h-modes", "1 0 : 0.1 : 0.2; 0 1 : 0.05 : 0.0",
+            "--out", os.path.join(outdir, "oracle_fixed_point")]),
+        "compare": cli.main(["compare", os.path.join(run_dir, "level_00"),
+                             os.path.join(run_dir, "level_01"),
+                             "--out", os.path.join(outdir, "compare.json")]),
     }
     with open(os.path.join(outdir, "exit_codes.json"), "w") as fh:
         json.dump(codes, fh, indent=1, sort_keys=True)
