@@ -18,14 +18,14 @@ the cofactor matrix.  At n = 1 cof(M) = 1, so near a steep metric (the
 mollified pole of the Lelong check) only the zeroth-order term varies
 (``_inner_solve``).  Each Newton step records its GMRES matvecs and whether
 the inner solve met its tolerance in ``SolverLog``.  Damping backtracks on
-the residual sup-norm with factor 1/2 down to 2^-20.
+the residual sup-norm with factor 1/2 down to 2^-20.  GMRES (scipy.sparse,
+with scipy.linalg) is imported by the first inner solve, not with the package.
 """
 
 import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import geometry as geo
 from .errors import IncompatibleData, NewtonDiverged, SingularMetric
@@ -124,6 +124,9 @@ def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
     ``geometry.hessian_raw`` zeroes) is replaced by -1 and both operators
     act on mean-zero fields.
     """
+    # imported on first use, so processes that solve no elliptic problem never load scipy.sparse
+    from scipy.sparse.linalg import LinearOperator, lgmres
+
     cbar = float((det * geo.trace_raw(grid, inv)).mean() / grid.n)
     pre = cbar * grid.flat_symbol() - alpha * float(det.mean())
     if alpha == 0.0:

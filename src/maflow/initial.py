@@ -15,13 +15,13 @@ Regularization replaces abstract smoothing theory by an explicit scheme
 that is exact on the flat torus: truncate at depth j*K, mollify with the
 heat kernel at radius delta_j (a positive kernel, so omega-psh survives),
 and add the compensating constant C*delta_j^2 with C = 2n + 1/2 so the
-levels decrease pointwise in j.
+levels decrease pointwise in j.  The sphere averages of the Lelong estimator
+interpolate with scipy.ndimage, which is imported by the first of them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from . import geometry as geo
 from .errors import InsufficientResolution, InvalidSpec, MonotonicityFailure
@@ -279,6 +279,9 @@ def _sphere_directions(n, count, seed=7):
 
 def sphere_average(phi, z0, r, n_dirs=96):
     """Average of phi over the sphere |z - z0| = r (interpolated, periodic)."""
+    # imported on first use, so processes that take no Lelong estimate never load scipy.ndimage
+    from scipy.ndimage import map_coordinates
+
     grid = phi.grid
     dirs = _sphere_directions(grid.n, n_dirs)
     pts = (np.asarray(z0)[None, :] + r * dirs) / grid.h

@@ -16,8 +16,10 @@ and one phi / phidot snapshot pair per recorded snapshot time.
 
 import contextlib
 import json
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -112,22 +114,33 @@ def save_run(traj, dirpath, config=None):
     return dirpath
 
 
-def _optional_field(dirpath, name):
-    """The field saved as ``name`` in dirpath, or None when there is no such file."""
+def _read_on(path, grid):
+    """read_field(path) of a saved run; a field off the run's grid is a ConfigError naming path."""
+    field, t = read_field(path)
+    if field.grid != grid:
+        f = field.grid
+        raise ConfigError(f"{path}: grid (n, res, period) = ({f.n}, {f.res}, {f.period:g}) "
+                          f"differs from meta.json's ({grid.n}, {grid.res}, {grid.period:g})")
+    return field, t
+
+
+def _optional_field(dirpath, name, grid):
+    """The field saved as ``name`` in dirpath, on ``grid``, or None when there is no such file."""
     path = os.path.join(dirpath, name)
-    return read_field(path)[0] if os.path.exists(path) else None
+    return _read_on(path, grid)[0] if os.path.exists(path) else None
 
 
 @contextlib.contextmanager
 def _meta_values(dirpath):
     """The one error boundary of meta.json's values: a missing key, or a value of the
-    wrong type or range (KeyError, TypeError, ValueError), is a ConfigError naming the file."""
+    wrong type or range (KeyError, TypeError, ValueError, OverflowError), is a
+    ConfigError naming the file."""
     path = os.path.join(dirpath, "meta.json")
     try:
         yield
     except KeyError as e:
         raise ConfigError(f"{path} lacks {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
@@ -147,21 +160,39 @@ def _read_meta(dirpath):
         return meta, TorusGrid.checked(meta["n"], meta["res"], meta["period"], path)
 
 
+def _check_values(meta, t_first):
+    """meta.json's values that verify reads: c, sup_h, inf_h, t0 and T finite numbers,
+    t_max (when saved) a positive number or Infinity, inf_h <= sup_h, and t0 the first
+    series time; a ValueError names the key."""
+    big = sys.float_info.max   # abs(v) <= big fails for NaN, +-Infinity and ints past floats
+    for key in ("c", "sup_h", "inf_h", "t0", "T"):
+        if type(meta[key]) not in (int, float) or not abs(meta[key]) <= big:
+            raise ValueError(f"{key} = {meta[key]!r} is not a finite number")
+    t_max = meta.get("t_max", math.inf)
+    if type(t_max) not in (int, float) or not (0.0 < t_max <= big or t_max == math.inf):
+        raise ValueError(f"t_max = {t_max!r} is not a positive number or Infinity")
+    if meta["inf_h"] > meta["sup_h"]:
+        raise ValueError(f"inf_h = {meta['inf_h']!r} exceeds sup_h = {meta['sup_h']!r}")
+    if meta["t0"] != t_first:
+        raise ValueError(f"t0 = {meta['t0']!r} is not the first series time {t_first!r}")
+
+
 def load_trajectory(dirpath):
     """A saved trajectory; it carries its twist when psi_chi.mafl was saved."""
     meta, grid = _read_meta(dirpath)
     times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
     snaps = []
     with _meta_values(dirpath):
+        _check_values(meta, float(times[0]))
         for rec in meta.pop("snapshot_index", []):
             i = rec["i"]
-            phi, t = read_field(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"))
-            dot, t_dot = read_field(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"))
+            phi, t = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"), grid)
+            dot, t_dot = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"), grid)
             if t != rec["t"] or t_dot != rec["t"]:
                 raise ConfigError(f"{dirpath}: snapshot {i} is stamped t={t}, t={t_dot}; "
                                   f"meta.json says t={rec['t']}")
             snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
-        psi = _optional_field(dirpath, "psi_chi.mafl")
+        psi = _optional_field(dirpath, "psi_chi.mafl", grid)
         twist = None if psi is None else TwistSpec(meta["c"], psi)
     return Trajectory(grid, meta, times, series, snaps, twist)
 
@@ -171,8 +202,8 @@ def _run_config(dirpath, meta, grid, twist):
     with _meta_values(dirpath):
         settings = {f.name: meta[f.name] for f in SETTINGS}
         if twist is None:
-            twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl"))
-        return FlowConfig(grid=grid, twist=twist, h=_optional_field(dirpath, "h.mafl"),
+            twist = TwistSpec(meta["c"], _optional_field(dirpath, "psi_chi.mafl", grid))
+        return FlowConfig(grid=grid, twist=twist, h=_optional_field(dirpath, "h.mafl", grid),
                           snapshot_times=tuple(meta["snapshot_times"]), **settings)
 
 

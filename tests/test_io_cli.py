@@ -511,7 +511,12 @@ def set_meta(key, value):
     return lambda d: edit_meta(d, lambda m: m.__setitem__(key, value))
 
 
-CORRUPTIONS = {   # name: (file named in the message, corruption of a saved level)
+def on_res_8(name, t):
+    """Rewrite level's ``name`` as a valid res 8 field stamped t."""
+    return lambda d: mio.write_field(d / name, mode(mf.TorusGrid(1, 8), (1, 0), 0.02), t=t)
+
+
+CORRUPTIONS = {   # name: (file, and key, named in the message; corruption of a saved level)
     "malformed_meta": ("meta.json", lambda d: (d / "meta.json").write_text('{"n": 1,')),
     "meta_not_an_object": ("meta.json", lambda d: (d / "meta.json").write_text("[1, 2]")),
     "meta_without_n": ("meta.json", lambda d: edit_meta(d, lambda m: m.pop("n"))),
@@ -534,6 +539,26 @@ CORRUPTIONS = {   # name: (file named in the message, corruption of a saved leve
         "meta.json", lambda d: edit_meta(d, lambda m: m["snapshot_index"][0].update(i="0"))),
     "header_n_3": ("snap_001_phi.mafl", lambda d: edit_header(d, n=3)),
     "header_period_nan": ("snap_001_phi.mafl", lambda d: edit_header(d, period=float("nan"))),
+    # these used to end in a traceback inside verify, or (t0) in estimate violations
+    "meta_c_string": ("meta.json: c =", set_meta("c", "x")),
+    "meta_sup_h_inf": ("meta.json: sup_h =", set_meta("sup_h", float("inf"))),
+    "meta_inf_h_null": ("meta.json: inf_h =", set_meta("inf_h", None)),
+    "meta_inf_h_above_sup_h": ("meta.json: inf_h =", set_meta("inf_h", 1.0)),
+    "meta_t0_null": ("meta.json: t0 =", set_meta("t0", None)),
+    "meta_t0_past_first_time": ("meta.json: t0 =", set_meta("t0", 1.5)),
+    "meta_t0_1e308": ("meta.json: t0 =", set_meta("t0", 1e308)),
+    "meta_t0_nan": ("meta.json: t0 =", set_meta("t0", float("nan"))),
+    "meta_c_past_float_range": ("meta.json: c =", set_meta("c", 10 ** 400)),
+    "meta_T_null": ("meta.json: T =", set_meta("T", None)),
+    "meta_T_string": ("meta.json: T =", set_meta("T", "x")),
+    "meta_t_max_string": ("meta.json: t_max =", set_meta("t_max", "x")),
+    "meta_t_max_nan": ("meta.json: t_max =", set_meta("t_max", float("nan"))),
+    "meta_t_max_past_float_range": ("meta.json: t_max =", set_meta("t_max", 10 ** 400)),
+    # a valid field on another grid than meta.json's
+    "snapshot_phi_res_8": ("snap_001_phi.mafl", on_res_8("snap_001_phi.mafl", 0.01)),
+    "snapshot_phidot_res_8": ("snap_001_phidot.mafl", on_res_8("snap_001_phidot.mafl", 0.01)),
+    "first_snapshot_res_8": ("snap_000_phi.mafl", on_res_8("snap_000_phi.mafl", 0.0)),
+    "psi_chi_res_8": ("psi_chi.mafl", on_res_8("psi_chi.mafl", 0.0)),
 }
 
 
