@@ -11,8 +11,11 @@ the data must satisfy the compatibility int e^{g+h} omega^n = (1+tc)^n V
 and the solution is fixed by the mu-mean normalization.
 
 The Newton linearization is L delta = tr_M(dd^c delta) - alpha delta.  The
-inner solve is right-preconditioned GMRES.  Its preconditioner inverts L
-scaled by det M, with the coefficients frozen at their means.  Scaled, L
+inner solve is left-preconditioned GMRES: scipy's ``lgmres`` passes its M to
+the inner ``_fgmres`` as ``lpsolve``, applied to the residual, and stops when
+the unpreconditioned residual |b - L delta| <= rtol |b| at the start of an
+outer cycle.  Its preconditioner inverts L scaled by det M, with the
+coefficients frozen at their means.  Scaled, L
 reads cof(M) : dd^c delta - alpha det delta, where cof(M) = det M^{-1} is
 the cofactor matrix.  At n = 1 cof(M) = 1, so near a steep metric (the
 mollified pole of the Lelong check) only the zeroth-order term varies
@@ -103,10 +106,13 @@ def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=Non
 
 
 def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
-    """Right-preconditioned GMRES for apply(delta) = rhs; apply is the linearization at M.
+    """Left-preconditioned GMRES for apply(delta) = rhs; apply is the linearization at M.
 
     Returns (delta, matvecs, converged); converged is False when lgmres ran
-    out at maxiter without meeting rtol.  ``inv`` is raw M^{-1} and ``det``
+    out at maxiter without meeting rtol.  lgmres applies the preconditioner
+    on the left (its inner ``_fgmres`` takes M as ``lpsolve``), and tests
+    |b - apply(delta)| <= rtol |b|, the residual without the preconditioner,
+    at the start of each outer cycle.  ``inv`` is raw M^{-1} and ``det``
     det M.  Multiplied by det M the linearization reads
 
         det (tr_M(dd^c delta) - alpha delta) = cof(M) : dd^c delta - alpha det delta,

@@ -88,7 +88,8 @@ from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, KaehlerConeViolation, MaflowError, StepSizeUnderflow
 from .geometry import PotentialField
-from .initial import ApproximationLevel, ApproximationSequence, approximation_sequence
+from .initial import (ApproximationLevel, ApproximationSequence, PotentialSpec,
+                      approximation_sequence)
 
 SIGN_TOL = 1e-10
 
@@ -467,16 +468,18 @@ def _advance(st, state, t_bound):
 def _rk4_candidate(st, t, y, rhs, dt):
     """RK4 from (t, y) with right-hand side ``rhs``: y at t + dt, not yet checked by parts.
 
-    Raises _Reject where a stage's ``st.parts`` does, or on a non-finite result.
+    Raises _Reject where a stage's ``st.parts`` does.  The result is not
+    scanned for NaN or inf: its caller rejects a non-finite one.  In
+    ``_advance`` that is ``st.parts`` at the candidate: in the potential
+    form the FFT spreads a NaN or inf over the whole Hessian, so min_eig is
+    NaN; in the density form, and in ``logdiff.step_logfd``,
+    ``logdiff._positive_min`` rejects it.
     """
     r1 = st.rate(rhs)
     r2 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r1))[0])
     r3 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r2))[0])
     r4 = st.rate(st.parts(t + dt, PotentialField(st.grid, y + dt * r3))[0])
-    new = y + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    if not np.all(np.isfinite(new)):
-        raise _Reject(float("nan"))
-    return new
+    return y + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
 
 
 def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
@@ -571,9 +574,13 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
     ``workers`` (>= 1; default: the usable CPUs) caps the threads the run
     keeps busy.  From two on, a grid where ``geometry.lane_pays`` gets one
     helper thread for the right-hand side, joined before the call returns;
-    the output does not depend on it.
+    the output does not depend on it.  ``data_class``, recorded in the
+    meta, is one of ``PotentialSpec.DATA_CLASSES``.
     """
     cap = _cpu_cap(workers)
+    if data_class not in PotentialSpec.DATA_CLASSES:
+        raise ConfigError(f"data class {data_class!r} is not one of "
+                          f"{', '.join(PotentialSpec.DATA_CLASSES)}")
     level_meta = {}
     if isinstance(source, ApproximationLevel):
         level_meta = {"level": source.j, "delta": source.delta, "level_eps": source.eps}

@@ -16,7 +16,9 @@ that is exact on the flat torus: truncate at depth j*K, mollify with the
 heat kernel at radius delta_j (a positive kernel, so omega-psh survives),
 and add the compensating constant C*delta_j^2 with C = 2n + 1/2 so the
 levels decrease pointwise in j.  The sphere averages of the Lelong estimator
-interpolate with scipy.ndimage, which is imported by the first of them.
+interpolate with scipy.ndimage, which is imported by the first of them; one
+estimate fits one cubic spline to its field and evaluates it at every radius
+in one call.
 """
 
 from dataclasses import dataclass, field
@@ -93,6 +95,9 @@ class PotentialSpec:
 
     KINDS = ("smooth", "lelong", "zero_lelong_unbounded",
              "bounded_discontinuous", "finite_energy", "from_file")
+    # the data class of each kind, in KINDS order: the values a run records
+    # in its meta.json, and the only ones a saved run may carry
+    DATA_CLASSES = ("smooth", "lelong", "zero_lelong", "bounded", "finite_energy", "unknown")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -107,11 +112,7 @@ class PotentialSpec:
 
     @property
     def data_class(self):
-        return {"smooth": "smooth", "lelong": "lelong",
-                "zero_lelong_unbounded": "zero_lelong",
-                "bounded_discontinuous": "bounded",
-                "finite_energy": "finite_energy",
-                "from_file": "unknown"}[self.kind]
+        return self.DATA_CLASSES[self.KINDS.index(self.kind)]
 
 
 def cos_mode(grid, kvec, amp, phase=0.0):
@@ -278,16 +279,26 @@ def _sphere_directions(n, count, seed=7):
 
 
 def sphere_average(phi, z0, r, n_dirs=96):
-    """Average of phi over the sphere |z - z0| = r (interpolated, periodic)."""
+    """Average of phi over the sphere |z - z0| = r (interpolated, periodic).
+
+    ``r`` is a radius (a float is returned) or an array of radii (an array
+    of their averages).  The cubic spline of phi is fitted once, as
+    ``map_coordinates(order=3, mode="grid-wrap")`` fits it, and all radii
+    are evaluated in one interpolation call, so each average is
+    bit-identical to that call on its own radius.
+    """
     # imported on first use, so processes that take no Lelong estimate never load scipy.ndimage
-    from scipy.ndimage import map_coordinates
+    from scipy.ndimage import map_coordinates, spline_filter
 
     grid = phi.grid
+    radii = np.asarray(r, dtype=np.float64)
     dirs = _sphere_directions(grid.n, n_dirs)
-    pts = (np.asarray(z0)[None, :] + r * dirs) / grid.h
-    coords = [pts[:, a] for a in range(2 * grid.n)]
-    vals = map_coordinates(phi.values, coords, order=3, mode="grid-wrap")
-    return float(vals.mean())
+    pts = (np.asarray(z0)[None, None, :] + radii.reshape(-1, 1, 1) * dirs[None]) / grid.h
+    coeffs = spline_filter(phi.values, 3, output=np.float64, mode="grid-wrap")
+    vals = map_coordinates(coeffs, pts.reshape(-1, 2 * grid.n).T, order=3, mode="grid-wrap",
+                           prefilter=False)
+    avgs = vals.reshape(-1, n_dirs).mean(axis=1)
+    return float(avgs[0]) if radii.ndim == 0 else avgs
 
 
 def lelong_estimate(phi, z0, r_min=None, r_max=None, n_radii=10, n_dirs=96):
@@ -311,7 +322,7 @@ def lelong_estimate(phi, z0, r_min=None, r_max=None, n_radii=10, n_dirs=96):
     radii = np.geomspace(r_min, r_max, n_radii)
     if len(radii) < 3:
         raise InsufficientResolution("need at least 3 usable radii")
-    avgs = np.array([sphere_average(phi, z0, r, n_dirs) for r in radii])
+    avgs = sphere_average(phi, z0, radii, n_dirs)
     logs = np.log(radii)
     cols = [np.ones_like(radii), logs]
     if len(radii) >= 4:

@@ -27,6 +27,7 @@ from . import functionals as fnl
 from .errors import ConfigError
 from .flow import SETTINGS, FlowConfig, Snapshot, Trajectory, TwistSpec
 from .geometry import PotentialField, TorusGrid
+from .initial import PotentialSpec
 
 MAGIC = b"MAFL"
 _HEADER = struct.Struct("<4sIIdd")
@@ -162,8 +163,9 @@ def _read_meta(dirpath):
 
 def _check_values(meta, t_first):
     """meta.json's values that verify reads: c, sup_h, inf_h, t0 and T finite numbers,
-    t_max (when saved) a positive number or Infinity, inf_h <= sup_h, and t0 the first
-    series time; a ValueError names the key."""
+    t_max (when saved) a positive number or Infinity, inf_h <= sup_h, t0 the first
+    series time, and data_class (when saved) one of PotentialSpec.DATA_CLASSES; a
+    ValueError names the key."""
     big = sys.float_info.max   # abs(v) <= big fails for NaN, +-Infinity and ints past floats
     for key in ("c", "sup_h", "inf_h", "t0", "T"):
         if type(meta[key]) not in (int, float) or not abs(meta[key]) <= big:
@@ -175,6 +177,10 @@ def _check_values(meta, t_first):
         raise ValueError(f"inf_h = {meta['inf_h']!r} exceeds sup_h = {meta['sup_h']!r}")
     if meta["t0"] != t_first:
         raise ValueError(f"t0 = {meta['t0']!r} is not the first series time {t_first!r}")
+    data_class = meta.get("data_class", "unknown")
+    if data_class not in PotentialSpec.DATA_CLASSES:
+        raise ValueError(f"data_class = {data_class!r} is not one of "
+                         f"{', '.join(PotentialSpec.DATA_CLASSES)}")
 
 
 def load_trajectory(dirpath):

@@ -8,9 +8,10 @@ import pytest
 from scipy import fft as sfft
 
 import maflow as mf
-from maflow import flow
+from maflow import flow, logdiff
 from maflow.elliptic import solve_ma
-from maflow.errors import ConfigError, KaehlerConeViolation, StepSizeUnderflow
+from maflow.errors import (ConfigError, KaehlerConeViolation, PositivityLoss,
+                           StepSizeUnderflow)
 from maflow.flow import (FlowConfig, FlowState, TwistSpec, continue_run,
                          limit_potential, maximal_stretch_gap, normalize_h,
                          rhs, run, run_levels, step, t_max)
@@ -690,3 +691,68 @@ class TestNoZeroLengthStep:
             with pytest.raises(StepSizeUnderflow) as err:
                 flow._advance(st, state, bound)
             assert err.value.t == 1.0
+
+
+class TestNonFiniteCandidate:
+    """An RK4 candidate with a NaN or inf is rejected like a cone exit.
+
+    The fourth stage's rate is poisoned at one point, so every stage passes
+    and only the candidate itself is non-finite.
+    """
+
+    @staticmethod
+    def poison(monkeypatch, cls, value, when):
+        """Put ``value`` at one point of r4 in the k-th RK4 candidate where when(k) holds."""
+        rate, calls = cls.rate, []
+
+        def poisoned(st, rhs):
+            r = rate(st, rhs)
+            calls.append(1)
+            if len(calls) % 4 == 0 and when(len(calls) // 4):
+                r = r.copy()
+                r.flat[r.size // 3] = value
+            return r
+
+        monkeypatch.setattr(cls, "rate", poisoned)
+        return calls
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("n, res", [(1, 16), (2, 8)])
+    def test_rk4_halves_the_step(self, monkeypatch, value, n, res):
+        g = mf.TorusGrid(n, res)
+        calls = self.poison(monkeypatch, flow._Stepper, value, lambda k: k == 1)
+        tr = run(mode(g, (1,) + (0,) * (2 * n - 1), 0.02),
+                 FlowConfig(grid=g, T=3e-4, dt_init=1e-4, record_every=1))
+        assert np.allclose(tr.times, [0.0, 5e-5, 1.5e-4, 2.5e-4, 3e-4], rtol=0.0, atol=1e-15)
+        assert len(calls) == 4 * 5   # the rejected candidate and four steps
+        assert np.isfinite(tr.snapshot_at(3e-4).phi).all()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rk4_ends_in_step_size_underflow(self, monkeypatch, value):
+        g = grid1(16)
+        calls = self.poison(monkeypatch, flow._Stepper, value, lambda k: True)
+        with pytest.raises(StepSizeUnderflow) as err:
+            run(mode(g, (1, 0), 0.02), FlowConfig(grid=g, T=1e-3, dt_init=1e-4, dt_min=3e-5))
+        assert err.value.t == 0.0
+        assert len(calls) == 4 * 2   # 1e-4 and 5e-5; 2.5e-5 is below dt_min
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rk4_fixed_is_a_cone_violation_carrying_t(self, monkeypatch, value):
+        g = grid1(16)
+        calls = self.poison(monkeypatch, flow._Stepper, value, lambda k: k == 3)
+        with pytest.raises(KaehlerConeViolation) as err:
+            run(mode(g, (1, 0), 0.02),
+                FlowConfig(grid=g, T=1e-3, dt_policy="rk4_fixed", dt_init=1e-4))
+        assert err.value.t == pytest.approx(2e-4, abs=1e-15)
+        assert len(calls) == 4 * 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_density_rk4_is_positivity_loss(self, monkeypatch, value):
+        g = grid1(16)
+        calls = self.poison(monkeypatch, logdiff._DensityStepper, value, lambda k: True)
+        f0 = potential_to_density(mode(g, (1, 0), 0.02))
+        with pytest.raises(PositivityLoss) as err:
+            evolve_density(f0, 1e-3, dt_init=1e-4, dt_min=3e-5)
+        assert not isinstance(err.value, (StepSizeUnderflow, KaehlerConeViolation))
+        assert err.value.t == 0.0
+        assert len(calls) == 4 * 2

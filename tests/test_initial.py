@@ -9,7 +9,8 @@ from maflow.errors import InsufficientResolution, InvalidSpec
 from maflow.initial import (ApproximationSequence, PotentialSpec,
                             approximation_sequence, default_center,
                             green_function, integrability_threshold,
-                            lelong_estimate, sample_potential)
+                            lelong_estimate, sample_potential,
+                            sphere_average, _sphere_directions)
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +187,29 @@ class TestLelongEstimate:
         phi = mf.PotentialField.zeros(g)
         with pytest.raises(InsufficientResolution):
             lelong_estimate(phi, (0.5, 0.5))
+
+
+    @pytest.mark.parametrize("n, res, period", [(1, 64, 2.0), (2, 8, 1.0)])
+    def test_sphere_averages_match_one_interpolation_per_radius(self, n, res, period):
+        # one spline fit for all radii reads the same bits as map_coordinates
+        # fitting its own spline at each radius (n = 2: the random directions)
+        from scipy.ndimage import map_coordinates
+
+        g = mf.TorusGrid(n, res, period)
+        phi = mf.PotentialField(g, np.random.default_rng(n).standard_normal(g.shape))
+        z0 = np.asarray(default_center(g)) + 0.3 * g.h
+        radii = np.geomspace(2.0 * g.h, 0.22 * period, 7)
+        dirs = _sphere_directions(n, 96)
+        expected = []
+        for r in radii:
+            pts = (z0[None, :] + r * dirs) / g.h
+            vals = map_coordinates(phi.values, [pts[:, a] for a in range(2 * n)], order=3,
+                                   mode="grid-wrap")
+            expected.append(vals.mean())
+        avgs = sphere_average(phi, z0, radii)
+        assert np.array_equal(avgs, expected)
+        one = sphere_average(phi, z0, radii[3])
+        assert type(one) is float and one == expected[3]
 
 
 class TestIntegrabilityThreshold:

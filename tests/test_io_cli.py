@@ -11,9 +11,9 @@ from maflow import verify as ver
 from maflow.cli import main
 from maflow.config import load_config, parse_modes
 from maflow.errors import ConfigError
-from maflow.flow import FlowConfig, run
+from maflow.flow import FlowConfig, run, run_levels
 from maflow.geometry import PotentialField
-from maflow.initial import cos_mode
+from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
 from maflow.logdiff import evolve_density, potential_to_density
 
 
@@ -613,6 +613,37 @@ class TestLoaderValidation:
         path.write_bytes(path.read_bytes()[:10])
         assert main(["verify", str(saved.parent)]) == 2
         assert "snap_001_phi.mafl: truncated snapshot header" in capsys.readouterr().err
+
+
+class TestDataClassValidation:
+    @pytest.fixture()
+    def lelong_run(self, tmp_path):
+        """A saved 2-level n = 1 res 16 lelong run, which verify passes."""
+        g = mf.TorusGrid(1, 16, 2.0)
+        seq = approximation_sequence(PotentialSpec("lelong", gamma=1.0), g, 2, K=2.0)
+        cfg = FlowConfig(grid=g, T=0.02, snapshot_times=(0.01,), record_every=5)
+        for k, traj in enumerate(run_levels(seq, cfg, workers=1)):
+            mio.save_run(traj, tmp_path / "run" / f"level_{k:02d}", cfg)
+        return tmp_path / "run"
+
+    def test_the_clean_run_verifies(self, lelong_run):
+        assert main(["verify", str(lelong_run)]) == 0
+
+    @pytest.mark.parametrize("value", ["lelnog", None, 3])
+    def test_unknown_data_class_exits_2_naming_the_key(self, lelong_run, value, capsys):
+        level = lelong_run / "level_01"
+        assert json.loads((level / "meta.json").read_text())["data_class"] == "lelong"
+        set_meta("data_class", value)(level)
+        with pytest.raises(ConfigError, match="meta.json: data_class ="):
+            mio.load_trajectory(level)
+        assert main(["verify", str(lelong_run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(level) in err
+
+    def test_run_rejects_an_unknown_data_class(self):
+        g = mf.TorusGrid(1, 16)
+        with pytest.raises(ConfigError, match="lelnog"):
+            run(mode(g, (1, 0), 0.02), FlowConfig(grid=g, T=0.01), data_class="lelnog")
 
 
 class TestTwistedRestart:

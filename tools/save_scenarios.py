@@ -28,8 +28,10 @@ size at which a run with a CPU to spare takes a helper thread
 res 64 (``lelong/``, run at a time by ``run_levels``, and again with
 ``workers=1`` in the calling process, ``lelong_sequential/``), and the Lelong check's subsolution ``solve_ma`` (alpha = 1.8)
 from the mollified pole on the same grid (``lelong_subsolution/``), the
-steepest metric a Newton solve meets here; the density form under rk4
-and semi_implicit with snapshot times off the step grid; under rk4,
+steepest metric a Newton solve meets here, with the ``lelong_attenuation``
+verdict of those levels (its slacks and the measured slopes, so the Lelong
+estimator is compared too: ``lelong_subsolution/lelong_attenuation.json``);
+the density form under rk4 and semi_implicit with snapshot times off the step grid; under rk4,
 rk4_fixed and semi_implicit and in the density form under rk4 and
 semi_implicit, with dt_min = 1e-9, a snapshot 1e-10 past a step end
 (``boundary_remainder/``) and two snapshot times 5e-10 apart
@@ -59,6 +61,7 @@ from maflow.flow import FlowConfig, TwistSpec, normalize_h, run, run_levels
 from maflow.geometry import PotentialField, TorusGrid, mollify_raw
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode, sample_potential
 from maflow.logdiff import evolve_density, potential_to_density
+from maflow.verify import verify_lelong_attenuation
 
 GRIDS = {"n1": TorusGrid(1, 32), "n2": TorusGrid(2, 8)}
 
@@ -96,9 +99,13 @@ def flow_configs(grid):
 
 
 def save_solve(outdir, alpha, **data):
-    """solve_ma at alpha on ``data``; the field, the Newton log, the inner counts."""
+    """solve_ma at alpha on ``data``; the field, the Newton log, the inner counts.
+
+    Returns the solution, or None when Newton diverged.
+    """
     os.makedirs(outdir, exist_ok=True)
     log = SolverLog()
+    u = None
     try:
         u, _ = solve_ma(alpha, log=log, **data)
         mio.write_field(os.path.join(outdir, "u.mafl"), u)
@@ -108,6 +115,7 @@ def save_solve(outdir, alpha, **data):
     log.write_csv(os.path.join(outdir, "newton_log.csv"))
     with open(os.path.join(outdir, "inner_iterations.json"), "w") as fh:
         json.dump([int(k) for k in log.inner_iterations], fh)
+    return u
 
 
 def smooth_solve_data(alpha, grid):
@@ -255,14 +263,18 @@ def main(argv):
     # the same levels in the calling process, one after the other: inside one
     # tree, `diff -r lelong lelong_sequential` checks the fan-out against them
     for name, workers in (("lelong", None), ("lelong_sequential", 1)):
-        for k, traj in enumerate(run_levels(seq, cfg, workers=workers)):
+        levels = run_levels(seq, cfg, workers=workers)
+        for k, traj in enumerate(levels):
             mio.save_run(traj, os.path.join(out, name, f"level_{k + 1:02d}"), cfg)
     # the Lelong check's subsolution solve (alpha = 2 beta, beta = 0.9) from the
     # mollified pole, whose metric is steep near the pole
     phi0 = sample_potential(PotentialSpec("lelong", gamma=1.0), grid)
     sm = PotentialField(grid, mollify_raw(grid, phi0.values, 2.0 * grid.h))
-    save_solve(os.path.join(out, "lelong_subsolution"), 1.8,
-               g=PotentialField(grid, -1.8 * sm.values), u0=sm)
+    u = save_solve(os.path.join(out, "lelong_subsolution"), 1.8,
+                   g=PotentialField(grid, -1.8 * sm.values), u0=sm)
+    # the Lelong check on those levels: its slacks and the estimator's slopes
+    mio.write_verdicts(os.path.join(out, "lelong_subsolution", "lelong_attenuation.json"),
+                       [verify_lelong_attenuation(levels, 1.0, 0.9, sm, u, (0.005, 0.01))])
 
     f0 = potential_to_density(initial(GRIDS["n1"]))
     for policy in ("rk4", "semi_implicit"):
