@@ -130,15 +130,21 @@ class TwistSpec:
         emax = -float(geo.eigmin_raw(grid, geo.raw_combine(grid, -self.c, hpsi, -1.0)).min())
         return emin, emax
 
+    # the classes sign_class returns: the values a run records in its
+    # meta.json, and the only ones a saved run may carry
+    SIGN_CLASSES = ("zero", "nonneg", "nonpos", "mixed")
+
     def sign_class(self, grid):
+        """The sign of c I + H(psi_chi) over the grid, to SIGN_TOL: one of SIGN_CLASSES."""
         emin, emax = self.eig_range(grid)
+        zero, nonneg, nonpos, mixed = self.SIGN_CLASSES
         if abs(emin) <= SIGN_TOL and abs(emax) <= SIGN_TOL:
-            return "zero"
+            return zero
         if emin >= -SIGN_TOL:
-            return "nonneg"
+            return nonneg
         if emax <= SIGN_TOL:
-            return "nonpos"
-        return "mixed"
+            return nonpos
+        return mixed
 
     @property
     def is_trivial(self):
@@ -174,6 +180,11 @@ class FlowConfig:
     step left the Kaehler cone below that.  The default 1.0 lies well above.
     """
 
+    # the variants a run records in its meta.json, and the only ones a saved
+    # run may carry: FlowConfig's two equations, then the density form's
+    # (logdiff.evolve_density)
+    VARIANTS = ("cmaf", "ncmaf", "logfd")
+
     grid: geo.TorusGrid
     variant: str = "cmaf"          # cmaf | ncmaf
     twist: TwistSpec = dfield(default_factory=TwistSpec)
@@ -197,7 +208,7 @@ class FlowConfig:
                 raise ConfigError(f"{name}={value!r} is not finite")
         if self.stab_factor < 0.0:   # beta0 < 0 would anti-damp the SBDF2 step
             raise ConfigError(f"stab_factor={self.stab_factor!r} must be >= 0")
-        if self.variant not in ("cmaf", "ncmaf"):
+        if self.variant not in self.VARIANTS[:2]:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.dt_policy not in ("rk4", "rk4_fixed", "semi_implicit"):
             raise ConfigError(f"unknown dt policy {self.dt_policy!r}")

@@ -610,17 +610,21 @@ def inverse_hermitian(grid, values):
     return out
 
 
-def trace_wrt(M, N):
-    """tr_M(N) = sum_{jk} (M^{-1})_{jk} N_{kj}, a real scalar field (``contract_raw``)."""
+def _trace_wrt_raw(M, h):
+    """tr_M(H) = sum_{jk} (M^{-1})_{jk} H_{kj} of a raw Hermitian H (``contract_raw``)."""
     grid = M.grid
     m = raw_from_matrix(grid, M.values)
-    return contract_raw(grid, inverse_raw(grid, m, det_raw(grid, m)),
-                        raw_from_matrix(grid, N.values))
+    return contract_raw(grid, inverse_raw(grid, m, det_raw(grid, m)), h)
+
+
+def trace_wrt(M, N):
+    """tr_M(N), a real scalar field."""
+    return _trace_wrt_raw(M, raw_from_matrix(M.grid, N.values))
 
 
 def laplacian_wrt(M, psi):
-    """Laplacian of psi with respect to the metric M: tr_M(dd^c psi)."""
-    return trace_wrt(M, complex_hessian(psi))
+    """Laplacian of psi with respect to the metric M: tr_M(dd^c psi), from ``hessian_raw``."""
+    return _trace_wrt_raw(M, hessian_raw(psi.grid, psi.values))
 
 
 def min_eigenvalue(M):

@@ -69,7 +69,8 @@ def write_series_csv(path, times, series):
 
 
 def read_series_csv(path):
-    """(times, {column: values}); a missing or malformed table is a ConfigError naming it."""
+    """(times, {column: values}); a missing or malformed table, or a NaN or +-inf cell,
+    is a ConfigError naming it (and the cell's column)."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -78,6 +79,9 @@ def read_series_csv(path):
             raise ConfigError(f"{path}: no series rows")
         data = np.array([[float(x) for x in row] for row in rows])
         series = {name: data[:, i] for i, name in enumerate(header)}
+        for name, col in series.items():
+            if not np.isfinite(col).all():
+                raise ConfigError(f"{path}: column {name!r} holds a non-finite value")
         return series["t"], series
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such series file") from None
@@ -164,8 +168,10 @@ def _read_meta(dirpath):
 def _check_values(meta, t_first):
     """meta.json's values that verify reads: c, sup_h, inf_h, t0 and T finite numbers,
     t_max (when saved) a positive number or Infinity, inf_h <= sup_h, t0 the first
-    series time, and data_class (when saved) one of PotentialSpec.DATA_CLASSES; a
-    ValueError names the key."""
+    series time, snapshot_index a non-empty list whose first entry is at t0, variant
+    one of FlowConfig.VARIANTS, sign_class one of TwistSpec.SIGN_CLASSES and
+    data_class (when saved) one of PotentialSpec.DATA_CLASSES; a ValueError names the
+    key."""
     big = sys.float_info.max   # abs(v) <= big fails for NaN, +-Infinity and ints past floats
     for key in ("c", "sup_h", "inf_h", "t0", "T"):
         if type(meta[key]) not in (int, float) or not abs(meta[key]) <= big:
@@ -177,10 +183,14 @@ def _check_values(meta, t_first):
         raise ValueError(f"inf_h = {meta['inf_h']!r} exceeds sup_h = {meta['sup_h']!r}")
     if meta["t0"] != t_first:
         raise ValueError(f"t0 = {meta['t0']!r} is not the first series time {t_first!r}")
-    data_class = meta.get("data_class", "unknown")
-    if data_class not in PotentialSpec.DATA_CLASSES:
-        raise ValueError(f"data_class = {data_class!r} is not one of "
-                         f"{', '.join(PotentialSpec.DATA_CLASSES)}")
+    index = meta["snapshot_index"]
+    if not index or index[0]["t"] != meta["t0"]:
+        raise ValueError(f"snapshot_index is empty or does not start at t0 = {meta['t0']!r}")
+    saved = {"data_class": "unknown", **meta}   # a run may leave data_class out
+    for key, known in (("variant", FlowConfig.VARIANTS), ("sign_class", TwistSpec.SIGN_CLASSES),
+                       ("data_class", PotentialSpec.DATA_CLASSES)):
+        if saved[key] not in known:
+            raise ValueError(f"{key} = {saved[key]!r} is not one of {', '.join(known)}")
 
 
 def load_trajectory(dirpath):
@@ -190,7 +200,7 @@ def load_trajectory(dirpath):
     snaps = []
     with _meta_values(dirpath):
         _check_values(meta, float(times[0]))
-        for rec in meta.pop("snapshot_index", []):
+        for rec in meta.pop("snapshot_index"):
             i = rec["i"]
             phi, t = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"), grid)
             dot, t_dot = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"), grid)
@@ -204,7 +214,8 @@ def load_trajectory(dirpath):
 
 
 def _run_config(dirpath, meta, grid, twist):
-    """The FlowConfig of the run saved in dirpath, from its parsed meta.json and grid."""
+    """The FlowConfig of the run saved in dirpath, from its parsed meta.json and grid;
+    ``twist``, when given, spares reading psi_chi.mafl."""
     with _meta_values(dirpath):
         settings = {f.name: meta[f.name] for f in SETTINGS}
         if twist is None:
@@ -213,9 +224,9 @@ def _run_config(dirpath, meta, grid, twist):
                           snapshot_times=tuple(meta["snapshot_times"]), **settings)
 
 
-def load_run_config(dirpath, twist=None):
-    """The FlowConfig of a saved run; ``twist``, when given, spares reading psi_chi.mafl."""
-    return _run_config(dirpath, *_read_meta(dirpath), twist)
+def load_run_config(dirpath):
+    """The FlowConfig of a saved run."""
+    return _run_config(dirpath, *_read_meta(dirpath), None)
 
 
 def load_run(dirpath):
@@ -235,6 +246,6 @@ def load_levels(rundir):
 
 
 def write_verdicts(path, reports):
-    payload = [r.to_dict() for r in reports]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump([r.to_dict() for r in reports], fh, indent=1, sort_keys=True,
+                  default=lambda v: v.tolist())

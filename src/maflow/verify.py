@@ -15,7 +15,7 @@ trajectory files.
 """
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
@@ -48,26 +48,8 @@ class VerdictReport:
         return self.status != "fail"
 
     def to_dict(self):
-        return {"name": self.name, "statement": self.statement,
-                "slack": self.slack, "tolerance": self.tolerance,
-                "status": self.status, "gated_on": self.gated_on,
-                "location": [_jsonable(x) for x in self.location],
-                "advisory": self.advisory,
-                "details": {k: _jsonable(v) for k, v in self.details.items()}}
-
-
-def _jsonable(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+        """The fields by name; numpy values stay numpy (``io.write_verdicts`` writes them)."""
+        return asdict(self)
 
 
 def _verdict(name, statement, slack, tol, **kw):
@@ -91,23 +73,26 @@ def shared_snapshot_times(*trajs):
                                      for tr in trajs)))
 
 
-def _argmin_loc(arr):
-    idx = int(np.argmin(arr))
-    return np.unravel_index(idx, arr.shape)
+def _worst(pairs):
+    """(min, (t,) + first argmin) of the fields over (t, field) pairs; (inf, ()) for none."""
+    slack, loc = math.inf, ()
+    for t, field in pairs:
+        m = float(field.min())
+        if m < slack:
+            slack, loc = m, (t,) + np.unravel_index(int(np.argmin(field)), field.shape)
+    return slack, loc
+
+
+def _worst_after_t0(traj, margin):
+    """``_worst`` of margin(snap, tau) over the snapshots at tau = t - t0 > 0."""
+    return _worst((snap.t, margin(snap, tau)) for snap, tau in _elapsed(traj) if tau > 0.0)
 
 
 def _worst_margin(traj, name, stmt, margin, tol, details=None):
     """Verdict on the minimum of margin(snap, tau) over the positive-time snapshots.
 
     margin is >= 0 where the inequality holds; the location is its first argmin."""
-    slack, loc = math.inf, ()
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue
-        field = margin(snap, tau)
-        m = float(field.min())
-        if m < slack:
-            slack, loc = m, (snap.t,) + _argmin_loc(field)
+    slack, loc = _worst_after_t0(traj, margin)
     if not math.isfinite(slack):
         return _skip(name, stmt, "no positive-time snapshots recorded")
     return _verdict(name, stmt, slack, tol, location=loc, details=details or {})
@@ -133,12 +118,8 @@ def verify_comparison(run_low, run_high, tol=1e-6):
     if float((lo0 - hi0).max()) > 1e-12:
         raise ConfigMismatch("initial data are not ordered (phi0 <= psi0 fails)")
     ts = shared_snapshot_times(run_low, run_high)
-    slack, loc = math.inf, ()
-    for t in ts:
-        diff = run_high.snapshot_at(t).phi - run_low.snapshot_at(t).phi
-        m = float(diff.min())
-        if m < slack:
-            slack, loc = m, (t,) + _argmin_loc(diff)
+    slack, loc = _worst((t, run_high.snapshot_at(t).phi - run_low.snapshot_at(t).phi)
+                        for t in ts)
     return _verdict("comparison", stmt, slack, tol, location=loc,
                     details={"times": ts})
 
@@ -229,19 +210,26 @@ def default_stbelow_A(traj):
     return 1.0
 
 
-def calibrate_stbelow(traj, A=None):
-    """Smallest C with phidot >= n log t - A Osc(phi0) - C along the run."""
+def _stbelow_margin(traj, A, C):
+    """margin(snap, tau) of phidot >= n log tau - A Osc(phi0) - C, and {A, C, osc0}.
+
+    A None is ``default_stbelow_A(traj)``."""
     if A is None:
         A = default_stbelow_A(traj)
     n = traj.meta["n"]
-    osc0 = float(traj.snapshots[0].phi.max() - traj.snapshots[0].phi.min())
-    worst = 0.0
-    for snap, tau in _elapsed(traj):
-        if tau <= 0.0:
-            continue
-        gap = n * math.log(tau) - A * osc0 - float(snap.phi_dot.min())
-        worst = max(worst, gap)
-    return worst
+    phi0 = traj.snapshots[0].phi
+    osc0 = float(phi0.max() - phi0.min())
+
+    def margin(snap, tau):
+        return snap.phi_dot - (n * math.log(tau) - A * osc0 - C)
+
+    return margin, {"A": A, "C": C, "osc0": osc0}
+
+
+def calibrate_stbelow(traj, A=None):
+    """Smallest C with phidot >= n log t - A Osc(phi0) - C along the run."""
+    margin, _ = _stbelow_margin(traj, A, 0.0)
+    return max(0.0, -_worst_after_t0(traj, margin)[0])
 
 
 def verify_stbelow(traj, A=None, C=STBELOW_C, tol=1e-5):
@@ -253,17 +241,8 @@ def verify_stbelow(traj, A=None, C=STBELOW_C, tol=1e-5):
         return _skip(name, stmt, f"needs bounded initial data, got {dc!r}")
     if traj.meta["variant"] != "cmaf":
         return _skip(name, stmt, "cmaf-only check")
-    if A is None:
-        A = default_stbelow_A(traj)
-    n = traj.meta["n"]
-    phi0 = traj.snapshots[0].phi
-    osc0 = float(phi0.max() - phi0.min())
-
-    def margin(snap, tau):
-        return snap.phi_dot - (n * math.log(tau) - A * osc0 - C)
-
-    return _worst_margin(traj, name, stmt, margin, tol,
-                         details={"A": A, "C": C, "osc0": osc0})
+    margin, details = _stbelow_margin(traj, A, C)
+    return _worst_margin(traj, name, stmt, margin, tol, details=details)
 
 
 def verify_density_monotone(traj, tol=1e-5):
@@ -387,15 +366,13 @@ def verify_lelong_attenuation(level_trajs, gamma, beta, phi0_singular, u,
         center = default_center(grid)
     phi0 = phi0_singular.values
     uv = u.values
-    sub_slack = math.inf
+    sub_slack, _ = _worst(
+        (snap.t, snap.phi - ((1.0 - 2.0 * beta * tau) * phi0 + alpha * tau * uv
+                             + n * (tau * math.log(tau) - tau)))
+        for snap, tau in _elapsed(deep) if 0.0 < tau < 1.0 / (2.0 * beta))
     slope_tol = slope_tol_rel * gamma
     slope_slack = math.inf
     slopes = {}
-    for snap, tau in _elapsed(deep):
-        if 0.0 < tau < 1.0 / (2.0 * beta):
-            bound = ((1.0 - 2.0 * beta * tau) * phi0 + alpha * tau * uv
-                     + n * (tau * math.log(tau) - tau))
-            sub_slack = min(sub_slack, float((snap.phi - bound).min()))
     for tau in probe_times:
         snap = deep.snapshot_at(deep.t0 + tau)
         nu = lelong_estimate(PotentialField(grid, snap.phi), center)

@@ -74,6 +74,64 @@ class TestTrajectoryPersistence:
         assert back.grid == cfg.grid
 
 
+# write_verdicts' bytes for TestVerdictFile's report: numpy values written as plain ones
+VERDICT_JSON = """[
+ {
+  "advisory": false,
+  "details": {
+   "array": [
+    [
+     1.0,
+     2.5
+    ],
+    [
+     -0.5,
+     4.0
+    ]
+   ],
+   "down": -Infinity,
+   "f32": 0.10000000149011612,
+   "flag": true,
+   "nested": {
+    "k": 4,
+    "x": [
+     2.0
+    ]
+   },
+   "pair": [
+    1,
+    0.3
+   ],
+   "up": Infinity
+  },
+  "gated_on": "",
+  "location": [
+   0.0125,
+   3,
+   7
+  ],
+  "name": "clef",
+  "slack": -0.25,
+  "statement": "t phidot <= 0",
+  "status": "fail",
+  "tolerance": 1e-05
+ }
+]"""
+
+
+class TestVerdictFile:
+    def test_numpy_values_are_written_by_value(self, tmp_path):
+        rep = ver.VerdictReport(
+            "clef", "t phidot <= 0", -0.25, 1e-5, "fail",
+            location=(np.float64(0.0125), np.intp(3), np.intp(7)),
+            details={"f32": np.float32(0.1), "array": np.array([[1.0, 2.5], [-0.5, 4.0]]),
+                     "pair": (1, np.float64(0.3)),
+                     "nested": {"k": np.intp(4), "x": [np.float64(2.0)]},
+                     "flag": np.bool_(True), "up": float("inf"), "down": -np.inf})
+        mio.write_verdicts(tmp_path / "verdicts.json", [rep])
+        assert (tmp_path / "verdicts.json").read_text() == VERDICT_JSON
+
+
 class TestConfigFile:
     GOOD = """
 [schema]
@@ -511,6 +569,15 @@ def set_meta(key, value):
     return lambda d: edit_meta(d, lambda m: m.__setitem__(key, value))
 
 
+def set_cell(row, column, value):
+    """Set the ``column`` cell of series.csv's line ``row`` (line 0 is the header) to value."""
+    def change(lines):
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return lambda d: edit_series(d, change)
+
+
 def on_res_8(name, t):
     """Rewrite level's ``name`` as a valid res 8 field stamped t."""
     return lambda d: mio.write_field(d / name, mode(mf.TorusGrid(1, 8), (1, 0), 0.02), t=t)
@@ -559,6 +626,26 @@ CORRUPTIONS = {   # name: (file, and key, named in the message; corruption of a 
     "snapshot_phidot_res_8": ("snap_001_phidot.mafl", on_res_8("snap_001_phidot.mafl", 0.01)),
     "first_snapshot_res_8": ("snap_000_phi.mafl", on_res_8("snap_000_phi.mafl", 0.0)),
     "psi_chi_res_8": ("psi_chi.mafl", on_res_8("psi_chi.mafl", 0.0)),
+    # these used to pass with checks skipped, or end in a traceback
+    "meta_variant_typo": ("meta.json: variant =", set_meta("variant", "cmfa")),
+    "meta_variant_null": ("meta.json: variant =", set_meta("variant", None)),
+    "meta_without_variant": (
+        "meta.json lacks 'variant'", lambda d: edit_meta(d, lambda m: m.pop("variant"))),
+    "meta_sign_class_typo": ("meta.json: sign_class =", set_meta("sign_class", "zreo")),
+    "meta_sign_class_null": ("meta.json: sign_class =", set_meta("sign_class", None)),
+    "meta_without_sign_class": (
+        "meta.json lacks 'sign_class'", lambda d: edit_meta(d, lambda m: m.pop("sign_class"))),
+    "empty_snapshot_index": ("meta.json: snapshot_index", set_meta("snapshot_index", [])),
+    "meta_without_snapshot_index": (
+        "meta.json lacks 'snapshot_index'",
+        lambda d: edit_meta(d, lambda m: m.pop("snapshot_index"))),
+    "snapshot_index_past_t0": (
+        "meta.json: snapshot_index", lambda d: edit_meta(d, lambda m: m["snapshot_index"].pop(0))),
+    # these used to be reported as estimate violations
+    "series_sup_nan": ("series.csv: column 'sup'", set_cell(2, "sup", "nan")),
+    "series_t_nan": ("series.csv: column 't'", set_cell(2, "t", "nan")),
+    "series_E_inf": ("series.csv: column 'E'", set_cell(1, "E", "inf")),
+    "series_vol_minus_inf": ("series.csv: column 'vol'", set_cell(3, "vol", "-inf")),
 }
 
 

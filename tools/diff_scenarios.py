@@ -10,7 +10,9 @@ that ``src`` (into OUTDIR/before) and on this tree's ``src`` (into
 OUTDIR/after).  Then ``diff -r`` compares the two and the files that
 differ are listed.  Exits 1 if any differ, 0 if none do, and 2 on a usage
 error.  Without OUTDIR both outputs go to the temporary directory and are
-removed at the end.  Takes about 20 s on 2 cores (two scenario runs).
+removed at the end.  ``save_scenarios.py`` writes the verdicts of every
+single-run check beside its grid and density-form runs, so the checks are
+compared too.  Takes about 35 s on 2 cores (two scenario runs).
 """
 
 import os

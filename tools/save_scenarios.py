@@ -7,7 +7,12 @@ Usage:
 Every scenario is seeded and deterministic, and writes only its results:
 trajectory directories (``series.csv``, snapshot ``.mafl`` files,
 ``meta.json``) as ``io.save_run`` writes them, ``solve_ma`` fields with
-their Newton log and inner-iteration counts, and oracle fields.  Run it
+their Newton log and inner-iteration counts, and oracle fields.  Beside
+each run of the grid set below and each density-form run, ``verdicts.json``
+holds the verdicts of every single-run check (``verify.run_checks``,
+written by ``io.write_verdicts``), so a diff compares each check, in both
+variants and both flow forms; ``n1_smooth/calibrate_stbelow.json`` holds
+``verify.calibrate_stbelow`` of the n = 1 smooth run.  Run it
 once against each version (``PYTHONPATH`` pointing at that version's
 ``src``) into two directories; a refactor that leaves the numerics alone
 shows no difference in
@@ -61,7 +66,7 @@ from maflow.flow import FlowConfig, TwistSpec, normalize_h, run, run_levels
 from maflow.geometry import PotentialField, TorusGrid, mollify_raw
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode, sample_potential
 from maflow.logdiff import evolve_density, potential_to_density
-from maflow.verify import verify_lelong_attenuation
+from maflow.verify import calibrate_stbelow, run_checks, verify_lelong_attenuation
 
 GRIDS = {"n1": TorusGrid(1, 32), "n2": TorusGrid(2, 8)}
 
@@ -96,6 +101,13 @@ def flow_configs(grid):
         "rk4_fixed": FlowConfig(dt_policy="rk4_fixed", dt_init=2e-4, **base),
         "dealiased": FlowConfig(dealias=True, **base),
     }
+
+
+def save_checked(traj, outdir, config=None):
+    """``io.save_run`` of traj, and ``verdicts.json``: every single-run check on it."""
+    mio.save_run(traj, outdir, config)
+    mio.write_verdicts(os.path.join(outdir, "verdicts.json"), run_checks(traj))
+    return traj
 
 
 def save_solve(outdir, alpha, **data):
@@ -240,7 +252,10 @@ def main(argv):
     for tag, grid in GRIDS.items():
         phi0 = initial(grid)
         for name, cfg in flow_configs(grid).items():
-            mio.save_run(run(phi0, cfg), os.path.join(out, f"{tag}_{name}"), cfg)
+            traj = save_checked(run(phi0, cfg), os.path.join(out, f"{tag}_{name}"), cfg)
+            if (tag, name) == ("n1", "smooth"):
+                with open(os.path.join(out, "n1_smooth", "calibrate_stbelow.json"), "w") as fh:
+                    json.dump(calibrate_stbelow(traj), fh)
         for alpha in (0.0, 1.5):
             save_solve(os.path.join(out, f"{tag}_solve_ma_alpha{alpha:g}"), alpha,
                        **smooth_solve_data(alpha, grid))
@@ -280,7 +295,7 @@ def main(argv):
     for policy in ("rk4", "semi_implicit"):
         traj = evolve_density(f0, 0.02, dt_policy=policy, dt_init=1e-3, record_every=4,
                               snapshot_times=(0.00731, 0.0171))
-        mio.save_trajectory(traj, os.path.join(out, f"density_{policy}"))
+        save_checked(traj, os.path.join(out, f"density_{policy}"))
 
     # ten steps of dt_init (below the CFL step) end 1e-10 before the snapshot,
     # so the last step to it is shorter than dt_min
