@@ -12,9 +12,8 @@ from .errors import (ConfigError, ConfigMismatch, IncompatibleData,
                      InsufficientResolution, InvalidSpec,
                      KaehlerConeViolation, MassMismatch, MonotonicityFailure,
                      NewtonDiverged, PositivityLoss, SingularMetric, StepSizeUnderflow)
-from .geometry import (HermitianField, MetricField, PotentialField, TorusGrid,
-                       complex_hessian, integrate, laplacian_wrt, ma_ratio,
-                       metric_matrix, min_eigenvalue, trace_wrt)
+from .geometry import (HermitianField, PotentialField, TorusGrid, complex_hessian,
+                       integrate, ma_ratio)
 from .initial import (ApproximationSequence, PotentialSpec,
                       approximation_sequence, integrability_threshold,
                       lelong_estimate, sample_potential)

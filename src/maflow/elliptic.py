@@ -76,7 +76,7 @@ def _linearization(grid, m, det, alpha):
 
     apply(delta) = tr_M(dd^c delta) - alpha delta.  The inverse is built
     from m directly (``geometry.inverse_raw``, SingularMetric when det
-    vanishes), bit-identical to inverting the (..., n, n) matrix field.
+    vanishes).
     """
     inv = geo.inverse_raw(grid, m, det)
 

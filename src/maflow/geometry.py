@@ -291,18 +291,6 @@ class HermitianField:
         return self.values[..., 0, 0].real
 
 
-class MetricField(HermitianField):
-    """Positive-definite Hermitian field representing theta_t + dd^c phi."""
-
-    __slots__ = ("min_eig",)
-
-    def __init__(self, grid, values, min_eig=None):
-        super().__init__(grid, values)
-        if min_eig is None:
-            min_eig = min_eigenvalue(self)
-        self.min_eig = float(min_eig)
-
-
 # ---------------------------------------------------------------------------
 # raw spectral kernels (ndarray in, ndarray out; hot path of the stepper)
 
@@ -372,12 +360,6 @@ def readonly_raw(grid, raw):
     for arr in (raw,) if grid.n == 1 else raw:
         arr.flags.writeable = False
     return raw
-
-
-def raw_from_matrix(grid, values):
-    if grid.n == 1:
-        return values[..., 0, 0].real
-    return values[..., 0, 0].real, values[..., 1, 1].real, values[..., 0, 1]
 
 
 def raw_combine(grid, a, raw, scale=1.0):
@@ -560,7 +542,7 @@ def mollify_raw(grid, arr, delta):
 
 
 # ---------------------------------------------------------------------------
-# public operations (spec-level surface)
+# public operations on potentials; complex_hessian is the one (..., n, n) view
 
 
 def complex_hessian(phi):
@@ -569,67 +551,14 @@ def complex_hessian(phi):
     return HermitianField(phi.grid, matrix_from_raw(phi.grid, raw))
 
 
-def _checked_metric(phi, twist, t, check=True):
-    m, det, min_eig = metric_raw(phi.grid, phi.values, twist, t)
-    if check and not (min_eig > 0.0):
+def ma_ratio(phi, twist=None, t=0.0):
+    """(theta_t + dd^c phi)^n / omega^n = det M_t; KaehlerConeViolation outside the cone."""
+    _, det, min_eig = metric_raw(phi.grid, phi.values, twist, t)
+    if not min_eig > 0.0:
         raise KaehlerConeViolation(
             f"metric not positive definite (min eigenvalue {min_eig:.3e})",
             t=t, min_eig=min_eig)
-    return m, det, min_eig
-
-
-def metric_matrix(phi, twist=None, t=0.0, check=True):
-    """Local matrix of theta_t + dd^c phi, (1+tc) I + H(phi) + t H(psi_chi) (``metric_raw``).
-
-    Raises KaehlerConeViolation when the smallest eigenvalue over the grid
-    is <= 0 (unless check=False).
-    """
-    m, _, min_eig = _checked_metric(phi, twist, t, check)
-    return MetricField(phi.grid, matrix_from_raw(phi.grid, m), min_eig=min_eig)
-
-
-def ma_ratio(phi, twist=None, t=0.0):
-    """(theta_t + dd^c phi)^n / omega^n = det M_t; KaehlerConeViolation outside the cone."""
-    return _checked_metric(phi, twist, t)[1]
-
-
-def inverse_hermitian(grid, values):
-    """Closed-form pointwise inverse (n <= 2) of a Hermitian matrix field."""
-    det = det_raw(grid, raw_from_matrix(grid, values))
-    bad = np.abs(det).min()
-    if not np.isfinite(bad) or bad < 1e-300:
-        raise SingularMetric(f"matrix inversion failed (|det| down to {bad:.3e})")
-    out = np.empty_like(values)
-    if grid.n == 1:
-        out[..., 0, 0] = 1.0 / values[..., 0, 0]
-        return out
-    out[..., 0, 0] = values[..., 1, 1] / det
-    out[..., 1, 1] = values[..., 0, 0] / det
-    out[..., 0, 1] = -values[..., 0, 1] / det
-    out[..., 1, 0] = -values[..., 1, 0] / det
-    return out
-
-
-def _trace_wrt_raw(M, h):
-    """tr_M(H) = sum_{jk} (M^{-1})_{jk} H_{kj} of a raw Hermitian H (``contract_raw``)."""
-    grid = M.grid
-    m = raw_from_matrix(grid, M.values)
-    return contract_raw(grid, inverse_raw(grid, m, det_raw(grid, m)), h)
-
-
-def trace_wrt(M, N):
-    """tr_M(N), a real scalar field."""
-    return _trace_wrt_raw(M, raw_from_matrix(M.grid, N.values))
-
-
-def laplacian_wrt(M, psi):
-    """Laplacian of psi with respect to the metric M: tr_M(dd^c psi), from ``hessian_raw``."""
-    return _trace_wrt_raw(M, hessian_raw(psi.grid, psi.values))
-
-
-def min_eigenvalue(M):
-    """Global minimum over gridpoints of the smallest eigenvalue."""
-    return float(eigmin_raw(M.grid, raw_from_matrix(M.grid, M.values)).min())
+    return det
 
 
 def integrate(field, grid=None):

@@ -41,7 +41,8 @@ def write_field(path, field, t=0.0):
 
 
 def read_field(path):
-    """Returns (PotentialField, t); a missing file or a bad header is a ConfigError naming it."""
+    """Returns (PotentialField, t); a missing file, a bad header or a non-finite value
+    is a ConfigError naming it."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -57,6 +58,8 @@ def read_field(path):
         data = np.frombuffer(fh.read(grid.npoints * 8), dtype="<f8")
         if data.size != grid.npoints:
             raise ConfigError(f"{path}: truncated snapshot")
+        if not np.isfinite(data).all():
+            raise ConfigError(f"{path}: non-finite value in the snapshot data")
         return PotentialField(grid, data.reshape(grid.shape).copy()), t
 
 

@@ -74,12 +74,16 @@ def shared_snapshot_times(*trajs):
 
 
 def _worst(pairs):
-    """(min, (t,) + first argmin) of the fields over (t, field) pairs; (inf, ()) for none."""
+    """(min, (t,) + first argmin) of the fields over (t, field) pairs; (inf, ()) for none.
+
+    A NaN is the worst value: the first one met is the minimum."""
     slack, loc = math.inf, ()
     for t, field in pairs:
         m = float(field.min())
-        if m < slack:
+        if not m >= slack:
             slack, loc = m, (t,) + np.unravel_index(int(np.argmin(field)), field.shape)
+            if math.isnan(m):
+                break
     return slack, loc
 
 
@@ -93,7 +97,7 @@ def _worst_margin(traj, name, stmt, margin, tol, details=None):
 
     margin is >= 0 where the inequality holds; the location is its first argmin."""
     slack, loc = _worst_after_t0(traj, margin)
-    if not math.isfinite(slack):
+    if not loc:
         return _skip(name, stmt, "no positive-time snapshots recorded")
     return _verdict(name, stmt, slack, tol, location=loc, details=details or {})
 
@@ -227,9 +231,10 @@ def _stbelow_margin(traj, A, C):
 
 
 def calibrate_stbelow(traj, A=None):
-    """Smallest C with phidot >= n log t - A Osc(phi0) - C along the run."""
+    """Smallest C with phidot >= n log t - A Osc(phi0) - C along the run; NaN if phidot has one."""
     margin, _ = _stbelow_margin(traj, A, 0.0)
-    return max(0.0, -_worst_after_t0(traj, margin)[0])
+    worst = _worst_after_t0(traj, margin)[0]
+    return worst if math.isnan(worst) else max(0.0, -worst)
 
 
 def verify_stbelow(traj, A=None, C=STBELOW_C, tol=1e-5):
@@ -306,13 +311,13 @@ def verify_energy_monotone(traj, tol=1e-4):
         return _skip(name, stmt, "needs chi = 0")
     if traj.meta["variant"] != "cmaf":
         return _skip(name, stmt, "cmaf-only check")
+    if len(traj.times) < 2:
+        return _skip(name, stmt, "series too short")
     E = traj.column("E")
     ts = traj.column("t")
     d = E[1:] - E[:-1]
-    i = int(np.argmin(d)) if len(d) else 0
-    slack = float(d.min()) if len(d) else 0.0
-    return _verdict(name, stmt, slack, tol,
-                    location=(float(ts[i + 1]) if len(d) else traj.t0,))
+    i = int(np.argmin(d))
+    return _verdict(name, stmt, float(d.min()), tol, location=(float(ts[i + 1]),))
 
 
 def verify_mean_value(traj, slope_tol=1e-3, convex_tol=1e-3):

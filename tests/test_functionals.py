@@ -69,7 +69,7 @@ class TestEnergy:
         psi = PotentialField(g, cos_mode(g, (0, 1, 1, 0), 0.008))
         tw = TwistSpec(c=0.2, psi_chi=psi)
         t = 0.5
-        M = mf.metric_matrix(phi, tw, t).values
+        M = geo.matrix_from_raw(g, geo.metric_raw(g, phi.values, tw, t)[0])
         Th = M - mf.complex_hessian(phi).values
         det = np.linalg.det
         mixed = 0.5 * (det(M + Th) - det(M) - det(Th)).real

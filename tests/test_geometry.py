@@ -267,25 +267,40 @@ class TestOneMetricConstruction:
         assert emax == pytest.approx(eigs.max(), abs=1e-14)
 
 
+def trace_wrt(grid, m, h):
+    """tr_M(H) of raw M and H, through the elliptic linearization's kernels."""
+    return geo.contract_raw(grid, geo.inverse_raw(grid, m, geo.det_raw(grid, m)), h)
+
+
 class TestMetricAndRatio:
     def test_flat_reference(self):
         g = grid1()
-        M = mf.metric_matrix(mf.PotentialField.zeros(g))
-        assert np.abs(M.values[..., 0, 0] - 1.0).max() == 0.0
+        m, _, _ = geo.metric_raw(g, np.zeros(g.shape))
+        assert np.abs(m - 1.0).max() == 0.0
 
     def test_scalar_twist(self):
         g = grid1()
-        M = mf.metric_matrix(mf.PotentialField.zeros(g), TwistSpec(c=-0.5), t=1.0)
-        assert np.allclose(M.values[..., 0, 0].real, 0.5)
+        m, _, _ = geo.metric_raw(g, np.zeros(g.shape), TwistSpec(c=-0.5), t=1.0)
+        assert np.allclose(m, 0.5)
 
     def test_cone_violation_iff_amplitude_too_large(self):
         g = grid1()
         x = g.coord(0)
         ok = 0.9 / np.pi ** 2
-        M = mf.metric_matrix(field(g, ok * np.cos(2 * np.pi * x)))
-        assert M.min_eig > 0
+        _, _, min_eig = geo.metric_raw(g, field(g, ok * np.cos(2 * np.pi * x)).values)
+        assert min_eig > 0
         with pytest.raises(KaehlerConeViolation):
-            mf.metric_matrix(field(g, (1.1 / np.pi ** 2) * np.cos(2 * np.pi * x)))
+            mf.ma_ratio(field(g, (1.1 / np.pi ** 2) * np.cos(2 * np.pi * x)))
+
+    def test_cone_violation_carries_t_and_min_eig(self):
+        # H(psi_chi) = -cos(2 pi x), so M_t = 1 - t cos(2 pi x) leaves the cone past t = 1
+        g = grid1()
+        psi = field(g, np.cos(2 * np.pi * g.coord(0)) / np.pi ** 2)
+        t = 1.5
+        with pytest.raises(KaehlerConeViolation) as err:
+            mf.ma_ratio(mf.PotentialField.zeros(g), TwistSpec(c=0.0, psi_chi=psi), t)
+        assert err.value.t == t and err.value.min_eig < 0
+        assert err.value.min_eig == pytest.approx(1.0 - t, abs=1e-12)
 
     def test_ratio_identity_and_separable_product(self):
         g = grid2()
@@ -300,77 +315,76 @@ class TestMetricAndRatio:
     def test_det_against_cofactor_oracle(self):
         g = grid2()
         phi = random_bandlimited(g, 1)
-        M = mf.metric_matrix(phi)
-        assert np.abs(mf.ma_ratio(phi) - la.det(M.values).real).max() < 1e-12
+        m, _, _ = geo.metric_raw(g, phi.values)
+        assert np.abs(mf.ma_ratio(phi) - la.det(geo.matrix_from_raw(g, m)).real).max() < 1e-12
 
     def test_min_eigenvalue_against_eigvalsh_oracle(self):
         g = grid2()
-        M = mf.metric_matrix(random_bandlimited(g, 2))
-        assert mf.min_eigenvalue(M) == pytest.approx(
-            float(la.eigvalsh(M.values).min()), abs=1e-12)
+        m, _, min_eig = geo.metric_raw(g, random_bandlimited(g, 2).values)
+        want = float(la.eigvalsh(geo.matrix_from_raw(g, m)).min())
+        assert min_eig == pytest.approx(want, abs=1e-12)
+        assert float(geo.eigmin_raw(g, m).min()) == pytest.approx(want, abs=1e-12)
 
     def test_min_eigenvalue_constant_diagonal(self):
         g = grid2()
-        vals = np.zeros(g.shape + (2, 2), dtype=complex)
-        vals[..., 0, 0] = 2.0
-        vals[..., 1, 1] = 0.3
-        assert mf.min_eigenvalue(geo.MetricField(g, vals)) == pytest.approx(0.3)
+        m = (np.full(g.shape, 2.0), np.full(g.shape, 0.3), np.zeros(g.shape, complex))
+        assert float(geo.eigmin_raw(g, m).min()) == pytest.approx(0.3)
 
 
 class TestTraces:
     def test_laplacian_flat_metric_is_quarter_laplacian(self):
         g = grid1()
         psi = random_bandlimited(g, 3)
-        M = mf.metric_matrix(mf.PotentialField.zeros(g))
-        lap = mf.laplacian_wrt(M, psi)
+        m, _, _ = geo.metric_raw(g, np.zeros(g.shape))
+        lap = trace_wrt(g, m, geo.hessian_raw(g, psi.values))
         assert np.abs(lap - mf.complex_hessian(psi).scalar()).max() < 1e-13
 
     def test_laplacian_scalar_metric(self):
         g = grid1()
         psi = random_bandlimited(g, 4)
         a = 1.8
-        vals = np.full(g.shape + (1, 1), a, dtype=complex)
-        lap = mf.laplacian_wrt(geo.MetricField(g, vals), psi)
+        lap = trace_wrt(g, np.full(g.shape, a), geo.hessian_raw(g, psi.values))
         assert np.abs(lap - mf.complex_hessian(psi).scalar() / a).max() < 1e-13
 
     def test_laplacian_pointwise_division_oracle_n1(self):
         g = grid1(32)
         phi = random_bandlimited(g, 5, amp=0.01)
         psi = random_bandlimited(g, 6)
-        M = mf.metric_matrix(phi)
-        lap = mf.laplacian_wrt(M, psi)
-        oracle = mf.complex_hessian(psi).scalar() / M.values[..., 0, 0].real
+        m, _, _ = geo.metric_raw(g, phi.values)
+        lap = trace_wrt(g, m, geo.hessian_raw(g, psi.values))
+        oracle = mf.complex_hessian(psi).scalar() / m
         assert np.abs(lap - oracle).max() < 1e-12
 
     def test_linearity(self):
         g = grid2()
-        M = mf.metric_matrix(random_bandlimited(g, 7, amp=0.01))
+        m, _, _ = geo.metric_raw(g, random_bandlimited(g, 7, amp=0.01).values)
         p1, p2 = random_bandlimited(g, 8), random_bandlimited(g, 9)
         a, b = 1.3, -0.4
-        combo = mf.PotentialField(g, a * p1.values + b * p2.values)
-        lhs = mf.laplacian_wrt(M, combo)
-        rhs = a * mf.laplacian_wrt(M, p1) + b * mf.laplacian_wrt(M, p2)
+
+        def lap(p):
+            return trace_wrt(g, m, geo.hessian_raw(g, p))
+
+        lhs = lap(a * p1.values + b * p2.values)
+        rhs = a * lap(p1.values) + b * lap(p2.values)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_divergence_form_integrates_to_zero(self):
         g = grid1()
         psi = random_bandlimited(g, 10)
-        M = mf.metric_matrix(mf.PotentialField.zeros(g))
-        assert abs(mf.integrate(mf.laplacian_wrt(M, psi), g)) < 1e-10
+        m, _, _ = geo.metric_raw(g, np.zeros(g.shape))
+        assert abs(mf.integrate(trace_wrt(g, m, geo.hessian_raw(g, psi.values)), g)) < 1e-10
 
     def test_trace_of_self_is_dimension(self):
         g = grid2()
-        M = mf.metric_matrix(random_bandlimited(g, 11, amp=0.01))
-        tr = mf.trace_wrt(M, geo.HermitianField(g, M.values))
+        m, _, _ = geo.metric_raw(g, random_bandlimited(g, 11, amp=0.01).values)
+        tr = trace_wrt(g, m, m)
         assert np.abs(tr - 2.0).max() < 1e-12
 
     def test_trace_diag_flat(self):
         g = grid2()
-        I = mf.metric_matrix(mf.PotentialField.zeros(g))
-        vals = np.zeros(g.shape + (2, 2), dtype=complex)
-        vals[..., 0, 0] = 0.7
-        vals[..., 1, 1] = 2.2
-        assert np.allclose(mf.trace_wrt(I, geo.HermitianField(g, vals)), 2.9)
+        I, _, _ = geo.metric_raw(g, np.zeros(g.shape))
+        h = (np.full(g.shape, 0.7), np.full(g.shape, 2.2), np.zeros(g.shape, complex))
+        assert np.allclose(trace_wrt(g, I, h), 2.9)
 
     def test_trace_inequalities_on_random_positive_pairs(self):
         # Hermitian-pair inequality: n (det a / det b)^(1/n) <= tr_b(a)
@@ -417,4 +431,5 @@ class TestIntegrate:
 
 def test_min_eigenvalue_identity_metric():
     g = mf.TorusGrid(1, 16)
-    assert mf.min_eigenvalue(mf.metric_matrix(mf.PotentialField.zeros(g))) == 1.0
+    m, _, min_eig = geo.metric_raw(g, np.zeros(g.shape))
+    assert min_eig == 1.0 and float(geo.eigmin_raw(g, m).min()) == 1.0

@@ -13,7 +13,7 @@ from maflow.config import load_config, parse_modes
 from maflow.errors import ConfigError
 from maflow.flow import FlowConfig, run, run_levels
 from maflow.geometry import PotentialField
-from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
+from maflow.initial import PotentialSpec, approximation_sequence, cos_mode, sample_potential
 from maflow.logdiff import evolve_density, potential_to_density
 
 
@@ -44,6 +44,19 @@ class TestSnapshotFormat:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ConfigError):
             mio.read_field(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_config_error_naming_the_file(self, tmp_path, value):
+        g = mf.TorusGrid(1, 8)
+        f = mode(g, (1, 0), 0.02)
+        f.values[3, 5] = value
+        path = tmp_path / "f.mafl"
+        mio.write_field(path, f)
+        with pytest.raises(ConfigError, match="f.mafl: non-finite value"):
+            mio.read_field(path)
+        # from_file initial data is read through the same check
+        with pytest.raises(ConfigError, match="f.mafl: non-finite value"):
+            sample_potential(PotentialSpec("from_file", path=str(path)), g)
 
 
 class TestTrajectoryPersistence:
@@ -578,6 +591,15 @@ def set_cell(row, column, value):
     return lambda d: edit_series(d, change)
 
 
+def set_payload(name, value):
+    """Write ``value`` into one point of level's ``name``, keeping its header."""
+    def change(d):
+        field, t = mio.read_field(d / name)
+        field.values[3, 5] = value
+        mio.write_field(d / name, field, t)
+    return change
+
+
 def on_res_8(name, t):
     """Rewrite level's ``name`` as a valid res 8 field stamped t."""
     return lambda d: mio.write_field(d / name, mode(mf.TorusGrid(1, 8), (1, 0), 0.02), t=t)
@@ -646,6 +668,10 @@ CORRUPTIONS = {   # name: (file, and key, named in the message; corruption of a 
     "series_t_nan": ("series.csv: column 't'", set_cell(2, "t", "nan")),
     "series_E_inf": ("series.csv: column 'E'", set_cell(1, "E", "inf")),
     "series_vol_minus_inf": ("series.csv: column 'vol'", set_cell(3, "vol", "-inf")),
+    # a NaN phidot passed stbelow, a -inf one skipped it, a +inf phi read as a violation
+    **{f"{kind}_payload_{value}": (f"snap_001_{kind}.mafl: non-finite value",
+                                   set_payload(f"snap_001_{kind}.mafl", float(value)))
+       for kind in ("phi", "phidot") for value in ("nan", "inf", "-inf")},
 }
 
 

@@ -459,8 +459,10 @@ class TestDeterminism:
         tr = run(mode(g, (1, 0), 0.02), FlowConfig(grid=g, T=0.0))
         reps = {rep.name: rep for rep in ver.run_checks(tr)}
         assert len(tr.times) == 1 and all(r.status in ("pass", "skip") for r in reps.values())
-        for name in ("minoinf", "density_monotone", "density_min", "mean_value"):
+        for name in ("minoinf", "density_monotone", "density_min", "mean_value",
+                     "energy_monotone"):
             assert reps[name].status == "skip" and reps[name].gated_on, name
+        assert reps["energy_monotone"].gated_on == "series too short"
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +521,27 @@ class TestViolationsAreCaught:
                             [copy.deepcopy(s) for s in tr.snapshots])
         bad.snapshots[-1].phi_dot = bad.snapshots[-1].phi_dot + 10.0
         assert ver.verify_clef(bad).status == "fail"
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_phidot_fails_stbelow(self, smooth_run, value):
+        tr, _ = smooth_run
+        import copy
+        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.times, tr.series,
+                            [copy.deepcopy(s) for s in tr.snapshots])
+        bad.snapshots[2].phi_dot[3, 5] = value
+        rep = ver.verify_stbelow(bad)
+        assert rep.status == "fail" and rep.location == (bad.snapshots[2].t, 3, 5)
+        assert not math.isfinite(ver.calibrate_stbelow(bad))   # nan, or inf for -inf
+
+    def test_worst_keeps_the_first_nan(self):
+        ones = np.ones((4, 4))
+        nan, minus_inf = ones.copy(), ones.copy()
+        nan[1, 2] = np.nan
+        minus_inf[0, 3] = -np.inf
+        slack, loc = ver._worst([(0.1, ones), (0.2, nan), (0.3, minus_inf), (0.4, nan)])
+        assert math.isnan(slack) and loc == (0.2, 1, 2)
+        assert ver._worst([(0.1, ones), (0.3, minus_inf)]) == (-np.inf, (0.3, 0, 3))
+        assert ver._worst([]) == (math.inf, ())
 
     def test_unordered_levels_fail_comparison(self, smooth_run):
         tr, cfg = smooth_run
