@@ -18,13 +18,12 @@ from .initial import (ApproximationSequence, PotentialSpec,
                       approximation_sequence, integrability_threshold,
                       lelong_estimate, sample_potential)
 from .flow import (FlowConfig, FlowState, Trajectory, TwistSpec,
-                   continue_run, limit_potential, rhs, run, run_levels, step,
-                   t_max)
+                   continue_run, limit_potential, run, run_levels, t_max)
 from .functionals import (density, energy, lp_norm, mean_value, orlicz_integral,
                           oscillation)
 from .elliptic import newton_residual_and_linearization, solve_ma
 from .logdiff import (DensityField, density_to_potential, evolve_density,
-                      potential_to_density, step_logfd)
+                      potential_to_density)
 from . import oracles, verify
 
 __version__ = "0.1.0"

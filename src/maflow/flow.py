@@ -88,8 +88,7 @@ from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, KaehlerConeViolation, MaflowError, StepSizeUnderflow
 from .geometry import PotentialField
-from .initial import (ApproximationLevel, ApproximationSequence, PotentialSpec,
-                      approximation_sequence)
+from .initial import ApproximationLevel, PotentialSpec, approximation_sequence
 
 SIGN_TOL = 1e-10
 
@@ -325,7 +324,7 @@ class Trajectory:
 
     @property
     def t0(self):
-        return float(self.meta.get("t0", 0.0))
+        return float(self.meta["t0"])
 
 
 class _Reject(Exception):
@@ -419,13 +418,6 @@ def _checked_parts(st, t, phi, message):
         raise KaehlerConeViolation(message, t=t, min_eig=e.args[0]) from None
 
 
-def rhs(t, phi, config):
-    """Right-hand side of the flow at (t, phi); raises KaehlerConeViolation."""
-    r, _, _, _ = _checked_parts(_Stepper(config), t, phi,
-                                f"potential left the Kaehler cone at t={t}")
-    return r
-
-
 def _cfl_dt(config, min_eig):
     return config.safety * config.grid.h ** 2 * min_eig / (4.0 * config.grid.n)
 
@@ -480,11 +472,10 @@ def _rk4_candidate(st, t, y, rhs, dt):
     """RK4 from (t, y) with right-hand side ``rhs``: y at t + dt, not yet checked by parts.
 
     Raises _Reject where a stage's ``st.parts`` does.  The result is not
-    scanned for NaN or inf: its caller rejects a non-finite one.  In
-    ``_advance`` that is ``st.parts`` at the candidate: in the potential
+    scanned for NaN or inf: ``_advance``, its one caller, rejects a
+    non-finite one through ``st.parts`` at the candidate.  In the potential
     form the FFT spreads a NaN or inf over the whole Hessian, so min_eig is
-    NaN; in the density form, and in ``logdiff.step_logfd``,
-    ``logdiff._positive_min`` rejects it.
+    NaN; in the density form ``logdiff._positive_min`` rejects it.
     """
     r1 = st.rate(rhs)
     r2 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r1))[0])
@@ -562,15 +553,6 @@ def _initial_state(st, phi0, t0):
     r, det, emin, m = _checked_parts(
         st, t0, phi0, "initial potential is not strictly inside the Kaehler cone")
     return FlowState(t0, phi0.copy(), r, emin, det=det, metric=m)
-
-
-def step(state, config):
-    """One adaptive step of the configured flow from the given state."""
-    st = _Stepper(config)
-    if state.phi_dot is None:
-        state = _initial_state(st, state.phi, state.t)
-    new, _ = _advance(st, state, math.inf)
-    return new
 
 
 def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=None):
@@ -658,7 +640,7 @@ def continue_run(traj, from_t, config, T=None, meta_extra=None, workers=None):
     extra = {"restarted_from": float(snap.t)}
     if meta_extra:
         extra.update(meta_extra)
-    return run(phi, cfg, t0=float(snap.t), data_class=traj.meta.get("data_class", "smooth"),
+    return run(phi, cfg, t0=float(snap.t), data_class=traj.meta["data_class"],
                meta_extra=extra, workers=workers)
 
 
@@ -790,27 +772,14 @@ class LimitReport:
     details: dict = dfield(default_factory=dict)
 
 
-def limit_potential(seq_or_trajs, config=None, t=None, ratio_tol=0.85):
-    """Decreasing limit across approximation levels at time t.
+def limit_potential(trajs, t, ratio_tol=0.85):
+    """Decreasing limit at time t across the levels' trajectories (``run_levels``).
 
-    Returns (phi_t of the deepest level, LimitReport).  Convergence is
-    flagged when the sup-norm Cauchy decrements fall geometrically
-    (successive ratios <= ratio_tol); non-convergence is reported in the
-    LimitReport, not raised.
+    Returns (phi_t of the deepest level, LimitReport).  Every trajectory
+    needs a snapshot at t.  Convergence is flagged when the sup-norm Cauchy
+    decrements fall geometrically (successive ratios <= ratio_tol);
+    non-convergence is reported in the LimitReport, not raised.
     """
-    if isinstance(seq_or_trajs, ApproximationSequence):
-        if config is None or t is None:
-            raise ConfigError("limit_potential(seq) needs a config and a time")
-        if t > config.T:
-            raise ConfigError("probe time beyond the configured horizon")
-        if t not in set(config.snapshot_times) | {config.T}:
-            config = config.replace(
-                snapshot_times=tuple(sorted(set(config.snapshot_times) | {t})))
-        trajs = run_levels(seq_or_trajs, config)
-    else:
-        trajs = list(seq_or_trajs)
-        if t is None:
-            raise ConfigError("limit_potential(trajs) needs the probe time")
     if len(trajs) < 3:
         raise ConfigError("need at least 3 levels to assess convergence")
     fields = [tr.snapshot_at(t).phi for tr in trajs]
@@ -832,13 +801,16 @@ def maximal_stretch_gap(spec, grid, config, t, J=4, alt_kwargs=None):
     Runs two distinct approximation sequences and reports the sup gap of
     their limits at time t; a report field, never an assertion.
     """
+    if t > config.T:
+        raise ConfigError("probe time beyond the configured horizon")
+    config = config.replace(snapshot_times=(*config.snapshot_times, t))
     a = approximation_sequence(spec, grid, J)
     kw = dict(delta0=max(8.0 * grid.h, grid.period / 24.0), ratio=0.6, s0=0.02)
     if alt_kwargs:
         kw.update(alt_kwargs)
     b = approximation_sequence(spec, grid, J, **kw)
-    fa, ra = limit_potential(a, config, t)
-    fb, rb = limit_potential(b, config, t)
+    fa, ra = limit_potential(run_levels(a, config), t)
+    fb, rb = limit_potential(run_levels(b, config), t)
     gap = float(np.abs(fa.values - fb.values).max())
     scale = max(1.0, float(np.abs(fa.values).max()))
     return {"sup_gap": gap, "relative_gap": gap / scale,

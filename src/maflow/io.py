@@ -41,8 +41,8 @@ def write_field(path, field, t=0.0):
 
 
 def read_field(path):
-    """Returns (PotentialField, t); a missing file, a bad header or a non-finite value
-    is a ConfigError naming it."""
+    """Returns (PotentialField, t); a missing file, a bad header, a data size other than
+    the header's grid holds or a non-finite value is a ConfigError naming it."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -55,9 +55,10 @@ def read_field(path):
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a MAFL snapshot")
         grid = TorusGrid.checked(n, res, period, path)
-        data = np.frombuffer(fh.read(grid.npoints * 8), dtype="<f8")
-        if data.size != grid.npoints:
-            raise ConfigError(f"{path}: truncated snapshot")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size   # a huge res must not reach read
+        if size != grid.npoints * 8:
+            raise ConfigError(f"{path}: {size} data bytes, not the {grid.npoints * 8} of its grid")
+        data = np.frombuffer(fh.read(size), dtype="<f8")
         if not np.isfinite(data).all():
             raise ConfigError(f"{path}: non-finite value in the snapshot data")
         return PotentialField(grid, data.reshape(grid.shape).copy()), t
@@ -164,6 +165,7 @@ def _read_meta(dirpath):
         raise ConfigError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: not a JSON object")
+    meta.setdefault("data_class", "unknown")   # the one default of a run that left it out
     with _meta_values(dirpath):
         return meta, TorusGrid.checked(meta["n"], meta["res"], meta["period"], path)
 
@@ -173,8 +175,7 @@ def _check_values(meta, t_first):
     t_max (when saved) a positive number or Infinity, inf_h <= sup_h, t0 the first
     series time, snapshot_index a non-empty list whose first entry is at t0, variant
     one of FlowConfig.VARIANTS, sign_class one of TwistSpec.SIGN_CLASSES and
-    data_class (when saved) one of PotentialSpec.DATA_CLASSES; a ValueError names the
-    key."""
+    data_class one of PotentialSpec.DATA_CLASSES; a ValueError names the key."""
     big = sys.float_info.max   # abs(v) <= big fails for NaN, +-Infinity and ints past floats
     for key in ("c", "sup_h", "inf_h", "t0", "T"):
         if type(meta[key]) not in (int, float) or not abs(meta[key]) <= big:
@@ -189,11 +190,10 @@ def _check_values(meta, t_first):
     index = meta["snapshot_index"]
     if not index or index[0]["t"] != meta["t0"]:
         raise ValueError(f"snapshot_index is empty or does not start at t0 = {meta['t0']!r}")
-    saved = {"data_class": "unknown", **meta}   # a run may leave data_class out
     for key, known in (("variant", FlowConfig.VARIANTS), ("sign_class", TwistSpec.SIGN_CLASSES),
                        ("data_class", PotentialSpec.DATA_CLASSES)):
-        if saved[key] not in known:
-            raise ValueError(f"{key} = {saved[key]!r} is not one of {', '.join(known)}")
+        if meta[key] not in known:
+            raise ValueError(f"{key} = {meta[key]!r} is not one of {', '.join(known)}")
 
 
 def load_trajectory(dirpath):
@@ -204,13 +204,15 @@ def load_trajectory(dirpath):
     with _meta_values(dirpath):
         _check_values(meta, float(times[0]))
         for rec in meta.pop("snapshot_index"):
-            i = rec["i"]
-            phi, t = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phi.mafl"), grid)
-            dot, t_dot = _read_on(os.path.join(dirpath, f"snap_{i:03d}_phidot.mafl"), grid)
-            if t != rec["t"] or t_dot != rec["t"]:
-                raise ConfigError(f"{dirpath}: snapshot {i} is stamped t={t}, t={t_dot}; "
-                                  f"meta.json says t={rec['t']}")
-            snaps.append(Snapshot(t, phi.values, dot.values, rec["min_eig"]))
+            fields = []
+            for kind in ("phi", "phidot"):   # a stamp off meta.json's is an error naming the file
+                path = os.path.join(dirpath, f"snap_{rec['i']:03d}_{kind}.mafl")
+                field, t = _read_on(path, grid)
+                if t != rec["t"]:
+                    raise ConfigError(f"{path}: snapshot {rec['i']} is stamped t={t}; "
+                                      f"meta.json says t={rec['t']}")
+                fields.append(field.values)
+            snaps.append(Snapshot(t, *fields, rec["min_eig"]))
         psi = _optional_field(dirpath, "psi_chi.mafl", grid)
         twist = None if psi is None else TwistSpec(meta["c"], psi)
     return Trajectory(grid, meta, times, series, snaps, twist)

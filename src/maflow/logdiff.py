@@ -10,20 +10,20 @@ normalization constant: a cos(2 pi k x / L) perturbation of f = 1 decays
 at rate pi^2 k^2 / L^2 = 4 pi^2 kappa k^2 / L^2).  The right-hand side is
 a pure Fourier multiplier applied to log f, so every stage has exactly
 zero mean and the stepping conserves mass to round-off.  The density form
-is a ``flow._Stepper`` (``_DensityStepper``) built from a FlowConfig, so
-flow's one step driver (``flow._advance``) and one time loop
-(``flow._march``) run it under the potential form's policies, landing,
-record cadence, snapshots and setting checks.  Its right-hand side is the
-spectrum sym * rfftn(log f), which is the SBDF2 explicit term as it
-stands, so a semi-implicit step takes two transforms: rfftn(log f) and the
-inverse of the new density.  A step that loses positivity is rejected, and
-one that may not be halved past is a PositivityLoss carrying t.
+is a ``flow._Stepper`` (``_DensityStepper``) built from a FlowConfig, and
+``evolve_density`` is its one entry point: flow's one step driver
+(``flow._advance``) and one time loop (``flow._march``) run it under the
+potential form's policies, landing, record cadence, snapshots and setting
+checks.  Its right-hand side is the spectrum sym * rfftn(log f), which is
+the SBDF2 explicit term as it stands, so a semi-implicit step takes two
+transforms: rfftn(log f) and the inverse of the new density.  A step that
+loses positivity is rejected, and one that may not be halved past is a
+PositivityLoss carrying t.
 
 The flow is kept on the torus rather than a chart of the sphere so the
 spectral stack is shared; the PDE is identical.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +31,7 @@ import numpy as np
 from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, MassMismatch, PositivityLoss
-from .flow import (FlowConfig, Snapshot, Trajectory, _Reject, _Stepper, _initial_state, _march,
-                   _rk4_candidate)
+from .flow import FlowConfig, Snapshot, Trajectory, _Reject, _Stepper, _initial_state, _march
 from .geometry import PotentialField
 
 KAPPA = 0.25
@@ -77,35 +76,6 @@ def density_to_potential(f):
     out = np.zeros_like(spec)
     np.divide(spec, sym, out=out, where=sym != 0.0)
     return PotentialField(grid, grid.ifft(out))
-
-
-def step_logfd(f, dt, dt_min=1e-12, t=0.0):
-    """Advance by exactly dt, sub-stepping by halving to keep f > 0.
-
-    Each (sub-)step is flow's RK4 candidate.  dt_min bounds each halved
-    span, not dt itself, which may be the short last step to a boundary.
-    ``t`` is the time of ``f``; a PositivityLoss carries the start time of
-    the sub-step that could not be halved.
-    """
-    if not (math.isfinite(dt) and dt >= 0.0):
-        raise ConfigError(f"step dt={dt!r} must be finite and >= 0")
-    if not (math.isfinite(dt_min) and dt_min > 0.0):
-        raise ConfigError(f"dt_min={dt_min!r} must be finite and positive")
-    st = _DensityStepper(FlowConfig(grid=f.grid), f)
-
-    def advance(a, rhs, start, span):
-        try:
-            new = _rk4_candidate(st, start, a, rhs, span)
-            _positive_min(new)
-            return new
-        except _Reject:
-            if 0.5 * span < dt_min:
-                raise st.failure(start, True) from None
-            half, mid = advance(a, rhs, start, 0.5 * span), start + 0.5 * span
-            return advance(half, st.parts(mid, PotentialField(st.grid, half))[0], mid, 0.5 * span)
-
-    s = st.state
-    return DensityField(f.grid, advance(s.phi.values, s.phi_dot, float(t), float(dt)))
 
 
 def _positive_min(f):

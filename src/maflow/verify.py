@@ -87,6 +87,16 @@ def _worst(pairs):
     return slack, loc
 
 
+def _worst_row(ts, margin):
+    """(min, (t of the first argmin,)) of a series margin over the times ts; (inf, ()) for none.
+
+    A NaN is the worst value, as in ``_worst``."""
+    if len(margin) == 0:
+        return math.inf, ()
+    i = int(np.argmin(margin))
+    return float(margin[i]), (float(ts[i]),)
+
+
 def _worst_after_t0(traj, margin):
     """``_worst`` of margin(snap, tau) over the snapshots at tau = t - t0 > 0."""
     return _worst((snap.t, margin(snap, tau)) for snap, tau in _elapsed(traj) if tau > 0.0)
@@ -115,7 +125,7 @@ def verify_comparison(run_low, run_high, tol=1e-6):
         return _skip("comparison", stmt, "needs two or more levels")
     for key in ("n", "res", "period", "variant", "c", "T", "dt_policy",
                 "sup_h", "inf_h"):
-        if run_low.meta.get(key) != run_high.meta.get(key):
+        if run_low.meta.get(key) != run_high.meta.get(key):   # io does not require dt_policy
             raise ConfigMismatch(f"paired runs differ in {key!r}")
     lo0 = run_low.snapshots[0].phi
     hi0 = run_high.snapshots[0].phi
@@ -134,13 +144,11 @@ def verify_sup_bound(traj, tol=1e-6):
     if traj.meta["variant"] != "cmaf":
         return _skip("sup_bound", stmt, "cmaf-only check")
     n = traj.meta["n"]
-    rate = n * math.log(2.0) - traj.meta.get("inf_h", 0.0)
+    rate = n * math.log(2.0) - traj.meta["inf_h"]
     sup0 = float(traj.column("sup")[0])
-    ts = traj.column("t") - traj.t0
-    margin = sup0 + rate * ts - traj.column("sup")
-    i = int(np.argmin(margin))
-    return _verdict("sup_bound", stmt, float(margin[i]), tol,
-                    location=(float(traj.column("t")[i]),),
+    ts = traj.column("t")
+    slack, loc = _worst_row(ts, sup0 + rate * (ts - traj.t0) - traj.column("sup"))
+    return _verdict("sup_bound", stmt, slack, tol, location=loc,
                     details={"rate": rate, "sup0": sup0})
 
 
@@ -155,19 +163,19 @@ def verify_minoinf(traj, tol=1e-5):
     """(1-sqrt t)(phi0 - inf phi0 + 1) - C t + inf phi0 - 1 <= phi_t (bounded data)."""
     stmt = "(1 - sqrt(t)) (phi0 - inf phi0 + 1) - C t + inf phi0 - 1 <= phi_t"
     name = "minoinf"
-    dc = traj.meta.get("data_class", "unknown")
+    dc = traj.meta["data_class"]
     if dc not in ("smooth", "bounded"):
         return _skip(name, stmt, f"needs bounded initial data, got {dc!r}")
     if traj.meta["variant"] != "cmaf":
         return _skip(name, stmt, "cmaf-only check")
     Te = traj.meta["T"] - traj.t0
-    tm = traj.meta.get("t_max", math.inf)
+    tm = traj.meta.get("t_max", math.inf)   # the density form records no t_max
     if not Te > 0.0:
         return _skip(name, stmt, "no positive-time snapshots recorded")
     if math.isfinite(tm) and math.sqrt(Te) >= 0.999 * tm:
         return _skip(name, stmt, "sqrt(T) reaches T_max; subsolution undefined")
     n = traj.meta["n"]
-    C = traj.meta.get("sup_h", 0.0) + _minoinf_cn(n, Te)
+    C = traj.meta["sup_h"] + _minoinf_cn(n, Te)
     phi0 = traj.snapshots[0].phi
     m0 = float(phi0.min())
 
@@ -207,7 +215,7 @@ def verify_ncmaf_bound(traj, tol=1e-5):
 
 
 def default_stbelow_A(traj):
-    tm = traj.meta.get("t_max", math.inf)
+    tm = traj.meta.get("t_max", math.inf)   # the density form records no t_max
     Te = traj.meta["T"] - traj.t0
     if math.isfinite(tm):
         return 1.05 / (tm - Te)
@@ -241,7 +249,7 @@ def verify_stbelow(traj, A=None, C=STBELOW_C, tol=1e-5):
     """phidot_t >= n log t - A Osc(phi0) - C for bounded data."""
     stmt = "phidot_t >= n log t - A * Osc(phi0) - C"
     name = "stbelow"
-    dc = traj.meta.get("data_class", "unknown")
+    dc = traj.meta["data_class"]
     if dc not in ("smooth", "bounded"):
         return _skip(name, stmt, f"needs bounded initial data, got {dc!r}")
     if traj.meta["variant"] != "cmaf":
@@ -254,7 +262,7 @@ def verify_density_monotone(traj, tol=1e-5):
     """chi <= 0: sup f_t nonincreasing and int f log(1+f) dmu nonincreasing."""
     stmt = "sup f_t and int f_t log(1+f_t) dmu nonincreasing (chi <= 0)"
     name = "density_monotone"
-    sign = traj.meta.get("sign_class", "mixed")
+    sign = traj.meta["sign_class"]
     if sign not in ("zero", "nonpos"):
         return _skip(name, stmt, f"needs chi <= 0, twist is {sign!r}")
     if len(traj.times) < 2:
@@ -264,9 +272,8 @@ def verify_density_monotone(traj, tol=1e-5):
     ts = traj.column("t")
     d_sup = fmax[:-1] - fmax[1:]
     d_orl = orl[:-1] - orl[1:]
-    both = np.minimum(d_sup, d_orl)
-    i = int(np.argmin(both))
-    return _verdict(name, stmt, float(both[i]), tol, location=(float(ts[i + 1]),),
+    slack, loc = _worst_row(ts[1:], np.minimum(d_sup, d_orl))
+    return _verdict(name, stmt, slack, tol, location=loc,
                     details={"sup_slack": float(d_sup.min()),
                              "orlicz_slack": float(d_orl.min()),
                              "sup_f0_slack": float((fmax[0] - fmax).min())})
@@ -276,16 +283,14 @@ def verify_density_min(traj, tol=1e-5):
     """chi >= 0: inf f_t nondecreasing (so f stays away from zero)."""
     stmt = "inf f_t nondecreasing (chi >= 0)"
     name = "density_min"
-    sign = traj.meta.get("sign_class", "mixed")
+    sign = traj.meta["sign_class"]
     if sign not in ("zero", "nonneg"):
         return _skip(name, stmt, f"needs chi >= 0, twist is {sign!r}")
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     fmin = traj.column("fmin")
-    ts = traj.column("t")
-    d = fmin[1:] - fmin[:-1]
-    i = int(np.argmin(d))
-    return _verdict(name, stmt, float(d.min()), tol, location=(float(ts[i + 1]),),
+    slack, loc = _worst_row(traj.column("t")[1:], fmin[1:] - fmin[:-1])
+    return _verdict(name, stmt, slack, tol, location=loc,
                     details={"inf_f0_slack": float((fmin - fmin[0]).min())})
 
 
@@ -297,27 +302,24 @@ def verify_volume_identity(traj, rtol=1e-6):
     V = traj.meta["period"] ** (2 * n)
     ts = traj.column("t")
     target = (1.0 + ts * c) ** n * V
-    rel = np.abs(traj.column("vol") / target - 1.0)
-    i = int(np.argmax(rel))
-    return _verdict("volume_identity", stmt, -float(rel[i]), rtol,
-                    location=(float(ts[i]),), details={"max_rel_err": float(rel[i])})
+    slack, loc = _worst_row(ts, -np.abs(traj.column("vol") / target - 1.0))
+    return _verdict("volume_identity", stmt, slack, rtol, location=loc,
+                    details={"max_rel_err": -slack})
 
 
 def verify_energy_monotone(traj, tol=1e-4):
     """chi = 0: t -> E(phi_t) is nondecreasing along the flow."""
     stmt = "E(phi_t) nondecreasing (chi = 0)"
     name = "energy_monotone"
-    if traj.meta.get("sign_class") != "zero":
+    if traj.meta["sign_class"] != "zero":
         return _skip(name, stmt, "needs chi = 0")
     if traj.meta["variant"] != "cmaf":
         return _skip(name, stmt, "cmaf-only check")
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     E = traj.column("E")
-    ts = traj.column("t")
-    d = E[1:] - E[:-1]
-    i = int(np.argmin(d))
-    return _verdict(name, stmt, float(d.min()), tol, location=(float(ts[i + 1]),))
+    slack, loc = _worst_row(traj.column("t")[1:], E[1:] - E[:-1])
+    return _verdict(name, stmt, slack, tol, location=loc)
 
 
 def verify_mean_value(traj, slope_tol=1e-3, convex_tol=1e-3):
@@ -339,7 +341,7 @@ def verify_mean_value(traj, slope_tol=1e-3, convex_tol=1e-3):
     slope_slack = float((caps - slopes).min())
     details = {"worst_slope_gap": float((slopes - caps).max())}
     slack = slope_slack / slope_tol
-    if traj.meta.get("sign_class") == "nonneg" and c > 0:
+    if traj.meta["sign_class"] == "nonneg" and c > 0:
         mid = 2.0 * (slopes[1:] - slopes[:-1]) / (ts[2:] - ts[:-2])
         details["worst_second_difference"] = float(mid.min())
         slack = min(slack, float(mid.min()) / convex_tol)
@@ -360,12 +362,12 @@ def verify_lelong_attenuation(level_trajs, gamma, beta, phi0_singular, u,
             "nu(phi_t) <= (1-2bt) gamma")
     name = "lelong_attenuation"
     deep = level_trajs[-1]
-    if deep.meta.get("data_class") != "lelong":
+    if deep.meta["data_class"] != "lelong":
         return _skip(name, stmt, "needs lelong initial data")
     n = deep.meta["n"]
     alpha = 2.0 * beta
     grid = deep.grid
-    center = deep.meta.get("center")
+    center = deep.meta.get("center")   # only a meta_extra records it
     if center is None:
         from .initial import default_center
         center = default_center(grid)
@@ -466,8 +468,7 @@ def verify_oscillation_levels(level_trajs, t_min=None, spread_tol=0.10, tail=3):
     name = "oscillation_levels"
     if len(level_trajs) < 2:
         return _skip(name, stmt, "needs two or more levels")
-    dc = level_trajs[-1].meta.get("data_class", "unknown")
-    if dc == "lelong":
+    if level_trajs[-1].meta["data_class"] == "lelong":
         return _skip(name, stmt, "positive Lelong mass: oscillation may depend "
                                  "on the level before the smoothing time")
     if t_min is None:

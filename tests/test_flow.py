@@ -12,9 +12,8 @@ from maflow import flow, logdiff
 from maflow.elliptic import solve_ma
 from maflow.errors import (ConfigError, KaehlerConeViolation, PositivityLoss,
                            StepSizeUnderflow)
-from maflow.flow import (FlowConfig, FlowState, TwistSpec, continue_run,
-                         limit_potential, maximal_stretch_gap, normalize_h,
-                         rhs, run, run_levels, step, t_max)
+from maflow.flow import (FlowConfig, TwistSpec, continue_run, limit_potential,
+                         maximal_stretch_gap, normalize_h, run, run_levels, t_max)
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
 from maflow.logdiff import evolve_density, potential_to_density
@@ -138,6 +137,17 @@ class TestConfigValidation:
         assert abs(float(np.exp(cfg.h.values).mean()) - 1.0) < 1e-12
 
 
+def rhs(t, phi, config):
+    """The flow's right-hand side at (t, phi), as the driver evaluates it."""
+    return flow._checked_parts(flow._Stepper(config), t, phi, "left the cone")[0]
+
+
+def step(phi0, config):
+    """The state after one step of the one driver from the initial state at t = 0."""
+    st = flow._Stepper(config)
+    return flow._advance(st, flow._initial_state(st, phi0, 0.0), math.inf)[0]
+
+
 class TestRhs:
     def test_flat_fixed_point(self):
         g = grid1()
@@ -229,13 +239,13 @@ class TestStep:
         h = normalize_h(mode(g, (1, 0), 0.1))
         u, _ = solve_ma(0.0, grid=g, h=h)
         cfg = FlowConfig(grid=g, h=h, T=1.0)
-        st = step(FlowState(0.0, u, None, None), cfg)
+        st = step(u, cfg)
         assert np.abs(st.phi.values - u.values).max() <= 1e-9
 
     def test_zero_stays_zero_under_ncmaf(self):
         g = grid1()
         cfg = FlowConfig(grid=g, variant="ncmaf", T=1.0)
-        st = step(FlowState(0.0, PotentialField.zeros(g), None, None), cfg)
+        st = step(PotentialField.zeros(g), cfg)
         assert np.abs(st.phi.values).max() == 0.0
 
     def test_small_amplitude_step_matches_heat_oracle(self):
@@ -243,7 +253,7 @@ class TestStep:
         g = grid1(64)
         eps = 5e-3
         cfg = FlowConfig(grid=g, T=1.0, dt_policy="rk4_fixed", dt_init=1e-4)
-        st = step(FlowState(0.0, mode(g, (1, 0), eps), None, None), cfg)
+        st = step(mode(g, (1, 0), eps), cfg)
         exact = eps * heat_decay_factor(g, (1, 0), 1e-4) * np.broadcast_to(
             np.cos(2 * np.pi * g.coord(0)), g.shape)
         # leading nonlinear correction is -x^2/2 with x = pi^2 eps cos
@@ -392,6 +402,13 @@ class TestLevelsAndLimit:
         cfg = FlowConfig(grid=g, T=0.05, snapshot_times=(0.05,), record_every=50)
         rep = maximal_stretch_gap(spec, g, cfg, 0.05, J=3)
         assert "sup_gap" in rep and rep["sup_gap"] >= 0.0
+
+    def test_stretch_gap_probe_past_the_horizon_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(flow, "run_levels", lambda *a, **k: pytest.fail("ran a level"))
+        g = mf.TorusGrid(1, 16, period=2.0)
+        spec = PotentialSpec("smooth", modes=[((1, 0), 0.03, 0.0)])
+        with pytest.raises(ConfigError, match="horizon"):
+            maximal_stretch_gap(spec, g, FlowConfig(grid=g, T=0.05), 0.1, J=3)
 
 
 class TestTwistedN2:
@@ -617,7 +634,7 @@ class TestSpectralState:
         # the first step restarts the history: stabilized backward Euler
         spec, _ = flow._sbdf2_spectrum(g.flat_symbol(), g.fft(u.values), g.fft(s0.phi_dot),
                                        {}, 1e-3, 1e-3, cfg.stab_factor / s0.min_eig)
-        new = step(FlowState(0.0, u, None, None), cfg)
+        new = step(u, cfg)
         assert new.t == 1e-3 and new.step_count == 1
         assert np.array_equal(new.phi.values, g.ifft(spec))
         assert new.phi.values is new.phi.values   # formed once

@@ -628,6 +628,8 @@ CORRUPTIONS = {   # name: (file, and key, named in the message; corruption of a 
         "meta.json", lambda d: edit_meta(d, lambda m: m["snapshot_index"][0].update(i="0"))),
     "header_n_3": ("snap_001_phi.mafl", lambda d: edit_header(d, n=3)),
     "header_period_nan": ("snap_001_phi.mafl", lambda d: edit_header(d, period=float("nan"))),
+    # a grid whose byte count no read can take: an OverflowError traceback
+    "header_res_2_31": ("snap_001_phi.mafl", lambda d: edit_header(d, res=2 ** 31)),
     # these used to end in a traceback inside verify, or (t0) in estimate violations
     "meta_c_string": ("meta.json: c =", set_meta("c", "x")),
     "meta_sup_h_inf": ("meta.json: sup_h =", set_meta("sup_h", float("inf"))),
@@ -752,6 +754,19 @@ class TestDataClassValidation:
         assert main(["verify", str(lelong_run)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and str(level) in err
+
+    def test_a_missing_data_class_stays_unknown_through_a_restart(self, lelong_run, capsys):
+        # io reads a run without data_class as "unknown", so a restart must not
+        # record it as smooth and open the bounded-data checks to a log pole
+        level = lelong_run / "level_01"
+        edit_meta(level, lambda m: m.pop("data_class"))
+        dest = lelong_run.parent / "restart" / "level_00"
+        assert main(["restart", str(level), "--at", "0.01", "--out", str(dest)]) == 0
+        assert json.loads((dest / "meta.json").read_text())["data_class"] == "unknown"
+        assert mio.load_trajectory(level).meta["data_class"] == "unknown"
+        capsys.readouterr()
+        assert main(["verify", str(dest.parent), "--checks", "stbelow,minoinf"]) == 0
+        assert capsys.readouterr().out.count("got 'unknown'") == 2
 
     def test_run_rejects_an_unknown_data_class(self):
         g = mf.TorusGrid(1, 16)

@@ -14,7 +14,7 @@ from maflow.flow import FlowConfig, _Reject, run
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import cos_mode
 from maflow.logdiff import (KAPPA, DensityField, density_to_potential,
-                            evolve_density, potential_to_density, step_logfd)
+                            evolve_density, potential_to_density)
 
 
 def grid1(res=64):
@@ -73,16 +73,17 @@ class TestConversions:
 class TestStepping:
     def test_uniform_density_is_fixed(self):
         g = grid1()
-        f = DensityField(g, np.ones(g.shape))
-        out = step_logfd(f, 1e-3)
-        assert np.abs(out.values - 1.0).max() < 1e-15
+        tr = evolve_density(DensityField(g, np.ones(g.shape)), 1e-3, record_every=1)
+        assert len(tr.times) > 2
+        for col in ("fmin", "fmax"):
+            assert np.abs(tr.column(col) - 1.0).max() < 1e-15
 
     def test_mass_conserved_over_many_steps(self):
         g = grid1()
         f = potential_to_density(mode_potential(g))
-        for _ in range(100):
-            f = step_logfd(f, 2e-5)
-        assert abs(f.mass() - g.volume) <= 1e-8
+        tr = evolve_density(f, 2e-3, dt_init=2e-5, record_every=1)
+        assert len(tr.times) == 101
+        assert np.abs(tr.column("vol") - g.volume).max() <= 1e-8
 
     def test_perturbation_decays_at_heat_rate(self):
         # linearization at f = 1: df/dt = kappa Delta f, rate 4 pi^2 kappa
@@ -238,35 +239,6 @@ class TestFailureTime:
             evolve_density(potential_to_density(mode_potential(g)), 0.01,
                            dt_policy="semi_implicit", dt_init=1e-3)
         assert err.value.t == pytest.approx(3e-3, abs=1e-15)
-
-    def test_rk4_underflow_carries_substep_start(self, monkeypatch):
-        g = grid1()
-        rk4 = logdiff._rk4_candidate
-        calls = []
-
-        def fail_first_and_third(st, t, f, rhs, dt):
-            calls.append(dt)
-            if len(calls) in (1, 3):
-                raise _Reject(-1.0)
-            return rk4(st, t, f, rhs, dt)
-
-        monkeypatch.setattr(logdiff, "_rk4_candidate", fail_first_and_third)
-        f = potential_to_density(mode_potential(g))
-        with pytest.raises(PositivityLoss) as err:
-            step_logfd(f, 1e-3, dt_min=4e-4, t=0.25)
-        # whole step fails, its first half passes, the second half cannot be split
-        assert calls == [1e-3, 5e-4, 5e-4]
-        assert err.value.t == pytest.approx(0.25 + 5e-4, abs=1e-15)
-
-    @pytest.mark.parametrize("kw", [
-        {"dt": math.nan}, {"dt": math.inf}, {"dt": -1e-3},
-        {"dt": 1e-3, "dt_min": 0.0}, {"dt": 1e-3, "dt_min": -1e-9},
-        {"dt": 1e-3, "dt_min": math.nan},
-    ])
-    def test_step_logfd_rejects_bad_spans(self, kw):
-        # a non-finite dt would recurse without end, a negative one integrate backward
-        with pytest.raises(ConfigError):
-            step_logfd(potential_to_density(mode_potential(grid1())), **kw)
 
     def test_cfl_step_below_dt_min_is_step_size_underflow(self):
         # as in the potential form, dt_min bounds the CFL step: one below it
