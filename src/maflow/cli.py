@@ -6,6 +6,7 @@ configurations included), 3 solver failure (failure time in the report),
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,9 +48,7 @@ def cmd_run(args):
     if len(trajs) >= 3:
         _, rep = limit_potential(trajs, t=setup.flow.T)
         with open(os.path.join(setup.outdir, "limit.json"), "w") as fh:
-            json.dump({"t": rep.t, "decrements": rep.decrements,
-                       "ratios": rep.ratios, "converged": rep.converged,
-                       "monotone": rep.monotone}, fh, indent=1)
+            json.dump(dataclasses.asdict(rep), fh, indent=1)
         print(f"limit: decrements {['%.3g' % d for d in rep.decrements]} "
               f"converged={rep.converged}")
     with open(os.path.join(setup.outdir, "config_echo.ini"), "w") as fh:

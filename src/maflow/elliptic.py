@@ -35,6 +35,8 @@ from .errors import IncompatibleData, NewtonDiverged, SingularMetric
 from .geometry import PotentialField
 
 DAMPING_FLOOR = 2.0 ** -20
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 60
 
 
 @dataclass
@@ -161,9 +163,9 @@ def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
     return proj(sol.reshape(shape)), calls[0], info == 0
 
 
-def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
-             tol=1e-9, max_iter=60, log=None):
-    """Solve the elliptic Monge-Ampere problem; residual sup-norm <= tol.
+def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None, log=None):
+    """Solve the elliptic Monge-Ampere problem to residual sup-norm <= NEWTON_TOL
+    within NEWTON_MAX_ITER Newton iterations.
 
     alpha = 0 requires the mass compatibility and returns the mu-mean-zero
     solution.  Raises NewtonDiverged on damping underflow and
@@ -207,8 +209,8 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
     rnorm = float(np.abs(r).max())
     log.append(0, rnorm, 1.0)
 
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if rnorm <= NEWTON_TOL:
             break
         inv_raw, apply = _linearization(grid, m, det, alpha)
         rhs_arr = -r
@@ -228,7 +230,7 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
                                                         h_arr)
             if r_new is not None:
                 rn = float(np.abs(r_new).max())
-                if rn <= (1.0 - 0.25 * s) * rnorm or rn <= tol:
+                if rn <= (1.0 - 0.25 * s) * rnorm or rn <= NEWTON_TOL:
                     break
             s *= 0.5
             if s < DAMPING_FLOOR:
@@ -236,7 +238,7 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None,
                     f"damping underflow at iteration {it} (residual {rnorm:.3e})")
         u, r, m, det, rnorm = cand, r_new, m_new, det_new, rn
         log.append(it, rnorm, s)
-    if rnorm > tol:
-        raise NewtonDiverged(f"no convergence in {max_iter} iterations "
+    if rnorm > NEWTON_TOL:
+        raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations "
                              f"(residual {rnorm:.3e})")
     return PotentialField(grid, u), log

@@ -91,6 +91,7 @@ from .geometry import PotentialField
 from .initial import ApproximationLevel, PotentialSpec, approximation_sequence
 
 SIGN_TOL = 1e-10
+LIMIT_RATIO = 0.85   # the level limit converges when every decrement ratio is at most this
 
 
 @dataclass
@@ -311,10 +312,11 @@ class Trajectory:
     def column(self, name):
         return np.asarray(self.series[name])
 
-    def snapshot_at(self, t, tol=1e-9):
-        for s in self.snapshots:
-            if abs(s.t - t) <= tol * max(1.0, abs(t)):
-                return s
+    def snapshot_at(self, t):
+        """The snapshot nearest t; a ConfigError when none lies within 1e-9 * max(1, |t|)."""
+        s = min(self.snapshots, key=lambda snap: abs(snap.t - t), default=None)
+        if s is not None and abs(s.t - t) <= 1e-9 * max(1.0, abs(t)):
+            return s
         recorded = ", ".join(f"{s.t:.6g}" for s in self.snapshots)
         raise ConfigError(f"no snapshot at t={t:.6g}; the snapshot times are {recorded}")
 
@@ -629,19 +631,17 @@ def _march(st, t0):
     return times, series, snaps
 
 
-def continue_run(traj, from_t, config, T=None, meta_extra=None, workers=None):
+def continue_run(traj, from_t, config, T=None, workers=None):
     """Restart a run from one of its snapshots (exact state hand-off).
 
-    ``workers`` caps the run's threads as in ``run``.
+    The meta records the snapshot's time as ``restarted_from``.  ``workers``
+    caps the run's threads as in ``run``.
     """
     snap = traj.snapshot_at(from_t)
     cfg = config if T is None else config.replace(T=T)
     phi = PotentialField(traj.grid, snap.phi.copy())
-    extra = {"restarted_from": float(snap.t)}
-    if meta_extra:
-        extra.update(meta_extra)
     return run(phi, cfg, t0=float(snap.t), data_class=traj.meta["data_class"],
-               meta_extra=extra, workers=workers)
+               meta_extra={"restarted_from": float(snap.t)}, workers=workers)
 
 
 def _cpu_cap(workers):
@@ -768,16 +768,14 @@ class LimitReport:
     ratios: list
     converged: bool
     monotone: bool
-    level_count: int
-    details: dict = dfield(default_factory=dict)
 
 
-def limit_potential(trajs, t, ratio_tol=0.85):
+def limit_potential(trajs, t):
     """Decreasing limit at time t across the levels' trajectories (``run_levels``).
 
     Returns (phi_t of the deepest level, LimitReport).  Every trajectory
     needs a snapshot at t.  Convergence is flagged when the sup-norm Cauchy
-    decrements fall geometrically (successive ratios <= ratio_tol);
+    decrements fall geometrically (successive ratios <= LIMIT_RATIO);
     non-convergence is reported in the LimitReport, not raised.
     """
     if len(trajs) < 3:
@@ -787,28 +785,25 @@ def limit_potential(trajs, t, ratio_tol=0.85):
     ratios = [d2 / d1 if d1 > 0 else 0.0
               for d1, d2 in zip(decrements[:-1], decrements[1:])]
     monotone = all(float((b - a).max()) <= 1e-9 for a, b in zip(fields[:-1], fields[1:]))
-    converged = len(ratios) > 0 and all(r <= ratio_tol for r in ratios)
-    grid = trajs[-1].grid
+    converged = len(ratios) > 0 and all(r <= LIMIT_RATIO for r in ratios)
     report = LimitReport(t=float(t), decrements=decrements, ratios=ratios,
-                         converged=converged, monotone=monotone,
-                         level_count=len(trajs))
-    return PotentialField(grid, fields[-1].copy()), report
+                         converged=converged, monotone=monotone)
+    return PotentialField(trajs[-1].grid, fields[-1].copy()), report
 
 
-def maximal_stretch_gap(spec, grid, config, t, J=4, alt_kwargs=None):
+def maximal_stretch_gap(spec, grid, config, t, J=4):
     """Empirical independence of the limit from the chosen sequence.
 
-    Runs two distinct approximation sequences and reports the sup gap of
-    their limits at time t; a report field, never an assertion.
+    Runs two approximation sequences, the default one and a coarser one
+    (delta0 = max(8h, period/24), ratio 0.6, s0 0.02), and reports the sup
+    gap of their limits at time t; a report field, never an assertion.
     """
     if t > config.T:
         raise ConfigError("probe time beyond the configured horizon")
     config = config.replace(snapshot_times=(*config.snapshot_times, t))
     a = approximation_sequence(spec, grid, J)
-    kw = dict(delta0=max(8.0 * grid.h, grid.period / 24.0), ratio=0.6, s0=0.02)
-    if alt_kwargs:
-        kw.update(alt_kwargs)
-    b = approximation_sequence(spec, grid, J, **kw)
+    b = approximation_sequence(spec, grid, J, delta0=max(8.0 * grid.h, grid.period / 24.0),
+                               ratio=0.6, s0=0.02)
     fa, ra = limit_potential(run_levels(a, config), t)
     fb, rb = limit_potential(run_levels(b, config), t)
     gap = float(np.abs(fa.values - fb.values).max())

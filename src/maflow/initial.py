@@ -268,9 +268,12 @@ def approximation_sequence(spec, grid, J, K=1.0, delta0=None, ratio=0.7,
 # ---------------------------------------------------------------------------
 # Lelong-number estimation
 
+LELONG_RADII = 10
+SPHERE_DIRECTIONS = 96
 
-def _sphere_directions(n, count, seed=7):
-    rng = np.random.default_rng(seed)
+
+def _sphere_directions(n, count):
+    rng = np.random.default_rng(7)
     if n == 1:
         th = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -278,7 +281,7 @@ def _sphere_directions(n, count, seed=7):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sphere_average(phi, z0, r, n_dirs=96):
+def sphere_average(phi, z0, r):
     """Average of phi over the sphere |z - z0| = r (interpolated, periodic).
 
     ``r`` is a radius (a float is returned) or an array of radii (an array
@@ -292,65 +295,58 @@ def sphere_average(phi, z0, r, n_dirs=96):
 
     grid = phi.grid
     radii = np.asarray(r, dtype=np.float64)
-    dirs = _sphere_directions(grid.n, n_dirs)
+    dirs = _sphere_directions(grid.n, SPHERE_DIRECTIONS)
     pts = (np.asarray(z0)[None, None, :] + radii.reshape(-1, 1, 1) * dirs[None]) / grid.h
     coeffs = spline_filter(phi.values, 3, output=np.float64, mode="grid-wrap")
     vals = map_coordinates(coeffs, pts.reshape(-1, 2 * grid.n).T, order=3, mode="grid-wrap",
                            prefilter=False)
-    avgs = vals.reshape(-1, n_dirs).mean(axis=1)
+    avgs = vals.reshape(-1, SPHERE_DIRECTIONS).mean(axis=1)
     return float(avgs[0]) if radii.ndim == 0 else avgs
 
 
-def lelong_estimate(phi, z0, r_min=None, r_max=None, n_radii=10, n_dirs=96):
+def lelong_estimate(phi, z0):
     """Log-slope estimate of the Lelong mass of phi at z0.
 
-    Sphere averages a(r) are fitted against [1, log r, r^2]; the r^2 term
-    absorbs the smooth curvature background (including the Green-function
-    compensation), and the log r coefficient estimates the mass.  Clamped
-    at zero.
+    Sphere averages a(r) over SPHERE_DIRECTIONS directions, at LELONG_RADII
+    radii from 3h to 0.22 * period (InsufficientResolution below res 15),
+    are fitted against [1, log r, r^2]; the r^2 term absorbs the smooth
+    curvature background (including the Green-function compensation), and
+    the log r coefficient estimates the mass.  Clamped at zero.
     """
     grid = phi.grid
-    if r_min is None:
-        r_min = 3.0 * grid.h
-    if r_max is None:
-        r_max = 0.22 * grid.period
-    if r_min < 2.0 * grid.h:
-        r_min = 2.0 * grid.h
+    r_min, r_max = 3.0 * grid.h, 0.22 * grid.period
     if r_max <= r_min * 1.05:
         raise InsufficientResolution(
             f"radius window [{r_min:.3g}, {r_max:.3g}] too narrow at res {grid.res}")
-    radii = np.geomspace(r_min, r_max, n_radii)
-    if len(radii) < 3:
-        raise InsufficientResolution("need at least 3 usable radii")
-    avgs = sphere_average(phi, z0, radii, n_dirs)
-    logs = np.log(radii)
-    cols = [np.ones_like(radii), logs]
-    if len(radii) >= 4:
-        cols.append(radii ** 2)
-    A = np.stack(cols, axis=1)
+    radii = np.geomspace(r_min, r_max, LELONG_RADII)
+    avgs = sphere_average(phi, z0, radii)
+    A = np.stack([np.ones_like(radii), np.log(radii), radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, avgs, rcond=None)
     return max(0.0, float(coef[1]))
 
 
-def integrability_threshold(spec, base_res, period=2.0, betas=None, growth=1.10):
+def integrability_threshold(spec, base_res):
     """Largest beta with int e^{-2 beta phi0} finite, detected by quadrature
-    divergence as the resolution doubles (base_res, 2x, 4x).
+    divergence as the resolution doubles (base_res, 2x, 4x) on the period-2
+    torus.
 
+    A beta diverges where the mean of e^{-2 beta phi0} grows by more than
+    10% over the last doubling, and no less than over the one before.
     Returns the geometric mean of the last convergent and first divergent
-    beta on the scanned ladder.  The threshold is a local quantity, so the
-    period only needs to keep the sample omega-psh.
+    beta on a ladder from 0.5 to 1.7 times 1/gamma (lelong data) or 1.  The
+    threshold is a local quantity, so the period only needs to keep the
+    sample omega-psh.
     """
-    if betas is None:
-        ref = 1.0 / spec.gamma if spec.kind == "lelong" and spec.gamma > 0 else 1.0
-        betas = ref * np.array([0.5, 0.65, 0.8, 0.9, 1.0, 1.1, 1.25, 1.45, 1.7])
-    grids = [geo.TorusGrid(1, base_res * (2 ** i), period) for i in range(3)]
+    ref = 1.0 / spec.gamma if spec.kind == "lelong" and spec.gamma > 0 else 1.0
+    betas = ref * np.array([0.5, 0.65, 0.8, 0.9, 1.0, 1.1, 1.25, 1.45, 1.7])
+    grids = [geo.TorusGrid(1, base_res * (2 ** i), 2.0) for i in range(3)]
     samples = [sample_potential(spec, g, validate=False) for g in grids]
     last_conv, first_div = None, None
     for beta in betas:
         vals = [float(np.exp(np.minimum(-2.0 * beta * s.values, 700.0)).mean())
                 for s in samples]
         r1, r2 = vals[1] / vals[0], vals[2] / vals[1]
-        if r2 > growth and r2 >= r1 * 0.99:
+        if r2 > 1.10 and r2 >= r1 * 0.99:
             first_div = beta
             break
         last_conv = beta

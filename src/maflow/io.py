@@ -170,12 +170,13 @@ def _read_meta(dirpath):
         return meta, TorusGrid.checked(meta["n"], meta["res"], meta["period"], path)
 
 
-def _check_values(meta, t_first):
+def _check_values(meta, times):
     """meta.json's values that verify reads: c, sup_h, inf_h, t0 and T finite numbers,
-    t_max (when saved) a positive number or Infinity, inf_h <= sup_h, t0 the first
-    series time, snapshot_index a non-empty list whose first entry is at t0, variant
-    one of FlowConfig.VARIANTS, sign_class one of TwistSpec.SIGN_CLASSES and
+    t_max (when saved) a positive number or Infinity, inf_h <= sup_h, t0 the first and
+    T the last series time, snapshot_index a non-empty list whose first entry is at t0,
+    variant one of FlowConfig.VARIANTS, sign_class one of TwistSpec.SIGN_CLASSES and
     data_class one of PotentialSpec.DATA_CLASSES; a ValueError names the key."""
+    t_first, t_last = float(times[0]), float(times[-1])
     big = sys.float_info.max   # abs(v) <= big fails for NaN, +-Infinity and ints past floats
     for key in ("c", "sup_h", "inf_h", "t0", "T"):
         if type(meta[key]) not in (int, float) or not abs(meta[key]) <= big:
@@ -187,6 +188,8 @@ def _check_values(meta, t_first):
         raise ValueError(f"inf_h = {meta['inf_h']!r} exceeds sup_h = {meta['sup_h']!r}")
     if meta["t0"] != t_first:
         raise ValueError(f"t0 = {meta['t0']!r} is not the first series time {t_first!r}")
+    if meta["T"] != t_last:
+        raise ValueError(f"T = {meta['T']!r} is not the last series time {t_last!r}")
     index = meta["snapshot_index"]
     if not index or index[0]["t"] != meta["t0"]:
         raise ValueError(f"snapshot_index is empty or does not start at t0 = {meta['t0']!r}")
@@ -202,7 +205,7 @@ def load_trajectory(dirpath):
     times, series = read_series_csv(os.path.join(dirpath, "series.csv"))
     snaps = []
     with _meta_values(dirpath):
-        _check_values(meta, float(times[0]))
+        _check_values(meta, times)
         for rec in meta.pop("snapshot_index"):
             fields = []
             for kind in ("phi", "phidot"):   # a stamp off meta.json's is an error naming the file

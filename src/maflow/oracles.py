@@ -20,15 +20,16 @@ def heat_decay_factor(grid, kvec, t):
     return float(np.exp(-KAPPA * ksq * t))
 
 
-def lelong_model_field(grid, gamma, center=None, clip_floor=-1e6):
-    """gamma * log(periodized distance to the center), the closed-form pole."""
-    if center is None:
-        center = default_center(grid)
-    return PotentialField(grid, np.maximum(gamma * log_pole(grid, center), clip_floor)), center
+def lelong_model_field(grid, gamma):
+    """(gamma * log(periodized distance to the center), center), the closed-form pole at
+    ``initial.default_center``, clipped at -1e6 as ``PotentialSpec`` clips by default."""
+    center = default_center(grid)
+    return PotentialField(grid, np.maximum(gamma * log_pole(grid, center), -1e6)), center
 
 
-def heat_mode_series(grid, kvec, amp, T, samples=50):
-    """(t, amplitude) table for one decaying mode; emitted by `maflow oracle heat`."""
-    ts = np.linspace(0.0, T, samples)
+def heat_mode_series(grid, kvec, amp, T):
+    """(t, amplitude) table of one decaying mode at 50 times from 0 to T; emitted by
+    `maflow oracle heat`."""
+    ts = np.linspace(0.0, T, 50)
     return np.stack([ts, amp * np.array([heat_decay_factor(grid, kvec, t) for t in ts])],
                     axis=1)

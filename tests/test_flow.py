@@ -302,6 +302,15 @@ class TestRun:
             d = hi.snapshot_at(t).phi - lo.snapshot_at(t).phi
             assert d.min() > -1e-6
 
+    def test_snapshot_at_returns_the_nearest_snapshot(self):
+        # two snapshots 5e-10 apart both lie within snapshot_at's 1e-9 of
+        # either time: each snapshot's own t must return that snapshot
+        g = mf.TorusGrid(1, 16)
+        cfg = FlowConfig(grid=g, T=0.02, dt_min=1e-9, snapshot_times=(0.01, 0.01 + 5e-10))
+        tr = run(mode(g, (1, 0), 0.02), cfg)
+        assert tr.snapshot_times == [0.0, 0.01, 0.01 + 5e-10, 0.02]
+        assert all(tr.snapshot_at(s.t) is s for s in tr.snapshots)
+
     def test_restart_reproduces_series(self):
         g = grid1()
         cfg = FlowConfig(grid=g, T=0.2, snapshot_times=(0.08, 0.14, 0.2),

@@ -7,7 +7,7 @@ import maflow as mf
 from maflow import geometry as geo
 from maflow.functionals import (density, energy, lp_norm, mean_value,
                                 orlicz_integral, oscillation, w_xlog1px)
-from maflow.flow import TwistSpec, normalize_h
+from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, cos_mode, sample_potential
 
@@ -178,3 +178,30 @@ class TestMoments:
         h = normalize_h(mode(g, (1, 1), 0.2))
         oracle = float((f ** 2 * np.exp(h.values)).mean()) * g.volume
         assert lp_norm(f, 2.0, h=h, grid=g) == pytest.approx(oracle, rel=1e-14)
+
+
+class TestSeriesColumns:
+    @pytest.mark.parametrize("n, res", [(1, 16), (2, 8)])
+    def test_series_columns_match_the_public_functionals(self, n, res):
+        # series_row computes every column on its own from the stepper's raw
+        # caches; at each snapshot of a twisted run with h it must read what the
+        # tested functionals read
+        g = mf.TorusGrid(n, res)
+        e = [tuple(int(a == b) for b in range(2 * n)) for a in range(2 * n)]
+        tw = TwistSpec(c=0.2, psi_chi=mode(g, e[-1], 0.01, 0.3))
+        h = normalize_h(mode(g, e[1], 0.1))
+        phi0 = PotentialField(g, 0.4 + cos_mode(g, e[0], 0.03))
+        cfg = FlowConfig(grid=g, twist=tw, h=h, T=0.02, snapshot_times=(0.01,), record_every=5)
+        tr = run(phi0, cfg)
+        assert len(tr.snapshots) == 3
+        for snap in tr.snapshots:
+            i = list(tr.times).index(snap.t)
+            phi = PotentialField(g, snap.phi)
+            f = density(phi, tw, snap.t, cfg.h)
+            want = {"sup": phi.sup, "inf": phi.inf, "osc": oscillation(phi),
+                    "I": mean_value(phi, cfg.h), "E": energy(phi, tw, snap.t),
+                    "fmin": f.min(), "fmax": f.max(), "f_l2": lp_norm(f, 2, h=cfg.h, grid=g),
+                    "orlicz_xlogx": orlicz_integral(f, w_xlog1px, h=cfg.h, grid=g),
+                    "vol": lp_norm(density(phi, tw, snap.t), 1, grid=g)}
+            for name, value in want.items():
+                np.testing.assert_allclose(tr.column(name)[i], value, rtol=1e-14, err_msg=name)

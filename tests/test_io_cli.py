@@ -642,6 +642,8 @@ CORRUPTIONS = {   # name: (file, and key, named in the message; corruption of a 
     "meta_c_past_float_range": ("meta.json: c =", set_meta("c", 10 ** 400)),
     "meta_T_null": ("meta.json: T =", set_meta("T", None)),
     "meta_T_string": ("meta.json: T =", set_meta("T", "x")),
+    # a finite T other than the last series time turned minoinf into a skip
+    "meta_T_before_last_time": ("meta.json: T =", set_meta("T", 0.0)),
     "meta_t_max_string": ("meta.json: t_max =", set_meta("t_max", "x")),
     "meta_t_max_nan": ("meta.json: t_max =", set_meta("t_max", float("nan"))),
     "meta_t_max_past_float_range": ("meta.json: t_max =", set_meta("t_max", 10 ** 400)),

@@ -2,7 +2,9 @@
 run, drawn from the ``meta.json`` keys that ``io._check_values`` reads, the
 MAFL header fields, the ``series.csv`` cells and the MAFL payloads, makes
 ``maflow verify`` exit 2 with one stderr line that names the corrupted
-file.  An exception out of ``main`` (exit 1) fails the test.
+file.  An exception out of ``main`` (exit 1) fails the test.  One change
+of a ``meta.json`` key that ``maflow verify`` never reads leaves it at exit
+0, with the clean run's ``verdicts.json``, byte for byte.
 
 Hypothesis runs derandomized and without an example database, as in
 ``test_properties.py``; every example corrupts a fresh copy of one saved run.
@@ -61,6 +63,8 @@ def set_first_time(t):
 meta_changes = st.one_of(
     st.builds(set_key, st.sampled_from(["c", "sup_h", "inf_h", "t0", "T"]), not_a_number),
     st.builds(set_key, st.just("t0"), st.floats().filter(lambda v: v != 0.0)),
+    st.builds(set_key, st.just("T"),
+              st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != STAMPS[-1])),
     st.builds(set_key, st.just("inf_h"), st.floats(min_value=5e-324)),     # above sup_h = 0
     st.builds(set_key, st.just("sup_h"), st.floats(max_value=-5e-324)),    # below inf_h = 0
     st.builds(set_key, st.just("t_max"),
@@ -142,11 +146,11 @@ def saved_run(tmp_path_factory):
     return rundir
 
 
-def verify(rundir):
+def verify(rundir, *options):
     """(exit code, stderr) of ``maflow verify`` on rundir."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["verify", str(rundir)])
+        code = main(["verify", str(rundir), *options])
     return code, err.getvalue()
 
 
@@ -165,3 +169,29 @@ def test_a_corrupted_saved_run_exits_2_naming_the_file(saved_run, level, corrupt
         assert code == 2, err
         assert err.startswith("configuration error: ") and err.count("\n") == 1, err
         assert str(rundir / level) in err and name in err, err
+
+
+# the keys of a level's meta.json that `maflow verify` never reads (dt_policy is
+# left out: comparison reads it), and the values of the saved-run corruption sweep
+UNREAD_KEYS = ("dt_init", "dt_min", "safety", "record_every", "dealias", "stab_factor",
+               "snapshot_times", "phi0_sup", "phi0_inf", "level", "delta", "level_eps")
+SWEEP_VALUES = (None, "x", -1, 0, 3, 1.5, [], {}, 1e308, math.nan)
+
+
+@pytest.fixture(scope="module")
+def clean_verdicts(saved_run, tmp_path_factory):
+    out = tmp_path_factory.mktemp("clean") / "verdicts.json"
+    assert verify(saved_run, "--out", str(out)) == (0, "")
+    return out.read_bytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(level=st.sampled_from(["level_00", "level_01"]), key=st.sampled_from(UNREAD_KEYS),
+       value=st.sampled_from(SWEEP_VALUES))
+def test_a_key_verify_never_reads_leaves_the_verdicts_unchanged(saved_run, clean_verdicts,
+                                                                 level, key, value):
+    with tempfile.TemporaryDirectory() as d:
+        rundir = Path(shutil.copytree(saved_run, Path(d) / "run"))
+        edit_meta(set_key(key, value))[1](rundir / level)
+        assert verify(rundir) == (0, "")
+        assert (rundir / "verdicts.json").read_bytes() == clean_verdicts
