@@ -52,7 +52,11 @@ caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the record cadence and the snapshots, and steps to each
-boundary until ``_advance`` has landed on it.
+boundary until ``_advance`` has landed on it.  A state's det and metric
+(five fields at n = 2) live only until its own series row is taken or
+skipped: ``_march`` drops them then, so a step starts from phi and phi_dot
+alone (and the SBDF2 history).  An RK4 step gathers its stages into one
+sum in place and frees each stage once it is added.
 
 A run is deterministic, and its output does not depend on the threads or
 processes it is given; trajectories are immutable once produced.  Where a
@@ -101,6 +105,7 @@ class TwistSpec:
     c: float = 0.0
     psi_chi: PotentialField = None
     _hpsi: tuple = dfield(default=None, init=False, repr=False, compare=False)
+    _range: tuple = dfield(default=None, init=False, repr=False, compare=False)
 
     def hessian_raw(self, grid):
         """H(psi_chi) on ``grid`` (None without psi_chi), read-only.
@@ -121,14 +126,26 @@ class TwistSpec:
         return self._hpsi[1]
 
     def eig_range(self, grid):
-        """(min, max) over the grid of the eigenvalues of c I + H(psi_chi)."""
+        """(min, max) over the grid of the eigenvalues of c I + H(psi_chi).
+
+        Computed once per (c, psi_chi, grid), block by block into one field
+        (``geometry.by_rows``), and cached next to H(psi_chi): FlowConfig's
+        checks, every ``replace`` of it and every run's meta share it.
+        """
         if self.psi_chi is None:
             return self.c, self.c
-        hpsi = self.hessian_raw(grid)
-        emin = float(geo.eigmin_raw(grid, geo.raw_combine(grid, self.c, hpsi)).min())
-        # the largest eigenvalue of A is minus the smallest of -A, exactly
-        emax = -float(geo.eigmin_raw(grid, geo.raw_combine(grid, -self.c, hpsi, -1.0)).min())
-        return emin, emax
+        key = (self.c, self.psi_chi, grid)
+        if self._range is None or self._range[0] != key:
+            hpsi = self.hessian_raw(grid)
+
+            def low(a, scale):   # the grid min of the smallest eigenvalue of a I + scale H
+                def eig(rows):
+                    raw = geo.raw_combine(grid, a, geo.raw_rows(grid, hpsi, rows), scale)
+                    return geo.eigmin_raw(grid, raw)
+                return float(geo.by_rows(grid, eig).min())
+            # the largest eigenvalue of A is minus the smallest of -A, exactly
+            self._range = (key, (low(self.c, 1.0), -low(-self.c, -1.0)))
+        return self._range[1]
 
     # the classes sign_class returns: the values a run records in its
     # meta.json, and the only ones a saved run may carry
@@ -265,7 +282,9 @@ class FlowState:
     phi_dot: np.ndarray
     min_eig: float
     step_count: int = 0
-    det: np.ndarray = None      # det and raw metric at t, for series rows (set by the driver)
+    # det and raw metric at t, for the state's own series row: set by the
+    # driver, dropped by ``_march`` once the row is taken or skipped
+    det: np.ndarray = None
     metric: np.ndarray = None
 
 
@@ -366,7 +385,6 @@ class _Stepper:
 
         The Hessian comes from ``phi.spectrum()``; only ncmaf reads ``phi.values``.
         """
-        r = np.empty(self.grid.shape)
         phi_arr = phi.values if self.ncmaf else None
 
         def rhs_rows(rows, det):   # log det - h (+ phi) on the metric pass's rows
@@ -378,9 +396,10 @@ class _Stepper:
                 out += phi_arr[rows]
 
         hpsi = self.hpsi if t != 0.0 else None
-        m, det, emin = geo.metric_det_eigmin(
-            self.grid, geo.hessian_raw(self.grid, None, spec=phi.spectrum(), lane=self.lane),
-            1.0 + t * self.c, hpsi, t, lane=self.lane, then=rhs_rows)
+        hess = geo.hessian_raw(self.grid, None, spec=phi.spectrum(), lane=self.lane)
+        r = np.empty(self.grid.shape)   # after the Hessian, whose transforms peak higher
+        m, det, emin = geo.metric_det_eigmin(self.grid, hess, 1.0 + t * self.c, hpsi, t,
+                                             lane=self.lane, then=rhs_rows)
         if not np.isfinite(emin) or emin <= 0.0:
             raise _Reject(emin)
         return self._filter(r), det, emin, m
@@ -403,9 +422,8 @@ class _Stepper:
 
     def row(self, dt):
         s = self.state
-        return fnl.series_row(self.grid, s.t, s.phi.values, s.metric,
-                              geo.theta_raw(self.grid, self.cfg.twist, s.t),
-                              s.det, s.min_eig, dt, exp_h=self.exp_h)
+        return fnl.series_row(self.grid, s.t, s.phi.values, s.metric, s.det, s.min_eig, dt,
+                              exp_h=self.exp_h, twist=self.cfg.twist)
 
     def snapshot(self):
         s = self.state
@@ -461,8 +479,7 @@ def _advance(st, state, t_bound):
     if out.t >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
         out.t, out.phi, st.hist = t_bound, PotentialField(st.grid, phi.values), {}
         if not st.autonomous:
-            # drop the step's det and metric before the recompute: the caller
-            # still holds the previous state's, and three metrics raise the peak
+            # drop the step's det and metric before the recompute, which makes its own
             out.det = out.metric = det = m = None
             msg = f"potential left the Kaehler cone on landing at t={t_bound:.6g}"
             out.phi_dot, out.det, out.min_eig, out.metric = \
@@ -479,11 +496,22 @@ def _rk4_candidate(st, t, y, rhs, dt):
     form the FFT spreads a NaN or inf over the whole Hessian, so min_eig is
     NaN; in the density form ``logdiff._positive_min`` rejects it.
     """
-    r1 = st.rate(rhs)
-    r2 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r1))[0])
-    r3 = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r2))[0])
-    r4 = st.rate(st.parts(t + dt, PotentialField(st.grid, y + dt * r3))[0])
-    return y + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    r1 = st.rate(rhs)   # may be the state's own phi_dot: only read
+    # acc gathers r1 + 2 r2 + 2 r3 + r4 in that order, in place, and each
+    # later stage, fresh from parts, is overwritten and freed once added
+    acc = st.rate(st.parts(t + 0.5 * dt, PotentialField(st.grid, y + (0.5 * dt) * r1))[0])
+    stage = PotentialField(st.grid, y + (0.5 * dt) * acc)
+    acc *= 2.0
+    acc += r1
+    r = st.rate(st.parts(t + 0.5 * dt, stage)[0])
+    stage = PotentialField(st.grid, y + dt * r)
+    r *= 2.0
+    acc += r
+    r = None
+    acc += st.rate(st.parts(t + dt, stage)[0])
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def _sbdf2_spectrum(sym, u_spec, n_spec, hist, dt, dt_full, beta0):
@@ -618,6 +646,7 @@ def _march(st, t0):
     boundaries = sorted({float(s) for s in cfg.snapshot_times if t0 < s <= cfg.T}
                         | ({cfg.T} if cfg.T > t0 else set()))
     rows, snaps, since = [st.row(0.0)], [st.snapshot()], 0
+    st.state.det = st.state.metric = None   # only the state's own row reads them
     for target in boundaries:
         while st.state.t != target:
             st.state, dt = _advance(st, st.state, target)
@@ -625,6 +654,7 @@ def _march(st, t0):
             if st.state.t == target or since >= cfg.record_every:
                 rows.append(st.row(dt))
                 since = 0
+            st.state.det = st.state.metric = None
         snaps.append(st.snapshot())
     times = np.array([r["t"] for r in rows])
     series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}

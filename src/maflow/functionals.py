@@ -9,6 +9,12 @@ matrices Theta = (1+tc) I + t H(psi_chi) (``geometry.theta_raw``, with
 H(psi_chi) from the twist's cache) and M = Theta + H(phi), summed
 pointwise by ``geometry.wedge_sum``.  All integrals
 share the spectral quadrature of :func:`maflow.geometry.integrate`.
+
+The energy and the series row follow geometry's row-block convention
+(``geometry.by_rows``): Theta, the wedge sum and the density moments are
+formed block by block into one output field, and each mean, min and max
+is taken over the whole field, bit-identical to the whole-array
+expressions.
 """
 
 import numpy as np
@@ -16,16 +22,23 @@ import numpy as np
 from . import geometry as geo
 
 
-def energy_from_raws(grid, phi_arr, m_raw, th_raw):
-    return float((phi_arr * geo.wedge_sum(grid, m_raw, th_raw)).mean() / (grid.n + 1))
+def energy_from_raws(grid, phi_arr, m_raw, twist=None, t=0.0, det=None, out=None):
+    """E of phi from its raw metric M_t (and det M_t, where known), block by block.
+
+    ``out``, when given, is the real field the pointwise terms are written to.
+    """
+    def term(rows):
+        d = None if det is None else det[rows]
+        th = geo.theta_raw(grid, twist, t, rows)
+        return phi_arr[rows] * geo.wedge_sum(grid, geo.raw_rows(grid, m_raw, rows), th, d)
+    return float(geo.by_rows(grid, term, out).mean() / (grid.n + 1))
 
 
 def energy(phi, twist=None, t=0.0):
     """Aubin-Yau type energy of phi with respect to theta_t."""
     grid = phi.grid
-    th = geo.theta_raw(grid, twist, t)
-    m = geo.raw_add(grid, th, geo.hessian_raw(grid, phi.values))
-    return energy_from_raws(grid, phi.values, m, th)
+    m = geo.raw_add(grid, geo.theta_raw(grid, twist, t), geo.hessian_raw(grid, phi.values))
+    return energy_from_raws(grid, phi.values, m, twist, t)
 
 
 def mean_value(phi, h=None):
@@ -49,6 +62,10 @@ def density(phi, twist=None, t=0.0, h=None):
 
 def w_power(p):
     return lambda x: x ** p
+
+
+def _square(x):
+    return x * x
 
 
 def w_xlog1px(x):
@@ -75,19 +92,33 @@ SERIES_COLUMNS = ("t", "sup", "inf", "osc", "I", "E", "fmin", "fmax",
                   "f_l2", "orlicz_xlogx", "vol", "min_eig", "dt")
 
 
-def series_row(grid, t, phi_arr, m_raw, th_raw, det, min_eig, dt, exp_h=None):
-    """One row of the trajectory series, reusing the stepper's raw caches."""
-    eh = 1.0 if exp_h is None else exp_h
-    f = det if exp_h is None else det / exp_h
+def series_row(grid, t, phi_arr, m_raw, det, min_eig, dt, exp_h=None, twist=None):
+    """One row of the trajectory series from the stepper's metric M_t and det M_t.
+
+    theta_t comes from ``twist`` (None: omega).  Beyond its inputs the row
+    allocates one real field: each pointwise term is formed into it block
+    by block, and its mean, min or max taken over the whole field.
+    """
+    out = np.empty(grid.shape)
+
+    def f(rows):   # the density f = det M_t e^-h on the rows
+        return det[rows] if exp_h is None else det[rows] / exp_h[rows]
+
+    def mu_mean(term):   # the grid mean of term(rows) e^h
+        if exp_h is None:
+            return float(geo.by_rows(grid, term, out).mean())
+        return float(geo.by_rows(grid, lambda rows: term(rows) * exp_h[rows], out).mean())
+
     sup = float(phi_arr.max())
     inf = float(phi_arr.min())
-    ii = float((phi_arr * eh).mean()) if exp_h is not None else float(phi_arr.mean())
-    ee = energy_from_raws(grid, phi_arr, m_raw, th_raw)
+    ii = float(phi_arr.mean()) if exp_h is None else mu_mean(lambda rows: phi_arr[rows])
+    ee = energy_from_raws(grid, phi_arr, m_raw, twist, t, det, out)
     vol = float(det.mean() * grid.volume)
-    fl2 = float(((f * f) * eh).mean() * grid.volume)
-    orl = float((w_xlog1px(f) * eh).mean() * grid.volume)
+    fl2 = mu_mean(lambda rows: _square(f(rows))) * grid.volume
+    orl = mu_mean(lambda rows: w_xlog1px(f(rows))) * grid.volume
+    fs = det if exp_h is None else geo.by_rows(grid, f, out)
     return {
         "t": t, "sup": sup, "inf": inf, "osc": sup - inf, "I": ii, "E": ee,
-        "fmin": float(f.min()), "fmax": float(f.max()), "f_l2": fl2,
+        "fmin": float(fs.min()), "fmax": float(fs.max()), "f_l2": fl2,
         "orlicz_xlogx": orl, "vol": vol, "min_eig": min_eig, "dt": dt,
     }

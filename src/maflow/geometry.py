@@ -31,12 +31,21 @@ and the wedge sum ``wedge_sum``) lives here.  The spectral layout is the
 rfft at n = 1 and the c2c transform at n = 2 (``TorusGrid.fft`` /
 ``TorusGrid.ifft``); the grid's symbols and masks use it.
 
+One row-block convention serves every pointwise pass that ends in a grid
+mean, min or max (``by_rows``): it walks contiguous slices of the first
+axis (``row_blocks``: one row at n = 2, the whole field at n = 1, where
+blocks would only add calls), writes each block into one output field and
+reduces the whole field.  Its temporaries are block-sized, and every value,
+hence every result, is bit-identical to the whole-array expression.  The
+metric pass (``metric_det_eigmin``) fills its det field by rows the same way.
+
 All operations here are pure functions of immutable snapshots and are
 safe to call concurrently.  The one mutable state is a lazily filled cache
 of a deterministic value: ``TorusGrid._cache`` (multipliers, symbols,
-masks), and, in ``flow``, ``TwistSpec._hpsi`` (H(psi_chi)).  Each entry is
-built in full before it is stored, so two threads racing on an empty entry
-at most compute the same value twice, and either copy is bit-identical.
+masks), and, in ``flow``, ``TwistSpec._hpsi`` (H(psi_chi)) and
+``TwistSpec._range`` (its eigenvalue range).  Each entry is built in full
+before it is stored, so two threads racing on an empty entry at most
+compute the same value twice, and either copy is bit-identical.
 
 ``hessian_raw`` and ``metric_det_eigmin`` take an optional ``lane``: a
 helper thread (anything with ``submit(fn, *args)`` returning a future, such
@@ -160,17 +169,23 @@ class TorusGrid:
         return k[: sh[axis]].reshape(sh)
 
     def hessian_multiplier(self, j, k):
-        """Fourier multiplier of d^2/dz_j dzbar_k (cached, full shape)."""
+        """Fourier multiplier of d^2/dz_j dzbar_k (full shape).
+
+        Cached, except the two real diagonal ones at n = 2: they only build
+        ``packed_diag_multiplier`` and ``flat_symbol``, which are cached.
+        """
         key = ("hess", j, k)
-        if key not in self._cache:
+        m = self._cache.get(key)
+        if m is None:
             f = [self._along(a, self._freq()) for a in range(2 * self.n)]
             # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
             m = 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
             if j == k:
                 m = m.real  # equals -(kx^2+ky^2)/4
             m = np.broadcast_to(m, self._spec_shape()).copy()
-            self._cache[key] = m
-        return self._cache[key]
+            if self.n == 1 or j != k:
+                self._cache[key] = m
+        return m
 
     def packed_diag_multiplier(self):
         """Multiplier m11 + i m22 of the n = 2 diagonal pair (cached, full shape).
@@ -192,7 +207,9 @@ class TorusGrid:
         return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real
 
     def flat_symbol(self):
-        """Symbol of tr H = sum_j d^2/dz_j dzbar_j."""
+        """Symbol of tr H = sum_j d^2/dz_j dzbar_j; at n = 1 the cached multiplier itself."""
+        if self.n == 1:
+            return self.hessian_multiplier(0, 0)
         key = ("flat",)
         if key not in self._cache:
             self._cache[key] = sum(self.hessian_multiplier(j, j) for j in range(self.n))
@@ -362,6 +379,34 @@ def readonly_raw(grid, raw):
     return raw
 
 
+def row_blocks(grid):
+    """The slices of the first axis a block-wise pass walks, in order (module docstring)."""
+    if grid.n == 1:
+        return [slice(None)]
+    return [slice(i, i + 1) for i in range(grid.res)]
+
+
+def raw_rows(grid, raw, rows):
+    """The rows ``rows`` (a slice of the first axis) of a raw field, as views."""
+    return raw[rows] if grid.n == 1 else tuple(x[rows] for x in raw)
+
+
+def by_rows(grid, fn, out=None):
+    """The field fn(rows) makes on every block of ``row_blocks``, for reading only.
+
+    The blocks are written into ``out`` (a fresh real field by default);
+    a single block (n = 1) is fn's own result, which may be a view.
+    """
+    blocks = row_blocks(grid)
+    if len(blocks) == 1:
+        return fn(blocks[0])
+    if out is None:
+        out = np.empty(grid.shape)
+    for rows in blocks:
+        out[rows] = fn(rows)
+    return out
+
+
 def raw_combine(grid, a, raw, scale=1.0):
     """a*I + scale*raw as a raw metric rep (a may be a scalar)."""
     if grid.n == 1:
@@ -410,14 +455,18 @@ def contract_raw(grid, inv, h):
     return i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
 
 
-def wedge_sum(grid, m, th):
-    """sum_{j=0..n} M^j wedge Theta^(n-j) / omega^n of raw M and Theta, pointwise."""
+def wedge_sum(grid, m, th, det=None):
+    """sum_{j=0..n} M^j wedge Theta^(n-j) / omega^n of raw M and Theta, pointwise.
+
+    ``det``, when given, is det_raw(grid, m), as the metric pass leaves it.
+    """
     if grid.n == 1:
         return th + m
     m11, m22, m12 = m
     t11, t22, t12 = th
     cross = (m12 * np.conj(t12)).real
-    return det_raw(grid, th) + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross) + det_raw(grid, m)
+    return (det_raw(grid, th) + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross)
+            + (det_raw(grid, m) if det is None else det))
 
 
 def eigmin_raw(grid, m):
@@ -474,7 +523,7 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0, lane=None, then=None):
         q *= 4.0
         disc += q
         np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-        tr = m11 + m22
+        tr = np.add(m11, m22, out=q)   # q is spent: the trace reuses it
         tr -= disc
         low = tr.min()
         if then is not None and low > 0.0:
@@ -498,13 +547,14 @@ def _twist_terms(grid, twist, t):
     return 1.0 + t * twist.c, twist.hessian_raw(grid) if t != 0.0 else None
 
 
-def theta_raw(grid, twist=None, t=0.0):
-    """theta_t = (1+tc) I + t H(psi_chi) in the raw layout (fresh arrays)."""
+def theta_raw(grid, twist=None, t=0.0, rows=slice(None)):
+    """theta_t = (1+tc) I + t H(psi_chi) in the raw layout (fresh arrays), on ``rows``."""
     a, hpsi = _twist_terms(grid, twist, t)
     if hpsi is not None:
-        return raw_combine(grid, a, hpsi, scale=t)
-    diag = np.full(grid.shape, a)
-    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(grid.shape, complex))
+        return raw_combine(grid, a, raw_rows(grid, hpsi, rows), scale=t)
+    shape = (len(range(grid.res)[rows]),) + grid.shape[1:]
+    diag = np.full(shape, a)
+    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(shape, complex))
 
 
 def metric_raw(grid, arr, twist=None, t=0.0):

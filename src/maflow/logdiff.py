@@ -116,8 +116,7 @@ class _DensityStepper(_Stepper):
     def row(self, dt):
         s, f = self.state, self.state.phi.values
         self.phi = density_to_potential(DensityField(self.grid, f))
-        return fnl.series_row(self.grid, s.t, self.phi.values, f, np.ones_like(f), f,
-                              s.min_eig, dt)
+        return fnl.series_row(self.grid, s.t, self.phi.values, f, f, s.min_eig, dt)
 
     def snapshot(self):
         s = self.state

@@ -475,6 +475,38 @@ class TestTwistedN2:
             cached[0][0, 0, 0, 0] = 1.0
 
 
+    def test_eig_range_evaluated_once_per_twist_and_grid(self, monkeypatch):
+        g = mf.TorusGrid(2, 8)
+        psi = PotentialField(g, cos_mode(g, (1, 0, 0, 1), 0.01, 0.3))
+        phi0 = PotentialField(g, cos_mode(g, (1, 0, 0, 0), 0.03))
+        orig = flow.geo.eigmin_raw
+        passes = []
+
+        def counting(grid, m):
+            passes.append(1)
+            return orig(grid, m)
+
+        monkeypatch.setattr(flow.geo, "eigmin_raw", counting)
+        tw = TwistSpec(c=-0.5, psi_chi=psi)
+        cfg = FlowConfig(grid=g, twist=tw, T=0.01, snapshot_times=(0.005,), record_every=5)
+        first = len(passes)
+        assert first > 0
+        for T in (0.004, 0.006, 0.008):
+            cfg = cfg.replace(T=T)
+        cfg.meta()
+        tw.sign_class(g)
+        run(phi0, cfg)
+        assert len(passes) == first
+        # the whole-grid expressions, bit for bit
+        hpsi = tw.hessian_raw(g)
+        want = (float(orig(g, mf.geometry.raw_combine(g, -0.5, hpsi)).min()),
+                -float(orig(g, mf.geometry.raw_combine(g, 0.5, hpsi, -1.0)).min()))
+        assert tw.eig_range(g) == want
+        tw.c = 0.25   # a new c is a new range
+        assert tw.eig_range(g) == TwistSpec(c=0.25, psi_chi=psi).eig_range(g)
+        assert len(passes) > first
+
+
 class TestSBDF2Kernel:
     @staticmethod
     def textbook(sym, u, n, hist, dt, dt_full, beta0):

@@ -5,8 +5,8 @@ import pytest
 
 import maflow as mf
 from maflow import geometry as geo
-from maflow.functionals import (density, energy, lp_norm, mean_value,
-                                orlicz_integral, oscillation, w_xlog1px)
+from maflow.functionals import (SERIES_COLUMNS, density, energy, lp_norm, mean_value,
+                                orlicz_integral, oscillation, series_row, w_xlog1px)
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, cos_mode, sample_potential
@@ -205,3 +205,69 @@ class TestSeriesColumns:
                     "vol": lp_norm(density(phi, tw, snap.t), 1, grid=g)}
             for name, value in want.items():
                 np.testing.assert_allclose(tr.column(name)[i], value, rtol=1e-14, err_msg=name)
+
+
+def whole_array_theta(grid, twist, t):
+    """theta_t as one whole-array expression (the oracle's)."""
+    a = 1.0 if twist is None else 1.0 + t * twist.c
+    if twist is not None and twist.psi_chi is not None and t != 0.0:
+        hpsi = geo.hessian_raw(grid, twist.psi_chi.values)
+        return a + t * hpsi if grid.n == 1 else (a + t * hpsi[0], a + t * hpsi[1], t * hpsi[2])
+    diag = np.full(grid.shape, a)
+    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(grid.shape, complex))
+
+
+def whole_array_energy(grid, phi_arr, m_raw, th_raw):
+    """The energy as one whole-array expression, as before the block-wise pass."""
+    if grid.n == 1:
+        wedge = th_raw + m_raw
+    else:
+        m11, m22, m12 = m_raw
+        t11, t22, t12 = th_raw
+        cross = (m12 * np.conj(t12)).real
+        det_th = t11 * t22 - (t12.real ** 2 + t12.imag ** 2)
+        det_m = m11 * m22 - (m12.real ** 2 + m12.imag ** 2)
+        wedge = det_th + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross) + det_m
+    return float((phi_arr * wedge).mean() / (grid.n + 1))
+
+
+def whole_array_row(grid, t, phi_arr, m_raw, th_raw, det, min_eig, dt, exp_h=None):
+    """The series row as whole-array expressions, as before the block-wise pass."""
+    eh = 1.0 if exp_h is None else exp_h
+    f = det if exp_h is None else det / exp_h
+    sup = float(phi_arr.max())
+    inf = float(phi_arr.min())
+    ii = float((phi_arr * eh).mean()) if exp_h is not None else float(phi_arr.mean())
+    return {
+        "t": t, "sup": sup, "inf": inf, "osc": sup - inf, "I": ii,
+        "E": whole_array_energy(grid, phi_arr, m_raw, th_raw),
+        "fmin": float(f.min()), "fmax": float(f.max()),
+        "f_l2": float(((f * f) * eh).mean() * grid.volume),
+        "orlicz_xlogx": float((w_xlog1px(f) * eh).mean() * grid.volume),
+        "vol": float(det.mean() * grid.volume), "min_eig": min_eig, "dt": dt,
+    }
+
+
+class TestBlockwiseRow:
+    @pytest.mark.parametrize("n, res", [(1, 32), (2, 8), (2, 16)])
+    @pytest.mark.parametrize("twisted", [False, True])
+    @pytest.mark.parametrize("with_h", [False, True])
+    def test_every_column_bit_identical_to_the_whole_array_row(self, n, res, twisted, with_h):
+        g = mf.TorusGrid(n, res)
+        e = [tuple(int(a == b) for b in range(2 * n)) for a in range(2 * n)]
+        tw = TwistSpec(c=-0.4, psi_chi=mode(g, e[-1], 0.02, 0.3)) if twisted else None
+        h = normalize_h(mode(g, e[1], 0.1, 0.2)) if with_h else None
+        exp_h = None if h is None else np.exp(h.values)
+        vals = cos_mode(g, e[0], 0.03, 0.1) + cos_mode(g, e[1], 0.02, 0.7)
+        # phi as a flow state forms it: at n = 2 the real part of a complex transform
+        phi_arr = g.ifft(g.fft(vals))
+        t = 0.3
+        m, det, emin = geo.metric_raw(g, phi_arr, tw, t)
+        th = whole_array_theta(g, tw, t)
+        got = series_row(g, t, phi_arr, m, det, emin, 1e-3, exp_h=exp_h, twist=tw)
+        want = whole_array_row(g, t, phi_arr, m, th, det, emin, 1e-3, exp_h=exp_h)
+        assert list(got) == list(SERIES_COLUMNS)
+        assert got == want
+        phi = PotentialField(g, vals)
+        m_phi = geo.raw_add(g, th, geo.hessian_raw(g, vals))
+        assert energy(phi, tw, t) == whole_array_energy(g, vals, m_phi, th)
