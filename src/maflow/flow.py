@@ -19,13 +19,14 @@ exactly, and the restart step keeps the scheme second order.
 One step driver (``_advance``) serves both flow forms and all three
 policies: it takes the policy's step, clips it to the next boundary,
 builds the RK4 (``_rk4_candidate``) or SBDF2 (``_sbdf2_candidate``)
-candidate and evaluates the right-hand side there.  It is the one place a
-run meets a boundary: a step that ends within 1e-12 (relative) of it lands
-on it exactly, restarts the SBDF2 history and, where the right-hand side
-depends on t, recomputes it there; boundaries may lie any distance apart.
-Only rk4 halves a rejected step; under the fixed-dt policies the step is
-their contract (the rk4_fixed convergence order and SBDF2's two-step
-history assume dt_init), so a rejection is fatal.  dt_min bounds the
+candidate and evaluates the right-hand side once, where the step ends.  It
+is the one place a run meets a boundary: a candidate that ends within
+1e-12 (relative) of it lands on it exactly, as its real values, restarts
+the SBDF2 history and is evaluated at the boundary time itself, so a
+rejection there is that step's rejection; boundaries may lie any distance
+apart.  Only rk4 halves a rejected step; under the fixed-dt policies the
+step is their contract (the rk4_fixed convergence order and SBDF2's
+two-step history assume dt_init), so a rejection is fatal.  dt_min bounds the
 policy's step (StepSizeUnderflow below it) and each halving, never the
 last step to a boundary, which is as short as the boundary leaves it.  A
 flow form is a ``_Stepper`` that supplies the right-hand side (``parts``,
@@ -46,9 +47,8 @@ One right-hand-side evaluation (``_Stepper.parts``) takes the Hessian of
 ``phi.spectrum()`` (one inverse transform at n = 1, two at n = 2) and
 turns it in place into the metric, its determinant, its smallest
 eigenvalue and log det - h (+ phi) in one fused pointwise pass
-(``geometry.metric_det_eigmin``).  A cone exit anywhere in a run,
-including the recompute after landing on a snapshot time, reaches the
-caller as a typed error carrying t.
+(``geometry.metric_det_eigmin``).  A cone exit anywhere in a run reaches
+the caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
 boundaries, the record cadence and the snapshots, and steps to each
@@ -355,8 +355,6 @@ class _Reject(Exception):
 class _Stepper:
     """One run's state, and everything reusable across its steps, cached."""
 
-    autonomous = False   # the right-hand side does not depend on t
-
     def __init__(self, config):
         self.cfg = config
         self.grid = config.grid
@@ -367,7 +365,7 @@ class _Stepper:
         self.exp_h = None if config.h is None else np.exp(self.h_arr)
         self.ncmaf = config.variant == "ncmaf"
         self.mask = self.grid.dealias_mask() if config.dealias else None
-        self.hist = {}   # semi-implicit two-step history; cleared on landing
+        self.hist = {}   # semi-implicit two-step history; cleared where a step lands
         self.state = None   # the FlowState reached
 
     def _filter(self, arr):
@@ -430,14 +428,6 @@ class _Stepper:
         return Snapshot(s.t, s.phi.values.copy(), s.phi_dot.copy(), s.min_eig)
 
 
-def _checked_parts(st, t, phi, message):
-    """st.parts at (t, phi), a cone exit raised as KaehlerConeViolation at t."""
-    try:
-        return st.parts(t, phi)
-    except _Reject as e:
-        raise KaehlerConeViolation(message, t=t, min_eig=e.args[0]) from None
-
-
 def _cfl_dt(config, min_eig):
     return config.safety * config.grid.h ** 2 * min_eig / (4.0 * config.grid.n)
 
@@ -446,11 +436,12 @@ def _advance(st, state, t_bound):
     """One step of the configured policy towards ``t_bound``: (FlowState, dt).
 
     The policy's step (the CFL step capped by dt_init under rk4, dt_init
-    otherwise) is clipped to t_bound, and ``st.parts`` evaluated at its
-    candidate.  Rejections, dt_min and landing on t_bound as in the module
-    docstring; an infinite t_bound is never landed on.  Commits the SBDF2
-    history (before ``parts``, freeing the old one) and returns one
-    FlowState, with its det and metric.
+    otherwise) is clipped to t_bound.  A candidate that lands becomes
+    PotentialField(its values) at t_bound, with the SBDF2 history reset,
+    before ``st.parts`` evaluates it, once per candidate; an infinite
+    t_bound is never landed on.  Rejections and dt_min as in the module
+    docstring.  Commits the SBDF2 history (before ``parts``, freeing the
+    old one) and returns one FlowState, with its det and metric.
     """
     cfg, t = st.cfg, state.t
     if t_bound <= t:
@@ -463,28 +454,22 @@ def _advance(st, state, t_bound):
                                 t=t)
     dt = min(dt, t_bound - t)
     while True:
+        t_new = t + dt
         try:
             if cfg.dt_policy == "semi_implicit":   # its rejection is fatal: commit now
                 phi, st.hist = _sbdf2_candidate(st, state, dt)
             else:
                 phi = PotentialField(st.grid, _rk4_candidate(st, t, state.phi.values,
                                                              state.phi_dot, dt))
-            r_new, det, emin, m = st.parts(t + dt, phi)
+            if t_new >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
+                t_new, phi, st.hist = t_bound, PotentialField(st.grid, phi.values), {}
+            r_new, det, emin, m = st.parts(t_new, phi)
             break
         except _Reject as e:
             dt *= 0.5
             if not adaptive or dt < cfg.dt_min:
                 raise st.failure(t, adaptive, e.args[0]) from None
-    out = FlowState(t + dt, phi, r_new, emin, state.step_count + 1, det=det, metric=m)
-    if out.t >= t_bound - 1e-12 * max(1.0, abs(t_bound)):   # nan at inf: never lands
-        out.t, out.phi, st.hist = t_bound, PotentialField(st.grid, phi.values), {}
-        if not st.autonomous:
-            # drop the step's det and metric before the recompute, which makes its own
-            out.det = out.metric = det = m = None
-            msg = f"potential left the Kaehler cone on landing at t={t_bound:.6g}"
-            out.phi_dot, out.det, out.min_eig, out.metric = \
-                _checked_parts(st, t_bound, out.phi, msg)
-    return out, dt
+    return FlowState(t_new, phi, r_new, emin, state.step_count + 1, det=det, metric=m), dt
 
 
 def _rk4_candidate(st, t, y, rhs, dt):
@@ -580,8 +565,11 @@ def _sbdf2_candidate(st, state, dt):
 
 
 def _initial_state(st, phi0, t0):
-    r, det, emin, m = _checked_parts(
-        st, t0, phi0, "initial potential is not strictly inside the Kaehler cone")
+    try:
+        r, det, emin, m = st.parts(t0, phi0)
+    except _Reject as e:
+        raise KaehlerConeViolation("initial potential is not strictly inside the Kaehler cone",
+                                   t=t0, min_eig=e.args[0]) from None
     return FlowState(t0, phi0.copy(), r, emin, det=det, metric=m)
 
 

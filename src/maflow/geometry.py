@@ -203,8 +203,9 @@ class TorusGrid:
         return sfft.rfftn(arr) if self.n == 1 else sfft.fftn(arr)
 
     def ifft(self, spec):
-        """The real field whose spectrum in the grid's layout is ``spec``."""
-        return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real
+        """The real field whose spectrum in the grid's layout is ``spec``, in an owned array
+        (at n = 2 a view of the real part would keep the complex transform alive)."""
+        return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real.copy()
 
     def flat_symbol(self):
         """Symbol of tr H = sum_j d^2/dz_j dzbar_j; at n = 1 the cached multiplier itself."""

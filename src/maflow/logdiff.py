@@ -13,7 +13,8 @@ zero mean and the stepping conserves mass to round-off.  The density form
 is a ``flow._Stepper`` (``_DensityStepper``) built from a FlowConfig, and
 ``evolve_density`` is its one entry point: flow's one step driver
 (``flow._advance``) and one time loop (``flow._march``) run it under the
-potential form's policies, landing, record cadence, snapshots and setting
+potential form's policies, landing (one right-hand side per candidate,
+the landed one at the boundary), record cadence, snapshots and setting
 checks.  Its right-hand side is the spectrum sym * rfftn(log f), which is
 the SBDF2 explicit term as it stands, so a semi-implicit step takes two
 transforms: rfftn(log f) and the inverse of the new density.  A step that
@@ -88,8 +89,6 @@ def _positive_min(f):
 
 class _DensityStepper(_Stepper):
     """The density f as a ``flow._Stepper`` (see the module docstring)."""
-
-    autonomous = True
 
     def __init__(self, config, f0):
         super().__init__(config)

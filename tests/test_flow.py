@@ -139,7 +139,7 @@ class TestConfigValidation:
 
 def rhs(t, phi, config):
     """The flow's right-hand side at (t, phi), as the driver evaluates it."""
-    return flow._checked_parts(flow._Stepper(config), t, phi, "left the cone")[0]
+    return flow._initial_state(flow._Stepper(config), phi, t).phi_dot
 
 
 def step(phi0, config):
@@ -178,25 +178,40 @@ class TestRhs:
             rhs(0.0, mode(g, (1, 0), 0.2), cfg)
 
 
-    def test_landing_rejection_is_typed(self, monkeypatch):
-        # one fixed step lands on T: the initial state, 4 stage/next-state
-        # evaluations, then the landing recompute, which is made to reject
-        g = grid1()
-        cfg = FlowConfig(grid=g, T=0.01, dt_policy="rk4_fixed", dt_init=0.01)
+    @staticmethod
+    def reject_landing(monkeypatch):
+        """The t of every parts call; the 5th, the first step's landed candidate, rejects."""
         orig = flow._Stepper.parts
         calls = []
 
         def parts(self, t, phi):
             calls.append(t)
-            if len(calls) == 6:
+            if len(calls) == 5:
                 raise flow._Reject(-1.0)
             return orig(self, t, phi)
 
         monkeypatch.setattr(flow._Stepper, "parts", parts)
+        return calls
+
+    def test_landing_rejection_is_typed(self, monkeypatch):
+        # one fixed step lands on T: the initial state, 3 stage evaluations,
+        # then the landed candidate's at T, a fixed-step rejection from t = 0
+        g = grid1()
+        cfg = FlowConfig(grid=g, T=1e-4, dt_policy="rk4_fixed", dt_init=1e-4)
+        calls = self.reject_landing(monkeypatch)
         with pytest.raises(KaehlerConeViolation) as exc:
             run(mode(g, (1, 0), 0.02), cfg)
-        assert len(calls) == 6
-        assert exc.value.t == 0.01 and exc.value.min_eig == -1.0
+        assert calls == [0.0, 5e-5, 5e-5, 1e-4, 1e-4]
+        assert exc.value.t == 0.0 and exc.value.min_eig == -1.0
+
+    def test_landing_rejection_halves_under_rk4(self, monkeypatch):
+        # the rejected landing step is halved, and the next step lands on T exactly
+        g = grid1()
+        cfg = FlowConfig(grid=g, T=1e-4, dt_policy="rk4", dt_init=1e-4, record_every=1)
+        calls = self.reject_landing(monkeypatch)
+        tr = run(mode(g, (1, 0), 0.02), cfg)
+        assert len(calls) == 13
+        assert list(tr.times) == [0.0, 5e-5, 1e-4]
 
 
 class TestStepDriver:
@@ -218,6 +233,32 @@ class TestStepDriver:
         tr = evolve_density(potential_to_density(mode(g, (1, 0), 0.02)),
                             dt_policy=policy, **self.REMAINDER)
         assert tr.times[-1] == self.REMAINDER["T"]
+
+    @pytest.mark.parametrize("form", ["potential", "density"])
+    @pytest.mark.parametrize("policy, evals", [("rk4", 4), ("rk4_fixed", 4),
+                                               ("semi_implicit", 1)])
+    def test_a_landing_step_evaluates_once_where_it_ends(self, form, policy, evals,
+                                                         monkeypatch):
+        # three RK4 stages and the candidate, or the SBDF2 candidate alone;
+        # the landed candidate is evaluated at the boundary, and only there
+        g = grid1(16)
+        cfg = FlowConfig(grid=g, T=1e-4, dt_policy=policy, dt_init=1e-4)
+        phi0 = mode(g, (1, 0), 0.02)
+        if form == "potential":
+            st = flow._Stepper(cfg)
+            st.state = flow._initial_state(st, phi0, 0.0)
+        else:
+            st = logdiff._DensityStepper(cfg, potential_to_density(phi0))
+        orig, calls = type(st).parts, []
+
+        def parts(self, t, phi):
+            calls.append(t)
+            return orig(self, t, phi)
+
+        monkeypatch.setattr(type(st), "parts", parts)
+        st.state, dt = flow._advance(st, st.state, cfg.T)
+        assert st.state.t == dt == cfg.T
+        assert len(calls) == evals and calls[-1] == cfg.T
 
     def test_dt_init_below_dt_min_rejected(self):
         with pytest.raises(ConfigError, match="dt_min"):

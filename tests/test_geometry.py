@@ -73,6 +73,15 @@ class TestTorusGrid:
         arrays += [g.packed_diag_multiplier()] if n == 2 else []
         assert [a.shape for a in arrays] == [want] * len(arrays)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ifft_owns_its_data(self, n):
+        # a view of the complex transform's real part would keep both alive
+        g = mf.TorusGrid(n, 8)
+        arr = np.random.default_rng(3).normal(size=g.shape)
+        out = g.ifft(g.fft(arr))
+        assert out.base is None and out.flags.owndata and out.dtype == np.float64
+        assert np.allclose(out, arr, rtol=0.0, atol=1e-14)
+
     def test_n2_mollify_matches_an_rfftn_reference(self):
         g = grid2(8)
         arr = np.random.default_rng(2).normal(size=g.shape)

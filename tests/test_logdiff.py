@@ -282,8 +282,8 @@ class TestSharedDriver:
     @pytest.mark.parametrize("policy, per_step", [("rk4", [8, 8, 8]),
                                                   ("semi_implicit", [3, 2, 2])])
     def test_landing_takes_no_transform(self, policy, per_step, monkeypatch):
-        # steps of 1e-4, 1e-4 and the 5e-5 that lands on the boundary; the
-        # right-hand side does not depend on t, so landing recomputes nothing
+        # steps of 1e-4, 1e-4 and the 5e-5 that lands on the boundary; every
+        # step evaluates its candidate once, the landed one at the boundary
         target = 2.5e-4
         cfg = FlowConfig(grid=grid1(32), T=target, dt_policy=policy, dt_init=1e-4)
         st = logdiff._DensityStepper(cfg, potential_to_density(mode_potential(cfg.grid)))

@@ -21,7 +21,8 @@ from maflow import geometry as geo
 from maflow import io as mio
 from maflow.config import load_config
 from maflow.verify import verify_comparison
-from maflow.flow import SETTINGS, FlowConfig, Trajectory, TwistSpec, continue_run, run
+from maflow.flow import (SETTINGS, FlowConfig, Trajectory, TwistSpec, _Stepper, continue_run,
+                         run)
 from maflow.functionals import SERIES_COLUMNS
 from maflow.geometry import PotentialField
 from maflow.initial import cos_mode
@@ -110,6 +111,11 @@ def test_boundary_a_remainder_past_a_step_end_is_landed(form, k, dt_min, frac, a
     tr = run_form(form, start(a1, a2), dt_min=dt_min, snapshot_times=(snap,))
     assert tr.snapshot_times == [0.0, snap, REMAINDER_T]
     assert tr.times[-1] == REMAINDER_T
+    if form[0] == "potential":   # the landed phi_dot is the right-hand side at the boundary
+        stepper = _Stepper(FlowConfig(grid=GRID, T=REMAINDER_T))
+        for s in tr.snapshots[1:]:
+            fresh = stepper.parts(s.t, PotentialField(GRID, s.phi))[0]
+            assert np.array_equal(s.phi_dot, fresh)
 
 
 def within_dt_min(dt_min, frac):
