@@ -12,15 +12,12 @@ from .errors import (ConfigError, ConfigMismatch, IncompatibleData,
                      InsufficientResolution, InvalidSpec,
                      KaehlerConeViolation, MassMismatch, MonotonicityFailure,
                      NewtonDiverged, PositivityLoss, SingularMetric, StepSizeUnderflow)
-from .geometry import (HermitianField, PotentialField, TorusGrid, complex_hessian,
-                       integrate, ma_ratio)
-from .initial import (ApproximationSequence, PotentialSpec,
-                      approximation_sequence, integrability_threshold,
+from .geometry import PotentialField, TorusGrid, ma_ratio
+from .initial import (ApproximationSequence, PotentialSpec, approximation_sequence,
                       lelong_estimate, sample_potential)
 from .flow import (FlowConfig, FlowState, Trajectory, TwistSpec,
                    continue_run, limit_potential, run, run_levels, t_max)
-from .functionals import (density, energy, lp_norm, mean_value, orlicz_integral,
-                          oscillation)
+from .functionals import lp_norm, orlicz_integral
 from .elliptic import newton_residual_and_linearization, solve_ma
 from .logdiff import (DensityField, density_to_potential, evolve_density,
                       potential_to_density)

@@ -29,7 +29,7 @@ def _build_levels(setup):
     spec = setup.spec
     if spec.kind == "smooth" or spec.kind == "from_file":
         return ApproximationSequence(spec, setup.grid, [sample_potential(spec, setup.grid)])
-    return approximation_sequence(spec, setup.grid, max(setup.levels, 1),
+    return approximation_sequence(spec, setup.grid, setup.levels,
                                   K=setup.trunc_depth, delta0=setup.delta0,
                                   ratio=setup.ratio)
 

@@ -21,7 +21,7 @@ A boolean is 1/true/yes/on or 0/false/no/off; snapshots, center and delta0
 "k1 k2 ... : amp : phase", 2n integer frequencies, one per real axis, e.g.
 "1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2" (initial.parse_modes).  Anything else,
 a mode without 2n frequencies included, is a ConfigError naming the section
-and key; so is a [grid] value TorusGrid rejects.  The environment variable
+and key; so is a [grid] value TorusGrid rejects, and [initial] levels < 1.  The environment variable
 MAFLOW_OUTPUT_ROOT prefixes relative output dirs.
 """
 
@@ -122,6 +122,8 @@ def load_config(path):
     if len(delta0) > 1:
         raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
     setup = {key: initial.pop(key) for key in ("levels", "trunc_depth", "ratio")}
+    if setup["levels"] < 1:
+        raise ConfigError(f"[initial] levels = {setup['levels']}: need at least one level")
     spec = PotentialSpec(modes=_mode_list(values, "initial", "modes", grid),
                          center=initial.pop("center") or None, **initial)
 

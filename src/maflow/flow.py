@@ -92,7 +92,7 @@ from . import functionals as fnl
 from . import geometry as geo
 from .errors import ConfigError, KaehlerConeViolation, MaflowError, StepSizeUnderflow
 from .geometry import PotentialField
-from .initial import ApproximationLevel, PotentialSpec, approximation_sequence
+from .initial import ApproximationLevel, PotentialSpec
 
 SIGN_TOL = 1e-10
 LIMIT_RATIO = 0.85   # the level limit converges when every decrement ratio is at most this
@@ -807,25 +807,3 @@ def limit_potential(trajs, t):
     report = LimitReport(t=float(t), decrements=decrements, ratios=ratios,
                          converged=converged, monotone=monotone)
     return PotentialField(trajs[-1].grid, fields[-1].copy()), report
-
-
-def maximal_stretch_gap(spec, grid, config, t, J=4):
-    """Empirical independence of the limit from the chosen sequence.
-
-    Runs two approximation sequences, the default one and a coarser one
-    (delta0 = max(8h, period/24), ratio 0.6, s0 0.02), and reports the sup
-    gap of their limits at time t; a report field, never an assertion.
-    """
-    if t > config.T:
-        raise ConfigError("probe time beyond the configured horizon")
-    config = config.replace(snapshot_times=(*config.snapshot_times, t))
-    a = approximation_sequence(spec, grid, J)
-    b = approximation_sequence(spec, grid, J, delta0=max(8.0 * grid.h, grid.period / 24.0),
-                               ratio=0.6, s0=0.02)
-    fa, ra = limit_potential(run_levels(a, config), t)
-    fb, rb = limit_potential(run_levels(b, config), t)
-    gap = float(np.abs(fa.values - fb.values).max())
-    scale = max(1.0, float(np.abs(fa.values).max()))
-    return {"sup_gap": gap, "relative_gap": gap / scale,
-            "converged_a": ra.converged, "converged_b": rb.converged,
-            "decrements_a": ra.decrements, "decrements_b": rb.decrements}

@@ -290,25 +290,6 @@ class PotentialField:
         return cls(grid, np.zeros(grid.shape))
 
 
-class HermitianField:
-    """n x n complex Hermitian matrix per gridpoint, stored as (*grid, n, n)."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != grid.shape + (grid.n, grid.n):
-            raise ValueError("Hermitian field has wrong shape")
-        self.grid = grid
-        self.values = values
-
-    def scalar(self):
-        """For n = 1 the field is a real scalar; return it as such."""
-        if self.grid.n != 1:
-            raise ValueError("scalar() only makes sense at n = 1")
-        return self.values[..., 0, 0].real
-
-
 # ---------------------------------------------------------------------------
 # raw spectral kernels (ndarray in, ndarray out; hot path of the stepper)
 
@@ -416,10 +397,10 @@ def raw_combine(grid, a, raw, scale=1.0):
     return a + scale * h11, a + scale * h22, scale * h12
 
 
-def raw_add(grid, r1, r2, s1=1.0, s2=1.0):
+def raw_add(grid, r1, r2, s2=1.0):
     if grid.n == 1:
-        return s1 * r1 + s2 * r2
-    return (s1 * r1[0] + s2 * r2[0], s1 * r1[1] + s2 * r2[1], s1 * r1[2] + s2 * r2[2])
+        return r1 + s2 * r2
+    return (r1[0] + s2 * r2[0], r1[1] + s2 * r2[1], r1[2] + s2 * r2[2])
 
 
 def det_raw(grid, m):
@@ -567,19 +548,6 @@ def metric_raw(grid, arr, twist=None, t=0.0):
     return metric_det_eigmin(grid, hessian_raw(grid, arr), a, hpsi, t)
 
 
-def matrix_from_raw(grid, m):
-    if grid.n == 1:
-        out = np.zeros(grid.shape + (1, 1), dtype=np.complex128)
-        out[..., 0, 0] = m
-        return out
-    out = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = m[0]
-    out[..., 1, 1] = m[1]
-    out[..., 0, 1] = m[2]
-    out[..., 1, 0] = np.conj(m[2])
-    return out
-
-
 def mollify_raw(grid, arr, delta):
     """Gaussian (heat-kernel) mollification at radius delta.
 
@@ -593,13 +561,7 @@ def mollify_raw(grid, arr, delta):
 
 
 # ---------------------------------------------------------------------------
-# public operations on potentials; complex_hessian is the one (..., n, n) view
-
-
-def complex_hessian(phi):
-    """H(phi)[j,k] = d^2 phi / dz_j dzbar_k, spectrally exact for band-limited phi."""
-    raw = hessian_raw(phi.grid, phi.values)
-    return HermitianField(phi.grid, matrix_from_raw(phi.grid, raw))
+# public operations on potentials
 
 
 def ma_ratio(phi, twist=None, t=0.0):

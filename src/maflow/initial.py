@@ -174,11 +174,11 @@ def _pole_potential(spec, grid):
     return log_pole(grid, z0), z0
 
 
-def sample_potential(spec, grid, validate=True):
+def sample_potential(spec, grid):
     """Sample a model potential on the grid, clipped at spec.clip_floor.
 
-    Validation mollifies a copy at grid scale and requires
-    min eig(I + H) >= -1e-6, i.e. the sample is omega-psh up to tolerance.
+    The sample must be omega-psh at grid scale: a copy mollified at radius
+    2h must have min eig(I + H) >= -1e-6, or InvalidSpec is raised.
     """
     if spec.kind == "smooth":
         vals = mode_sum(grid, spec.modes)
@@ -197,13 +197,11 @@ def sample_potential(spec, grid, validate=True):
         else:  # zero_lelong_unbounded / finite_energy
             vals = -(spec.s0 + np.maximum(-g, 0.0)) ** spec.a
     vals = np.maximum(vals, spec.clip_floor)
-    if validate:
-        smooth = geo.mollify_raw(grid, vals, 2.0 * grid.h)
-        emin = geo.metric_raw(grid, smooth)[2]
-        if emin < -1e-6:
-            raise InvalidSpec(
-                f"sampled potential is not omega-psh at grid scale "
-                f"(min eig {emin:.3e}); reduce the mass or enlarge the period")
+    emin = geo.metric_raw(grid, geo.mollify_raw(grid, vals, 2.0 * grid.h))[2]
+    if emin < -1e-6:
+        raise InvalidSpec(
+            f"sampled potential is not omega-psh at grid scale "
+            f"(min eig {emin:.3e}); reduce the mass or enlarge the period")
     return PotentialField(grid, vals)
 
 
@@ -228,12 +226,14 @@ class ApproximationSequence:
         return self.levels[i]
 
 
-def approximation_sequence(spec, grid, J, K=1.0, delta0=None, ratio=0.7,
-                           s0=0.01):
+LEVEL_BLEND = 0.01   # s_1, the first level's blend towards its sup (approximation_sequence)
+
+
+def approximation_sequence(spec, grid, J, K=1.0, delta0=None, ratio=0.7):
     """Decreasing smooth strictly omega-psh approximants of the sampled spec.
 
     Level j (j = 1..J): truncate at -j*K, heat-mollify at radius
-    delta_j = delta0 * ratio^(j-1), blend by s_j = s0 * ratio^(2(j-1))
+    delta_j = delta0 * ratio^(j-1), blend by s_j = LEVEL_BLEND * ratio^(2(j-1))
     towards the sup (for a strict cone margin), and add (2n + 1/2) delta_j^2.
     The construction telescopes through the heat semigroup, so levels
     decrease pointwise; this is checked and MonotonicityFailure raised
@@ -248,7 +248,7 @@ def approximation_sequence(spec, grid, J, K=1.0, delta0=None, ratio=0.7,
     levels = []
     for j in range(1, J + 1):
         delta = delta0 * ratio ** (j - 1)
-        s = s0 * ratio ** (2 * (j - 1))
+        s = LEVEL_BLEND * ratio ** (2 * (j - 1))
         trunc = np.maximum(phi0.values, -j * K)
         psi = geo.mollify_raw(grid, trunc, delta)
         vals = (1.0 - s) * psi + s * psi.max() + C * delta ** 2
@@ -323,35 +323,3 @@ def lelong_estimate(phi, z0):
     A = np.stack([np.ones_like(radii), np.log(radii), radii ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, avgs, rcond=None)
     return max(0.0, float(coef[1]))
-
-
-def integrability_threshold(spec, base_res):
-    """Largest beta with int e^{-2 beta phi0} finite, detected by quadrature
-    divergence as the resolution doubles (base_res, 2x, 4x) on the period-2
-    torus.
-
-    A beta diverges where the mean of e^{-2 beta phi0} grows by more than
-    10% over the last doubling, and no less than over the one before.
-    Returns the geometric mean of the last convergent and first divergent
-    beta on a ladder from 0.5 to 1.7 times 1/gamma (lelong data) or 1.  The
-    threshold is a local quantity, so the period only needs to keep the
-    sample omega-psh.
-    """
-    ref = 1.0 / spec.gamma if spec.kind == "lelong" and spec.gamma > 0 else 1.0
-    betas = ref * np.array([0.5, 0.65, 0.8, 0.9, 1.0, 1.1, 1.25, 1.45, 1.7])
-    grids = [geo.TorusGrid(1, base_res * (2 ** i), 2.0) for i in range(3)]
-    samples = [sample_potential(spec, g, validate=False) for g in grids]
-    last_conv, first_div = None, None
-    for beta in betas:
-        vals = [float(np.exp(np.minimum(-2.0 * beta * s.values, 700.0)).mean())
-                for s in samples]
-        r1, r2 = vals[1] / vals[0], vals[2] / vals[1]
-        if r2 > 1.10 and r2 >= r1 * 0.99:
-            first_div = beta
-            break
-        last_conv = beta
-    if last_conv is None:
-        return float(betas[0])
-    if first_div is None:
-        return float(betas[-1])
-    return float(np.sqrt(last_conv * first_div))

@@ -43,10 +43,6 @@ class VerdictReport:
     advisory: bool = False
     details: dict = dfield(default_factory=dict)
 
-    @property
-    def passed(self):
-        return self.status != "fail"
-
     def to_dict(self):
         """The fields by name; numpy values stay numpy (``io.write_verdicts`` writes them)."""
         return asdict(self)

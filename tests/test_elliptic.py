@@ -10,7 +10,7 @@ from maflow import elliptic
 from maflow import geometry as geo
 from maflow.elliptic import SolverLog, newton_residual_and_linearization, solve_ma
 from maflow.errors import IncompatibleData, SingularMetric
-from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
+from maflow.flow import TwistSpec, normalize_h
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, cos_mode, sample_potential
 
@@ -173,18 +173,6 @@ class TestLinearization:
         m[3, 5] = 0.0
         with pytest.raises(SingularMetric):
             elliptic._linearization(g, m, m, 1.0)
-
-
-class TestFixedPointHandoff:
-    def test_flow_drift_below_budget(self):
-        # run(solve_ma output) under matching h drifts <= 1e-7 per unit time
-        g = grid1(64)
-        h = normalize_h(mode(g, (1, 0), 0.08))
-        u, _ = solve_ma(0.0, grid=g, h=h)
-        cfg = FlowConfig(grid=g, h=h, T=1.0, snapshot_times=(1.0,), record_every=500)
-        tr = run(u, cfg)
-        drift = np.abs(tr.snapshot_at(1.0).phi - u.values).max()
-        assert drift <= 1e-7
 
 
 def twisted_n2_data():

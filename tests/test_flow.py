@@ -12,8 +12,8 @@ from maflow import flow, logdiff
 from maflow.elliptic import solve_ma
 from maflow.errors import (ConfigError, KaehlerConeViolation, PositivityLoss,
                            StepSizeUnderflow)
-from maflow.flow import (FlowConfig, TwistSpec, continue_run, limit_potential,
-                         maximal_stretch_gap, normalize_h, run, run_levels, t_max)
+from maflow.flow import (FlowConfig, TwistSpec, continue_run, limit_potential, normalize_h,
+                         run, run_levels, t_max)
 from maflow.geometry import PotentialField, hessian_raw
 from maflow.initial import PotentialSpec, approximation_sequence, cos_mode
 from maflow.logdiff import evolve_density, potential_to_density
@@ -445,20 +445,6 @@ class TestLevelsAndLimit:
         lim, _ = limit_potential(trajs, t=0.1)
         for tr in trajs:
             assert (lim.values - tr.snapshot_at(0.1).phi).max() <= 1e-9
-
-    def test_sequence_independence_reported_not_asserted(self):
-        g = mf.TorusGrid(1, 64, period=2.0)
-        spec = PotentialSpec("smooth", modes=[((1, 0), 0.03, 0.0)])
-        cfg = FlowConfig(grid=g, T=0.05, snapshot_times=(0.05,), record_every=50)
-        rep = maximal_stretch_gap(spec, g, cfg, 0.05, J=3)
-        assert "sup_gap" in rep and rep["sup_gap"] >= 0.0
-
-    def test_stretch_gap_probe_past_the_horizon_rejected_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(flow, "run_levels", lambda *a, **k: pytest.fail("ran a level"))
-        g = mf.TorusGrid(1, 16, period=2.0)
-        spec = PotentialSpec("smooth", modes=[((1, 0), 0.03, 0.0)])
-        with pytest.raises(ConfigError, match="horizon"):
-            maximal_stretch_gap(spec, g, FlowConfig(grid=g, T=0.05), 0.1, J=3)
 
 
 class TestTwistedN2:

@@ -37,7 +37,7 @@ class TestEnergy:
         g = grid1()
         eps = 0.03
         phi = mode(g, (1, 0), eps)
-        H = mf.complex_hessian(phi).scalar()
+        H = geo.hessian_raw(g, phi.values)
         oracle = float((phi.values * (2.0 + H)).mean()) / 2.0
         assert energy(phi) == pytest.approx(oracle, rel=1e-13)
 
@@ -69,8 +69,10 @@ class TestEnergy:
         psi = PotentialField(g, cos_mode(g, (0, 1, 1, 0), 0.008))
         tw = TwistSpec(c=0.2, psi_chi=psi)
         t = 0.5
-        M = geo.matrix_from_raw(g, geo.metric_raw(g, phi.values, tw, t)[0])
-        Th = M - mf.complex_hessian(phi).values
+        M = geo.metric_raw(g, phi.values, tw, t)[0]
+        Th = [m - h for m, h in zip(M, geo.hessian_raw(g, phi.values))]   # theta_t, raw
+        M, Th = (np.moveaxis(np.array([[a, c], [np.conj(c), b]]), (0, 1), (-2, -1))
+                 for a, b, c in (M, Th))
         det = np.linalg.det
         mixed = 0.5 * (det(M + Th) - det(M) - det(Th)).real
         oracle = float((phi.values * (det(Th).real + mixed + det(M).real)).mean()) / 3.0
@@ -143,7 +145,7 @@ class TestDensity:
         g = grid1()
         assert np.allclose(density(PotentialField.zeros(g)), 1.0)
         f = density(PotentialField.zeros(g))
-        assert mf.integrate(f, g) == pytest.approx(g.volume)
+        assert geo.integrate(f, g) == pytest.approx(g.volume)
 
     def test_mass_identity_with_twist(self):
         g = grid1()

@@ -8,8 +8,7 @@ from maflow import geometry as geo
 from maflow.errors import InsufficientResolution, InvalidSpec
 from maflow.initial import (ApproximationSequence, PotentialSpec,
                             approximation_sequence, default_center,
-                            green_function, integrability_threshold,
-                            lelong_estimate, sample_potential,
+                            green_function, lelong_estimate, sample_potential,
                             sphere_average, _sphere_directions)
 
 
@@ -210,15 +209,6 @@ class TestLelongEstimate:
         assert np.array_equal(avgs, expected)
         one = sphere_average(phi, z0, radii[3])
         assert type(one) is float and one == expected[3]
-
-
-class TestIntegrabilityThreshold:
-    @pytest.mark.parametrize("gamma", [0.5, 1.0])
-    def test_threshold_brackets_inverse_mass(self, gamma):
-        # at n=1 the integrability exponent of gamma log|z| is exactly 1/gamma
-        spec = PotentialSpec("lelong", gamma=gamma)
-        thr = integrability_threshold(spec, base_res=64)
-        assert 1.0 / (1.2 * gamma) <= thr <= 1.2 / gamma
 
 
 def test_center_length_validated():

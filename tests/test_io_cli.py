@@ -275,6 +275,18 @@ tol.sup_bound = 1e-6
         assert main(["run", str(p)]) == 2
         assert "stab_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_fewer_than_one_level_exits_2(self, tmp_path, monkeypatch, capsys, levels):
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        p = tmp_path / "run.ini"
+        p.write_text(f"[grid]\nres = 16\nperiod = 2.0\n[initial]\nkind = lelong\ngamma = 1.0\n"
+                     f"levels = {levels}\n[flow]\nT = 0.002\n")
+        with pytest.raises(ConfigError, match=r"\[initial\] levels"):
+            load_config(p)
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "[initial] levels" in err
+
 
 class TestCli:
     def _write_config(self, tmp_path, extra_verify=""):

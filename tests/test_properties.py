@@ -232,7 +232,7 @@ def test_volume_identity_inside_the_cone(n, phi_modes, psi_modes, with_psi, c, t
     grid = VOLUME_GRIDS[n]
     phi = bandlimited(grid, phi_modes, 0.4)
     twist = TwistSpec(c, bandlimited(grid, psi_modes, 0.4) if with_psi else None)
-    vol = mf.integrate(mf.ma_ratio(phi, twist, t), grid)
+    vol = geo.integrate(mf.ma_ratio(phi, twist, t), grid)
     assert abs(vol - (1.0 + t * c) ** n * grid.volume) <= 1e-13 * grid.volume
 
 

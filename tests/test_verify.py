@@ -10,7 +10,7 @@ from maflow.elliptic import solve_ma
 from maflow.errors import ConfigError, ConfigMismatch
 from maflow.flow import (FlowConfig, Trajectory, TwistSpec, continue_run, normalize_h,
                          run)
-from maflow.geometry import PotentialField, mollify_raw
+from maflow.geometry import PotentialField, hessian_raw, mollify_raw
 from maflow.initial import (PotentialSpec, approximation_sequence, cos_mode,
                             default_center, sample_potential)
 from maflow import verify as ver
@@ -34,6 +34,13 @@ def smooth_run():
                           + cos_mode(g, (0, 2), 0.008, 0.5))
     cfg = FlowConfig(grid=g, T=0.4, snapshot_times=SNAPS, record_every=50)
     return run(phi0, cfg), cfg
+
+
+@pytest.fixture(scope="module")
+def flat_run():
+    g = grid1()
+    cfg = FlowConfig(grid=g, T=0.4, snapshot_times=SNAPS, record_every=50)
+    return run(PotentialField.zeros(g), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +95,8 @@ class TestComparison:
 
 
 class TestSupBound:
-    def test_flat_data_bounded_by_rate_line(self):
-        g = grid1()
-        cfg = FlowConfig(grid=g, T=0.4, snapshot_times=SNAPS, record_every=50)
-        tr = run(PotentialField.zeros(g), cfg)
+    def test_flat_data_bounded_by_rate_line(self, flat_run):
+        tr = flat_run
         # sup phi_t <= n t log 2 with sup phi_0 = inf h = 0
         assert ver.verify_sup_bound(tr).status == "pass"
         assert (tr.column("sup") <= tr.column("t") * math.log(2.0) + 1e-9).all()
@@ -114,11 +119,8 @@ class TestSupBound:
 
 
 class TestMinoinf:
-    def test_flat_data(self):
-        g = grid1()
-        cfg = FlowConfig(grid=g, T=0.4, snapshot_times=SNAPS, record_every=50)
-        rep = ver.verify_minoinf(run(PotentialField.zeros(g), cfg))
-        assert rep.status == "pass"
+    def test_flat_data(self, flat_run):
+        assert ver.verify_minoinf(flat_run).status == "pass"
 
     def test_bounded_discontinuous_passes(self):
         g = grid1(64, period=2.0)
@@ -340,8 +342,8 @@ class TestC2DiagnosticTwist:
     def expected(tr, psi):
         # the one (t, t/2) pair is t = 0.2; trace of I + H(phi_t + t psi_chi)
         snap = tr.snapshot_at(0.2)
-        H = mf.complex_hessian(PotentialField(tr.grid, snap.phi + 0.2 * psi.values))
-        return 0.2 * math.log(float((1.0 + H.scalar()).max()))
+        H = hessian_raw(tr.grid, snap.phi + 0.2 * psi.values)
+        return 0.2 * math.log(float((1.0 + H).max()))
 
     def test_in_memory_run(self, twisted):
         tr, cfg = twisted
