@@ -139,6 +139,20 @@ class TestComplexHessian:
         rel = np.abs(H - np.broadcast_to(exact, g.shape)).max() / np.abs(exact).max()
         assert rel < 1e-10
 
+    def test_hermitian_symmetry(self):
+        # the raw layout stores h12 once: d^2/dz2 dzbar1 of a real potential
+        # must be its conjugate, and the diagonal transforms real
+        g = grid2()
+        arr = random_bandlimited(g, 0).values
+        spec = sfft.fftn(arr)
+        h11, h22, h12 = geo.hessian_raw(g, arr)
+        h21 = sfft.ifftn(g.hessian_multiplier(1, 0) * spec)
+        assert np.abs(h12 - np.conj(h21)).max() < 1e-13
+        for k, hkk in ((0, h11), (1, h22)):
+            full = sfft.ifftn(g.hessian_multiplier(k, k) * spec)
+            assert np.abs(full.imag).max() < 1e-13
+            assert hkk.dtype == np.float64 and np.abs(hkk - full.real).max() < 1e-13
+
 
 def four_transform_hessian(grid, arr):
     # the n = 2 Hessian one inverse transform per component, as a reference

@@ -5,9 +5,10 @@ import pytest
 
 import maflow as mf
 from maflow import geometry as geo
+from maflow import io as mio
 from maflow.errors import InsufficientResolution, InvalidSpec
-from maflow.initial import (ApproximationSequence, PotentialSpec,
-                            approximation_sequence, default_center,
+from maflow.initial import (LEVEL_BLEND, ApproximationSequence, PotentialSpec,
+                            approximation_sequence, cos_mode, default_center,
                             green_function, lelong_estimate, sample_potential,
                             sphere_average, _sphere_directions)
 
@@ -92,6 +93,23 @@ class TestSamplePotential:
         with pytest.raises(InvalidSpec):
             sample_potential(PotentialSpec("lelong", gamma=1.0), g)
 
+    @pytest.mark.parametrize("kind", ["smooth", "from_file"])
+    def test_psh_validation_covers_every_kind(self, kind, tmp_path):
+        # 1 + H(eps cos 2 pi x) has min 1 - pi^2 eps: 0.51 at eps = 0.05, -0.97 at 0.2
+        g = mf.TorusGrid(1, 32, period=1.0)
+
+        def spec(eps):
+            if kind == "smooth":
+                return PotentialSpec("smooth", modes=[((1, 0), eps, 0.0)])
+            path = tmp_path / f"{eps}.mafl"
+            mio.write_field(path, mf.PotentialField(g, cos_mode(g, (1, 0), eps)))
+            return PotentialSpec("from_file", path=str(path))
+
+        assert np.array_equal(sample_potential(spec(0.05), g).values,
+                              cos_mode(g, (1, 0), 0.05))
+        with pytest.raises(InvalidSpec, match="not omega-psh at grid scale"):
+            sample_potential(spec(0.2), g)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidSpec):
             PotentialSpec("lelong", gamma=-1.0)
@@ -152,6 +170,23 @@ class TestApproximationSequence:
         bound = np.abs(phi0.values).max() + 1.0
         for lev in seq.levels:
             assert np.abs(lev.phi.values).max() <= bound
+
+    def test_levels_follow_the_documented_construction(self, g64):
+        # level j: truncate at -jK, mollify at delta_j, blend by
+        # s_j = LEVEL_BLEND ratio^(2(j-1)) towards the sup, add (2n + 1/2) delta_j^2
+        spec = PotentialSpec("lelong", gamma=0.5)
+        K, ratio = 0.5, 0.7
+        phi0 = sample_potential(spec, g64).values
+        seq = approximation_sequence(spec, g64, 3, K=K, ratio=ratio)
+        delta0 = max(6.0 * g64.h, g64.period / 32.0)
+        assert LEVEL_BLEND == 0.01
+        for lev in seq.levels:
+            delta = delta0 * ratio ** (lev.j - 1)
+            s = LEVEL_BLEND * ratio ** (2 * (lev.j - 1))
+            psi = geo.mollify_raw(g64, np.maximum(phi0, -lev.j * K), delta)
+            want = (1.0 - s) * psi + s * psi.max() + 2.5 * delta ** 2
+            assert lev.delta == delta
+            assert np.array_equal(lev.phi.values, want)
 
     def test_sequence_container(self, g64):
         spec = PotentialSpec("smooth", modes=[((1, 0), 0.02, 0.0)])
