@@ -21,12 +21,16 @@ A boolean is 1/true/yes/on or 0/false/no/off; snapshots, center and delta0
 "k1 k2 ... : amp : phase", 2n integer frequencies, one per real axis, e.g.
 "1 0 : 0.05 : 0.0; 0 2 : 0.01 : 1.2" (initial.parse_modes).  Anything else,
 a mode without 2n frequencies included, is a ConfigError naming the section
-and key; so is a [grid] value TorusGrid rejects, and [initial] levels < 1.  The environment variable
+and key; so is a [grid] value TorusGrid rejects, [initial] levels < 1, a
+trunc_depth that is not finite and > 0, a ratio outside (0, 1] and a
+delta0 outside (0, period] (the approximation levels' construction,
+initial.approximation_sequence).  The environment variable
 MAFLOW_OUTPUT_ROOT prefixes relative output dirs.
 """
 
 import configparser
 import inspect
+import math
 import os
 from dataclasses import dataclass, field as dfield, fields
 
@@ -122,8 +126,16 @@ def load_config(path):
     if len(delta0) > 1:
         raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
     setup = {key: initial.pop(key) for key in ("levels", "trunc_depth", "ratio")}
-    if setup["levels"] < 1:
-        raise ConfigError(f"[initial] levels = {setup['levels']}: need at least one level")
+    delta0 = delta0[0] if delta0 else None
+    levels, depth, ratio = setup["levels"], setup["trunc_depth"], setup["ratio"]
+    for key, value, ok, want in (
+            ("levels", levels, levels >= 1, "at least one level"),
+            ("trunc_depth", depth, 0.0 < depth < math.inf, "a finite depth > 0"),
+            ("ratio", ratio, 0.0 < ratio <= 1.0, "a ratio in (0, 1]"),
+            ("delta0", delta0, delta0 is None or 0.0 < delta0 <= grid.period,
+             f"a radius in (0, period] = (0, {grid.period:g}]")):
+        if not ok:
+            raise ConfigError(f"[initial] {key} = {value!r}: need {want}")
     spec = PotentialSpec(modes=_mode_list(values, "initial", "modes", grid),
                          center=initial.pop("center") or None, **initial)
 
@@ -145,5 +157,5 @@ def load_config(path):
         if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
             raise ConfigError(f"[verify] check {name!r} takes no tol")
 
-    return RunSetup(grid=grid, spec=spec, delta0=delta0[0] if delta0 else None,
+    return RunSetup(grid=grid, spec=spec, delta0=delta0,
                     flow=run, outdir=outdir, checks=checks, tolerances=tolerances, **setup)

@@ -38,13 +38,13 @@ density form (``logdiff``).
 
 An SBDF2 step keeps its state as the spectrum it solves for
 (``_SpectralPotential``) at every n and in both flow forms, and the next
-right-hand side takes its Hessian from it: a cmaf step takes two
-transforms at n = 1, three at n = 2.  The real phi is formed once, where
-it is first read.  Landing turns the state into its real values, so a
+right-hand side takes its Hessian from it: a cmaf step takes one rfftn
+and one irfftn at n = 1, one rfftn and four irfftn at n = 2.  The real
+phi is formed once, where it is first read.  Landing turns the state into its real values, so a
 restart from the snapshot starts from the same spectrum, fft(phi).
 
 One right-hand-side evaluation (``_Stepper.parts``) takes the Hessian of
-``phi.spectrum()`` (one inverse transform at n = 1, two at n = 2) and
+``phi.spectrum()`` (one inverse transform at n = 1, four at n = 2) and
 turns it in place into the metric, its determinant, its smallest
 eigenvalue and log det - h (+ phi) in one fused pointwise pass
 (``geometry.metric_det_eigmin``).  A cone exit anywhere in a run reaches
@@ -61,8 +61,8 @@ sum in place and frees each stage once it is added.
 A run is deterministic, and its output does not depend on the threads or
 processes it is given; trajectories are immutable once produced.  Where a
 CPU is free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run``
-gives its ``_Stepper`` one helper thread, a lane: it runs one of the
-Hessian's two inverse transforms and half of the pointwise pass of every
+gives its ``_Stepper`` one helper thread, a lane: it runs two of the
+Hessian's four inverse transforms and half of the pointwise pass of every
 right-hand side (see ``geometry``), and is joined before ``run`` returns
 or raises.  ``run_levels`` runs each approximation level in a forked
 child process, all of them at once, and the kernel shares the CPUs among

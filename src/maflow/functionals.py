@@ -34,26 +34,20 @@ def energy_from_raws(grid, phi_arr, m_raw, twist=None, t=0.0, det=None, out=None
     return float(geo.by_rows(grid, term, out).mean() / (grid.n + 1))
 
 
-def energy(phi, twist=None, t=0.0):
-    """Aubin-Yau type energy of phi with respect to theta_t."""
-    grid = phi.grid
-    m = geo.raw_add(grid, geo.theta_raw(grid, twist, t), geo.hessian_raw(grid, phi.values))
-    return energy_from_raws(grid, phi.values, m, twist, t)
-
-
 def mean_value(phi, h=None):
-    """I = (1/V) int phi dmu with dmu = e^h omega^n (h normalized upstream)."""
+    """I = (1/V) int phi dmu, dmu = e^h omega^n; an independent reference for ``series_row``."""
     if h is None:
         return float(phi.values.mean())
     return float((phi.values * np.exp(h.values)).mean())
 
 
 def oscillation(phi):
+    """sup - inf; an independent reference for ``series_row``'s osc."""
     return phi.sup - phi.inf
 
 
 def density(phi, twist=None, t=0.0, h=None):
-    """f_t = (theta_t + dd^c phi)^n / mu = det(M_t) e^{-h}, a positive field."""
+    """f_t = det(M_t) e^{-h} > 0; an independent reference for ``series_row``'s f columns."""
     f = geo.ma_ratio(phi, twist, t)
     if h is not None:
         f = f * np.exp(-h.values)

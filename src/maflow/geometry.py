@@ -18,18 +18,19 @@ Conventions, fixed once and used by every module:
   The customary 1/pi in dd^c is absorbed into this normalization, which
   makes gamma * log|z - z0| carry Lelong mass exactly gamma.
 * Nyquist modes are dropped from the derivative multipliers.  This keeps
-  H(phi) exactly Hermitian for real phi: the Nyquist frequency has no
-  partner of opposite sign, so with it d^2 phi / dz_2 dzbar_1 would not be
-  the conjugate of d^2 phi / dz_1 dzbar_2, which the raw layout stores
-  alone.
+  every multiplier even on the discrete grid (the Nyquist frequency has no
+  partner of opposite sign), so each Hessian component of a real phi,
+  Re h12 and Im h12 included, is the real inverse transform of a real
+  multiplier times the spectrum.
 
-This module owns the two per-n layouts, so no other module branches on
+This module owns the two per-n raw layouts, so no other module branches on
 them.  The raw layout of a Hermitian field is a real array at n = 1 and the
-triple (m11, m22, m12) at n = 2; its algebra (``det_raw``, ``eigmin_raw``,
-``trace_raw``, ``inverse_raw``, the contraction tr_M(H) ``contract_raw``
-and the wedge sum ``wedge_sum``) lives here.  The spectral layout is the
-rfft at n = 1 and the c2c transform at n = 2 (``TorusGrid.fft`` /
-``TorusGrid.ifft``); the grid's symbols and masks use it.
+four real arrays (m11, m22, Re m12, Im m12) at n = 2; its algebra
+(``det_raw``, ``eigmin_raw``, ``trace_raw``, ``inverse_raw``, the
+contraction tr_M(H) ``contract_raw`` and the wedge sum ``wedge_sum``)
+lives here and runs on real arrays only.  The spectral layout is one at
+every n: the half spectrum of ``rfftn`` (``TorusGrid.fft`` /
+``TorusGrid.ifft``); the grid's multipliers, symbols and masks use it.
 
 One row-block convention serves every pointwise pass that ends in a grid
 mean, min or max (``by_rows``): it walks contiguous slices of the first
@@ -50,11 +51,11 @@ compute the same value twice, and either copy is bit-identical.
 ``hessian_raw`` and ``metric_det_eigmin`` take an optional ``lane``: a
 helper thread (anything with ``submit(fn, *args)`` returning a future, such
 as a one-worker ``concurrent.futures.ThreadPoolExecutor``).  At n = 2 the
-helper runs the h12 inverse transform while the caller runs the diagonal
-one, and then the pointwise pass on the second half of the first axis while
-the caller runs the first half.  Both splits keep every floating-point
-operation of the sequential path on the same operands, so the results are
-bit-identical; ``lane_pays`` says where the helper is worth its cost.
+helper runs the two inverse transforms of h12 while the caller runs the
+two diagonal ones, and then the pointwise pass on the second half of the
+first axis while the caller runs the first half.  Both splits keep every
+floating-point operation of the sequential path on the same operands, so
+the results are bit-identical; ``lane_pays`` says where the helper is worth its cost.
 """
 
 import numpy as np
@@ -82,7 +83,7 @@ class TorusGrid:
     ----------
     n : complex dimension, 1 or 2.
     res : points per real axis, a power of two >= 8.
-    period : real period per axis (default 1), finite.
+    period : real period per axis (default 1), whose volume period^(2n) is finite, > 0.
 
     Derivative multipliers and FFT plans are cached on the instance; two
     grids compare equal iff (n, res, period) agree.
@@ -94,8 +95,13 @@ class TorusGrid:
             raise ValueError("complex dimension must be 1 or 2")
         if res is None or res < 8 or not _is_power_of_two(res):
             raise ValueError("res must be a power of two >= 8")
-        if not 0.0 < period < np.inf:
-            raise ValueError("period must be finite and positive")
+        try:
+            volume = period ** (2 * n)
+        except OverflowError:   # a float period too large for its volume
+            volume = np.inf
+        if not (0.0 < period and 0.0 < volume < np.inf):
+            raise ValueError("period must be finite and positive, with a finite, nonzero "
+                             "volume period^(2n)")
         self.n = n
         self.res = res
         self.period = period
@@ -168,60 +174,44 @@ class TorusGrid:
         sh[axis] = self._spec_shape()[axis]
         return k[: sh[axis]].reshape(sh)
 
-    def hessian_multiplier(self, j, k):
-        """Fourier multiplier of d^2/dz_j dzbar_k (full shape).
+    def hessian_multipliers(self):
+        """Real multipliers of the raw Hessian's components (cached, spectrum shape).
 
-        Cached, except the two real diagonal ones at n = 2: they only build
-        ``packed_diag_multiplier`` and ``flat_symbol``, which are cached.
+        (d^2/dz dzbar,) at n = 1; at n = 2 those of h11, h22, Re h12 and Im h12.
         """
-        key = ("hess", j, k)
-        m = self._cache.get(key)
-        if m is None:
-            f = [self._along(a, self._freq()) for a in range(2 * self.n)]
-            # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
-            m = 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
-            if j == k:
-                m = m.real  # equals -(kx^2+ky^2)/4
-            m = np.broadcast_to(m, self._spec_shape()).copy()
-            if self.n == 1 or j != k:
-                self._cache[key] = m
-        return m
-
-    def packed_diag_multiplier(self):
-        """Multiplier m11 + i m22 of the n = 2 diagonal pair (cached, full shape).
-
-        h11 and h22 are real, so one inverse transform of this times the
-        spectrum carries h11 + i h22.
-        """
-        key = ("hess_packed",)
+        key = ("hess",)
         if key not in self._cache:
-            self._cache[key] = self.hessian_multiplier(0, 0) + 1j * self.hessian_multiplier(1, 1)
+            f = [self._along(a, self._freq()) for a in range(2 * self.n)]
+
+            # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
+            def mult(j, k):
+                return 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
+            parts = [mult(j, j).real for j in range(self.n)]   # -(kx_j^2 + ky_j^2)/4
+            if self.n == 2:
+                m12 = mult(0, 1)
+                parts += [m12.real, m12.imag]
+            self._cache[key] = tuple(np.broadcast_to(m, self._spec_shape()).copy() for m in parts)
         return self._cache[key]
 
     def fft(self, arr):
-        """Spectrum of a real field in the grid's layout: rfft at n = 1, c2c at n = 2."""
-        return sfft.rfftn(arr) if self.n == 1 else sfft.fftn(arr)
+        """Spectrum of a real field in the grid's layout, the half spectrum ``rfftn``."""
+        return sfft.rfftn(arr)
 
     def ifft(self, spec):
-        """The real field whose spectrum in the grid's layout is ``spec``, in an owned array
-        (at n = 2 a view of the real part would keep the complex transform alive)."""
-        return sfft.irfftn(spec, s=self.shape) if self.n == 1 else sfft.ifftn(spec).real.copy()
+        """The real field whose spectrum in the grid's layout is ``spec``, in an owned array."""
+        return sfft.irfftn(spec, s=self.shape)
 
     def flat_symbol(self):
-        """Symbol of tr H = sum_j d^2/dz_j dzbar_j; at n = 1 the cached multiplier itself."""
-        if self.n == 1:
-            return self.hessian_multiplier(0, 0)
+        """Symbol of tr H = sum_j d^2/dz_j dzbar_j (cached); at n = 1 the multiplier itself."""
         key = ("flat",)
         if key not in self._cache:
-            self._cache[key] = sum(self.hessian_multiplier(j, j) for j in range(self.n))
+            m = self.hessian_multipliers()
+            self._cache[key] = m[0] if self.n == 1 else m[0] + m[1]
         return self._cache[key]
 
     def _spec_shape(self):
-        """Shape of ``fft``'s spectrum: the last axis halved (plus one) at n = 1."""
-        sh = list(self.shape)
-        if self.n == 1:
-            sh[-1] = self.res // 2 + 1
-        return tuple(sh)
+        """Shape of ``fft``'s spectrum: the last axis halved (plus one)."""
+        return self.shape[:-1] + (self.res // 2 + 1,)
 
     def ksq_full(self):
         """|k|^2 over all 2n real axes, Nyquist included (for mollification)."""
@@ -326,32 +316,29 @@ def _pair(lane, first, second):
     return mine, theirs
 
 
-def _ifftn_times(mult, spec):
-    return sfft.ifftn(mult * spec, overwrite_x=True)
-
-
 def hessian_raw(grid, arr, spec=None, lane=None):
-    """Complex Hessian of a real array.
+    """Complex Hessian of a real array, in the raw layout.
 
-    Returns the scalar H (real 2d array) for n = 1, and the component
-    triple (h11, h22, h12) for n = 2 (h11, h22 real, h12 complex).
-    ``spec`` optionally supplies ``grid.fft(arr)``, precomputed; ``arr``
-    is then not read and may be None.
+    Returns the scalar H for n = 1, and (h11, h22, Re h12, Im h12) for
+    n = 2, all real.  ``spec`` optionally supplies ``grid.fft(arr)``,
+    precomputed; ``arr`` is then not read and may be None.
 
-    n = 2 takes two inverse transforms: h11 + i h22 comes out of one
-    (see ``TorusGrid.packed_diag_multiplier``), h12 out of the other, which
-    runs on ``lane`` when one is given.  The returned arrays are fresh,
+    Each component is one inverse transform of the spectrum times its real
+    multiplier (``TorusGrid.hessian_multipliers``); at n = 2 the two of
+    h12 run on ``lane`` when one is given.  The returned arrays are fresh,
     C-contiguous and unaliased; they belong to the caller, who may
     overwrite them (``metric_det_eigmin`` does).
     """
     if spec is None:
         spec = grid.fft(arr)
+    mults = grid.hessian_multipliers()
     if grid.n == 1:
-        return grid.ifft(grid.hessian_multiplier(0, 0) * spec)
-    diag_mult, off_mult = grid.packed_diag_multiplier(), grid.hessian_multiplier(0, 1)
-    diag, h12 = _pair(lane, lambda: _ifftn_times(diag_mult, spec),
-                      lambda: _ifftn_times(off_mult, spec))
-    return diag.real.copy(), diag.imag.copy(), h12
+        return grid.ifft(mults[0] * spec)
+
+    def two(m1, m2):
+        return lambda: (grid.ifft(m1 * spec), grid.ifft(m2 * spec))
+    diag, off = _pair(lane, two(*mults[:2]), two(*mults[2:]))
+    return diag + off
 
 
 def readonly_raw(grid, raw):
@@ -393,22 +380,22 @@ def raw_combine(grid, a, raw, scale=1.0):
     """a*I + scale*raw as a raw metric rep (a may be a scalar)."""
     if grid.n == 1:
         return a + scale * raw
-    h11, h22, h12 = raw
-    return a + scale * h11, a + scale * h22, scale * h12
+    h11, h22, h12r, h12i = raw
+    return a + scale * h11, a + scale * h22, scale * h12r, scale * h12i
 
 
 def raw_add(grid, r1, r2, s2=1.0):
     if grid.n == 1:
         return r1 + s2 * r2
-    return (r1[0] + s2 * r2[0], r1[1] + s2 * r2[1], r1[2] + s2 * r2[2])
+    return tuple(x + s2 * y for x, y in zip(r1, r2))
 
 
 def det_raw(grid, m):
     """Determinant of a raw metric rep, pointwise."""
     if grid.n == 1:
         return m
-    m11, m22, m12 = m
-    return m11 * m22 - (m12.real ** 2 + m12.imag ** 2)
+    m11, m22, m12r, m12i = m
+    return m11 * m22 - (m12r ** 2 + m12i ** 2)
 
 
 def trace_raw(grid, m):
@@ -425,16 +412,14 @@ def inverse_raw(grid, m, det):
     if grid.n == 1:
         return 1.0 / m
     s = 1.0 / det
-    return m[1] * s, m[0] * s, -m[2] * s
+    return m[1] * s, m[0] * s, -m[2] * s, -m[3] * s
 
 
 def contract_raw(grid, inv, h):
     """tr_M(H) = sum_{jk} (M^{-1})_{jk} H_{kj} from raw M^{-1} and a raw Hermitian H."""
     if grid.n == 1:
         return inv * h
-    i11, i22, i12 = inv
-    h11, h22, h12 = h
-    return i11 * h11 + i22 * h22 + 2.0 * (i12 * np.conj(h12)).real
+    return inv[0] * h[0] + inv[1] * h[1] + 2.0 * (inv[2] * h[2] + inv[3] * h[3])
 
 
 def wedge_sum(grid, m, th, det=None):
@@ -444,10 +429,8 @@ def wedge_sum(grid, m, th, det=None):
     """
     if grid.n == 1:
         return th + m
-    m11, m22, m12 = m
-    t11, t22, t12 = th
-    cross = (m12 * np.conj(t12)).real
-    return (det_raw(grid, th) + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross)
+    cross = m[2] * th[2] + m[3] * th[3]   # Re(m12 conj t12)
+    return (det_raw(grid, th) + 0.5 * (m[0] * th[1] + m[1] * th[0] - 2.0 * cross)
             + (det_raw(grid, m) if det is None else det))
 
 
@@ -455,9 +438,9 @@ def eigmin_raw(grid, m):
     """Pointwise smallest eigenvalue of a raw metric rep."""
     if grid.n == 1:
         return m
-    m11, m22, m12 = m
+    m11, m22, m12r, m12i = m
     tr = m11 + m22
-    disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * (m12.real ** 2 + m12.imag ** 2), 0.0))
+    disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * (m12r ** 2 + m12i ** 2), 0.0))
     return 0.5 * (tr - disc)
 
 
@@ -488,15 +471,15 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0, lane=None, then=None):
     det = np.empty(grid.shape)
 
     def rows_pass(rows):
-        m11, m22, m12 = (x[rows] for x in hess)
+        m = [x[rows] for x in hess]
         if hpsi is not None:
-            m11 += t * hpsi[0][rows]
-            m22 += t * hpsi[1][rows]
-            m12 += t * hpsi[2][rows]
+            for x, p in zip(m, hpsi):
+                x += t * p[rows]
+        m11, m22, m12r, m12i = m
         m11 += a
         m22 += a
-        q = m12.real ** 2
-        q += m12.imag ** 2            # |m12|^2, shared by det and the discriminant
+        q = m12r ** 2
+        q += m12i ** 2                # |m12|^2, shared by det and the discriminant
         d = det[rows]
         np.multiply(m11, m22, out=d)
         d -= q
@@ -536,7 +519,7 @@ def theta_raw(grid, twist=None, t=0.0, rows=slice(None)):
         return raw_combine(grid, a, raw_rows(grid, hpsi, rows), scale=t)
     shape = (len(range(grid.res)[rows]),) + grid.shape[1:]
     diag = np.full(shape, a)
-    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(shape, complex))
+    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(shape), np.zeros(shape))
 
 
 def metric_raw(grid, arr, twist=None, t=0.0):
@@ -565,7 +548,10 @@ def mollify_raw(grid, arr, delta):
 
 
 def ma_ratio(phi, twist=None, t=0.0):
-    """(theta_t + dd^c phi)^n / omega^n = det M_t; KaehlerConeViolation outside the cone."""
+    """(theta_t + dd^c phi)^n / omega^n = det M_t; KaehlerConeViolation outside the cone.
+
+    An independent reference for the volume identity check.
+    """
     _, det, min_eig = metric_raw(phi.grid, phi.values, twist, t)
     if not min_eig > 0.0:
         raise KaehlerConeViolation(
@@ -575,7 +561,7 @@ def ma_ratio(phi, twist=None, t=0.0):
 
 
 def integrate(field, grid=None):
-    """Integral against omega^n: grid mean times V (spectral quadrature)."""
+    """Integral against omega^n (grid mean times V); a reference for the volume identity."""
     if isinstance(field, PotentialField):
         grid, arr = field.grid, field.values
     else:

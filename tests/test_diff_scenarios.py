@@ -1,0 +1,40 @@
+"""tools/diff_scenarios.py's report: how far the differing files of two outputs lie apart."""
+
+import importlib.util
+import pathlib
+import struct
+
+import numpy as np
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "diff_scenarios.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("diff_scenarios", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def write_mafl(path, data, t=0.0):
+    # maflow.io's layout: magic, n, res, period and t, then the float64 data
+    path.write_bytes(struct.pack("<4sIIdd", b"MAFL", 1, 2, 1.0, t)
+                     + np.asarray(data, dtype="<f8").tobytes())
+
+
+def test_report_gives_the_largest_differences_of_series_and_fields(tmp_path):
+    tool = load_tool()
+    before, after = tmp_path / "before" / "run", tmp_path / "after" / "run"
+    for d, sup, phi, meta in ((before, 0.5, 0.25, "1"), (after, 0.501, 0.25002, "2")):
+        d.mkdir(parents=True)
+        (d / "series.csv").write_text(f"t,sup\n0,0.5\n0.1,{sup!r}\n")
+        write_mafl(d / "phi.mafl", [0.0, phi, 1.0, -1.0])
+        (d / "meta.json").write_text(meta)
+        (d / "same.txt").write_text("x")
+    lines = tool.report(str(tmp_path / "before"), str(tmp_path / "after"))
+    assert len(lines) == 3
+    meta, phi, series = sorted(lines)
+    assert meta.endswith("meta.json differ")
+    assert phi.endswith("phi.mafl differ: max |diff| 2e-05")
+    assert series.endswith("series.csv differ: max |diff| t 0, sup 0.001")
+    assert tool.report(str(before), str(before)) == []

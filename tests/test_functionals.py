@@ -5,8 +5,9 @@ import pytest
 
 import maflow as mf
 from maflow import geometry as geo
-from maflow.functionals import (SERIES_COLUMNS, density, energy, lp_norm, mean_value,
-                                orlicz_integral, oscillation, series_row, w_xlog1px)
+from maflow.functionals import (SERIES_COLUMNS, density, energy_from_raws, lp_norm,
+                                mean_value, orlicz_integral, oscillation, series_row,
+                                w_xlog1px)
 from maflow.flow import FlowConfig, TwistSpec, normalize_h, run
 from maflow.geometry import PotentialField
 from maflow.initial import PotentialSpec, cos_mode, sample_potential
@@ -18,6 +19,13 @@ def grid1(res=32, period=1.0):
 
 def mode(grid, kvec, amp, phase=0.0):
     return PotentialField(grid, cos_mode(grid, kvec, amp, phase))
+
+
+def energy(phi, twist=None, t=0.0):
+    """E of phi by ``energy_from_raws`` from M_t and det M_t, as series_row takes it."""
+    g = phi.grid
+    m, det, _ = geo.metric_raw(g, phi.values, twist, t)
+    return energy_from_raws(g, phi.values, m, twist, t, det)
 
 
 class TestEnergy:
@@ -71,8 +79,8 @@ class TestEnergy:
         t = 0.5
         M = geo.metric_raw(g, phi.values, tw, t)[0]
         Th = [m - h for m, h in zip(M, geo.hessian_raw(g, phi.values))]   # theta_t, raw
-        M, Th = (np.moveaxis(np.array([[a, c], [np.conj(c), b]]), (0, 1), (-2, -1))
-                 for a, b, c in (M, Th))
+        M, Th = (np.moveaxis(np.array([[a, cr + 1j * ci], [cr - 1j * ci, b]]), (0, 1), (-2, -1))
+                 for a, b, cr, ci in (M, Th))
         det = np.linalg.det
         mixed = 0.5 * (det(M + Th) - det(M) - det(Th)).real
         oracle = float((phi.values * (det(Th).real + mixed + det(M).real)).mean()) / 3.0
@@ -214,9 +222,11 @@ def whole_array_theta(grid, twist, t):
     a = 1.0 if twist is None else 1.0 + t * twist.c
     if twist is not None and twist.psi_chi is not None and t != 0.0:
         hpsi = geo.hessian_raw(grid, twist.psi_chi.values)
-        return a + t * hpsi if grid.n == 1 else (a + t * hpsi[0], a + t * hpsi[1], t * hpsi[2])
+        return a + t * hpsi if grid.n == 1 else (a + t * hpsi[0], a + t * hpsi[1],
+                                                 t * hpsi[2], t * hpsi[3])
     diag = np.full(grid.shape, a)
-    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(grid.shape, complex))
+    return diag if grid.n == 1 else (diag, diag.copy(), np.zeros(grid.shape),
+                                     np.zeros(grid.shape))
 
 
 def whole_array_energy(grid, phi_arr, m_raw, th_raw):
@@ -224,11 +234,11 @@ def whole_array_energy(grid, phi_arr, m_raw, th_raw):
     if grid.n == 1:
         wedge = th_raw + m_raw
     else:
-        m11, m22, m12 = m_raw
-        t11, t22, t12 = th_raw
-        cross = (m12 * np.conj(t12)).real
-        det_th = t11 * t22 - (t12.real ** 2 + t12.imag ** 2)
-        det_m = m11 * m22 - (m12.real ** 2 + m12.imag ** 2)
+        m11, m22, m12r, m12i = m_raw
+        t11, t22, t12r, t12i = th_raw
+        cross = m12r * t12r + m12i * t12i
+        det_th = t11 * t22 - (t12r ** 2 + t12i ** 2)
+        det_m = m11 * m22 - (m12r ** 2 + m12i ** 2)
         wedge = det_th + 0.5 * (m11 * t22 + m22 * t11 - 2.0 * cross) + det_m
     return float((phi_arr * wedge).mean() / (grid.n + 1))
 
@@ -261,7 +271,7 @@ class TestBlockwiseRow:
         h = normalize_h(mode(g, e[1], 0.1, 0.2)) if with_h else None
         exp_h = None if h is None else np.exp(h.values)
         vals = cos_mode(g, e[0], 0.03, 0.1) + cos_mode(g, e[1], 0.02, 0.7)
-        # phi as a flow state forms it: at n = 2 the real part of a complex transform
+        # phi as a flow state forms it, an inverse transform
         phi_arr = g.ifft(g.fft(vals))
         t = 0.3
         m, det, emin = geo.metric_raw(g, phi_arr, tw, t)
@@ -270,6 +280,5 @@ class TestBlockwiseRow:
         want = whole_array_row(g, t, phi_arr, m, th, det, emin, 1e-3, exp_h=exp_h)
         assert list(got) == list(SERIES_COLUMNS)
         assert got == want
-        phi = PotentialField(g, vals)
         m_phi = geo.raw_add(g, th, geo.hessian_raw(g, vals))
-        assert energy(phi, tw, t) == whole_array_energy(g, vals, m_phi, th)
+        assert energy_from_raws(g, vals, m_phi, tw, t) == whole_array_energy(g, vals, m_phi, th)

@@ -30,7 +30,7 @@ def matrix_from_raw(grid, m):
         return m[..., None, None].astype(np.complex128)
     out = np.empty(grid.shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0], out[..., 1, 1] = m[0], m[1]
-    out[..., 0, 1], out[..., 1, 0] = m[2], np.conj(m[2])
+    out[..., 0, 1], out[..., 1, 0] = m[2] + 1j * m[3], m[2] - 1j * m[3]
     return out
 
 
@@ -75,13 +75,23 @@ class TestTorusGrid:
             mf.TorusGrid.checked(1, 16, None, "meta.json")
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_every_multiplier_symbol_and_mask_has_the_spectrum_shape(self, n):
+    def test_one_half_spectrum_layout_and_real_raw_fields(self, n):
+        # one spectral layout at every n, the half spectrum; the raw layout is
+        # one real array at n = 1 and four at n = 2
         g = mf.TorusGrid(n, 8)
-        want = g.fft(np.zeros(g.shape)).shape
-        arrays = [g.hessian_multiplier(j, k) for j in range(n) for k in range(n)]
-        arrays += [g.flat_symbol(), g.ksq_full(), g.dealias_mask()]
-        arrays += [g.packed_diag_multiplier()] if n == 2 else []
+        want = g.shape[:-1] + (g.res // 2 + 1,)
+        arr = random_bandlimited(g, 1).values
+        assert g.fft(arr).shape == want
+        arrays = [*g.hessian_multipliers(), g.flat_symbol(), g.ksq_full(), g.dealias_mask()]
         assert [a.shape for a in arrays] == [want] * len(arrays)
+        assert all(m.dtype == np.float64 for m in g.hessian_multipliers())
+        tw = TwistSpec(-0.4, random_bandlimited(g, 2))
+        for raw in (geo.hessian_raw(g, arr), geo.theta_raw(g, tw, 0.3), geo.theta_raw(g),
+                    geo.metric_raw(g, arr, tw, 0.3)[0]):
+            parts = components(g, raw)
+            assert len(parts) == (1 if n == 1 else 4)
+            assert all(type(x) is np.ndarray and x.dtype == np.float64
+                       and x.shape == g.shape for x in parts)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_ifft_owns_its_data(self, n):
@@ -123,8 +133,8 @@ class TestComplexHessian:
         g = grid2()
         u = 0.02 * np.cos(2 * np.pi * g.coord(0))
         v = 0.015 * np.cos(2 * np.pi * g.coord(3))
-        h11, _, h12 = geo.hessian_raw(g, field(g, u + v).values)
-        assert np.abs(h12).max() < 1e-14
+        h11, _, h12r, h12i = geo.hessian_raw(g, field(g, u + v).values)
+        assert np.abs(h12r).max() < 1e-14 and np.abs(h12i).max() < 1e-14
         hu = geo.hessian_raw(g, field(g, np.broadcast_to(u, g.shape)).values)[0]
         assert np.allclose(h11, hu, atol=1e-13)
 
@@ -140,26 +150,39 @@ class TestComplexHessian:
         assert rel < 1e-10
 
     def test_hermitian_symmetry(self):
-        # the raw layout stores h12 once: d^2/dz2 dzbar1 of a real potential
-        # must be its conjugate, and the diagonal transforms real
+        # the raw layout stores h12 once, as two real arrays: d^2/dz2 dzbar1 of a
+        # real potential must be its conjugate, and the diagonal transforms real
         g = grid2()
         arr = random_bandlimited(g, 0).values
-        spec = sfft.fftn(arr)
-        h11, h22, h12 = geo.hessian_raw(g, arr)
-        h21 = sfft.ifftn(g.hessian_multiplier(1, 0) * spec)
+        h11, h22, h12, h21 = c2c_hessian(g, arr, ((0, 0), (1, 1), (0, 1), (1, 0)))
         assert np.abs(h12 - np.conj(h21)).max() < 1e-13
-        for k, hkk in ((0, h11), (1, h22)):
-            full = sfft.ifftn(g.hessian_multiplier(k, k) * spec)
-            assert np.abs(full.imag).max() < 1e-13
-            assert hkk.dtype == np.float64 and np.abs(hkk - full.real).max() < 1e-13
+        assert np.abs(h11.imag).max() < 1e-13 and np.abs(h22.imag).max() < 1e-13
+        got = geo.hessian_raw(g, arr)
+        assert [x.dtype for x in got] == [np.float64] * 4
+        for x, want in zip(got, (h11.real, h22.real, h12.real, h12.imag)):
+            assert np.abs(x - want).max() < 1e-13
+
+
+def c2c_hessian(grid, arr, pairs=((0, 0), (1, 1), (0, 1))):
+    """d^2 arr / dz_j dzbar_k for each (j, k) of ``pairs`` at n = 2, by full complex transforms.
+
+    An oracle independent of the grid's multipliers: the frequencies come from
+    np.fft.fftfreq, with the Nyquist modes dropped.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.res, d=grid.h)
+    k[grid.res // 2] = 0.0
+    kx1, ky1, kx2, ky2 = (k.reshape([-1 if a == b else 1 for b in range(4)]) for a in range(4))
+    # the symbols of d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2
+    dz = [0.5 * (1j * kx + ky) for kx, ky in ((kx1, ky1), (kx2, ky2))]
+    dzbar = [0.5 * (1j * kx - ky) for kx, ky in ((kx1, ky1), (kx2, ky2))]
+    spec = np.fft.fftn(arr)
+    return [np.fft.ifftn(dz[j] * dzbar[k] * spec) for j, k in pairs]
 
 
 def four_transform_hessian(grid, arr):
-    # the n = 2 Hessian one inverse transform per component, as a reference
-    spec = sfft.fftn(arr)
-    return (sfft.ifftn(grid.hessian_multiplier(0, 0) * spec).real,
-            sfft.ifftn(grid.hessian_multiplier(1, 1) * spec).real,
-            sfft.ifftn(grid.hessian_multiplier(0, 1) * spec))
+    # the n = 2 raw Hessian (h11, h22, Re h12, Im h12) from the c2c oracle
+    h11, h22, h12 = c2c_hessian(grid, arr)
+    return h11.real, h22.real, h12.real, h12.imag
 
 
 def old_metric_chain(grid, hess, a, hpsi=None, t=0.0):
@@ -183,13 +206,14 @@ class TestPackedHessian:
 
     def test_components_owned_by_the_caller(self):
         g = grid2(16)
-        h11, h22, h12 = geo.hessian_raw(g, random_bandlimited(g, 3).values)
-        for h in (h11, h22):
+        parts = geo.hessian_raw(g, random_bandlimited(g, 3).values)
+        assert len(parts) == 4
+        for h in parts:
             assert h.dtype == np.float64
             assert h.flags.c_contiguous and h.flags.writeable
-        assert h12.dtype == np.complex128 and h12.flags.writeable
-        assert not np.shares_memory(h11, h22)
-        assert not np.shares_memory(h11, h12) and not np.shares_memory(h22, h12)
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def components(grid, raw):
@@ -234,8 +258,7 @@ class TestOneMetricConstruction:
         if with_psi and t != 0.0:
             want = geo.raw_combine(g, a, geo.hessian_raw(g, tw.psi_chi.values), scale=t)
         else:   # a I + 0, the former raw_zero route
-            zero = (np.zeros(g.shape) if n == 1 else
-                    (np.zeros(g.shape), np.zeros(g.shape), np.zeros(g.shape, complex)))
+            zero = np.zeros(g.shape) if n == 1 else tuple(np.zeros(g.shape) for _ in range(4))
             want = geo.raw_combine(g, a, zero)
         got = geo.theta_raw(g, tw, t)
         for x, y in zip(components(g, got), components(g, want)):
@@ -283,9 +306,8 @@ class TestOneMetricConstruction:
         if n == 1:
             emax_old = float(raw.max())
         else:   # the former closed-form largest eigenvalue
-            m11, m22, m12 = raw
-            disc = np.sqrt(np.maximum((m11 - m22) ** 2
-                                      + 4.0 * (m12.real ** 2 + m12.imag ** 2), 0.0))
+            m11, m22, m12r, m12i = raw
+            disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * (m12r ** 2 + m12i ** 2), 0.0))
             emax_old = float((0.5 * (m11 + m22 + disc)).max())
         emin, emax = tw.eig_range(g)
         assert emax == emax_old
@@ -355,7 +377,7 @@ class TestMetricAndRatio:
 
     def test_min_eigenvalue_constant_diagonal(self):
         g = grid2()
-        m = (np.full(g.shape, 2.0), np.full(g.shape, 0.3), np.zeros(g.shape, complex))
+        m = (np.full(g.shape, 2.0), np.full(g.shape, 0.3), np.zeros(g.shape), np.zeros(g.shape))
         assert float(geo.eigmin_raw(g, m).min()) == pytest.approx(0.3)
 
 
@@ -411,7 +433,7 @@ class TestTraces:
     def test_trace_diag_flat(self):
         g = grid2()
         I, _, _ = geo.metric_raw(g, np.zeros(g.shape))
-        h = (np.full(g.shape, 0.7), np.full(g.shape, 2.2), np.zeros(g.shape, complex))
+        h = (np.full(g.shape, 0.7), np.full(g.shape, 2.2), np.zeros(g.shape), np.zeros(g.shape))
         assert np.allclose(trace_wrt(g, I, h), 2.9)
 
     def test_trace_inequalities_on_random_positive_pairs(self):

@@ -275,17 +275,29 @@ tol.sup_bound = 1e-6
         assert main(["run", str(p)]) == 2
         assert "stab_factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("levels", [0, -1])
-    def test_fewer_than_one_level_exits_2(self, tmp_path, monkeypatch, capsys, levels):
+    @pytest.mark.parametrize("section, key, value", [
+        ("initial", "levels", "0"), ("initial", "levels", "-1"),
+        # an OverflowError traceback (exit 1) before
+        ("grid", "period", "1e308"), ("initial", "delta0", "1e308"), ("initial", "ratio", "1e308"),
+        # "levels fail pointwise decrease" or a cone violation at t = 0 (exit 3) before
+        ("initial", "ratio", "1.5"), ("initial", "ratio", "3"), ("initial", "ratio", "nan"),
+        ("initial", "ratio", "inf"), ("initial", "trunc_depth", "-1"),
+        ("initial", "trunc_depth", "nan"), ("initial", "delta0", "inf"),
+    ])
+    def test_level_construction_values_exit_2_naming_the_key(self, tmp_path, monkeypatch,
+                                                             capsys, section, key, value):
         monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        ini = {"grid": {"res": "16", "period": "2.0"},
+               "initial": {"kind": "lelong", "gamma": "1.0", "levels": "3"},
+               "flow": {"T": "0.002"}}
+        ini[section][key] = value
         p = tmp_path / "run.ini"
-        p.write_text(f"[grid]\nres = 16\nperiod = 2.0\n[initial]\nkind = lelong\ngamma = 1.0\n"
-                     f"levels = {levels}\n[flow]\nT = 0.002\n")
-        with pytest.raises(ConfigError, match=r"\[initial\] levels"):
-            load_config(p)
-        assert main(["run", str(p)]) == 2
+        p.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                             for name, keys in ini.items()))
+        assert main(["run", str(p), "--workers", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "[initial] levels" in err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert f"[{section}]" in err and key in err
 
 
 class TestCli:

@@ -170,7 +170,8 @@ def raw_from_matrix(grid, values):
     """The raw layout of a (..., n, n) Hermitian field: its upper triangle."""
     if grid.n == 1:
         return values[..., 0, 0].real
-    return values[..., 0, 0].real, values[..., 1, 1].real, values[..., 0, 1]
+    m12 = values[..., 0, 1]
+    return values[..., 0, 0].real, values[..., 1, 1].real, m12.real, m12.imag
 
 
 @PROPERTY

@@ -8,20 +8,26 @@ Exports REV's ``src`` with ``git archive`` into a temporary directory and
 runs this tree's ``tools/save_scenarios.py`` twice, with ``PYTHONPATH`` on
 that ``src`` (into OUTDIR/before) and on this tree's ``src`` (into
 OUTDIR/after).  Then ``diff -r`` compares the two and the files that
-differ are listed.  Exits 1 if any differ, 0 if none do, and 2 on a usage
-error.  Without OUTDIR both outputs go to the temporary directory and are
-removed at the end.  ``save_scenarios.py`` writes the verdicts of every
-single-run check beside its grid and density-form runs, so the checks are
-compared too.  Takes about 35 s on 2 cores (two scenario runs).
+differ are listed, each with how far apart it is: a ``series.csv`` with
+the largest |difference| in each column, a ``.mafl`` field with the
+largest |difference| in its data (``report``).  Exits 1 if any differ, 0
+if none do, and 2 on a usage error.  Without OUTDIR both outputs go to
+the temporary directory and are removed at the end.  ``save_scenarios.py``
+writes the verdicts of every single-run check beside its grid and
+density-form runs, so the checks are compared too.  Takes about 35 s on 2 cores (two scenario runs).
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAVE = os.path.join(ROOT, "tools", "save_scenarios.py")
+MAFL_HEADER = 28   # the bytes before a .mafl file's float64 data (maflow.io)
 
 
 def export_src(rev, dest):
@@ -47,6 +53,40 @@ def differing(before, after):
     return done.stdout.splitlines()
 
 
+def _series(path):
+    """A series.csv's header and its rows as a float array."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def how_far(before, after):
+    """How far two differing versions of a file lie apart, or None where it is not measured."""
+    if os.path.basename(before) == "series.csv":
+        (cols, a), (cols_after, b) = _series(before), _series(after)
+        if cols != cols_after or a.shape != b.shape:
+            return "columns or rows differ"
+        gaps = np.abs(a - b).max(axis=0, initial=0.0)
+        return "max |diff| " + ", ".join(f"{c} {g:.3g}" for c, g in zip(cols, gaps))
+    if before.endswith(".mafl"):
+        a, b = (np.fromfile(p, dtype="<f8", offset=MAFL_HEADER) for p in (before, after))
+        if a.shape != b.shape:
+            return "data sizes differ"
+        return f"max |diff| {np.abs(a - b).max(initial=0.0):.3g}"
+    return None
+
+
+def report(before, after):
+    """``differing``'s lines, each followed by ``how_far`` for the pair where it is measured."""
+    lines = []
+    for line in differing(before, after):
+        pair = re.fullmatch(r"Files (.*) and (.*) differ", line)
+        far = pair and how_far(*pair.groups())
+        lines.append(f"{line}: {far}" if far else line)
+    return lines
+
+
 def main(argv):
     if len(argv) not in (1, 2):
         print("usage: python tools/diff_scenarios.py REV [OUTDIR]", file=sys.stderr)
@@ -61,7 +101,7 @@ def main(argv):
                 return 2
         save_scenarios(export_src(argv[0], tmp), before)
         save_scenarios(os.path.join(ROOT, "src"), after)
-        lines = differing(before, after)
+        lines = report(before, after)
     for line in lines:
         print(line)
     print(f"{argv[0]} against this tree: {len(lines)} differing files")

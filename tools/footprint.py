@@ -17,7 +17,7 @@ Given REV, also exports REV's ``src`` with ``git archive`` (as
 ``tools/diff_scenarios.py`` does), alternates its interpreters with this
 tree's and prints its line first.  Wall times depend on the host and its
 load; compare two trees in one call, not across calls.  A res 64 run
-needs about 3.3 GB and 20 s.
+needs about 2.5 GB and 11 s on 2 cores.
 """
 
 import argparse
