@@ -136,8 +136,11 @@ def load_config(path):
              f"a radius in (0, period] = (0, {grid.period:g}]")):
         if not ok:
             raise ConfigError(f"[initial] {key} = {value!r}: need {want}")
-    spec = PotentialSpec(modes=_mode_list(values, "initial", "modes", grid),
-                         center=initial.pop("center") or None, **initial)
+    try:
+        spec = PotentialSpec(modes=_mode_list(values, "initial", "modes", grid),
+                             center=initial.pop("center") or None, **initial)
+    except InvalidSpec as e:
+        raise ConfigError(f"[initial] {e}") from None
 
     psi, h = (_mode_list(values, "flow", key, grid) for key in ("psi_chi_modes", "h_modes"))
     twist = TwistSpec(flow.pop("c"), PotentialField(grid, mode_sum(grid, psi)) if psi else None)

@@ -107,7 +107,7 @@ def newton_residual_and_linearization(u, alpha, g=None, twist=None, t=0.0, h=Non
     return r, apply
 
 
-def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
+def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, rtol):
     """Left-preconditioned GMRES for apply(delta) = rhs; apply is the linearization at M.
 
     Returns (delta, matvecs, converged); converged is False when lgmres ran
@@ -136,14 +136,14 @@ def _inner_solve(grid, apply, rhs_arr, alpha, inv, det, mean_zero, rtol):
     from scipy.sparse.linalg import LinearOperator, lgmres
 
     cbar = float((det * geo.trace_raw(grid, inv)).mean() / grid.n)
-    pre = cbar * grid.flat_symbol() - alpha * float(det.mean())
+    pre = cbar * grid.flat_symbol - alpha * float(det.mean())
     if alpha == 0.0:
         pre = np.where(pre == 0.0, -1.0, pre)
     # dividing a spectrum by the real pre multiplies by 1 / pre (see flow._sbdf2_spectrum)
     inv_pre = np.divide(1.0, pre)
 
     def proj(arr):
-        return arr - arr.mean() if mean_zero else arr
+        return arr - arr.mean() if alpha == 0.0 else arr
 
     shape = grid.shape
     size = rhs_arr.size
@@ -217,7 +217,6 @@ def solve_ma(alpha, g=None, twist=None, t=0.0, h=None, grid=None, u0=None, log=N
         if alpha == 0.0:
             rhs_arr = rhs_arr - (rhs_arr * det).mean() / det.mean()
         delta, matvecs, converged = _inner_solve(grid, apply, rhs_arr, alpha, inv_raw, det,
-                                                 mean_zero=(alpha == 0.0),
                                                  rtol=min(1e-2, 0.1 * rnorm))
         log.inner_iterations.append(matvecs)
         log.inner_converged.append(converged)

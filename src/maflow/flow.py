@@ -59,7 +59,8 @@ alone (and the SBDF2 history).  An RK4 step gathers its stages into one
 sum in place and frees each stage once it is added.
 
 A run is deterministic, and its output does not depend on the threads or
-processes it is given; trajectories are immutable once produced.  Where a
+processes it is given; trajectories are immutable once produced, and the
+grid and the twist are frozen values (see ``geometry``).  Where a
 CPU is free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run``
 gives its ``_Stepper`` one helper thread, a lane: it runs two of the
 Hessian's four inverse transforms and half of the pointwise pass of every
@@ -85,6 +86,7 @@ import pickle
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 import numpy as np
 
@@ -98,62 +100,51 @@ SIGN_TOL = 1e-10
 LIMIT_RATIO = 0.85   # the level limit converges when every decrement ratio is at most this
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistSpec:
-    """The closed twist form chi = c * omega + dd^c psi_chi."""
+    """The closed twist form chi = c * omega + dd^c psi_chi, a frozen value.
+
+    What it derives on psi_chi's own grid is cached on first read, and shared
+    by FlowConfig's checks, its ``replace``s, its meta and its steppers.
+    """
 
     c: float = 0.0
     psi_chi: PotentialField = None
-    _hpsi: tuple = dfield(default=None, init=False, repr=False, compare=False)
-    _range: tuple = dfield(default=None, init=False, repr=False, compare=False)
 
-    def hessian_raw(self, grid):
-        """H(psi_chi) on ``grid`` (None without psi_chi), read-only.
-
-        Computed once per psi_chi object (whose grid must equal ``grid``)
-        and cached: FlowConfig's checks, its meta and every stepper of the
-        configuration share it.  psi_chi's values are never changed, so
-        threads racing on an empty cache, and level processes that each
-        fill their own copy, compute bit-identical values.
-        """
+    @cached_property
+    def hpsi(self):
+        """H(psi_chi) (None without psi_chi), read-only."""
         if self.psi_chi is None:
             return None
-        if self.psi_chi.grid != grid:
-            raise ConfigError("psi_chi lives on a different grid")
-        if self._hpsi is None or self._hpsi[0] is not self.psi_chi:
-            self._hpsi = (self.psi_chi,
-                          geo.readonly_raw(grid, geo.hessian_raw(grid, self.psi_chi.values)))
-        return self._hpsi[1]
+        grid = self.psi_chi.grid
+        return geo.readonly_raw(grid, geo.hessian_raw(grid, self.psi_chi.values))
 
-    def eig_range(self, grid):
+    @cached_property
+    def eig_range(self):
         """(min, max) over the grid of the eigenvalues of c I + H(psi_chi).
 
-        Computed once per (c, psi_chi, grid), block by block into one field
-        (``geometry.by_rows``), and cached next to H(psi_chi): FlowConfig's
-        checks, every ``replace`` of it and every run's meta share it.
+        Evaluated block by block into one field (``geometry.by_rows``).
         """
         if self.psi_chi is None:
             return self.c, self.c
-        key = (self.c, self.psi_chi, grid)
-        if self._range is None or self._range[0] != key:
-            hpsi = self.hessian_raw(grid)
+        grid, hpsi = self.psi_chi.grid, self.hpsi
 
-            def low(a, scale):   # the grid min of the smallest eigenvalue of a I + scale H
-                def eig(rows):
-                    raw = geo.raw_combine(grid, a, geo.raw_rows(grid, hpsi, rows), scale)
-                    return geo.eigmin_raw(grid, raw)
-                return float(geo.by_rows(grid, eig).min())
-            # the largest eigenvalue of A is minus the smallest of -A, exactly
-            self._range = (key, (low(self.c, 1.0), -low(-self.c, -1.0)))
-        return self._range[1]
+        def low(a, scale):   # the grid min of the smallest eigenvalue of a I + scale H
+            def eig(rows):
+                raw = geo.raw_combine(grid, a, geo.raw_rows(grid, hpsi, rows), scale)
+                return geo.eigmin_raw(grid, raw)
+            return float(geo.by_rows(grid, eig).min())
+        # the largest eigenvalue of A is minus the smallest of -A, exactly
+        return low(self.c, 1.0), -low(-self.c, -1.0)
 
     # the classes sign_class returns: the values a run records in its
     # meta.json, and the only ones a saved run may carry
     SIGN_CLASSES = ("zero", "nonneg", "nonpos", "mixed")
 
-    def sign_class(self, grid):
+    @property
+    def sign_class(self):
         """The sign of c I + H(psi_chi) over the grid, to SIGN_TOL: one of SIGN_CLASSES."""
-        emin, emax = self.eig_range(grid)
+        emin, emax = self.eig_range
         zero, nonneg, nonpos, mixed = self.SIGN_CLASSES
         if abs(emin) <= SIGN_TOL and abs(emax) <= SIGN_TOL:
             return zero
@@ -237,6 +228,8 @@ class FlowConfig:
             raise ConfigError(f"dt_init={self.dt_init} lies below dt_min={self.dt_min}")
         if self.T < 0.0:
             raise ConfigError("horizon T must be >= 0")
+        if self.twist.psi_chi is not None and self.twist.psi_chi.grid != self.grid:
+            raise ConfigError("psi_chi lives on a different grid")
         if self.variant == "ncmaf" and not self.twist.is_trivial:
             raise ConfigError("the normalized flow requires a trivial twist")
         if self.variant == "cmaf":
@@ -244,7 +237,7 @@ class FlowConfig:
             if self.T >= tm:
                 raise ConfigError(f"T={self.T} reaches T_max={tm}")
             # discrete form of the standing normalization omega/2 <= theta_t <= 2 omega
-            emin, emax = self.twist.eig_range(self.grid)
+            emin, emax = self.twist.eig_range
             bound = self.T * max(abs(emin), abs(emax))
             if bound > 0.5 + 1e-12:
                 raise ConfigError(
@@ -262,7 +255,7 @@ class FlowConfig:
         g = self.grid
         return {
             **self.settings(), "n": g.n, "res": g.res, "period": g.period,
-            "c": self.twist.c, "sign_class": self.twist.sign_class(g),
+            "c": self.twist.c, "sign_class": self.twist.sign_class,
             "sup_h": 0.0 if self.h is None else self.h.sup,
             "inf_h": 0.0 if self.h is None else self.h.inf,
             "t_max": t_max(self.twist) if self.variant == "cmaf" else math.inf,
@@ -360,11 +353,11 @@ class _Stepper:
         self.grid = config.grid
         self.lane = None   # a helper thread for the right-hand side (``run`` starts it)
         self.c = config.twist.c
-        self.hpsi = config.twist.hessian_raw(self.grid)
+        self.hpsi = config.twist.hpsi
         self.h_arr = None if config.h is None else config.h.values
         self.exp_h = None if config.h is None else np.exp(self.h_arr)
         self.ncmaf = config.variant == "ncmaf"
-        self.mask = self.grid.dealias_mask() if config.dealias else None
+        self.mask = self.grid.dealias_mask if config.dealias else None
         self.hist = {}   # semi-implicit two-step history; cleared where a step lands
         self.state = None   # the FlowState reached
 
@@ -558,7 +551,7 @@ def _sbdf2_candidate(st, state, dt):
     ``st.explicit_spec``.
     """
     beta0 = st.cfg.stab_factor / max(state.min_eig, 1e-12)
-    new_spec, hist = _sbdf2_spectrum(st.grid.flat_symbol(), state.phi.spectrum(),
+    new_spec, hist = _sbdf2_spectrum(st.grid.flat_symbol, state.phi.spectrum(),
                                      st.explicit_spec(state.phi_dot), st.hist, dt,
                                      st.cfg.dt_init, beta0)
     return _SpectralPotential(st.grid, new_spec), hist

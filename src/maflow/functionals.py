@@ -6,7 +6,7 @@ The energy is the mixed-wedge functional
 
 evaluated for n <= 2 through closed-form mixed determinants of the local
 matrices Theta = (1+tc) I + t H(psi_chi) (``geometry.theta_raw``, with
-H(psi_chi) from the twist's cache) and M = Theta + H(phi), summed
+H(psi_chi) the twist's ``hpsi``) and M = Theta + H(phi), summed
 pointwise by ``geometry.wedge_sum``.  All integrals
 share the spectral quadrature of :func:`maflow.geometry.integrate`.
 

@@ -38,25 +38,28 @@ axis (``row_blocks``: one row at n = 2, the whole field at n = 1, where
 blocks would only add calls), writes each block into one output field and
 reduces the whole field.  Its temporaries are block-sized, and every value,
 hence every result, is bit-identical to the whole-array expression.  The
-metric pass (``metric_det_eigmin``) fills its det field by rows the same way.
+n = 2 metric pass (``metric_det_eigmin``) walks two blocks, the halves of
+the first axis, into its det field.
 
 All operations here are pure functions of immutable snapshots and are
-safe to call concurrently.  The one mutable state is a lazily filled cache
-of a deterministic value: ``TorusGrid._cache`` (multipliers, symbols,
-masks), and, in ``flow``, ``TwistSpec._hpsi`` (H(psi_chi)) and
-``TwistSpec._range`` (its eigenvalue range).  Each entry is built in full
-before it is stored, so two threads racing on an empty entry at most
-compute the same value twice, and either copy is bit-identical.
+safe to call concurrently; ``TorusGrid``, like ``flow.TwistSpec``, is a
+frozen value whose derived arrays are computed on first read, never first
+on a lane: ``hessian_raw`` reads the multipliers before any hand-off, and
+a stepper reads the twist's when it is built.
 
 ``hessian_raw`` and ``metric_det_eigmin`` take an optional ``lane``: a
 helper thread (anything with ``submit(fn, *args)`` returning a future, such
 as a one-worker ``concurrent.futures.ThreadPoolExecutor``).  At n = 2 the
 helper runs the two inverse transforms of h12 while the caller runs the
-two diagonal ones, and then the pointwise pass on the second half of the
-first axis while the caller runs the first half.  Both splits keep every
+two diagonal ones, and then the metric pass on the second half of the
+first axis while the caller runs the first half; without it the caller
+runs both halves in turn.  Both splits keep every
 floating-point operation of the sequential path on the same operands, so
 the results are bit-identical; ``lane_pays`` says where the helper is worth its cost.
 """
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -76,6 +79,7 @@ def _whole(x):
         return None
 
 
+@dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid with ``res`` points per real axis.
 
@@ -85,12 +89,16 @@ class TorusGrid:
     res : points per real axis, a power of two >= 8.
     period : real period per axis (default 1), whose volume period^(2n) is finite, > 0.
 
-    Derivative multipliers and FFT plans are cached on the instance; two
-    grids compare equal iff (n, res, period) agree.
+    A frozen value: two grids compare equal iff (n, res, period) agree,
+    and its multipliers, symbol and masks are cached properties.
     """
 
-    def __init__(self, n, res, period=1.0):
-        n, res, period = _whole(n), _whole(res), float(period)
+    n: int
+    res: int
+    period: float = 1.0
+
+    def __post_init__(self):
+        n, res, period = _whole(self.n), _whole(self.res), float(self.period)
         if n not in (1, 2):
             raise ValueError("complex dimension must be 1 or 2")
         if res is None or res < 8 or not _is_power_of_two(res):
@@ -102,10 +110,8 @@ class TorusGrid:
         if not (0.0 < period and 0.0 < volume < np.inf):
             raise ValueError("period must be finite and positive, with a finite, nonzero "
                              "volume period^(2n)")
-        self.n = n
-        self.res = res
-        self.period = period
-        self._cache = {}
+        for name, value in (("n", n), ("res", res), ("period", period)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def checked(cls, n, res, period, source):
@@ -145,28 +151,14 @@ class TorusGrid:
         sh[axis] = self.res
         return c.reshape(sh)
 
-    def __eq__(self, other):
-        return (isinstance(other, TorusGrid)
-                and (self.n, self.res, self.period) == (other.n, other.res, other.period))
-
-    def __hash__(self):
-        return hash((self.n, self.res, self.period))
-
-    def __repr__(self):
-        return f"TorusGrid(n={self.n}, res={self.res}, period={self.period})"
-
     # -- spectral machinery ----------------------------------------------
 
     def _freq(self, zero_nyquist=True):
         """Angular frequencies along one axis (1d)."""
-        key = ("freq", zero_nyquist)
-        if key not in self._cache:
-            k = 2.0 * np.pi * np.fft.fftfreq(self.res, d=self.h)
-            if zero_nyquist:
-                k = k.copy()
-                k[self.res // 2] = 0.0
-            self._cache[key] = k
-        return self._cache[key]
+        k = 2.0 * np.pi * np.fft.fftfreq(self.res, d=self.h)
+        if zero_nyquist:
+            k[self.res // 2] = 0.0
+        return k
 
     def _along(self, axis, k):
         """Per-axis values ``k`` (fftfreq order), broadcastable to the spectrum shape."""
@@ -174,24 +166,22 @@ class TorusGrid:
         sh[axis] = self._spec_shape()[axis]
         return k[: sh[axis]].reshape(sh)
 
+    @cached_property
     def hessian_multipliers(self):
-        """Real multipliers of the raw Hessian's components (cached, spectrum shape).
+        """Real multipliers of the raw Hessian's components (spectrum shape).
 
         (d^2/dz dzbar,) at n = 1; at n = 2 those of h11, h22, Re h12 and Im h12.
         """
-        key = ("hess",)
-        if key not in self._cache:
-            f = [self._along(a, self._freq()) for a in range(2 * self.n)]
+        f = [self._along(a, self._freq()) for a in range(2 * self.n)]
 
-            # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
-            def mult(j, k):
-                return 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
-            parts = [mult(j, j).real for j in range(self.n)]   # -(kx_j^2 + ky_j^2)/4
-            if self.n == 2:
-                m12 = mult(0, 1)
-                parts += [m12.real, m12.imag]
-            self._cache[key] = tuple(np.broadcast_to(m, self._spec_shape()).copy() for m in parts)
-        return self._cache[key]
+        # d/dz_j = (d/dx_j - i d/dy_j)/2 times d/dzbar_k = (d/dx_k + i d/dy_k)/2
+        def mult(j, k):
+            return 0.5 * (1j * f[2 * j] + f[2 * j + 1]) * (0.5 * (1j * f[2 * k] - f[2 * k + 1]))
+        parts = [mult(j, j).real for j in range(self.n)]   # -(kx_j^2 + ky_j^2)/4
+        if self.n == 2:
+            m12 = mult(0, 1)
+            parts += [m12.real, m12.imag]
+        return tuple(np.broadcast_to(m, self._spec_shape()).copy() for m in parts)
 
     def fft(self, arr):
         """Spectrum of a real field in the grid's layout, the half spectrum ``rfftn``."""
@@ -201,39 +191,33 @@ class TorusGrid:
         """The real field whose spectrum in the grid's layout is ``spec``, in an owned array."""
         return sfft.irfftn(spec, s=self.shape)
 
+    @cached_property
     def flat_symbol(self):
-        """Symbol of tr H = sum_j d^2/dz_j dzbar_j (cached); at n = 1 the multiplier itself."""
-        key = ("flat",)
-        if key not in self._cache:
-            m = self.hessian_multipliers()
-            self._cache[key] = m[0] if self.n == 1 else m[0] + m[1]
-        return self._cache[key]
+        """Symbol of tr H = sum_j d^2/dz_j dzbar_j; at n = 1 the multiplier itself."""
+        m = self.hessian_multipliers
+        return m[0] if self.n == 1 else m[0] + m[1]
 
     def _spec_shape(self):
         """Shape of ``fft``'s spectrum: the last axis halved (plus one)."""
         return self.shape[:-1] + (self.res // 2 + 1,)
 
+    @cached_property
     def ksq_full(self):
         """|k|^2 over all 2n real axes, Nyquist included (for mollification)."""
-        key = ("ksq",)
-        if key not in self._cache:
-            tot = 0.0
-            for a in range(2 * self.n):
-                tot = tot + self._along(a, self._freq(zero_nyquist=False)) ** 2
-            self._cache[key] = np.broadcast_to(tot, self._spec_shape()).copy()
-        return self._cache[key]
+        tot = 0.0
+        for a in range(2 * self.n):
+            tot = tot + self._along(a, self._freq(zero_nyquist=False)) ** 2
+        return np.broadcast_to(tot, self._spec_shape()).copy()
 
+    @cached_property
     def dealias_mask(self):
         """2/3-rule mask (True = keep)."""
-        key = ("dealias",)
-        if key not in self._cache:
-            cut = self.res // 3
-            idx = np.abs(np.rint(np.fft.fftfreq(self.res) * self.res).astype(int))
-            keep = np.ones(self._spec_shape(), dtype=bool)
-            for a in range(2 * self.n):
-                keep &= self._along(a, idx) <= cut
-            self._cache[key] = keep
-        return self._cache[key]
+        cut = self.res // 3
+        idx = np.abs(np.rint(np.fft.fftfreq(self.res) * self.res).astype(int))
+        keep = np.ones(self._spec_shape(), dtype=bool)
+        for a in range(2 * self.n):
+            keep &= self._along(a, idx) <= cut
+        return keep
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +269,9 @@ class PotentialField:
 
 
 # One _Stepper.parts at n = 2 (twisted, with h), sequential -> with a lane, quartiles
-# of 8 alternating rounds on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
-# res 8 0.43-0.48 -> 0.83-1.05 ms (the hand-off costs more than it saves),
-# res 16 6.5-7.9 -> 5.6-6.4 ms, res 32 161-177 -> 97-117 ms.  Output bit-identical.
+# of 12 alternating rounds on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
+# res 8 0.34-0.34 -> 0.51-0.71 ms, res 16 4.55-5.19 -> 5.10-5.98 ms (the hand-off
+# costs more than it saves at both), res 32 103-110 -> 67-88 ms.  Output bit-identical.
 LANE_MIN_RES = 16
 
 
@@ -331,7 +315,7 @@ def hessian_raw(grid, arr, spec=None, lane=None):
     """
     if spec is None:
         spec = grid.fft(arr)
-    mults = grid.hessian_multipliers()
+    mults = grid.hessian_multipliers
     if grid.n == 1:
         return grid.ifft(mults[0] * spec)
 
@@ -457,8 +441,8 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0, lane=None, then=None):
     ``then(rows, det_rows)``, when given, continues the pass on the same
     rows (a slice of the first axis) and thread, once their smallest
     eigenvalue is known to be positive; rows outside the cone skip it, and
-    the caller rejects the state.  At n = 2 with a ``lane`` the pass runs
-    on two halves of the first axis, the second on the lane.
+    the caller rejects the state.  At n = 2 the pass runs on the two
+    halves of the first axis, the second on ``lane`` when one is given.
     """
     if grid.n == 1:
         if hpsi is not None:
@@ -495,26 +479,23 @@ def metric_det_eigmin(grid, hess, a, hpsi=None, t=0.0, lane=None, then=None):
             then(rows, d)
         return low
 
-    if lane is None:
-        low = rows_pass(slice(None))
-    else:
-        half = grid.res // 2
-        # np.min, not min(): min(x, nan) is x, and would pass a NaN block as inside the cone
-        low = np.min(_pair(lane, lambda: rows_pass(slice(None, half)),
-                           lambda: rows_pass(slice(half, None))))
+    half = grid.res // 2
+    # np.min, not min(): min(x, nan) is x, and would pass a NaN block as inside the cone
+    low = np.min(_pair(lane, lambda: rows_pass(slice(None, half)),
+                       lambda: rows_pass(slice(half, None))))
     return hess, det, 0.5 * float(low)
 
 
-def _twist_terms(grid, twist, t):
+def _twist_terms(twist, t):
     """(1 + t c, the twist's cached H(psi_chi)), the latter None at t = 0 or without it."""
     if twist is None:
         return 1.0, None
-    return 1.0 + t * twist.c, twist.hessian_raw(grid) if t != 0.0 else None
+    return 1.0 + t * twist.c, twist.hpsi if t != 0.0 else None
 
 
 def theta_raw(grid, twist=None, t=0.0, rows=slice(None)):
     """theta_t = (1+tc) I + t H(psi_chi) in the raw layout (fresh arrays), on ``rows``."""
-    a, hpsi = _twist_terms(grid, twist, t)
+    a, hpsi = _twist_terms(twist, t)
     if hpsi is not None:
         return raw_combine(grid, a, raw_rows(grid, hpsi, rows), scale=t)
     shape = (len(range(grid.res)[rows]),) + grid.shape[1:]
@@ -525,9 +506,9 @@ def theta_raw(grid, twist=None, t=0.0, rows=slice(None)):
 def metric_raw(grid, arr, twist=None, t=0.0):
     """(M_t, det M_t, grid min of its smallest eigenvalue), M_t = theta_t + H(arr), raw.
 
-    ``twist`` is duck-typed: ``c`` and ``hessian_raw(grid)``, as on a TwistSpec.
+    ``twist`` is duck-typed: ``c`` and ``hpsi`` (H(psi_chi) on ``grid``), as on a TwistSpec.
     """
-    a, hpsi = _twist_terms(grid, twist, t)
+    a, hpsi = _twist_terms(twist, t)
     return metric_det_eigmin(grid, hessian_raw(grid, arr), a, hpsi, t)
 
 
@@ -539,7 +520,7 @@ def mollify_raw(grid, arr, delta):
     """
     if delta <= 0.0:
         return np.array(arr, dtype=np.float64, copy=True)
-    mult = np.exp(-0.5 * delta ** 2 * grid.ksq_full())
+    mult = np.exp(-0.5 * delta ** 2 * grid.ksq_full)
     return grid.ifft(mult * grid.fft(arr))
 
 

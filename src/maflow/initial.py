@@ -21,6 +21,7 @@ estimate fits one cubic spline to its field and evaluates it at every radius
 in one call.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,9 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidSpec(f"unknown potential kind {self.kind!r}")
+        for name in ("gamma", "a", "floor", "s0", "clip_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} = {getattr(self, name)!r} is not finite")
         if self.kind == "lelong" and self.gamma < 0:
             raise InvalidSpec("lelong mass gamma must be >= 0")
         if self.kind in ("zero_lelong_unbounded", "finite_energy"):

@@ -72,7 +72,7 @@ def density_to_potential(f):
     grid = f.grid
     if abs(f.mass() - grid.volume) > 1e-8 * grid.volume:
         raise MassMismatch(f"density mass {f.mass():.12g} != V = {grid.volume}")
-    sym = grid.flat_symbol()
+    sym = grid.flat_symbol
     spec = grid.fft(f.values - 1.0)
     out = np.zeros_like(spec)
     np.divide(spec, sym, out=out, where=sym != 0.0)
@@ -92,7 +92,7 @@ class _DensityStepper(_Stepper):
 
     def __init__(self, config, f0):
         super().__init__(config)
-        self.sym = self.grid.flat_symbol()
+        self.sym = self.grid.flat_symbol
         # the FlowState holds f as phi, its rhs spectrum as phi_dot and min f as min_eig
         self.state = _initial_state(self, PotentialField(self.grid, f0.values), 0.0)
         self.phi = None   # the potential of the last series row

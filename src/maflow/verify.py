@@ -72,25 +72,19 @@ def shared_snapshot_times(*trajs):
 def _worst(pairs):
     """(min, (t,) + first argmin) of the fields over (t, field) pairs; (inf, ()) for none.
 
-    A NaN is the worst value: the first one met is the minimum."""
-    slack, loc = math.inf, ()
+    A NaN is the worst value: the first one met is the minimum.  The index
+    is unravelled once, at the end: a series margin improves on most rows."""
+    slack, at = math.inf, None
     for t, field in pairs:
         m = float(field.min())
         if not m >= slack:
-            slack, loc = m, (t,) + np.unravel_index(int(np.argmin(field)), field.shape)
+            slack, at = m, (t, field.argmin(), field.shape)
             if math.isnan(m):
                 break
-    return slack, loc
-
-
-def _worst_row(ts, margin):
-    """(min, (t of the first argmin,)) of a series margin over the times ts; (inf, ()) for none.
-
-    A NaN is the worst value, as in ``_worst``."""
-    if len(margin) == 0:
-        return math.inf, ()
-    i = int(np.argmin(margin))
-    return float(margin[i]), (float(ts[i]),)
+    if at is None:
+        return slack, ()
+    t, i, shape = at
+    return slack, (t,) + np.unravel_index(i, shape)
 
 
 def _worst_after_t0(traj, margin):
@@ -143,7 +137,7 @@ def verify_sup_bound(traj, tol=1e-6):
     rate = n * math.log(2.0) - traj.meta["inf_h"]
     sup0 = float(traj.column("sup")[0])
     ts = traj.column("t")
-    slack, loc = _worst_row(ts, sup0 + rate * (ts - traj.t0) - traj.column("sup"))
+    slack, loc = _worst(zip(ts, sup0 + rate * (ts - traj.t0) - traj.column("sup")))
     return _verdict("sup_bound", stmt, slack, tol, location=loc,
                     details={"rate": rate, "sup0": sup0})
 
@@ -268,7 +262,7 @@ def verify_density_monotone(traj, tol=1e-5):
     ts = traj.column("t")
     d_sup = fmax[:-1] - fmax[1:]
     d_orl = orl[:-1] - orl[1:]
-    slack, loc = _worst_row(ts[1:], np.minimum(d_sup, d_orl))
+    slack, loc = _worst(zip(ts[1:], np.minimum(d_sup, d_orl)))
     return _verdict(name, stmt, slack, tol, location=loc,
                     details={"sup_slack": float(d_sup.min()),
                              "orlicz_slack": float(d_orl.min()),
@@ -285,7 +279,7 @@ def verify_density_min(traj, tol=1e-5):
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     fmin = traj.column("fmin")
-    slack, loc = _worst_row(traj.column("t")[1:], fmin[1:] - fmin[:-1])
+    slack, loc = _worst(zip(traj.column("t")[1:], fmin[1:] - fmin[:-1]))
     return _verdict(name, stmt, slack, tol, location=loc,
                     details={"inf_f0_slack": float((fmin - fmin[0]).min())})
 
@@ -298,7 +292,7 @@ def verify_volume_identity(traj):
     V = traj.meta["period"] ** (2 * n)
     ts = traj.column("t")
     target = (1.0 + ts * c) ** n * V
-    slack, loc = _worst_row(ts, -np.abs(traj.column("vol") / target - 1.0))
+    slack, loc = _worst(zip(ts, -np.abs(traj.column("vol") / target - 1.0)))
     return _verdict("volume_identity", stmt, slack, 1e-6, location=loc,
                     details={"max_rel_err": -slack})
 
@@ -314,7 +308,7 @@ def verify_energy_monotone(traj, tol=1e-4):
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     E = traj.column("E")
-    slack, loc = _worst_row(traj.column("t")[1:], E[1:] - E[:-1])
+    slack, loc = _worst(zip(traj.column("t")[1:], E[1:] - E[:-1]))
     return _verdict(name, stmt, slack, tol, location=loc)
 
 

@@ -1,6 +1,7 @@
 """tools/diff_scenarios.py's report: how far the differing files of two outputs lie apart."""
 
 import importlib.util
+import json
 import pathlib
 import struct
 
@@ -38,3 +39,29 @@ def test_report_gives_the_largest_differences_of_series_and_fields(tmp_path):
     assert phi.endswith("phi.mafl differ: max |diff| 2e-05")
     assert series.endswith("series.csv differ: max |diff| t 0, sup 0.001")
     assert tool.report(str(before), str(before)) == []
+
+
+def write_verdicts(path, verdicts):
+    path.write_text(json.dumps([{"name": name, "status": status, "slack": slack, "tolerance": 0.0}
+                                for name, status, slack in verdicts], indent=1))
+
+
+def test_report_names_the_verdicts_whose_status_changed(tmp_path):
+    tool = load_tool()
+    before, after = tmp_path / "before" / "run", tmp_path / "after" / "run"
+    for d, verdicts in (
+            (before, [("sup_bound", "pass", 0.5), ("minoinf", "pass", 1e-9),
+                      ("volume_identity", "skip", None), ("minodot", "fail", -0.25)]),
+            (after, [("sup_bound", "pass", 0.5003), ("minoinf", "fail", -2e-9),
+                     ("volume_identity", "pass", 0.1), ("minodot", "fail", -0.25)])):
+        d.mkdir(parents=True)
+        write_verdicts(d / "verdicts.json", verdicts)
+        (d / "limit.json").write_text(json.dumps({"converged": d is before}))
+    limit, verdicts = sorted(tool.report(str(tmp_path / "before"), str(tmp_path / "after")))
+    assert limit.endswith("limit.json differ")
+    # the skip's slack is None: its status is named, its slack not measured
+    assert verdicts.endswith("verdicts.json differ: status changed: minoinf pass -> fail, "
+                             "volume_identity skip -> pass; max |slack change| 0.0003")
+    write_verdicts(after / "verdicts.json", [("sup_bound", "pass", 0.5)])
+    assert tool.how_far(str(before / "verdicts.json"), str(after / "verdicts.json")) \
+        == "verdict names differ"

@@ -67,6 +67,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FlowConfig(grid=g, variant="ncmaf", twist=TwistSpec(c=0.1), T=0.5)
 
+    @pytest.mark.parametrize("variant, grid", [("cmaf", mf.TorusGrid(1, 32)),
+                                               ("cmaf", mf.TorusGrid(1, 16, 2.0)),
+                                               ("ncmaf", mf.TorusGrid(1, 32))])
+    def test_psi_chi_on_another_grid_rejected(self, variant, grid):
+        psi = mode(grid1(16), (1, 0), 0.01)
+        with pytest.raises(ConfigError, match="different grid"):
+            FlowConfig(grid=grid, variant=variant, twist=TwistSpec(c=0.0, psi_chi=psi), T=0.1)
+
     @pytest.mark.parametrize("snaps", [(0.01, 0.01 + 1e-13), (0.02 - 1e-13,)])
     def test_boundaries_closer_than_dt_min_are_landed(self, snaps):
         # two snapshot times, or a snapshot time and T, less than dt_min apart
@@ -495,7 +503,7 @@ class TestTwistedN2:
         for tr in runs:
             for a, b in zip(tr.snapshots, want.snapshots):
                 assert np.array_equal(a.phi, b.phi) and np.array_equal(a.phi_dot, b.phi_dot)
-        cached = cfg.twist.hessian_raw(g)
+        cached = cfg.twist.hpsi
         for got, ref in zip(cached, orig(g, psi.values)):
             assert np.array_equal(got, ref) and not got.flags.writeable
         with pytest.raises(ValueError):
@@ -521,17 +529,50 @@ class TestTwistedN2:
         for T in (0.004, 0.006, 0.008):
             cfg = cfg.replace(T=T)
         cfg.meta()
-        tw.sign_class(g)
+        tw.sign_class
         run(phi0, cfg)
         assert len(passes) == first
         # the whole-grid expressions, bit for bit
-        hpsi = tw.hessian_raw(g)
+        hpsi = tw.hpsi
         want = (float(orig(g, mf.geometry.raw_combine(g, -0.5, hpsi)).min()),
                 -float(orig(g, mf.geometry.raw_combine(g, 0.5, hpsi, -1.0)).min()))
-        assert tw.eig_range(g) == want
-        tw.c = 0.25   # a new c is a new range
-        assert tw.eig_range(g) == TwistSpec(c=0.25, psi_chi=psi).eig_range(g)
+        assert tw.eig_range == want
+        # a new c is a new twist, with its own range
+        new = dataclasses.replace(tw, c=0.25)
+        assert new.eig_range == TwistSpec(c=0.25, psi_chi=psi).eig_range
         assert len(passes) > first
+
+
+class TestFrozenValues:
+    """TorusGrid and TwistSpec are frozen values whose derived arrays are cached properties."""
+
+    GRID_PROPERTIES = ("hessian_multipliers", "flat_symbol", "ksq_full", "dealias_mask")
+    TWIST_PROPERTIES = ("hpsi", "eig_range")
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = mf.TorusGrid(2, 8, 1), mf.TorusGrid(2.0, 8.0, 1.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != mf.TorusGrid(2, 8, 2.0) and a != mf.TorusGrid(1, 8)
+        a.hessian_multipliers   # a filled cache changes neither
+        assert a == b and hash(a) == hash(b)
+        assert repr(mf.TorusGrid(1, 16)) == "TorusGrid(n=1, res=16, period=1.0)"
+
+    def test_fields_cannot_be_assigned(self):
+        g = mf.TorusGrid(2, 8)
+        tw = TwistSpec(c=-0.5, psi_chi=PotentialField(g, cos_mode(g, (1, 0, 0, 1), 0.01)))
+        for value, name, new in ((g, "res", 16), (g, "period", 2.0), (tw, "c", 0.25),
+                                 (tw, "psi_chi", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, new)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_second_read_returns_the_same_object(self, n):
+        g = mf.TorusGrid(n, 8)
+        psi = PotentialField(g, cos_mode(g, (1,) + (0,) * (2 * n - 1), 0.01))
+        for value, names in ((g, self.GRID_PROPERTIES),
+                             (TwistSpec(c=-0.5, psi_chi=psi), self.TWIST_PROPERTIES)):
+            for name in names:
+                assert getattr(value, name) is getattr(value, name), name
 
 
 class TestSBDF2Kernel:
@@ -563,7 +604,7 @@ class TestSBDF2Kernel:
 
     def test_bit_identical_to_textbook_expressions(self):
         g = mf.TorusGrid(1, 256)
-        sym = g.flat_symbol()
+        sym = g.flat_symbol
         rng = np.random.default_rng(3)
         # real parts planted as +0.0 or -0.0 in every spectrum, so the
         # corresponding parts of the result are exactly zero
@@ -614,8 +655,8 @@ class TestSBDF2Kernel:
         rng = np.random.default_rng(11)
         for _ in range(4):
             u, n1, n2 = (g.fft(a * rng.normal(size=g.shape)) for a in (0.01, 1.0, 1.0))
-            spec, hist = flow._sbdf2_spectrum(g.flat_symbol(), u, n1, {}, 1e-3, 1e-3, 1.3)
-            spec, _ = flow._sbdf2_spectrum(g.flat_symbol(), spec, n2, hist, 1e-3, 1e-3, 1.3)
+            spec, hist = flow._sbdf2_spectrum(g.flat_symbol, u, n1, {}, 1e-3, 1e-3, 1.3)
+            spec, _ = flow._sbdf2_spectrum(g.flat_symbol, spec, n2, hist, 1e-3, 1e-3, 1.3)
             got = hessian_raw(g, None, spec=spec)
             want = hessian_raw(g, g.ifft(spec))
             scale = max(float(np.abs(w).max()) for w in want)
@@ -700,7 +741,7 @@ class TestSpectralState:
         u = self.initial(g)
         s0 = flow._initial_state(flow._Stepper(cfg), u, 0.0)
         # the first step restarts the history: stabilized backward Euler
-        spec, _ = flow._sbdf2_spectrum(g.flat_symbol(), g.fft(u.values), g.fft(s0.phi_dot),
+        spec, _ = flow._sbdf2_spectrum(g.flat_symbol, g.fft(u.values), g.fft(s0.phi_dot),
                                        {}, 1e-3, 1e-3, cfg.stab_factor / s0.min_eig)
         new = step(u, cfg)
         assert new.t == 1e-3 and new.step_count == 1

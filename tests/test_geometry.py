@@ -82,9 +82,9 @@ class TestTorusGrid:
         want = g.shape[:-1] + (g.res // 2 + 1,)
         arr = random_bandlimited(g, 1).values
         assert g.fft(arr).shape == want
-        arrays = [*g.hessian_multipliers(), g.flat_symbol(), g.ksq_full(), g.dealias_mask()]
+        arrays = [*g.hessian_multipliers, g.flat_symbol, g.ksq_full, g.dealias_mask]
         assert [a.shape for a in arrays] == [want] * len(arrays)
-        assert all(m.dtype == np.float64 for m in g.hessian_multipliers())
+        assert all(m.dtype == np.float64 for m in g.hessian_multipliers)
         tw = TwistSpec(-0.4, random_bandlimited(g, 2))
         for raw in (geo.hessian_raw(g, arr), geo.theta_raw(g, tw, 0.3), geo.theta_raw(g),
                     geo.metric_raw(g, arr, tw, 0.3)[0]):
@@ -309,7 +309,7 @@ class TestOneMetricConstruction:
             m11, m22, m12r, m12i = raw
             disc = np.sqrt(np.maximum((m11 - m22) ** 2 + 4.0 * (m12r ** 2 + m12i ** 2), 0.0))
             emax_old = float((0.5 * (m11 + m22 + disc)).max())
-        emin, emax = tw.eig_range(g)
+        emin, emax = tw.eig_range
         assert emax == emax_old
         assert emin == float(geo.eigmin_raw(g, raw).min())
         eigs = la.eigvalsh(matrix_from_raw(g, raw))

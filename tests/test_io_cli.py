@@ -286,6 +286,22 @@ tol.sup_bound = 1e-6
     ])
     def test_level_construction_values_exit_2_naming_the_key(self, tmp_path, monkeypatch,
                                                              capsys, section, key, value):
+        self.assert_lelong_run_exits_2_naming(tmp_path, monkeypatch, capsys, section, key, value)
+
+    # before: gamma nan, clip_floor nan and inf exited 3 (a cone violation at t = 0);
+    # gamma inf ran a constant level, and a lelong run never reads a, floor or s0 (exit 0)
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "nan"), ("gamma", "inf"), ("gamma", "-inf"), ("clip_floor", "nan"),
+        ("clip_floor", "inf"), ("a", "nan"), ("floor", "nan"), ("s0", "nan"), ("s0", "-inf"),
+    ])
+    def test_non_finite_potential_scalar_exits_2_naming_the_key(self, tmp_path, monkeypatch,
+                                                                capsys, key, value):
+        self.assert_lelong_run_exits_2_naming(tmp_path, monkeypatch, capsys, "initial", key,
+                                              value)
+
+    @staticmethod
+    def assert_lelong_run_exits_2_naming(tmp_path, monkeypatch, capsys, section, key, value):
+        """``maflow run`` of an n = 1 lelong INI with [section] key = value: exit 2, one line."""
         monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
         ini = {"grid": {"res": "16", "period": "2.0"},
                "initial": {"kind": "lelong", "gamma": "1.0", "levels": "3"},

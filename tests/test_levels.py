@@ -1,5 +1,6 @@
 """Concurrency: run_levels' level processes, and a run's lane helper, against sequential runs."""
 
+import functools
 import inspect
 import multiprocessing
 import os
@@ -34,9 +35,11 @@ def twisted_config(n, res):
     h = PotentialField(g, cos_mode(g, k[::-1], 0.05))
     cfg = FlowConfig(grid=g, twist=TwistSpec(c=-0.3, psi_chi=psi), h=h, T=0.05,
                      snapshot_times=(0.02,), record_every=4)
-    # FlowConfig's checks fill both caches; empty them so the levels race to fill them
-    g._cache.clear()
-    cfg.twist._hpsi = None
+    # FlowConfig's checks fill the cached properties; empty them so the levels race to fill them
+    for value in (g, cfg.twist):
+        for name, attr in vars(type(value)).items():
+            if isinstance(attr, functools.cached_property):
+                vars(value).pop(name, None)
     return cfg
 
 

@@ -167,7 +167,7 @@ class TestEquivalenceWithPotentialForm:
 
 def _four_transform_step(grid, f, dt, beta0, hist):
     """The density SBDF2 step with its explicit term taken to real space and back."""
-    sym = grid.flat_symbol()
+    sym = grid.flat_symbol
     n_spec = sfft.rfftn(sfft.irfftn(sym * sfft.rfftn(np.log(f)), s=grid.shape))
     f_spec = hist.get("spec")
     if f_spec is None:

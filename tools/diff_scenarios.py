@@ -10,13 +10,16 @@ that ``src`` (into OUTDIR/before) and on this tree's ``src`` (into
 OUTDIR/after).  Then ``diff -r`` compares the two and the files that
 differ are listed, each with how far apart it is: a ``series.csv`` with
 the largest |difference| in each column, a ``.mafl`` field with the
-largest |difference| in its data (``report``).  Exits 1 if any differ, 0
+largest |difference| in its data, a verdict list (``verdicts.json``,
+``lelong_attenuation.json``) with each verdict whose status changed and
+the largest |slack| change (``report``).  Exits 1 if any differ, 0
 if none do, and 2 on a usage error.  Without OUTDIR both outputs go to
 the temporary directory and are removed at the end.  ``save_scenarios.py``
 writes the verdicts of every single-run check beside its grid and
 density-form runs, so the checks are compared too.  Takes about 35 s on 2 cores (two scenario runs).
 """
 
+import json
 import os
 import re
 import subprocess
@@ -61,6 +64,16 @@ def _series(path):
     return header, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
+def _verdicts(path):
+    """The verdicts of a verdict list (``maflow.io.write_verdicts``); None for other JSON."""
+    with open(path) as fh:
+        data = json.load(fh)
+    keys = {"name", "status", "slack"}
+    if isinstance(data, list) and all(isinstance(v, dict) and keys <= v.keys() for v in data):
+        return data
+    return None
+
+
 def how_far(before, after):
     """How far two differing versions of a file lie apart, or None where it is not measured."""
     if os.path.basename(before) == "series.csv":
@@ -74,6 +87,18 @@ def how_far(before, after):
         if a.shape != b.shape:
             return "data sizes differ"
         return f"max |diff| {np.abs(a - b).max(initial=0.0):.3g}"
+    if before.endswith(".json"):
+        a, b = _verdicts(before), _verdicts(after)
+        if a is None or b is None:
+            return None
+        if [v["name"] for v in a] != [v["name"] for v in b]:
+            return "verdict names differ"
+        changed = [f"{x['name']} {x['status']} -> {y['status']}"
+                   for x, y in zip(a, b) if x["status"] != y["status"]]
+        gaps = [abs(x["slack"] - y["slack"]) for x, y in zip(a, b)
+                if x["slack"] is not None and y["slack"] is not None]
+        return (f"status changed: {', '.join(changed) or 'none'}; "
+                f"max |slack change| {np.max(gaps, initial=0.0):.3g}")
     return None
 
 
