@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as mio
 from . import oracles, verify as ver
-from .config import load_config
+from .config import check_names, load_config, read_config
 from .elliptic import solve_ma
 from .errors import ConfigError, ConfigMismatch, InvalidSpec, MaflowError
 from .flow import continue_run, limit_potential, normalize_h, run_levels
@@ -27,11 +27,14 @@ from .initial import (ApproximationSequence, approximation_sequence, default_cen
 def _build_levels(setup):
     """The run's levels: a smooth or file potential is the one level."""
     spec = setup.spec
-    if spec.kind == "smooth" or spec.kind == "from_file":
-        return ApproximationSequence(spec, setup.grid, [sample_potential(spec, setup.grid)])
-    return approximation_sequence(spec, setup.grid, setup.levels,
-                                  K=setup.trunc_depth, delta0=setup.delta0,
-                                  ratio=setup.ratio)
+    try:
+        if spec.kind == "smooth" or spec.kind == "from_file":
+            return ApproximationSequence(spec, setup.grid, [sample_potential(spec, setup.grid)])
+        return approximation_sequence(spec, setup.grid, setup.levels,
+                                      K=setup.trunc_depth, delta0=setup.delta0,
+                                      ratio=setup.ratio)
+    except InvalidSpec as e:
+        raise ConfigError(f"[initial] {e}") from None
 
 
 def cmd_run(args):
@@ -59,15 +62,12 @@ def cmd_run(args):
 
 def cmd_verify(args):
     trajs = mio.load_levels(args.rundir)
-    checks, tol = None, {}
     echo = os.path.join(args.rundir, "config_echo.ini")
-    if os.path.exists(echo):   # the run's [verify] checks and tol.<check> keys
-        setup = load_config(echo)
-        checks = setup.checks or None
-        tol = {name: {"tol": v} for name, v in setup.tolerances.items()}
-    if args.checks:
-        checks = args.checks.replace(",", " ").split()
-        ver.validate_check_names(checks)
+    # the run's [verify] checks and tol.<check> keys, read without building the run
+    settings = read_config(echo)["verify"] if os.path.exists(echo) else {}
+    checks = check_names(args.checks) if args.checks else settings.pop("checks", None) or None
+    tol = {key[4:]: {"tol": v} for key, v in settings.items()
+           if key.startswith("tol.") and v is not None}
     reports = []
     deep = trajs[-1]
     single = checks or list(ver.SINGLE_RUN_CHECKS)
@@ -115,10 +115,7 @@ def cmd_oracle(args):
     if args.name == "heat":
         table = oracles.heat_mode_series(grid, kvec, args.amp, args.T)
         path = os.path.join(args.out, "heat_mode.csv")
-        with open(path, "w") as fh:
-            fh.write("t,amplitude\n")
-            for t, a in table:
-                fh.write(f"{t:.17g},{a:.17g}\n")
+        mio.write_csv(path, ("t", "amplitude"), table)
         print(f"heat oracle (rate 4 pi^2 kappa |k|^2 / L^2, kappa={oracles.KAPPA}) "
               f"-> {path}")
     elif args.name == "lelong_field":
@@ -132,7 +129,7 @@ def cmd_oracle(args):
         mio.write_field(path, u)
         print(f"stationary potential (residual {log.rows[-1][1]:.3g}, "
               f"{log.iterations} iterations) -> {path}")
-        log.write_csv(os.path.join(args.out, "newton_log.csv"))
+        mio.write_csv(os.path.join(args.out, "newton_log.csv"), log.COLUMNS, log.rows)
     return 0
 
 

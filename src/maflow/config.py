@@ -2,18 +2,16 @@
 
 ``SCHEMA`` is the INI schema: {section: {key: (default, cast)}}.  It names
 every key an INI may hold (any other section or key is rejected) and reads
-each one.  The [initial] scalars of initial.PotentialSpec and the [flow]
-run settings flow.SETTINGS (FlowConfig's scalar fields) enter it typed and
+each one (``read_config``, which builds nothing; ``load_config`` builds the
+run).  The [initial] scalars of initial.PotentialSpec and the [flow] run
+settings flow.SETTINGS (FlowConfig's scalar fields) enter it typed and
 defaulted by their dataclass fields; dt_min (<= dt_init) bounds the
 policy's step and each halving, never the last step to a snapshot time or T.
-[verify] holds checks ("": all) and tol.<check> (that check's tol), read
-apart: ``maflow verify RUNDIR`` runs the [verify] checks of
-RUNDIR/config_echo.ini (``--checks`` replaces the list) and passes each
-tol.<check> to its check as ``tol``.  A check outside verify.CHECK_NAMES,
-or a tol.<check> for a check without a ``tol`` parameter, is a
-ConfigError.  A listed check whose input is missing (comparison or
-oscillation_levels on a one-level run, minodot without ``--restart-dir``)
-reports skip.
+[verify] holds checks (none: all of them) and a tol.<check> for each check
+whose verify_<check> takes a ``tol``: ``maflow verify RUNDIR`` reads them
+from RUNDIR/config_echo.ini (``--checks`` replaces the list).  A listed
+check whose input is missing (comparison or oscillation_levels on a
+one-level run, minodot without ``--restart-dir``) reports skip.
 
 A boolean is 1/true/yes/on or 0/false/no/off; snapshots, center and delta0
 (one value) are floats separated by commas or blanks.  A mode list
@@ -32,7 +30,7 @@ import configparser
 import inspect
 import math
 import os
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, fields
 
 from . import verify as ver
 from .errors import ConfigError, InvalidSpec
@@ -43,12 +41,26 @@ from .initial import PotentialSpec, check_modes, mode_sum, parse_modes
 SCHEMA_VERSION = 1
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _floats(text):
-    """A list of floats separated by commas or blanks: 'a, b c' -> (a, b, c)."""
-    return tuple(float(s) for s in text.replace(",", " ").split())
+    """A list of finite floats separated by commas or blanks: 'a, b c' -> (a, b, c)."""
+    return tuple(_finite(s) for s in text.replace(",", " ").split())
 
 
-SCHEMA = {   # the INI schema, but [verify]: {section: {key: (default, cast)}}
+def check_names(text):
+    """Check names separated by commas or blanks, each one of verify.CHECK_NAMES."""
+    names = tuple(text.replace(",", " ").split())
+    ver.validate_check_names(names)
+    return names
+
+
+SCHEMA = {   # the INI schema: {section: {key: (default, cast)}}
     "schema": {"version": (SCHEMA_VERSION, int)},
     "grid": {"n": (1, int), "res": (128, int), "period": (1.0, float)},
     "initial": {"kind": ("smooth", str), "modes": ((), parse_modes), "center": ((), _floats),
@@ -60,7 +72,19 @@ SCHEMA = {   # the INI schema, but [verify]: {section: {key: (default, cast)}}
     "flow": {"c": (0.0, float), "psi_chi_modes": ((), parse_modes),
              "h_modes": ((), parse_modes), **{f.name: (f.default, f.type) for f in SETTINGS}},
     "output": {"dir": ("out", str), "snapshots": ((), _floats)},
+    # tol.<check> for each check that takes a tol; None leaves the check's own default
+    "verify": {"checks": ((), check_names),
+               **{f"tol.{name}": (None, _finite) for name in ver.CHECK_NAMES
+                  if "tol" in inspect.signature(getattr(ver, f"verify_{name}")).parameters}},
 }
+
+
+_POLE = ("center", "levels", "trunc_depth", "delta0", "ratio")   # a model pole: center, levels
+# the [initial] keys each kind reads; any other is a ConfigError naming it
+INITIAL_KEYS = {kind: ("kind", "clip_floor") + keys for kind, keys in (
+    ("smooth", ("modes",)), ("from_file", ("path",)), ("lelong", ("gamma",) + _POLE),
+    ("bounded_discontinuous", ("gamma", "floor") + _POLE),
+    ("zero_lelong_unbounded", ("a", "s0") + _POLE), ("finite_energy", ("a", "s0") + _POLE))}
 
 
 @dataclass
@@ -73,8 +97,6 @@ class RunSetup:
     ratio: float
     flow: FlowConfig
     outdir: str
-    checks: list = dfield(default_factory=list)
-    tolerances: dict = dfield(default_factory=dict)
 
 
 def _get(cp, section, key, default, cast):
@@ -84,7 +106,7 @@ def _get(cp, section, key, default, cast):
             if cast is bool:   # 1/true/yes/on or 0/false/no/off, else ValueError
                 return cp.getboolean(section, key)
             return cast(raw)
-        except (ValueError, InvalidSpec) as e:
+        except (ValueError, InvalidSpec, ConfigError) as e:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from None
     return default
 
@@ -97,7 +119,8 @@ def _mode_list(values, section, key, grid):
         raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
-def load_config(path):
+def read_config(path):
+    """{section: {key: value}} of the INI at ``path``, every SCHEMA key cast or defaulted."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -106,22 +129,29 @@ def load_config(path):
         cp.read(path)
     except configparser.Error as e:
         raise ConfigError(str(e)) from None
+    kind = cp.get("initial", "kind", fallback=SCHEMA["initial"]["kind"][0])
     for section in cp.sections():
-        if section not in SCHEMA and section != "verify":
+        if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
-            if not (key in SCHEMA[section] if section != "verify"
-                    else key == "checks" or key.startswith("tol.")):
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    values = {section: {key: _get(cp, section, key, *rule) for key, rule in keys.items()}
-              for section, keys in SCHEMA.items()}
+            if section == "initial" and key not in INITIAL_KEYS.get(kind, (key,)):
+                raise ConfigError(f"[initial] {key}: kind {kind!r} never reads it")
+    return {section: {key: _get(cp, section, key, *rule) for key, rule in keys.items()}
+            for section, keys in SCHEMA.items()}
+
+
+def load_config(path):
+    values = read_config(path)
     if values["schema"]["version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {values['schema']['version']}")
+        raise ConfigError(f"[schema] version = {values['schema']['version']!r}: "
+                          f"need {SCHEMA_VERSION}")
     grid = TorusGrid.checked(**values["grid"], source="[grid]")
 
     initial, flow = values["initial"], values["flow"]
     if initial["center"] and len(initial["center"]) != 2 * grid.n:
-        raise ConfigError(f"center needs {2 * grid.n} coordinates")
+        raise ConfigError(f"[initial] center needs {2 * grid.n} coordinates")
     delta0 = initial.pop("delta0")
     if len(delta0) > 1:
         raise ConfigError(f"[initial] delta0 takes one value, got {len(delta0)}")
@@ -144,21 +174,17 @@ def load_config(path):
 
     psi, h = (_mode_list(values, "flow", key, grid) for key in ("psi_chi_modes", "h_modes"))
     twist = TwistSpec(flow.pop("c"), PotentialField(grid, mode_sum(grid, psi)) if psi else None)
-    run = FlowConfig(grid=grid, twist=twist,
-                     h=PotentialField(grid, mode_sum(grid, h)) if h else None,
-                     snapshot_times=values["output"]["snapshots"], **flow)
+    try:
+        run = FlowConfig(grid=grid, twist=twist,
+                         h=PotentialField(grid, mode_sum(grid, h)) if h else None,
+                         snapshot_times=values["output"]["snapshots"], **flow)
+    except ConfigError as e:
+        raise ConfigError(f"[flow] {e}") from None
+    outside = [s for s in run.snapshot_times if not 0.0 < s <= run.T]
+    if outside:
+        raise ConfigError(f"[output] snapshots: {outside[0]!r} lies outside (0, T] of "
+                          f"[flow] T = {run.T!r}")
 
     # joined to an absolute dir, the root drops out
     outdir = os.path.join(os.environ.get("MAFLOW_OUTPUT_ROOT", ""), values["output"]["dir"])
-
-    checks = _get(cp, "verify", "checks", "", str).replace(",", " ").split()
-    tolerances = {key[4:]: _get(cp, "verify", key, None, float)
-                  for key in (cp.options("verify") if cp.has_section("verify") else ())
-                  if key.startswith("tol.")}
-    ver.validate_check_names(checks + list(tolerances))
-    for name in tolerances:
-        if "tol" not in inspect.signature(getattr(ver, f"verify_{name}")).parameters:
-            raise ConfigError(f"[verify] check {name!r} takes no tol")
-
-    return RunSetup(grid=grid, spec=spec, delta0=delta0,
-                    flow=run, outdir=outdir, checks=checks, tolerances=tolerances, **setup)
+    return RunSetup(grid=grid, spec=spec, delta0=delta0, flow=run, outdir=outdir, **setup)

@@ -41,18 +41,14 @@ NEWTON_MAX_ITER = 60
 
 @dataclass
 class SolverLog:
-    rows: list = dfield(default_factory=list)   # (iteration, residual, damping)
+    COLUMNS = ("iteration", "residual", "damping")   # of each row (``io.write_csv``)
+
+    rows: list = dfield(default_factory=list)
     inner_iterations: list = dfield(default_factory=list)   # GMRES matvecs per Newton step
     inner_converged: list = dfield(default_factory=list)    # did that inner solve meet rtol
 
     def append(self, it, res, damping):
         self.rows.append((it, float(res), float(damping)))
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("iteration,residual,damping\n")
-            for it, res, damping in self.rows:
-                fh.write(f"{it},{res:.17g},{damping:.17g}\n")
 
     @property
     def iterations(self):

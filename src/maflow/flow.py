@@ -51,32 +51,34 @@ eigenvalue and log det - h (+ phi) in one fused pointwise pass
 the caller as a typed error carrying t.
 
 ``_march`` is the one time loop of both flow forms: it owns the snapshot
-boundaries, the record cadence and the snapshots, and steps to each
-boundary until ``_advance`` has landed on it.  A state's det and metric
-(five fields at n = 2) live only until its own series row is taken or
-skipped: ``_march`` drops them then, so a step starts from phi and phi_dot
-alone (and the SBDF2 history).  An RK4 step gathers its stages into one
-sum in place and frees each stage once it is added.
+boundaries, the record cadence and the snapshots, steps to each boundary
+until ``_advance`` has landed on it, and returns (series, snapshots); a
+Trajectory's times are its series' t column.  A state's det and metric (5
+fields at n = 2) live only until its own series row is taken or skipped:
+``_march`` drops them then, so a step starts from phi and phi_dot alone
+(and the SBDF2 history).  An RK4 step gathers its stages into one sum in
+place and frees each stage once it is added.
 
 A run is deterministic, and its output does not depend on the threads or
 processes it is given; trajectories are immutable once produced, and the
-grid and the twist are frozen values (see ``geometry``).  Where a
-CPU is free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run``
-gives its ``_Stepper`` one helper thread, a lane: it runs two of the
-Hessian's four inverse transforms and half of the pointwise pass of every
-right-hand side (see ``geometry``), and is joined before ``run`` returns
-or raises.  ``run_levels`` runs each approximation level in a forked
-child process, all of them at once, and the kernel shares the CPUs among
-them; a level's child runs the same ``run`` on the same inputs, so every
-trajectory is bit-identical to a sequential run of its level.  Levels in
-threads of one process share one GIL for the Python they run between
-the FFTs: one lelong_smoothing level took 0.24 s alone, and two copies
-of it 0.31 s in two threads but 0.27 s in two forked processes (2 cores,
-medians of 7).  ``workers``
-caps the CPUs of a call: the levels get them first, and a level has its
-lane only where the cap leaves two CPUs per level.
+grid and the twist are frozen values (see ``geometry``).  Where a CPU is
+free and ``geometry.lane_pays`` (n = 2 from res 16 on), ``run`` gives its
+``_Stepper`` one helper thread, a lane: it runs two of the Hessian's four
+inverse transforms and half of the pointwise pass of every right-hand
+side (see ``geometry``); ``run`` enters it with ``with``, so it is joined
+before ``run`` returns or raises.  ``run_levels`` runs each approximation
+level in a forked child process, all of them at once, and the kernel
+shares the CPUs among them; a level's child runs the same ``run`` on the
+same inputs, so every trajectory is bit-identical to a sequential run of
+its level.  Levels in threads of one process share one GIL for the Python
+they run between the FFTs: one lelong_smoothing level took 0.24 s alone,
+and two copies of it 0.31 s in two threads but 0.27 s in two forked
+processes (2 cores, medians of 7).  ``workers`` caps the CPUs of a call:
+the levels get them first, and a level has its lane only where the cap
+leaves two CPUs per level.
 """
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -219,7 +221,7 @@ class FlowConfig:
         if self.variant not in self.VARIANTS[:2]:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.dt_policy not in ("rk4", "rk4_fixed", "semi_implicit"):
-            raise ConfigError(f"unknown dt policy {self.dt_policy!r}")
+            raise ConfigError(f"unknown dt_policy {self.dt_policy!r}")
         if not 0.0 < self.safety < 1.0:
             raise ConfigError("safety factor must lie in (0, 1)")
         if self.dt_min <= 0.0 or self.dt_init <= 0.0:
@@ -228,6 +230,8 @@ class FlowConfig:
             raise ConfigError(f"dt_init={self.dt_init} lies below dt_min={self.dt_min}")
         if self.T < 0.0:
             raise ConfigError("horizon T must be >= 0")
+        if self.record_every < 1:
+            raise ConfigError(f"record_every={self.record_every!r} must be >= 1")
         if self.twist.psi_chi is not None and self.twist.psi_chi.grid != self.grid:
             raise ConfigError("psi_chi lives on a different grid")
         if self.variant == "ncmaf" and not self.twist.is_trivial:
@@ -235,13 +239,14 @@ class FlowConfig:
         if self.variant == "cmaf":
             tm = t_max(self.twist)
             if self.T >= tm:
-                raise ConfigError(f"T={self.T} reaches T_max={tm}")
+                raise ConfigError(f"T={self.T} reaches T_max={tm} = 1/|c|")
             # discrete form of the standing normalization omega/2 <= theta_t <= 2 omega
             emin, emax = self.twist.eig_range
             bound = self.T * max(abs(emin), abs(emax))
             if bound > 0.5 + 1e-12:
                 raise ConfigError(
-                    f"|t chi| up to {bound:.3f} exceeds 1/2 on [0, T]; shrink T or the twist")
+                    f"|t chi| up to {bound:.3g} exceeds 1/2 on [0, T]; shrink T or the twist "
+                    "(c, psi_chi)")
         self.h = normalize_h(self.h)
 
     def replace(self, **kw):
@@ -316,10 +321,13 @@ class Snapshot:
 class Trajectory:
     grid: geo.TorusGrid
     meta: dict
-    times: np.ndarray
-    series: dict
+    series: dict               # {column: values} of SERIES_COLUMNS, the times as "t"
     snapshots: list
     twist: TwistSpec = None    # the run's twist; None: a bare c from meta (density form)
+
+    @property
+    def times(self):
+        return self.series["t"]
 
     def column(self, name):
         return np.asarray(self.series[name])
@@ -351,7 +359,7 @@ class _Stepper:
     def __init__(self, config):
         self.cfg = config
         self.grid = config.grid
-        self.lane = None   # a helper thread for the right-hand side (``run`` starts it)
+        self.lane = None   # a helper thread for the right-hand side (``run`` enters it)
         self.c = config.twist.c
         self.hpsi = config.twist.hpsi
         self.h_arr = None if config.h is None else config.h.values
@@ -365,11 +373,6 @@ class _Stepper:
         if self.mask is None:
             return arr
         return self.grid.ifft(self.mask * self.grid.fft(arr))
-
-    def close(self):
-        """Join the helper thread, if any; the stepper takes no further step."""
-        if self.lane is not None:
-            self.lane.shutdown()
 
     def parts(self, t, phi):
         """(rhs, det, min_eig, metric_raw); raises _Reject on cone exit.
@@ -599,9 +602,9 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
         raise ConfigError(f"horizon T={config.T} lies before t0={t0}")
 
     st = _Stepper(config)
-    if cap > 1 and geo.lane_pays(config.grid):
-        st.lane = ThreadPoolExecutor(1, thread_name_prefix="maflow-lane")
-    try:
+    lane = (ThreadPoolExecutor(1, thread_name_prefix="maflow-lane")
+            if cap > 1 and geo.lane_pays(config.grid) else contextlib.nullcontext())
+    with lane as st.lane:   # the executor's exit joins its thread
         st.state = _initial_state(st, phi0, t0)
         meta = config.meta()
         meta.update({"t0": t0, "data_class": data_class,
@@ -609,14 +612,12 @@ def run(source, config, t0=0.0, data_class="smooth", meta_extra=None, workers=No
         meta.update(level_meta)
         if meta_extra:
             meta.update(meta_extra)
-        times, series, snaps = _march(st, t0)
-    finally:
-        st.close()
-    return Trajectory(config.grid, meta, times, series, snaps, config.twist)
+        series, snaps = _march(st, t0)
+    return Trajectory(config.grid, meta, series, snaps, config.twist)
 
 
 def _march(st, t0):
-    """The one time loop of both flow forms: (times, series, snapshots) on [t0, T].
+    """The one time loop of both flow forms: (series, snapshots) on [t0, T].
 
     Steps ``st`` with ``_advance`` to each boundary (the snapshot times in
     (t0, T], and T), which lands on it.  A series row is recorded at t0,
@@ -637,9 +638,7 @@ def _march(st, t0):
                 since = 0
             st.state.det = st.state.metric = None
         snaps.append(st.snapshot())
-    times = np.array([r["t"] for r in rows])
-    series = {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}
-    return times, series, snaps
+    return {k: np.array([r[k] for r in rows]) for k in fnl.SERIES_COLUMNS}, snaps
 
 
 def continue_run(traj, from_t, config, T=None, workers=None):

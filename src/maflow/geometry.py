@@ -100,7 +100,7 @@ class TorusGrid:
     def __post_init__(self):
         n, res, period = _whole(self.n), _whole(self.res), float(self.period)
         if n not in (1, 2):
-            raise ValueError("complex dimension must be 1 or 2")
+            raise ValueError("complex dimension n must be 1 or 2")
         if res is None or res < 8 or not _is_power_of_two(res):
             raise ValueError("res must be a power of two >= 8")
         try:

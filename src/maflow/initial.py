@@ -182,7 +182,9 @@ def sample_potential(spec, grid):
     """Sample a model potential on the grid, clipped at spec.clip_floor.
 
     The sample must be omega-psh at grid scale: a copy mollified at radius
-    2h must have min eig(I + H) >= -1e-6, or InvalidSpec is raised.
+    2h must have min eig(I + H) >= -1e-6 (a NaN, from values too large to
+    transform, fails), or InvalidSpec is raised; so must a clip_floor at or
+    above the sample's sup, which would clip it to a constant.
     """
     if spec.kind == "smooth":
         vals = mode_sum(grid, spec.modes)
@@ -194,18 +196,22 @@ def sample_potential(spec, grid):
         vals = fld.values
     else:
         g, _ = _pole_potential(spec, grid)
-        if spec.kind == "lelong":
-            vals = spec.gamma * g
-        elif spec.kind == "bounded_discontinuous":
-            vals = np.maximum(spec.gamma * g, spec.floor)
-        else:  # zero_lelong_unbounded / finite_energy
-            vals = -(spec.s0 + np.maximum(-g, 0.0)) ** spec.a
+        with np.errstate(over="ignore"):   # a gamma g past the floats is clipped below
+            if spec.kind == "lelong":
+                vals = spec.gamma * g
+            elif spec.kind == "bounded_discontinuous":
+                vals = np.maximum(spec.gamma * g, spec.floor)
+            else:  # zero_lelong_unbounded / finite_energy
+                vals = -(spec.s0 + np.maximum(-g, 0.0)) ** spec.a
+    if not spec.clip_floor < vals.max():
+        raise InvalidSpec(f"clip_floor = {spec.clip_floor!r} clips the whole potential, whose "
+                          f"sup is {vals.max():.6g}; lower it or shrink gamma")
     vals = np.maximum(vals, spec.clip_floor)
     emin = geo.metric_raw(grid, geo.mollify_raw(grid, vals, 2.0 * grid.h))[2]
-    if emin < -1e-6:
+    if not emin >= -1e-6:
         raise InvalidSpec(
             f"sampled potential is not omega-psh at grid scale "
-            f"(min eig {emin:.3e}); reduce the mass or enlarge the period")
+            f"(min eig {emin:.3e}); reduce gamma or the amplitudes, or enlarge the period")
     return PotentialField(grid, vals)
 
 
@@ -222,12 +228,6 @@ class ApproximationSequence:
     spec: PotentialSpec
     grid: "geo.TorusGrid"
     levels: list
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
 
 
 LEVEL_BLEND = 0.01   # s_1, the first level's blend towards its sup (approximation_sequence)

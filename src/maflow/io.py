@@ -9,9 +9,9 @@ Field snapshot format (magic bytes "MAFL", all little-endian):
     bytes 20..27  float64 t        time stamp of the field
     bytes 28..    float64 data, res^(2n) values, C (row-major) order
 
-Round trips are bit-exact.  A trajectory directory holds series.csv with
-the fixed column schema, meta.json, the h / psi_chi fields when present,
-and one phi / phidot snapshot pair per recorded snapshot time.
+Round trips are bit-exact and copy no data.  A trajectory directory holds
+series.csv (``write_csv``, fixed columns), meta.json, the h / psi_chi
+fields when present, and one phi / phidot snapshot pair per snapshot time.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def write_field(path, field, t=0.0):
     g = field.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, g.n, g.res, g.period, float(t)))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        np.asarray(field.values, dtype="<f8").tofile(fh)   # C order, no copy of the bytes
 
 
 def read_field(path):
@@ -58,18 +59,20 @@ def read_field(path):
         size = os.fstat(fh.fileno()).st_size - _HEADER.size   # a huge res must not reach read
         if size != grid.npoints * 8:
             raise ConfigError(f"{path}: {size} data bytes, not the {grid.npoints * 8} of its grid")
-        data = np.frombuffer(fh.read(size), dtype="<f8")
+        data = np.fromfile(fh, dtype="<f8", count=grid.npoints).reshape(grid.shape)
         if not np.isfinite(data).all():
             raise ConfigError(f"{path}: non-finite value in the snapshot data")
-        return PotentialField(grid, data.reshape(grid.shape).copy()), t
+        return PotentialField(grid, data), t
+
+
+def write_csv(path, columns, rows):
+    """The one CSV writer: a header of ``columns``, then each row, every value as %.17g."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
 def write_series_csv(path, times, series):
-    cols = fnl.SERIES_COLUMNS
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(times)):
-            fh.write(",".join(f"{float(series[c][i]):.17g}" for c in cols) + "\n")
+    """series.csv: the SERIES_COLUMNS of ``series``, whose t column is ``times``."""
+    write_csv(path, fnl.SERIES_COLUMNS, np.column_stack([series[c] for c in fnl.SERIES_COLUMNS]))
 
 
 def read_series_csv(path):
@@ -218,7 +221,7 @@ def load_trajectory(dirpath):
             snaps.append(Snapshot(t, *fields, rec["min_eig"]))
         psi = _optional_field(dirpath, "psi_chi.mafl", grid)
         twist = None if psi is None else TwistSpec(meta["c"], psi)
-    return Trajectory(grid, meta, times, series, snaps, twist)
+    return Trajectory(grid, meta, series, snaps, twist)
 
 
 def _run_config(dirpath, meta, grid, twist):
@@ -255,5 +258,5 @@ def load_levels(rundir):
 
 def write_verdicts(path, reports):
     with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=1, sort_keys=True,
+        json.dump([asdict(r) for r in reports], fh, indent=1, sort_keys=True,
                   default=lambda v: v.tolist())

@@ -138,9 +138,9 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
     cfg = FlowConfig(grid=grid, T=T, dt_policy=dt_policy, dt_init=dt_init, dt_min=dt_min,
                      safety=safety, record_every=record_every,
                      snapshot_times=snapshot_times, stab_factor=stab_factor)
-    times, series, snaps = _march(_DensityStepper(cfg, f0), 0.0)
+    series, snaps = _march(_DensityStepper(cfg, f0), 0.0)
     meta = {**cfg.settings(), "variant": FlowConfig.VARIANTS[2], "n": 1, "res": grid.res,
             "period": grid.period, "c": 0.0, "t0": 0.0, "sign_class": "zero",
             "sup_h": 0.0, "inf_h": 0.0, "data_class": "smooth",
             "snapshot_times": [s.t for s in snaps[1:]], "kappa": KAPPA}
-    return Trajectory(grid, meta, times, series, snaps)
+    return Trajectory(grid, meta, series, snaps)

@@ -15,7 +15,7 @@ trajectory files.
 """
 
 import math
-from dataclasses import asdict, dataclass, field as dfield
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class VerdictReport:
     advisory: bool = False
     details: dict = dfield(default_factory=dict)
 
-    def to_dict(self):
-        """The fields by name; numpy values stay numpy (``io.write_verdicts`` writes them)."""
-        return asdict(self)
-
 
 def _verdict(name, statement, slack, tol, **kw):
     status = "pass" if slack >= -tol else "fail"
@@ -70,21 +66,26 @@ def shared_snapshot_times(*trajs):
 
 
 def _worst(pairs):
-    """(min, (t,) + first argmin) of the fields over (t, field) pairs; (inf, ()) for none.
+    """(min, location) of the fields over (t, field) pairs; (inf, ()) for none.
 
-    A NaN is the worst value: the first one met is the minimum.  The index
-    is unravelled once, at the end: a series margin improves on most rows."""
+    The location is (t,) + the index of the field's first argmin.  A ``t``
+    that is an array labels the field's first axis, so one pair holds a
+    whole series and its location is (t[i],) + the rest of the index.  A
+    NaN is the worst value: the first one met is the minimum (``np.argmin``
+    returns the first NaN, else the first least value)."""
     slack, at = math.inf, None
     for t, field in pairs:
-        m = float(field.min())
+        i = np.argmin(field)
+        m = float(field.flat[i])
         if not m >= slack:
-            slack, at = m, (t, field.argmin(), field.shape)
+            slack, at = m, (t, i, field.shape)
             if math.isnan(m):
                 break
     if at is None:
         return slack, ()
     t, i, shape = at
-    return slack, (t,) + np.unravel_index(i, shape)
+    index = np.unravel_index(i, shape)
+    return slack, ((t[index[0]],) + index[1:] if np.ndim(t) else (t,) + index)
 
 
 def _worst_after_t0(traj, margin):
@@ -137,7 +138,7 @@ def verify_sup_bound(traj, tol=1e-6):
     rate = n * math.log(2.0) - traj.meta["inf_h"]
     sup0 = float(traj.column("sup")[0])
     ts = traj.column("t")
-    slack, loc = _worst(zip(ts, sup0 + rate * (ts - traj.t0) - traj.column("sup")))
+    slack, loc = _worst([(ts, sup0 + rate * (ts - traj.t0) - traj.column("sup"))])
     return _verdict("sup_bound", stmt, slack, tol, location=loc,
                     details={"rate": rate, "sup0": sup0})
 
@@ -262,7 +263,7 @@ def verify_density_monotone(traj, tol=1e-5):
     ts = traj.column("t")
     d_sup = fmax[:-1] - fmax[1:]
     d_orl = orl[:-1] - orl[1:]
-    slack, loc = _worst(zip(ts[1:], np.minimum(d_sup, d_orl)))
+    slack, loc = _worst([(ts[1:], np.minimum(d_sup, d_orl))])
     return _verdict(name, stmt, slack, tol, location=loc,
                     details={"sup_slack": float(d_sup.min()),
                              "orlicz_slack": float(d_orl.min()),
@@ -279,7 +280,7 @@ def verify_density_min(traj, tol=1e-5):
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     fmin = traj.column("fmin")
-    slack, loc = _worst(zip(traj.column("t")[1:], fmin[1:] - fmin[:-1]))
+    slack, loc = _worst([(traj.column("t")[1:], fmin[1:] - fmin[:-1])])
     return _verdict(name, stmt, slack, tol, location=loc,
                     details={"inf_f0_slack": float((fmin - fmin[0]).min())})
 
@@ -292,7 +293,7 @@ def verify_volume_identity(traj):
     V = traj.meta["period"] ** (2 * n)
     ts = traj.column("t")
     target = (1.0 + ts * c) ** n * V
-    slack, loc = _worst(zip(ts, -np.abs(traj.column("vol") / target - 1.0)))
+    slack, loc = _worst([(ts, -np.abs(traj.column("vol") / target - 1.0))])
     return _verdict("volume_identity", stmt, slack, 1e-6, location=loc,
                     details={"max_rel_err": -slack})
 
@@ -308,7 +309,7 @@ def verify_energy_monotone(traj, tol=1e-4):
     if len(traj.times) < 2:
         return _skip(name, stmt, "series too short")
     E = traj.column("E")
-    slack, loc = _worst(zip(traj.column("t")[1:], E[1:] - E[:-1]))
+    slack, loc = _worst([(traj.column("t")[1:], E[1:] - E[:-1])])
     return _verdict(name, stmt, slack, tol, location=loc)
 
 

@@ -1,7 +1,9 @@
-"""tools/diff_scenarios.py's report: how far the differing files of two outputs lie apart."""
+"""tools/diff_scenarios.py: what it exports of a revision, and its report of how far the
+differing files of two outputs lie apart."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import struct
 
@@ -65,3 +67,10 @@ def test_report_names_the_verdicts_whose_status_changed(tmp_path):
     write_verdicts(after / "verdicts.json", [("sup_bound", "pass", 0.5)])
     assert tool.how_far(str(before / "verdicts.json"), str(after / "verdicts.json")) \
         == "verdict names differ"
+
+
+def test_export_holds_the_revisions_src_and_its_scenario_script(tmp_path):
+    # the "before" outputs come from the revision's own script, run on its own src
+    src = load_tool().export_src("HEAD", str(tmp_path))
+    assert os.path.isfile(os.path.join(src, "maflow", "io.py"))
+    assert os.path.isfile(os.path.join(os.path.dirname(src), "tools", "save_scenarios.py"))

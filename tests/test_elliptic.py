@@ -8,6 +8,7 @@ import pytest
 import maflow as mf
 from maflow import elliptic
 from maflow import geometry as geo
+from maflow import io as mio
 from maflow.elliptic import SolverLog, newton_residual_and_linearization, solve_ma
 from maflow.errors import IncompatibleData, SingularMetric
 from maflow.flow import TwistSpec, normalize_h
@@ -125,7 +126,7 @@ class TestSolveMa:
         g = grid1()
         _, log = solve_ma(1.0, g=mode(g, (1, 0), 0.2))
         path = tmp_path / "newton.csv"
-        log.write_csv(path)
+        mio.write_csv(path, log.COLUMNS, log.rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,residual,damping"
         assert len(lines) == log.iterations + 1

@@ -192,8 +192,8 @@ class TestApproximationSequence:
         spec = PotentialSpec("smooth", modes=[((1, 0), 0.02, 0.0)])
         seq = approximation_sequence(spec, g64, 3)
         assert isinstance(seq, ApproximationSequence)
-        assert len(seq) == 3
-        assert seq[0].j == 1
+        assert len(seq.levels) == 3
+        assert seq.levels[0].j == 1
 
 
 class TestLelongEstimate:

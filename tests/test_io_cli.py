@@ -9,7 +9,7 @@ import maflow as mf
 from maflow import io as mio
 from maflow import verify as ver
 from maflow.cli import main
-from maflow.config import load_config, parse_modes
+from maflow.config import load_config, parse_modes, read_config
 from maflow.errors import ConfigError
 from maflow.flow import FlowConfig, run, run_levels
 from maflow.geometry import PotentialField
@@ -172,8 +172,9 @@ tol.sup_bound = 1e-6
         setup = load_config(p)
         assert setup.grid.res == 16
         assert setup.flow.snapshot_times == (0.025, 0.05)
-        assert setup.checks == ["sup_bound", "clef"]
-        assert setup.tolerances["sup_bound"] == 1e-6
+        verify = read_config(p)["verify"]   # what maflow verify reads of config_echo.ini
+        assert verify["checks"] == ("sup_bound", "clef")
+        assert verify["tol.sup_bound"] == 1e-6 and verify["tol.clef"] is None
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -214,12 +215,12 @@ tol.sup_bound = 1e-6
 
     def test_float_lists(self, tmp_path):
         p = tmp_path / "run.ini"
-        p.write_text("[grid]\nres = 16\n[initial]\ncenter = 0.5, 0.25\ndelta0 =\n"
-                     "[output]\nsnapshots = 0.01 0.02\n")
+        p.write_text("[grid]\nres = 16\n[initial]\nkind = lelong\ncenter = 0.5, 0.25\n"
+                     "delta0 =\n[output]\nsnapshots = 0.01 0.02\n")
         setup = load_config(p)
         assert setup.spec.center == (0.5, 0.25) and setup.delta0 is None
         assert setup.flow.snapshot_times == (0.01, 0.02)
-        p.write_text("[grid]\nres = 16\n[initial]\ndelta0 = 0.1\n")
+        p.write_text("[grid]\nres = 16\n[initial]\nkind = lelong\ndelta0 = 0.1\n")
         assert load_config(p).delta0 == 0.1
 
     @pytest.mark.parametrize("section, line", [
@@ -884,7 +885,7 @@ class TestRunSettingsInMeta:
 
 
 class TestVerifySection:
-    def _write_config(self, tmp_path, verify):
+    def _write_config(self, tmp_path, verify, flow=""):
         p = tmp_path / "run.ini"
         p.write_text(f"""
 [grid]
@@ -896,6 +897,7 @@ modes = 1 0 : 0.02 : 0.0
 [flow]
 T = 0.05
 record_every = 10
+{flow}
 [output]
 dir = {tmp_path / 'out'}
 snapshots = 0.025, 0.05
@@ -916,6 +918,16 @@ snapshots = 0.025, 0.05
         # --checks replaces the configured list; the tolerances still apply
         assert main(["verify", str(tmp_path / "out"), "--checks", "clef"]) == 0
         assert self._verdicts(tmp_path) == [("clef", 0.5)]
+
+    def test_verify_reads_the_echo_without_building_the_run(self, tmp_path, monkeypatch):
+        # a twisted run: building its FlowConfig samples psi_chi and takes H(psi_chi)
+        p = self._write_config(tmp_path, "checks = sup_bound\ntol.sup_bound = 1e-3",
+                               flow="c = -0.5\npsi_chi_modes = 0 1 : 0.004 : 0.5")
+        assert main(["run", str(p)]) == 0
+        built = []
+        monkeypatch.setattr(FlowConfig, "__post_init__", lambda cfg: built.append(cfg))
+        assert main(["verify", str(tmp_path / "out")]) == 0
+        assert built == [] and self._verdicts(tmp_path) == [("sup_bound", 1e-3)]
 
     @pytest.mark.parametrize("verify, name", [
         ("checks = sup_bound, no_such_check", "no_such_check"),

@@ -2,8 +2,9 @@
 and boundary landing (``flow._advance``) under every dt policy, at any
 boundary spacing, the raw metric algebra of ``geometry``, the discrete
 volume identity, the comparison principle and constant-shift equivariance,
-bit-exact MAFL round trips and the run settings' round trips through the
-INI and ``meta.json``.
+bit-exact MAFL round trips, the run settings' round trips through the INI
+and ``meta.json``, and the worst-slack scan of a whole series
+(``verify._worst``) against a row-by-row scan.
 
 Hypothesis runs derandomized and without an example database, so the
 suite stays deterministic; files go to temporary directories only.
@@ -20,6 +21,7 @@ import maflow as mf
 from maflow import geometry as geo
 from maflow import io as mio
 from maflow.config import load_config
+from maflow import verify as ver
 from maflow.verify import verify_comparison
 from maflow.flow import (SETTINGS, FlowConfig, Trajectory, TwistSpec, _Stepper, continue_run,
                          run)
@@ -336,6 +338,35 @@ def test_every_setting_survives_the_ini_and_meta_json(values):
         cfg = load_config(ini).flow
         assert_settings(cfg, values)
         one_row = {k: np.zeros(1) for k in SERIES_COLUMNS}
-        traj = Trajectory(cfg.grid, {**cfg.meta(), "t0": 0.0}, np.zeros(1), one_row, [])
+        traj = Trajectory(cfg.grid, {**cfg.meta(), "t0": 0.0}, one_row, [])
         mio.save_run(traj, os.path.join(d, "run"), cfg)
         assert_settings(mio.load_run_config(os.path.join(d, "run")), values)
+
+
+def row_scan(ts, margin):
+    """(min, location) of ``margin`` by one row and one value at a time: the first NaN,
+    else the first least value, located at (t of its row,) + its index in the row."""
+    slack, loc = np.inf, ()
+    for t, row in zip(ts, margin):
+        for index in np.ndindex(row.shape):
+            v = float(row[index])
+            if np.isnan(v):
+                return v, (t,) + index
+            if v < slack:
+                slack, loc = v, (t,) + index
+    return slack, loc
+
+
+special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(margin=st.integers(1, 3).flatmap(lambda d: arrays(
+    np.float64, st.tuples(st.integers(1, 12), *[st.integers(1, 3)] * (d - 1)),
+    elements=st.one_of(special, st.floats(-2.0, 2.0)))))
+def test_worst_over_a_series_is_the_row_scan(margin):
+    # one (times, margin) pair: its times label the margin's first axis
+    ts = 0.25 * np.arange(1, len(margin) + 1)
+    slack, loc = ver._worst([(ts, margin)])
+    want, want_loc = row_scan(ts, margin)
+    assert (slack == want or np.isnan(slack) and np.isnan(want)) and loc == want_loc

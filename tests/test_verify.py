@@ -1,6 +1,7 @@
 """The estimate checkers: slacks, gating, determinism."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -113,8 +114,7 @@ class TestSupBound:
         tr, _ = smooth_run
         sup = tr.series["sup"].copy()
         sup[1:] += 1.0   # inflate every recorded value after time zero
-        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.times,
-                            {**tr.series, "sup": sup}, tr.snapshots)
+        bad = mf.Trajectory(tr.grid, dict(tr.meta), {**tr.series, "sup": sup}, tr.snapshots)
         assert ver.verify_sup_bound(bad).status == "fail"
 
 
@@ -272,7 +272,7 @@ class TestEnergyAndMeanValue:
         # a bare trajectory carrying the mean value I(t) with given slopes
         I = np.concatenate([[0.0], np.cumsum(np.diff(ts) * slopes)])
         meta = {"variant": "cmaf", "n": 2, "c": c, "sign_class": "nonpos"}
-        return Trajectory(mf.TorusGrid(2, 8), meta, ts, {"t": ts, "I": I}, [])
+        return Trajectory(mf.TorusGrid(2, 8), meta, {"t": ts, "I": I}, [])
 
     def test_mean_value_cap_is_the_intervals_largest_when_c_negative(self):
         # slopes on the caps at each interval's earlier end: within
@@ -369,8 +369,7 @@ class TestC2DiagnosticTwist:
         mio.save_run(tr, tmp_path / "run", cfg)
         back = mio.load_trajectory(tmp_path / "run")
         assert back.twist is None
-        assert (ver.verify_c2_diagnostic(back).to_dict()
-                == ver.verify_c2_diagnostic(tr).to_dict())
+        assert asdict(ver.verify_c2_diagnostic(back)) == asdict(ver.verify_c2_diagnostic(tr))
 
 
 class TestOscillationLevels:
@@ -438,7 +437,7 @@ class TestDeterminism:
         a = ver.run_checks(tr)
         b = ver.run_checks(tr)
         for ra, rb in zip(a, b):
-            assert ra.to_dict() == rb.to_dict()
+            assert asdict(ra) == asdict(rb)
 
     def test_every_skip_never_fail(self, smooth_run, ncmaf_run):
         for tr in (smooth_run[0], ncmaf_run[0]):
@@ -519,7 +518,7 @@ class TestViolationsAreCaught:
     def test_doctored_phidot_fails_clef(self, smooth_run):
         tr, _ = smooth_run
         import copy
-        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.times, tr.series,
+        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.series,
                             [copy.deepcopy(s) for s in tr.snapshots])
         bad.snapshots[-1].phi_dot = bad.snapshots[-1].phi_dot + 10.0
         assert ver.verify_clef(bad).status == "fail"
@@ -528,7 +527,7 @@ class TestViolationsAreCaught:
     def test_non_finite_phidot_fails_stbelow(self, smooth_run, value):
         tr, _ = smooth_run
         import copy
-        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.times, tr.series,
+        bad = mf.Trajectory(tr.grid, dict(tr.meta), tr.series,
                             [copy.deepcopy(s) for s in tr.snapshots])
         bad.snapshots[2].phi_dot[3, 5] = value
         rep = ver.verify_stbelow(bad)

@@ -1,14 +1,16 @@
-"""Compare the scenario outputs of a git revision's ``src`` with this tree's.
+"""Compare the scenario outputs of a git revision with this tree's.
 
 Usage:
 
     python tools/diff_scenarios.py REV [OUTDIR]
 
-Exports REV's ``src`` with ``git archive`` into a temporary directory and
-runs this tree's ``tools/save_scenarios.py`` twice, with ``PYTHONPATH`` on
-that ``src`` (into OUTDIR/before) and on this tree's ``src`` (into
-OUTDIR/after).  Then ``diff -r`` compares the two and the files that
-differ are listed, each with how far apart it is: a ``series.csv`` with
+Exports REV's ``src`` and ``tools/save_scenarios.py`` with ``git archive``
+into a temporary directory, and runs each tree's own
+``tools/save_scenarios.py`` with ``PYTHONPATH`` on that tree's ``src``:
+REV's into OUTDIR/before, this tree's into OUTDIR/after; so a revision
+whose script calls what this tree's ``src`` lacks, or the other way
+round, still compares.  Then ``diff -r`` compares the two and the files
+that differ are listed, each with how far apart it is: a ``series.csv`` with
 the largest |difference| in each column, a ``.mafl`` field with the
 largest |difference| in its data, a verdict list (``verdicts.json``,
 ``lelong_attenuation.json``) with each verdict whose status changed and
@@ -16,7 +18,8 @@ the largest |slack| change (``report``).  Exits 1 if any differ, 0
 if none do, and 2 on a usage error.  Without OUTDIR both outputs go to
 the temporary directory and are removed at the end.  ``save_scenarios.py``
 writes the verdicts of every single-run check beside its grid and
-density-form runs, so the checks are compared too.  Takes about 35 s on 2 cores (two scenario runs).
+density-form runs, so the checks are compared too.  Takes about 40 s on 2
+cores (two scenario runs).
 """
 
 import json
@@ -29,22 +32,24 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SAVE = os.path.join(ROOT, "tools", "save_scenarios.py")
 MAFL_HEADER = 28   # the bytes before a .mafl file's float64 data (maflow.io)
 
 
 def export_src(rev, dest):
-    """REV's ``src`` tree, extracted under ``dest``; its path."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                             check=True, capture_output=True).stdout
+    """REV's ``src`` tree and ``tools/save_scenarios.py``, extracted under ``dest``; the
+    path of its ``src``."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", rev, "src", "tools/save_scenarios.py"],
+        check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
     return os.path.join(dest, "src")
 
 
 def save_scenarios(src, outdir):
-    """Run save_scenarios.py into ``outdir`` with the package imported from ``src``."""
+    """Run the tools/save_scenarios.py beside ``src`` into ``outdir``, importing from ``src``."""
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, SAVE, outdir], env=dict(os.environ, PYTHONPATH=path),
+    save = os.path.join(os.path.dirname(src), "tools", "save_scenarios.py")
+    subprocess.run([sys.executable, save, outdir], env=dict(os.environ, PYTHONPATH=path),
                    stdout=subprocess.DEVNULL, check=True)
 
 

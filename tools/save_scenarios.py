@@ -124,7 +124,7 @@ def save_solve(outdir, alpha, **data):
     except NewtonDiverged as e:
         with open(os.path.join(outdir, "error.txt"), "w") as fh:
             fh.write(f"NewtonDiverged: {e}\n")
-    log.write_csv(os.path.join(outdir, "newton_log.csv"))
+    mio.write_csv(os.path.join(outdir, "newton_log.csv"), log.COLUMNS, log.rows)
     with open(os.path.join(outdir, "inner_iterations.json"), "w") as fh:
         json.dump([int(k) for k in log.inner_iterations], fh)
     return u
