@@ -8,6 +8,7 @@ configurations included), 3 solver failure (failure time in the report),
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -20,8 +21,8 @@ from .elliptic import solve_ma
 from .errors import ConfigError, ConfigMismatch, InvalidSpec, MaflowError
 from .flow import continue_run, limit_potential, normalize_h, run_levels
 from .geometry import PotentialField, TorusGrid
-from .initial import (ApproximationSequence, approximation_sequence, default_center, mode_sum,
-                      parse_modes, sample_potential)
+from .initial import (ApproximationSequence, PotentialSpec, approximation_sequence,
+                      default_center, mode_sum, parse_modes, sample_potential)
 
 
 def _build_levels(setup):
@@ -39,10 +40,11 @@ def _build_levels(setup):
 
 def cmd_run(args):
     setup = load_config(args.config)
+    levels = _build_levels(setup)   # before the output dir, so a rejected INI leaves none
     os.makedirs(setup.outdir, exist_ok=True)
     center = setup.spec.center or default_center(setup.grid)
-    trajs = run_levels(_build_levels(setup), setup.flow,
-                       meta_extra={"center": list(center)}, workers=args.workers)
+    trajs = run_levels(levels, setup.flow, meta_extra={"center": list(center)},
+                       workers=args.workers)
     for j, traj in enumerate(trajs):
         name = f"level_{j:02d}"
         mio.save_run(traj, os.path.join(setup.outdir, name), setup.flow)
@@ -108,6 +110,15 @@ def cmd_oracle(args):
             kvec = ()
         if len(kvec) != 2 * grid.n:
             raise ConfigError(f"--mode {args.mode!r}: give {2 * grid.n} integers at n = {grid.n}")
+        if not 0.0 <= args.T < math.inf:
+            raise ConfigError(f"--T {args.T!r}: need a finite horizon >= 0")
+        if not math.isfinite(args.amp):
+            raise ConfigError(f"--amp {args.amp!r}: need a finite amplitude")
+    elif args.name == "lelong_field":
+        try:
+            PotentialSpec("lelong", gamma=args.gamma)   # its rule for a mass: finite, >= 0
+        except InvalidSpec as e:
+            raise ConfigError(f"--gamma {args.gamma!r}: {e}") from None
     elif args.name == "elliptic_fixed_point":
         modes = parse_modes(args.h_modes)
         h = normalize_h(PotentialField(grid, mode_sum(grid, modes))) if modes else None

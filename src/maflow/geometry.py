@@ -251,27 +251,15 @@ class PotentialField:
     def inf(self):
         return float(self.values.min())
 
-    def __add__(self, a):
-        return PotentialField(self.grid, self.values + float(a))
-
-    __radd__ = __add__
-
-    def __sub__(self, a):
-        return PotentialField(self.grid, self.values - float(a))
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
 
 # ---------------------------------------------------------------------------
 # raw spectral kernels (ndarray in, ndarray out; hot path of the stepper)
 
 
-# One _Stepper.parts at n = 2 (twisted, with h), sequential -> with a lane, quartiles
-# of 12 alternating rounds on a 2-core Xeon (Python 3.11, numpy 2.4, scipy 1.17):
-# res 8 0.34-0.34 -> 0.51-0.71 ms, res 16 4.55-5.19 -> 5.10-5.98 ms (the hand-off
-# costs more than it saves at both), res 32 103-110 -> 67-88 ms.  Output bit-identical.
+# One _Stepper.parts at n = 2 (twisted, with h), sequential -> with a lane, medians of
+# alternating rounds on a shared 2-core host (Python 3.11, numpy 2.4, scipy 1.17):
+# res 8 0.52 -> 1.20 ms (the hand-off costs more than it saves; faster in 0 of 30),
+# res 16 9.8 -> 7.1 ms (54 of 60), res 32 196 -> 115 ms (16 of 16).  Output bit-identical.
 LANE_MIN_RES = 16
 
 
@@ -368,10 +356,10 @@ def raw_combine(grid, a, raw, scale=1.0):
     return a + scale * h11, a + scale * h22, scale * h12r, scale * h12i
 
 
-def raw_add(grid, r1, r2, s2=1.0):
+def raw_add(grid, r1, r2):
     if grid.n == 1:
-        return r1 + s2 * r2
-    return tuple(x + s2 * y for x, y in zip(r1, r2))
+        return r1 + r2
+    return tuple(x + y for x, y in zip(r1, r2))
 
 
 def det_raw(grid, m):

@@ -285,11 +285,10 @@ def _sphere_directions(n, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def sphere_average(phi, z0, r):
-    """Average of phi over the sphere |z - z0| = r (interpolated, periodic).
+def sphere_average(phi, z0, radii):
+    """Averages of phi over the spheres |z - z0| = r, r in the array ``radii`` (periodic).
 
-    ``r`` is a radius (a float is returned) or an array of radii (an array
-    of their averages).  The cubic spline of phi is fitted once, as
+    The cubic spline of phi is fitted once, as
     ``map_coordinates(order=3, mode="grid-wrap")`` fits it, and all radii
     are evaluated in one interpolation call, so each average is
     bit-identical to that call on its own radius.
@@ -298,14 +297,12 @@ def sphere_average(phi, z0, r):
     from scipy.ndimage import map_coordinates, spline_filter
 
     grid = phi.grid
-    radii = np.asarray(r, dtype=np.float64)
     dirs = _sphere_directions(grid.n, SPHERE_DIRECTIONS)
     pts = (np.asarray(z0)[None, None, :] + radii.reshape(-1, 1, 1) * dirs[None]) / grid.h
     coeffs = spline_filter(phi.values, 3, output=np.float64, mode="grid-wrap")
     vals = map_coordinates(coeffs, pts.reshape(-1, 2 * grid.n).T, order=3, mode="grid-wrap",
                            prefilter=False)
-    avgs = vals.reshape(-1, SPHERE_DIRECTIONS).mean(axis=1)
-    return float(avgs[0]) if radii.ndim == 0 else avgs
+    return vals.reshape(-1, SPHERE_DIRECTIONS).mean(axis=1)
 
 
 def lelong_estimate(phi, z0):

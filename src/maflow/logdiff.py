@@ -123,8 +123,7 @@ class _DensityStepper(_Stepper):
 
 
 def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
-                   safety=0.9, record_every=25, snapshot_times=(),
-                   stab_factor=1.0):
+                   record_every=25, snapshot_times=(), stab_factor=1.0):
     """Run the density flow on [0, T]; shares the trajectory CSV schema.
 
     The settings pass FlowConfig's checks first, and the meta records them
@@ -136,8 +135,8 @@ def evolve_density(f0, T, dt_policy="rk4", dt_init=1e-2, dt_min=1e-12,
         raise ConfigError(f"unknown dt policy {dt_policy!r}")
     grid = f0.grid
     cfg = FlowConfig(grid=grid, T=T, dt_policy=dt_policy, dt_init=dt_init, dt_min=dt_min,
-                     safety=safety, record_every=record_every,
-                     snapshot_times=snapshot_times, stab_factor=stab_factor)
+                     record_every=record_every, snapshot_times=snapshot_times,
+                     stab_factor=stab_factor)
     series, snaps = _march(_DensityStepper(cfg, f0), 0.0)
     meta = {**cfg.settings(), "variant": FlowConfig.VARIANTS[2], "n": 1, "res": grid.res,
             "period": grid.period, "c": 0.0, "t0": 0.0, "sign_class": "zero",

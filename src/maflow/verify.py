@@ -213,12 +213,11 @@ def default_stbelow_A(traj):
     return 1.0
 
 
-def _stbelow_margin(traj, A, C):
+def _stbelow_margin(traj, C):
     """margin(snap, tau) of phidot >= n log tau - A Osc(phi0) - C, and {A, C, osc0}.
 
-    A None is ``default_stbelow_A(traj)``."""
-    if A is None:
-        A = default_stbelow_A(traj)
+    A is ``default_stbelow_A(traj)``."""
+    A = default_stbelow_A(traj)
     n = traj.meta["n"]
     phi0 = traj.snapshots[0].phi
     osc0 = float(phi0.max() - phi0.min())
@@ -229,15 +228,15 @@ def _stbelow_margin(traj, A, C):
     return margin, {"A": A, "C": C, "osc0": osc0}
 
 
-def calibrate_stbelow(traj, A=None):
+def calibrate_stbelow(traj):
     """Smallest C with phidot >= n log t - A Osc(phi0) - C along the run; NaN if phidot has one."""
-    margin, _ = _stbelow_margin(traj, A, 0.0)
+    margin, _ = _stbelow_margin(traj, 0.0)
     worst = _worst_after_t0(traj, margin)[0]
     return worst if math.isnan(worst) else max(0.0, -worst)
 
 
-def verify_stbelow(traj, A=None, tol=1e-5):
-    """phidot_t >= n log t - A Osc(phi0) - C for bounded data, with C = STBELOW_C."""
+def verify_stbelow(traj, tol=1e-5):
+    """phidot_t >= n log t - A Osc(phi0) - C for bounded data (default_stbelow_A, STBELOW_C)."""
     stmt = "phidot_t >= n log t - A * Osc(phi0) - C"
     name = "stbelow"
     dc = traj.meta["data_class"]
@@ -245,7 +244,7 @@ def verify_stbelow(traj, A=None, tol=1e-5):
         return _skip(name, stmt, f"needs bounded initial data, got {dc!r}")
     if traj.meta["variant"] != "cmaf":
         return _skip(name, stmt, "cmaf-only check")
-    margin, details = _stbelow_margin(traj, A, STBELOW_C)
+    margin, details = _stbelow_margin(traj, STBELOW_C)
     return _worst_margin(traj, name, stmt, margin, tol, details=details)
 
 
@@ -447,13 +446,13 @@ def verify_c2_diagnostic(traj, tol=1e-6):
                                   "min_t_log_trace": lower})
 
 
-def verify_oscillation_levels(level_trajs, t_min=None):
+def verify_oscillation_levels(level_trajs):
     """Osc(phi_t) stabilizes across approximation levels for zero-Lelong data.
 
     The initial oscillations grow without bound down the sequence, so the
     meaningful level-independence is that of the Cauchy tail: the spread of
-    the deepest 3 levels at fixed t > 0 must fall below 10%.  The full
-    per-level oscillation table is reported in details.
+    the deepest 3 levels at each shared t - t0 >= (T - t0) / 4 must fall
+    below 10%.  The full per-level oscillation table is reported in details.
     """
     stmt = "Osc(phi_t) spread across the deepest approximation levels <= 10%"
     name = "oscillation_levels"
@@ -462,8 +461,7 @@ def verify_oscillation_levels(level_trajs, t_min=None):
     if level_trajs[-1].meta["data_class"] == "lelong":
         return _skip(name, stmt, "positive Lelong mass: oscillation may depend "
                                  "on the level before the smoothing time")
-    if t_min is None:
-        t_min = 0.25 * (level_trajs[-1].meta["T"] - level_trajs[-1].t0)
+    t_min = 0.25 * (level_trajs[-1].meta["T"] - level_trajs[-1].t0)
     ts = [t for t in shared_snapshot_times(*level_trajs)
           if t - level_trajs[-1].t0 >= t_min]
     if not ts:
@@ -504,14 +502,14 @@ SINGLE_RUN_CHECKS = {
 CHECK_NAMES = (*SINGLE_RUN_CHECKS, "comparison", "oscillation_levels", "minodot")
 
 
-def validate_check_names(names, known=CHECK_NAMES):
-    """Raise ConfigError naming the first of ``names`` that is not in ``known``."""
+def validate_check_names(names):
+    """Raise ConfigError naming the first of ``names`` that is not in ``CHECK_NAMES``."""
     for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown check {name!r}; the checks are {', '.join(known)}")
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {name!r}; "
+                              f"the checks are {', '.join(CHECK_NAMES)}")
 
 
-def run_checks(traj, names=None):
-    names = list(SINGLE_RUN_CHECKS) if names is None else names
-    validate_check_names(names, SINGLE_RUN_CHECKS)
-    return [SINGLE_RUN_CHECKS[name](traj) for name in names]
+def run_checks(traj):
+    """The verdicts of every single-run check on ``traj``, in ``SINGLE_RUN_CHECKS`` order."""
+    return [check(traj) for check in SINGLE_RUN_CHECKS.values()]

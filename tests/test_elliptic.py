@@ -152,7 +152,7 @@ class TestLinearization:
     def test_linearization_reduces_to_flat_laplacian_minus_alpha(self):
         g = grid1(32)
         alpha = 2.0
-        _, lin = newton_residual_and_linearization(PotentialField.zeros(g), alpha)
+        _, lin = newton_residual_and_linearization(PotentialField(g, np.zeros(g.shape)), alpha)
         d = cos_mode(g, (1, 0), 1.0)
         expected = -np.pi ** 2 * d - alpha * d
         assert np.abs(lin(d) - expected).max() < 1e-12

@@ -160,7 +160,7 @@ class TestRhs:
     def test_flat_fixed_point(self):
         g = grid1()
         cfg = FlowConfig(grid=g, T=0.5)
-        assert np.abs(rhs(0.0, PotentialField.zeros(g), cfg)).max() == 0.0
+        assert np.abs(rhs(0.0, PotentialField(g, np.zeros(g.shape)), cfg)).max() == 0.0
 
     def test_ncmaf_constant_gives_constant(self):
         g = grid1()
@@ -294,7 +294,7 @@ class TestStep:
     def test_zero_stays_zero_under_ncmaf(self):
         g = grid1()
         cfg = FlowConfig(grid=g, variant="ncmaf", T=1.0)
-        st = step(PotentialField.zeros(g), cfg)
+        st = step(PotentialField(g, np.zeros(g.shape)), cfg)
         assert np.abs(st.phi.values).max() == 0.0
 
     def test_small_amplitude_step_matches_heat_oracle(self):
@@ -329,7 +329,7 @@ class TestRun:
         cfg = FlowConfig(grid=g, T=0.15, snapshot_times=(0.15,))
         phi = mode(g, (1, 0), 0.03)
         a = run(phi, cfg)
-        b = run(phi + 2.3, cfg)
+        b = run(PotentialField(g, phi.values + 2.3), cfg)
         d = b.snapshot_at(0.15).phi - a.snapshot_at(0.15).phi
         assert np.abs(d - 2.3).max() < 1e-10
 

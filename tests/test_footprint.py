@@ -14,6 +14,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(maflow.__file__)))
 PROBE = """
 import json, sys
 
+import numpy
+
 WATCHED = {"linalg", "ndimage", "sparse"}
 
 def loaded():
@@ -25,7 +27,7 @@ stages["import"] = loaded()
 g = maflow.TorusGrid(1, 8)
 u, _ = maflow.solve_ma(1.0, g=maflow.PotentialField(g, maflow.initial.cos_mode(g, (1, 0), 0.01)))
 stages["solve_ma"] = loaded()
-maflow.initial.sphere_average(u, (0.5, 0.5), 0.2)
+maflow.initial.sphere_average(u, (0.5, 0.5), numpy.array([0.2]))
 stages["sphere_average"] = loaded()
 print(json.dumps(stages))
 """

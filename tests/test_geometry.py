@@ -188,7 +188,7 @@ def four_transform_hessian(grid, arr):
 def old_metric_chain(grid, hess, a, hpsi=None, t=0.0):
     # the separate pointwise passes the fused kernel replaces
     if hpsi is not None:
-        hess = geo.raw_add(grid, hess, hpsi, s2=t)
+        hess = geo.raw_add(grid, hess, t * hpsi if grid.n == 1 else tuple(t * y for y in hpsi))
     m = geo.raw_combine(grid, a, hess)
     return m, geo.det_raw(grid, m), geo.eigmin_raw(grid, m).min()
 
@@ -348,13 +348,13 @@ class TestMetricAndRatio:
         psi = field(g, np.cos(2 * np.pi * g.coord(0)) / np.pi ** 2)
         t = 1.5
         with pytest.raises(KaehlerConeViolation) as err:
-            mf.ma_ratio(mf.PotentialField.zeros(g), TwistSpec(c=0.0, psi_chi=psi), t)
+            mf.ma_ratio(mf.PotentialField(g, np.zeros(g.shape)), TwistSpec(c=0.0, psi_chi=psi), t)
         assert err.value.t == t and err.value.min_eig < 0
         assert err.value.min_eig == pytest.approx(1.0 - t, abs=1e-12)
 
     def test_ratio_identity_and_separable_product(self):
         g = grid2()
-        assert np.allclose(mf.ma_ratio(mf.PotentialField.zeros(g)), 1.0)
+        assert np.allclose(mf.ma_ratio(mf.PotentialField(g, np.zeros(g.shape))), 1.0)
         u = 0.02 * np.cos(2 * np.pi * g.coord(0))
         v = 0.015 * np.cos(2 * np.pi * g.coord(2))
         r = mf.ma_ratio(field(g, u + v))

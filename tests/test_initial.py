@@ -218,7 +218,7 @@ class TestLelongEstimate:
 
     def test_insufficient_resolution(self):
         g = mf.TorusGrid(1, 8)
-        phi = mf.PotentialField.zeros(g)
+        phi = mf.PotentialField(g, np.zeros(g.shape))
         with pytest.raises(InsufficientResolution):
             lelong_estimate(phi, (0.5, 0.5))
 
@@ -242,8 +242,6 @@ class TestLelongEstimate:
             expected.append(vals.mean())
         avgs = sphere_average(phi, z0, radii)
         assert np.array_equal(avgs, expected)
-        one = sphere_average(phi, z0, radii[3])
-        assert type(one) is float and one == expected[3]
 
 
 def test_center_length_validated():

@@ -36,7 +36,7 @@ class TestSnapshotFormat:
     def test_magic_bytes(self, tmp_path):
         g = mf.TorusGrid(1, 8)
         path = tmp_path / "f.mafl"
-        mio.write_field(path, PotentialField.zeros(g))
+        mio.write_field(path, PotentialField(g, np.zeros(g.shape)))
         assert path.read_bytes()[:4] == b"MAFL"
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -315,6 +315,23 @@ tol.sup_bound = 1e-6
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert f"[{section}]" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    # before: each exited 2 but left the empty output directory behind
+    @pytest.mark.parametrize("initial, message", [
+        ("kind = lelong\ngamma = 3\nlevels = 3", "not omega-psh at grid scale"),
+        ("kind = lelong\nlevels = 3\nclip_floor = 3", "clips the whole potential"),
+        ("kind = from_file\npath = missing.mafl", "no such snapshot file"),
+    ], ids=["not_psh", "clip_floor_at_sup", "missing_file"])
+    def test_rejected_levels_leave_no_output_directory(self, tmp_path, monkeypatch, capsys,
+                                                       initial, message):
+        monkeypatch.setenv("MAFLOW_OUTPUT_ROOT", str(tmp_path))
+        p = tmp_path / "run.ini"
+        p.write_text(f"[grid]\nres = 16\n[initial]\n{initial}\n[flow]\nT = 0.002\n")
+        assert main(["run", str(p), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -575,6 +592,12 @@ class TestTypedErrors:
         (["oracle", "heat", "--period", "nan"], "period must be finite and positive"),
         (["oracle", "elliptic_fixed_point", "--res", "16", "--h-modes", "a 0 : 0.05"],
          "bad mode entry 'a 0 : 0.05'"),
+        # before: each exited 0, writing non-finite values or a decay backwards in time
+        (["oracle", "lelong_field", "--res", "16", "--gamma", "nan"], "--gamma nan"),
+        (["oracle", "lelong_field", "--res", "16", "--gamma", "-1"], "--gamma -1.0"),
+        (["oracle", "heat", "--T", "nan"], "--T nan"),
+        (["oracle", "heat", "--T", "-1"], "--T -1.0"),
+        (["oracle", "heat", "--amp", "inf"], "--amp inf"),
     ])
     def test_exits_2_with_a_one_line_message(self, runs, argv, message, capsys, monkeypatch):
         monkeypatch.chdir(runs)
@@ -588,6 +611,9 @@ class TestTypedErrors:
         ["oracle", "heat", "--n", "2", "--res", "8", "--mode", "1 0"],
         ["oracle", "lelong_field", "--res", "0"],
         ["oracle", "elliptic_fixed_point", "--res", "16", "--h-modes", "1 0 0 : 0.05 : 0.0"],
+        ["oracle", "lelong_field", "--res", "16", "--gamma", "nan"],
+        ["oracle", "heat", "--T", "-1"],
+        ["oracle", "heat", "--amp", "inf"],
     ])
     def test_rejected_oracle_leaves_no_output_directory(self, tmp_path, argv, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -29,7 +29,7 @@ def mode_potential(grid, amp=0.03):
 class TestConversions:
     def test_flat_pair(self):
         g = grid1()
-        f = potential_to_density(PotentialField.zeros(g))
+        f = potential_to_density(PotentialField(g, np.zeros(g.shape)))
         assert np.allclose(f.values, 1.0)
         phi = density_to_potential(f)
         assert np.abs(phi.values).max() < 1e-14
@@ -122,7 +122,6 @@ class TestDtPolicy:
 
 class TestSettings:
     @pytest.mark.parametrize("kw,match", [
-        ({"safety": 1.5}, "safety"),
         ({"T": -1.0}, "horizon"),
         ({"dt_init": -1e-3}, "positive"),
         ({"dt_min": 0.0}, "positive"),

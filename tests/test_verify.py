@@ -8,7 +8,7 @@ import pytest
 
 import maflow as mf
 from maflow.elliptic import solve_ma
-from maflow.errors import ConfigError, ConfigMismatch
+from maflow.errors import ConfigMismatch
 from maflow.flow import (FlowConfig, Trajectory, TwistSpec, continue_run, normalize_h,
                          run)
 from maflow.geometry import PotentialField, hessian_raw, mollify_raw
@@ -38,10 +38,17 @@ def smooth_run():
 
 
 @pytest.fixture(scope="module")
+def shifted_run(smooth_run):
+    """smooth_run's data + 1.0 under the same configuration."""
+    tr, cfg = smooth_run
+    return run(PotentialField(tr.grid, tr.snapshots[0].phi + 1.0), cfg)
+
+
+@pytest.fixture(scope="module")
 def flat_run():
     g = grid1()
     cfg = FlowConfig(grid=g, T=0.4, snapshot_times=SNAPS, record_every=50)
-    return run(PotentialField.zeros(g), cfg)
+    return run(PotentialField(g, np.zeros(g.shape)), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +75,8 @@ class TestComparison:
         rep = ver.verify_comparison(tr, tr)
         assert rep.status == "pass" and rep.slack == 0.0
 
-    def test_constant_shift_gives_constant_gap(self, smooth_run):
-        tr, cfg = smooth_run
-        hi = run(PotentialField(tr.grid, tr.snapshots[0].phi + 1.0), cfg)
+    def test_constant_shift_gives_constant_gap(self, smooth_run, shifted_run):
+        tr, hi = smooth_run[0], shifted_run
         rep = ver.verify_comparison(tr, hi)
         assert rep.slack >= 1.0 - 1e-8
         d = hi.snapshot_at(0.4).phi - tr.snapshot_at(0.4).phi
@@ -166,7 +172,7 @@ class TestNcmafBound:
         g = grid1()
         cfg = FlowConfig(grid=g, variant="ncmaf", T=0.4, snapshot_times=SNAPS,
                          record_every=100)
-        rep = ver.verify_ncmaf_bound(run(PotentialField.zeros(g), cfg))
+        rep = ver.verify_ncmaf_bound(run(PotentialField(g, np.zeros(g.shape)), cfg))
         assert rep.status == "pass"
         assert rep.slack >= 0.9 * SNAPS[0]   # H = -nt exactly
 
@@ -187,9 +193,10 @@ class TestStBelow:
                          snapshot_times=(0.05, 0.1, 0.2, 0.4, 0.7, 1.0),
                          record_every=200)
         tr = run(phi0, cfg)
-        cstar = ver.calibrate_stbelow(tr, A=1.0)
+        assert ver.default_stbelow_A(tr) == 1.0   # untwisted: no T_max
+        cstar = ver.calibrate_stbelow(tr)
         assert cstar == pytest.approx(ver.STBELOW_C, abs=1e-12)
-        assert ver.verify_stbelow(tr, A=1.0).status == "pass"
+        assert ver.verify_stbelow(tr).status == "pass"
 
     def test_bounded_run_passes_with_frozen_constant(self):
         g = grid1(64, period=2.0)
@@ -303,12 +310,8 @@ class TestMinodot:
 
 
 class TestC2Diagnostic:
-    def test_flat_run_trace_is_constant(self):
-        g = grid1()
-        cfg = FlowConfig(grid=g, T=0.4, snapshot_times=(0.1, 0.2, 0.4),
-                         record_every=100)
-        tr = run(PotentialField.zeros(g), cfg)
-        rep = ver.verify_c2_diagnostic(tr)
+    def test_flat_run_trace_is_constant(self, flat_run):
+        rep = ver.verify_c2_diagnostic(flat_run)
         assert rep.advisory and rep.status == "pass"
         assert abs(rep.details["max_ratio"]) < 1e-8   # tr = n, log tr = 0
 
@@ -379,7 +382,7 @@ class TestOscillationLevels:
             PotentialSpec("zero_lelong_unbounded", a=0.5), g, 6, K=3.0, ratio=0.55)
         cfg = FlowConfig(grid=g, T=0.2, snapshot_times=(0.2,), record_every=100)
         trs = [run(lev, cfg, data_class="zero_lelong") for lev in seq.levels]
-        rep = ver.verify_oscillation_levels(trs, t_min=0.15)
+        rep = ver.verify_oscillation_levels(trs)
         assert rep.status == "pass"
         assert rep.details["max_tail_spread"] <= 0.10
 
@@ -443,16 +446,6 @@ class TestDeterminism:
         for tr in (smooth_run[0], ncmaf_run[0]):
             for rep in ver.run_checks(tr):
                 assert rep.status in ("pass", "skip")
-
-    @pytest.mark.parametrize("names", [["sup_bound", "bogus"], ["sup_bound", "comparison"]])
-    def test_unknown_check_is_a_config_error_before_any_check_runs(self, smooth_run,
-                                                                     monkeypatch, names):
-        # comparison is a check of two runs, not one run_checks can run
-        called = []
-        monkeypatch.setitem(ver.SINGLE_RUN_CHECKS, "sup_bound", lambda tr: called.append(tr))
-        with pytest.raises(ConfigError, match=names[1]):
-            ver.run_checks(smooth_run[0], names)
-        assert called == []
 
     def test_zero_horizon_run_skips_what_needs_a_later_time(self):
         # one row and one snapshot, at t = 0
@@ -544,10 +537,7 @@ class TestViolationsAreCaught:
         assert ver._worst([(0.1, ones), (0.3, minus_inf)]) == (-np.inf, (0.3, 0, 3))
         assert ver._worst([]) == (math.inf, ())
 
-    def test_unordered_levels_fail_comparison(self, smooth_run):
-        tr, cfg = smooth_run
+    def test_unordered_levels_fail_comparison(self, smooth_run, shifted_run):
         # swap roles: the higher run passed as the lower one must fail
-        hi = run(PotentialField(tr.grid, tr.snapshots[0].phi + 1.0), cfg)
-        from maflow.errors import ConfigMismatch
         with pytest.raises(ConfigMismatch):
-            ver.verify_comparison(hi, tr)
+            ver.verify_comparison(shifted_run, smooth_run[0])
